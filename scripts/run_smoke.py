@@ -1,7 +1,7 @@
 """Small end-to-end smoke run: plant a direction, learn it back, print the report.
 
-Builds a d=4 instance F(x) = |<v, x>|, runs the practical-mode recovery loop at
-modest sample sizes, executes all four verification suites, and writes the
+Builds a d=4 instance F(x) = |<v, x>|, runs the recovery loop at modest sample
+sizes, executes all four verification suites, and writes the
 report JSON plus a CSV extract next to the working directory (or --out-dir).
 
 Usage: python3 scripts/run_smoke.py [--out-dir /tmp/smoke]

@@ -35,7 +35,6 @@ from .lattice import (
     OrderType,
     SelectorKicker,
     all_order_types,
-    compact,
     deserialize_lattice,
     from_network,
     lattice_eval,
@@ -53,7 +52,6 @@ from .network import (
     Architecture,
     ReluNetwork,
     boolean_compile,
-    clip_weights,
     deserialize,
     evaluate,
     lipschitz_upper,
@@ -74,10 +72,8 @@ from .subspace import (
     epsilon_net_bound,
     epsilon_net_matrices,
     extend_frame,
-    frame_nearness,
     procrustes_distance,
     project,
-    snap_frame_into,
 )
 
 __version__ = "0.1.0"

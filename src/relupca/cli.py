@@ -9,18 +9,8 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from .harness import (
-    ExperimentSpec,
-    Report,
-    make_instance,
-    run_experiment,
-    spec_from_json,
-    verify_anti_concentration,
-    verify_lipschitz_key,
-    verify_matrix_concentration,
-    verify_stability,
-)
-from .lattice import from_network, perturb_leaves, serialize_lattice
+from .harness import SUITES, ExperimentSpec, Report, make_instance, run_experiment, run_suite, spec_from_json
+from .lattice import from_network, serialize_lattice
 from .network import (
     _hypercube_points,
     boolean_compile,
@@ -28,9 +18,6 @@ from .network import (
     evaluate,
     serialize,
 )
-from .subspace import Frame
-
-SUITES = ("anti_concentration", "stability", "matrix_concentration", "lipschitz_key")
 
 
 @click.group()
@@ -52,16 +39,15 @@ def _echo_fragment(frag: dict) -> bool:
 @click.option("--eps-prime", type=float, default=None, help="Override enumeration granularity.")
 @click.option("--budget-max-candidates", type=int, default=None, help="Override candidate cap.")
 @click.option("--budget-subsample", type=float, default=None, help="Keep-rate for candidate subsampling.")
-@click.option("--paper-strict", is_flag=True, help="Formula threshold only, no subsampling.")
 @click.option("--report", "report_path", type=click.Path(), default=None, help="Write the report JSON here.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None, help="Write the CSV extract here.")
 @click.option("--emit-samples", "samples_path", type=click.Path(), default=None,
               help="Dump the first training batch as CSV rows: d coordinates, then y.")
-def learn(config_path, eps_prime, budget_max_candidates, budget_subsample, paper_strict,
-          report_path, csv_path, samples_path):
+def learn(config_path, eps_prime, budget_max_candidates, budget_subsample, report_path, csv_path,
+          samples_path):
     """Run the full recovery pipeline from an experiment spec."""
     with open(config_path) as fh:
-        spec = spec_from_json(fh.read())
+        text = fh.read()
     overrides = {}
     if eps_prime is not None:
         overrides["eps_prime"] = eps_prime
@@ -69,9 +55,8 @@ def learn(config_path, eps_prime, budget_max_candidates, budget_subsample, paper
         overrides["max_candidates"] = budget_max_candidates
     if budget_subsample is not None:
         overrides["subsample"] = budget_subsample
-    if paper_strict:
-        overrides["mode"] = "paper-strict"
     try:
+        spec = spec_from_json(text)
         learn_cfg = replace(spec.learn, **overrides) if overrides else spec.learn
     except ValueError as err:
         raise click.UsageError(str(err))
@@ -117,18 +102,7 @@ def verify(suites, dim, trials, seed):
     net, planted = make_instance({"kind": "abs", "dim": dim}, seed)
     ok = True
     for suite in suites:
-        if suite == "anti_concentration":
-            frag = verify_anti_concentration(lambda x: x[:, 0], 1.0, dim, 1.0, 1.0, trials, seed=seed)
-        elif suite == "stability":
-            base = from_network(net)
-            frag = verify_stability(perturb_leaves(base, 0.01, seed=seed), base, base, 1.0, trials, seed=seed)
-        elif suite == "matrix_concentration":
-            frag = verify_matrix_concentration(
-                lambda x: np.ones(x.shape[0]), dim, [1000, 10000], trials=15, seed=seed
-            )
-        else:
-            frag = verify_lipschitz_key(net, planted, trials, seed=seed)
-        ok = _echo_fragment(frag) and ok
+        ok = _echo_fragment(run_suite(suite, net, planted, trials, 15, seed)) and ok
     sys.exit(0 if ok else 1)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -29,20 +28,17 @@ class EnumBudget:
     """Caps on an enumeration pass.
 
     max_candidates bounds the declared candidate count before iteration starts;
-    max_seconds aborts a running scan; subsample keeps each candidate
-    independently with the given rate (seeded, re-iterable).
+    subsample keeps each candidate independently with the given rate (seeded,
+    re-iterable).
     """
 
     max_candidates: int | None = 10_000_000
-    max_seconds: float | None = None
     subsample: float | None = None
     subsample_seed: int = 0
 
     def __post_init__(self):
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError("max_candidates must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
         if self.subsample is not None and not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample rate must lie in (0, 1]")
 
@@ -68,20 +64,17 @@ class CandidateList:
         return self.factory()
 
 
-def _guard(raw_factory: Callable[[], Iterator], budget: EnumBudget) -> Callable[[], Iterator]:
-    """Wrap an iterator factory with wall-time and subsampling enforcement."""
+def _subsampled(raw_factory: Callable[[], Iterator], budget: EnumBudget) -> Callable[[], Iterator]:
+    """Wrap an iterator factory with the budget's seeded subsampling, if any."""
+    rate = budget.subsample
+    if rate is None or rate >= 1.0:
+        return raw_factory
 
     def factory():
-        rng = None
-        if budget.subsample is not None and budget.subsample < 1.0:
-            rng = np.random.default_rng(budget.subsample_seed)
-        start = time.monotonic()
+        rng = np.random.default_rng(budget.subsample_seed)
         for item in raw_factory():
-            if budget.max_seconds is not None and time.monotonic() - start > budget.max_seconds:
-                raise BudgetError("enumeration wall-time budget exhausted")
-            if rng is not None and rng.random() >= budget.subsample:
-                continue
-            yield item
+            if rng.random() < rate:
+                yield item
 
     return factory
 
@@ -135,7 +128,7 @@ def enumerate_kickers(
                 yield SelectorKicker(leaves, dict(zip(types, picks)), frame)
 
     return CandidateList(
-        factory=_guard(raw, budget),
+        factory=_subsampled(raw, budget),
         kind="kicker",
         eps_prime=eps_prime,
         frame=frame,
@@ -227,11 +220,11 @@ def enumerate_networks(
             yield ReluNetwork(weights)
 
     return CandidateList(
-        factory=_guard(nets, budget),
+        factory=_subsampled(nets, budget),
         kind="network",
         eps_prime=eps_prime,
         frame=frame,
         count_bound=bound,
         meta={"size": size, "l": l, "b": b, "architectures": archs},
-        raw_factory=_guard(raw_weights, budget),
+        raw_factory=_subsampled(raw_weights, budget),
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +152,8 @@ def estimate_l2_error(candidate, oracle, n_check: int) -> float:
 class LearnConfig:
     """All knobs of the recovery loop.
 
-    The residual threshold tau is always derived as c * sqrt(k) * lam (or, in
-    practical quantile mode, from the per-candidate residual distribution) and
+    The residual threshold tau is always derived as c * sqrt(k) * lam (or, with
+    tau_mode="quantile", from the per-candidate residual distribution) and
     never stored, so it cannot go stale.
     """
 
@@ -165,14 +166,11 @@ class LearnConfig:
     eps: float
     delta: float
     c: float = 2.0
-    mode: str = "practical"
     candidate_mode: str = "network"
     lambda_acc: float | None = None
     acc_fraction: float = 0.25
     n_samples: int = 50_000
     n_check: int = 10_000
-    nu0: float | None = None
-    xi: float | None = None
     seed: int = 0
     eps_prime: float = 0.5
     final_eps_prime: float | None = None
@@ -192,41 +190,18 @@ class LearnConfig:
             raise ValueError("eps and delta must lie in (0, 1)")
         if self.b <= 0 or self.lam <= 0 or self.c <= 0:
             raise ValueError("b, lam and c must be positive")
-        if self.mode not in ("practical", "paper-strict"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.candidate_mode not in ("network", "kicker"):
             raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
         if self.tau_mode not in ("formula", "quantile"):
             raise ValueError(f"unknown tau mode {self.tau_mode!r}")
         if not 0 < self.tau_quantile < 1:
             raise ValueError("tau_quantile must lie in (0, 1)")
-        if self.mode == "paper-strict":
-            if self.subsample is not None:
-                raise ValueError("subsampling is not allowed in paper-strict mode")
-            if self.tau_mode != "formula":
-                raise ValueError("paper-strict mode uses the formula threshold only")
-            if self.lambda_acc is None:
-                raise ValueError("paper-strict mode needs an explicit lambda_acc")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @property
     def tau(self) -> float:
         return self.c * math.sqrt(max(self.k, 1)) * self.lam
-
-    def derived_nu0(self) -> float:
-        """Inverse-polynomial closeness target (unit constants), unless overridden."""
-        if self.nu0 is not None:
-            return self.nu0
-        m = 2.0 ** min(self.size, 40)
-        return (self.eps / (max(self.k, 1) * m * m * max(self.lam, 1.0))) ** 2
-
-    def derived_xi(self) -> float:
-        """Spectral separation margin (unit constants), unless overridden."""
-        if self.xi is not None:
-            return self.xi
-        k = max(self.k, 1)
-        m = 2.0 ** min(self.size, 40)
-        base = math.sqrt(self.derived_nu0() * k) * m * m / self.c
-        return k * base ** (1.0 - 1.0 / k)
 
     def default_final_eps_prime(self) -> float:
         """Terminal-search granularity eps / (b^(l+1) * 2^l * sqrt(k))."""
@@ -256,13 +231,6 @@ class RecoveryResult:
     certified: bool
     failure_reason: str | None
     constants: dict
-
-
-def _eval_weight_stack(weights, x: np.ndarray) -> np.ndarray:
-    h = x
-    for w in weights[:-1]:
-        h = np.maximum(h @ w.T, 0.0)
-    return (h @ weights[-1].T)[:, 0]
 
 
 def _stacked_preds(batch: list, x: np.ndarray) -> np.ndarray:
@@ -311,17 +279,23 @@ def _zero_candidates(dim: int) -> CandidateList:
     )
 
 
-def _loop_candidates(config: LearnConfig, frame: Frame) -> CandidateList:
+def _candidates(config: LearnConfig, frame: Frame, eps_prime: float, subsample_seed: int) -> CandidateList:
+    """The configured grid over the frame at eps_prime; the zero net on an empty frame."""
     if len(frame) == 0:
         return _zero_candidates(config.dim)
     budget = EnumBudget(
         max_candidates=config.max_candidates,
         subsample=config.subsample,
-        subsample_seed=config.seed,
+        subsample_seed=subsample_seed,
     )
     if config.candidate_mode == "kicker":
-        return enumerate_kickers(frame, config.eps_prime, config.num_leaves, config.lam, budget)
-    return enumerate_networks(frame, config.eps_prime, config.size, config.l, config.b, budget)
+        return enumerate_kickers(frame, eps_prime, config.num_leaves, config.lam, budget)
+    return enumerate_networks(frame, eps_prime, config.size, config.l, config.b, budget)
+
+
+def _hypothesis(payload):
+    """A scanned payload as a hypothesis: weight tuples become networks."""
+    return ReluNetwork(payload) if isinstance(payload, tuple) else payload
 
 
 def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
@@ -330,18 +304,24 @@ def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
     return max(float(np.quantile(resid, config.tau_quantile)), 1e-12)
 
 
-def _iter_residuals(candidates: CandidateList, samples: SampleSet, x_proj: np.ndarray):
-    """Yield (index, residual vector) per candidate, batching network evaluation."""
+def _scored(candidates: CandidateList, x: np.ndarray):
+    """Yield (payloads, (C, N) predictions at x) in stream order.
+
+    Weight tuples from raw_factory are evaluated in same-shape chunks; other
+    candidates one at a time.  Scanning chunk by chunk keeps first-hit order.
+    """
     if candidates.raw_factory is not None:
-        idx = 0
-        for batch, preds in _pred_chunks(candidates.raw_factory(), x_proj):
-            for row in range(len(batch)):
-                yield idx, np.abs(samples.y - preds[row])
-                idx += 1
-    else:
-        for idx, cand in enumerate(candidates):
-            preds = np.asarray(as_function(cand)(x_proj), dtype=float).ravel()
-            yield idx, np.abs(samples.y - preds)
+        yield from _pred_chunks(candidates.raw_factory(), x)
+        return
+    for cand in candidates:
+        yield [cand], np.asarray(as_function(cand)(x), dtype=float).reshape(1, -1)
+
+
+def _iter_residuals(candidates: CandidateList, samples: SampleSet, x_proj: np.ndarray):
+    """Yield each candidate's residual vector |y - prediction|, in stream order."""
+    for _payloads, preds in _scored(candidates, x_proj):
+        for row in preds:
+            yield np.abs(samples.y - row)
 
 
 def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> RecoveryResult:
@@ -350,7 +330,7 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     Per iteration: draw a batch, scan candidates over the current frame, build
     each candidate's filtered second-moment matrix, take its top direction, and
     accept the first candidate whose quadratic form clears the acceptance
-    threshold (calibrated from the first scan in practical mode).  The frame
+    threshold (calibrated from the first scan unless lambda_acc is given).  The frame
     grows by the accepted direction; a scan with no acceptance ends the loop.
     A final enumeration at fine granularity picks the hypothesis: the first
     candidate whose empirical error is at most 3*eps, else the best seen.
@@ -364,7 +344,6 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     lambda_acc = config.lambda_acc
     failure = None
     constants = {
-        "mode": config.mode,
         "candidate_mode": config.candidate_mode,
         "c": config.c,
         "tau_formula": config.tau,
@@ -372,8 +351,6 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         "tau_quantile": config.tau_quantile,
         "acc_fraction": config.acc_fraction,
         "lambda_acc_configured": config.lambda_acc,
-        "nu0": config.derived_nu0(),
-        "xi": config.derived_xi(),
         "eps": config.eps,
         "delta": config.delta,
         "eps_prime": config.eps_prime,
@@ -396,8 +373,8 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         scanned = 0
         tau_used = config.tau
         try:
-            candidates = _loop_candidates(config, frame)
-            for idx, resid in _iter_residuals(candidates, samples, x_proj):
+            candidates = _candidates(config, frame, config.eps_prime, config.seed)
+            for idx, resid in enumerate(_iter_residuals(candidates, samples, x_proj)):
                 scanned += 1
                 tau_used = _pick_tau(config, resid)
                 m = _masked_moment(x_comp, q, resid > tau_used, samples.n)
@@ -444,25 +421,7 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     )
 
 
-class _TopPool:
-    """Keep the lowest-scoring items seen so far (small fixed capacity)."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.items: list = []  # (score, order, payload)
-
-    def offer(self, score: float, order: int, payload) -> None:
-        self.items.append((score, order, payload))
-        if len(self.items) > 4 * self.capacity:
-            self._shrink()
-
-    def _shrink(self) -> None:
-        self.items.sort(key=lambda t: (t[0], t[1]))
-        del self.items[self.capacity:]
-
-    def best(self) -> list:
-        self._shrink()
-        return self.items
+_PLAYOFF_SIZE = 32  # lowest-error terminal candidates rescored when nothing hits
 
 
 def _final_search(oracle, config: LearnConfig, frame: Frame):
@@ -472,57 +431,32 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
     candidates are rescored on a larger fresh batch to strip selection noise,
     and the winner of that playoff is returned.
     """
-    d = config.dim
     select = oracle.draw(config.final_select_samples)
     target = 3.0 * config.eps
-    pool = _TopPool(32)
+    best: list = []  # (error, stream index, payload) of the lowest errors so far
     chosen = None
     failure = None
     scanned = 0
     try:
-        if len(frame) == 0:
-            candidates = _zero_candidates(d)
-        else:
-            budget = EnumBudget(
-                max_candidates=config.max_candidates,
-                subsample=config.subsample,
-                subsample_seed=config.seed + 1,
-            )
-            eps_fine = config.default_final_eps_prime()
-            if config.candidate_mode == "kicker":
-                candidates = enumerate_kickers(frame, eps_fine, config.num_leaves, config.lam, budget)
-            else:
-                candidates = enumerate_networks(frame, eps_fine, config.size, config.l, config.b, budget)
-        if candidates.raw_factory is not None:
-            for batch, preds in _pred_chunks(candidates.raw_factory(), select.x):
-                errs = np.sqrt(np.mean((preds - select.y) ** 2, axis=1))
-                order = np.argsort(errs, kind="stable")[: pool.capacity]
-                for j in order:
-                    pool.offer(float(errs[j]), scanned + int(j), batch[int(j)])
-                hits = np.flatnonzero(errs <= target)
-                if hits.size:
-                    chosen = batch[int(hits[0])]
-                    break
-                scanned += len(batch)
-        else:
-            for cand in candidates:
-                preds = np.asarray(as_function(cand)(select.x), dtype=float).ravel()
-                err = float(np.sqrt(np.mean((select.y - preds) ** 2)))
-                pool.offer(err, scanned, cand)
-                scanned += 1
-                if err <= target:
-                    chosen = cand
-                    break
+        candidates = _candidates(config, frame, config.default_final_eps_prime(), config.seed + 1)
+        for payloads, preds in _scored(candidates, select.x):
+            errs = np.sqrt(np.mean((preds - select.y) ** 2, axis=1))
+            hits = np.flatnonzero(errs <= target)
+            if hits.size:
+                chosen = payloads[int(hits[0])]
+                break
+            for j in np.argsort(errs, kind="stable")[:_PLAYOFF_SIZE]:
+                best.append((float(errs[j]), scanned + int(j), payloads[int(j)]))
+            best.sort(key=lambda t: (t[0], t[1]))
+            del best[_PLAYOFF_SIZE:]
+            scanned += len(payloads)
     except BudgetError as err:
         failure = f"terminal enumeration budget exhausted: {err}"
-    if chosen is None and pool.items:
+    if chosen is None and best:
         playoff = oracle.draw(8 * config.final_select_samples)
         best_err = math.inf
-        for _, _, payload in pool.best():
-            if isinstance(payload, tuple):
-                preds = _eval_weight_stack(payload, playoff.x)
-            else:
-                preds = np.asarray(as_function(payload)(playoff.x), dtype=float).ravel()
+        for _, _, payload in best:
+            preds = as_function(_hypothesis(payload))(playoff.x)
             err = float(np.sqrt(np.mean((playoff.y - preds) ** 2)))
             if err < best_err:
                 chosen, best_err = payload, err
@@ -530,7 +464,13 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
             failure = "no terminal candidate reached 3*eps; returning the playoff winner"
     if chosen is None:
         return None, math.inf, False, failure or "terminal enumeration yielded no candidates"
-    hypothesis = ReluNetwork(chosen) if isinstance(chosen, tuple) else chosen
+    hypothesis = _hypothesis(chosen)
     eps_hat = estimate_l2_error(hypothesis, oracle, config.n_check)
-    certified = eps_hat <= target
-    return hypothesis, eps_hat, certified, (None if certified else failure)
+    if eps_hat <= target:
+        return hypothesis, eps_hat, True, None
+    if failure is None:
+        failure = (
+            f"the first candidate within 3*eps on the selection batch failed the check: "
+            f"eps_hat {eps_hat:.6g} > 3*eps {target:.6g}"
+        )
+    return hypothesis, eps_hat, False, failure

@@ -5,16 +5,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy
 
 from .filteredpca import LearnConfig, as_function, gaussian_oracle, run
-from .lattice import LatticePolynomial, lattice_eval, structural_distance
+from .lattice import LatticePolynomial, from_network, lattice_eval, perturb_leaves, structural_distance
 from .network import (
     Architecture,
     ReluNetwork,
@@ -30,8 +31,10 @@ __all__ = [
     "C_AC_DEFAULT",
     "ExperimentSpec",
     "Report",
+    "SUITES",
     "make_instance",
     "run_experiment",
+    "run_suite",
     "spec_from_json",
     "spec_to_json",
     "verify_anti_concentration",
@@ -45,6 +48,8 @@ __all__ = [
 # estimate/bound ratio over s in {0.5, 1, 2} at m=1 is about 2.6, so 1.0
 # leaves real margin without being vacuous.
 C_AC_DEFAULT = 1.0
+
+SUITES = ("anti_concentration", "stability", "matrix_concentration", "lipschitz_key")
 
 
 def _eval_any(obj, x: np.ndarray) -> np.ndarray:
@@ -222,6 +227,33 @@ def verify_lipschitz_key(net: ReluNetwork, w_frame: Frame, trials, seed=0) -> di
     }
 
 
+def run_suite(suite: str, net: ReluNetwork, frame: Frame, trials: int, concentration_trials: int,
+              seed: int) -> dict:
+    """One verification suite on a planted net; returns its report fragment.
+
+    trials sets the Monte-Carlo sample count of the tail-mass, stability and
+    Lipschitz checks; concentration_trials the repeats per N of the matrix
+    concentration check.  lipschitz_key tests the slab around frame.
+    """
+    if suite == "anti_concentration":
+        return verify_anti_concentration(
+            lambda x: x[:, 0], s=1.0, m=net.input_dim, lam=1.0, sigma2=1.0, trials=trials, seed=seed
+        )
+    if suite == "stability":
+        if net.size > 12:
+            return {"name": "stability", "passed": True, "skipped": "network too large"}
+        base = from_network(net)
+        return verify_stability(perturb_leaves(base, 0.01, seed=seed), base, base, 1.0, trials, seed=seed)
+    if suite == "matrix_concentration":
+        return verify_matrix_concentration(
+            lambda x: np.ones(x.shape[0]), d=net.input_dim, n_values=[1000, 10000],
+            trials=concentration_trials, seed=seed,
+        )
+    if suite == "lipschitz_key":
+        return verify_lipschitz_key(net, frame, trials, seed=seed)
+    raise ValueError(f"unknown verification suite {suite!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Fully serializable description of one experiment run."""
@@ -237,12 +269,13 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "verify", tuple(self.verify))
-        known = {"anti_concentration", "stability", "matrix_concentration", "lipschitz_key"}
-        unknown = set(self.verify) - known
+        unknown = set(self.verify) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown verification suites: {sorted(unknown)}")
         if "kind" not in self.instance:
             raise ValueError("instance recipe needs a 'kind'")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def spec_to_json(spec: ExperimentSpec) -> str:
@@ -251,11 +284,24 @@ def spec_to_json(spec: ExperimentSpec) -> str:
     return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
+def _known_keys(doc, cls, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return doc
+
+
 def spec_from_json(text: str) -> ExperimentSpec:
-    d = json.loads(text)
-    learn = LearnConfig(**d.pop("learn"))
-    d["verify"] = tuple(d.get("verify", ()))
-    return ExperimentSpec(learn=learn, **d)
+    """Parse a spec written by spec_to_json; unknown keys raise ValueError naming them."""
+    d = _known_keys(json.loads(text), ExperimentSpec, "spec")
+    try:
+        learn = LearnConfig(**_known_keys(d.pop("learn", None), LearnConfig, "learn"))
+        d["verify"] = tuple(d.get("verify", ()))
+        return ExperimentSpec(learn=learn, **d)
+    except TypeError as err:
+        raise ValueError(str(err)) from None
 
 
 def _unit(rng, d):
@@ -431,34 +477,11 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         "constants": result.constants,
     }
 
-    fragments = []
     t0 = time.perf_counter()
-    for suite in spec.verify:
-        if suite == "anti_concentration":
-            fragments.append(
-                verify_anti_concentration(
-                    lambda x: x[:, 0], s=1.0, m=net.input_dim, lam=1.0,
-                    sigma2=1.0, trials=spec.trials * 10_000, seed=spec.seed,
-                )
-            )
-        elif suite == "stability":
-            from .lattice import from_network, perturb_leaves
-
-            if net.size > 12:
-                fragments.append({"name": "stability", "passed": True, "skipped": "network too large"})
-            else:
-                base = from_network(net)
-                near = perturb_leaves(base, 0.01, seed=spec.seed)
-                fragments.append(verify_stability(near, base, base, 1.0, spec.trials * 10_000, seed=spec.seed))
-        elif suite == "matrix_concentration":
-            fragments.append(
-                verify_matrix_concentration(
-                    lambda x: np.ones(x.shape[0]), d=net.input_dim,
-                    n_values=[1000, 10000], trials=3 * spec.trials, seed=spec.seed,
-                )
-            )
-        elif suite == "lipschitz_key":
-            fragments.append(verify_lipschitz_key(net, result.frame, spec.trials * 10_000, seed=spec.seed))
+    fragments = [
+        run_suite(suite, net, result.frame, spec.trials * 10_000, 3 * spec.trials, spec.seed)
+        for suite in spec.verify
+    ]
     timings["verify_seconds"] = time.perf_counter() - t0
     timings["total_seconds"] = time.perf_counter() - t_all
 

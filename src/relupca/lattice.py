@@ -27,7 +27,6 @@ __all__ = [
     "OrderType",
     "SelectorKicker",
     "all_order_types",
-    "compact",
     "deserialize_lattice",
     "from_network",
     "lattice_eval",
@@ -373,30 +372,6 @@ def selector_from_lattice(
             matches = np.array([int(np.argmin(np.abs(row - val)))])
         table[omega] = int(matches[0])
     return SelectorKicker(lp.leaves, table, frame)
-
-
-def compact(lp: LatticePolynomial) -> LatticePolynomial:
-    """Display-only cleanup: merge duplicate leaves, absorb clauses, drop unused.
-
-    Value-preserving but alignment-destroying; never use the result where
-    clause-structure identity or leaf index alignment matters.
-    """
-    seen: dict[bytes, int] = {}
-    remap = np.empty(lp.num_leaves, dtype=int)
-    uniq = []
-    for i, leaf in enumerate(lp.leaves):
-        key = leaf.tobytes()
-        if key not in seen:
-            seen[key] = len(uniq)
-            uniq.append(leaf)
-        remap[i] = seen[key]
-    clauses = _prune_minimal(frozenset(remap[list(c)]) for c in lp.clauses)
-    used = sorted(set(itertools.chain.from_iterable(clauses)))
-    back = {old: new for new, old in enumerate(used)}
-    leaves = np.array([uniq[i] for i in used])
-    return LatticePolynomial(
-        leaves, tuple(tuple(sorted(back[i] for i in c)) for c in clauses)
-    )
 
 
 def serialize_lattice(lp: LatticePolynomial) -> bytes:

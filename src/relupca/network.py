@@ -13,7 +13,6 @@ __all__ = [
     "Architecture",
     "ReluNetwork",
     "boolean_compile",
-    "clip_weights",
     "deserialize",
     "evaluate",
     "lipschitz_upper",
@@ -188,14 +187,6 @@ def spike_network(lam: float) -> ReluNetwork:
     w0 = np.array([[1.0, lam], [-3.0, lam], [-1.0, lam]])
     w1 = np.array([[1.0, 1.0, -2.0]])
     return ReluNetwork((w0, w1))
-
-
-def clip_weights(net: ReluNetwork, eta: float) -> ReluNetwork:
-    """Zero every weight entry with magnitude at most eta; keep the rest unchanged."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    ws = tuple(np.where(np.abs(w) <= eta, 0.0, w) for w in net.weights)
-    return ReluNetwork(ws)
 
 
 def _hypercube_points(n: int) -> np.ndarray:

@@ -20,10 +20,8 @@ __all__ = [
     "epsilon_net_bound",
     "epsilon_net_matrices",
     "extend_frame",
-    "frame_nearness",
     "procrustes_distance",
     "project",
-    "snap_frame_into",
 ]
 
 
@@ -131,42 +129,6 @@ def procrustes_distance(u1: Frame, u2: Frame) -> float:
     sing = np.linalg.svd(cross, compute_uv=False)
     val = 2.0 * len(u1) - 2.0 * float(np.sum(sing))
     return math.sqrt(max(val, 0.0))
-
-
-def frame_nearness(frame: Frame, projector: np.ndarray) -> float:
-    """1 - min_i ||P w_i||: the smallest nu such that the frame is nu-nearly inside."""
-    if len(frame) == 0:
-        return 0.0
-    proj = frame.vectors @ projector
-    return 1.0 - float(np.min(np.linalg.norm(proj, axis=1)))
-
-
-def snap_frame_into(frame: Frame, target_projector: np.ndarray) -> Frame:
-    """Nearest orthonormal frame lying exactly inside the target subspace.
-
-    Projects each vector into the target and symmetrically orthonormalizes
-    (G^{-1/2} Y), which realises the alignment-optimal correction.  Requires
-    the frame to start nu-nearly inside the target with nu <= 1/(4*ell^2); the
-    output is checked post-hoc against the chordal bound sqrt(2*nu*ell) and the
-    per-vector drift bound 2*sqrt(nu*ell).
-    """
-    ell = len(frame)
-    if ell == 0:
-        return frame
-    nu = frame_nearness(frame, target_projector)
-    if nu > 0.25 / ell**2:
-        raise ValueError(f"frame is only {nu:.3g}-nearly inside the target; need <= {0.25 / ell**2:.3g}")
-    y = frame.vectors @ target_projector
-    gram = y @ y.T
-    evals, evecs = np.linalg.eigh(gram)
-    if float(np.min(evals)) < 1e-12:
-        raise ValueError("projected frame vectors are numerically dependent")
-    inv_sqrt = (evecs * evals**-0.5) @ evecs.T
-    result = Frame(inv_sqrt @ y)
-    assert chordal_distance(result, frame) <= math.sqrt(2.0 * nu * ell) + 1e-9
-    drift = float(np.max(np.linalg.norm(result.vectors - frame.vectors, axis=1)))
-    assert drift <= 2.0 * math.sqrt(nu * ell) + 1e-9
-    return result
 
 
 @dataclass(frozen=True, eq=False)

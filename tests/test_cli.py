@@ -92,12 +92,15 @@ def test_learn_budget_override_fails_cleanly(runner, tmp_path):
     assert "budget" in result.output
 
 
-def test_learn_paper_strict_needs_lambda_acc(runner, tmp_path):
+def test_learn_rejects_unknown_spec_key(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
     write_small_spec(spec_path)
-    result = runner.invoke(main, ["learn", "--config", str(spec_path), "--paper-strict"])
+    doc = json.loads(spec_path.read_text())
+    doc["learn"]["mode"] = "paper-strict"
+    spec_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["learn", "--config", str(spec_path)])
     assert result.exit_code == 2
-    assert "paper-strict" in result.output
+    assert "unknown learn key(s): mode" in result.output
 
 
 def test_verify_single_suite(runner):

@@ -14,6 +14,7 @@ from relupca.filteredpca import (
     idealized_filter_matrix,
     run,
 )
+from relupca.harness import make_instance
 from relupca.network import ReluNetwork, evaluate, zero_network
 from relupca.subspace import Frame, chordal_distance
 
@@ -147,20 +148,6 @@ def test_final_granularity_formula():
 def test_config_validation():
     with pytest.raises(ValueError):
         LearnConfig(dim=4, k=5, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05)
-    with pytest.raises(ValueError):
-        LearnConfig(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05, mode="x")
-
-
-def test_paper_strict_mode_is_picky():
-    kw = dict(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05)
-    with pytest.raises(ValueError):
-        LearnConfig(mode="paper-strict", **kw)  # needs lambda_acc
-    with pytest.raises(ValueError):
-        LearnConfig(mode="paper-strict", lambda_acc=0.1, subsample=0.5, **kw)
-    with pytest.raises(ValueError):
-        LearnConfig(mode="paper-strict", lambda_acc=0.1, tau_mode="quantile", **kw)
-    cfg = LearnConfig(mode="paper-strict", lambda_acc=0.1, **kw)
-    assert cfg.tau == 2.0
 
 
 # ---------------------------------------------------------------- recovery loop
@@ -228,6 +215,46 @@ def test_budget_exhaustion_reports_failure():
     assert "budget" in result.failure_reason
 
 
+class ShiftThirdDraw:
+    """Oracle whose third batch (loop, select, check) has every label raised by 1."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.draws = 0
+
+    @property
+    def input_dim(self):
+        return self.inner.input_dim
+
+    def draw(self, n):
+        batch = self.inner.draw(n)
+        self.draws += 1
+        if self.draws == 3:
+            return SampleSet(batch.x, batch.y + 1.0, seed=batch.seed, source=batch.source)
+        return batch
+
+
+def test_failed_check_after_selection_hit_gives_a_reason():
+    net, _ = make_instance({"kind": "abs", "dim": 4}, 0)
+    oracle = ShiftThirdDraw(gaussian_oracle(net, 0))
+    result = run(oracle, small_recovery_config())
+    assert oracle.draws == 3  # the selection batch had a hit, so no playoff draw
+    assert not result.certified
+    assert result.eps_hat > 0.3
+    assert result.failure_reason is not None
+    assert f"eps_hat {result.eps_hat:.6g} > 3*eps 0.3" in result.failure_reason
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kicker_mode_recovers_a_line(seed):
+    net, planted = make_instance({"kind": "abs", "dim": 4}, seed)
+    cfg = small_recovery_config(candidate_mode="kicker", final_eps_prime=0.25, seed=seed)
+    result = run(gaussian_oracle(net, seed), cfg)
+    assert result.certified, result.failure_reason
+    assert len(result.frame) == 1
+    assert chordal_distance(result.frame, planted) <= 0.1
+
+
 def test_oracle_dimension_checked():
     net = abs_net([1.0, 0.0])
     with pytest.raises(ValueError):
@@ -238,6 +265,6 @@ def test_constants_are_recorded():
     v = np.array([1.0, 0.0, 0.0, 0.0])
     result = run(gaussian_oracle(abs_net(v), 3), small_recovery_config())
     cons = result.constants
-    for key in ("tau_formula", "lambda_acc_effective", "nu0", "xi", "final_eps_prime", "seed"):
+    for key in ("tau_formula", "lambda_acc_effective", "final_eps_prime", "seed"):
         assert key in cons
     assert cons["lambda_acc_effective"] is not None

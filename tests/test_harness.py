@@ -194,6 +194,30 @@ def test_spec_validates_suites_and_recipe():
         small_spec(instance={"dim": 4})
 
 
+def test_spec_from_json_names_unknown_keys():
+    doc = json.loads(spec_to_json(small_spec()))
+    doc["learn"]["tau_mod"] = "quantile"
+    with pytest.raises(ValueError, match="tau_mod"):
+        spec_from_json(json.dumps(doc))
+    doc = json.loads(spec_to_json(small_spec()))
+    doc["trails"] = 3
+    with pytest.raises(ValueError, match="trails"):
+        spec_from_json(json.dumps(doc))
+    # specs that still carry the removed mode / nu0 / xi knobs are refused by name
+    doc = json.loads(spec_to_json(small_spec()))
+    doc["learn"].update(mode="practical", nu0=None, xi=None)
+    with pytest.raises(ValueError, match="mode, nu0, xi"):
+        spec_from_json(json.dumps(doc))
+
+
+def test_spec_from_json_rejects_non_integer_seeds():
+    for where in ("spec", "learn"):
+        doc = json.loads(spec_to_json(small_spec()))
+        (doc if where == "spec" else doc["learn"])["seed"] = "7"
+        with pytest.raises(ValueError, match="seed"):
+            spec_from_json(json.dumps(doc))
+
+
 def test_csv_writer_uses_17_significant_digits(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, ["section", "key", "value"], [("a", "third", 1.0 / 3.0)])
@@ -219,7 +243,7 @@ def test_run_experiment_end_to_end(tmp_path):
     }
     # every effective constant of the learn loop is embedded in the report
     constants = report.recovery["constants"]
-    for key in ("tau_formula", "lambda_acc_effective", "nu0", "xi", "n_samples"):
+    for key in ("tau_formula", "lambda_acc_effective", "n_samples"):
         assert key in constants
     # artifacts exist and the JSON body round-trips
     text = report_path.read_text()

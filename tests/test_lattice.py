@@ -8,7 +8,6 @@ from relupca.lattice import (
     OrderType,
     SelectorKicker,
     all_order_types,
-    compact,
     deserialize_lattice,
     from_network,
     lattice_eval,
@@ -203,17 +202,6 @@ def test_selector_leaves_must_lie_in_frame():
 
 
 # ---------------------------------------------------------------- cleanup + io
-
-def test_compact_merges_duplicates_preserves_values(rng):
-    lp = LatticePolynomial(
-        np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        ((0,), (1,), (2,)),
-    )
-    small = compact(lp)
-    assert small.num_leaves == 2
-    x = rng.standard_normal((64, 2))
-    assert np.allclose(lattice_eval(small, x), lattice_eval(lp, x), atol=1e-12)
-
 
 def test_lattice_serialization_round_trip(rng):
     lp = from_network(tiny_net(rng))

@@ -10,7 +10,6 @@ from relupca.network import (
     ReluNetwork,
     _hypercube_points,
     boolean_compile,
-    clip_weights,
     deserialize,
     evaluate,
     lipschitz_upper,
@@ -198,16 +197,6 @@ def test_boolean_compile_rejects_large_tables():
 
 
 # ---------------------------------------------------------------- clipping
-
-def test_clip_zeroes_small_entries_keeps_large(rng):
-    net = random_net(rng)
-    eta = 0.5
-    clipped = clip_weights(net, eta)
-    for w, c in zip(net.weights, clipped.weights):
-        small = np.abs(w) <= eta
-        assert np.all(c[small] == 0.0)
-        assert np.array_equal(c[~small], w[~small])
-
 
 # ---------------------------------------------------------------- serialization
 

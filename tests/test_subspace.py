@@ -14,10 +14,8 @@ from relupca.subspace import (
     epsilon_net_bound,
     epsilon_net_matrices,
     extend_frame,
-    frame_nearness,
     procrustes_distance,
     project,
-    snap_frame_into,
 )
 
 
@@ -106,32 +104,6 @@ def test_distance_inequalities(seed):
     # projector gap in Frobenius norm equals sqrt(2) * chordal
     gap = np.linalg.norm(u1.projector() - u2.projector())
     assert gap == pytest.approx(math.sqrt(2.0) * dc, abs=1e-8)
-
-
-def test_frame_nearness_for_tilted_line():
-    theta = 0.3
-    line = Frame.from_span(np.array([[math.cos(theta), math.sin(theta)]]))
-    target = Frame.from_span(np.array([[1.0, 0.0]])).projector()
-    assert frame_nearness(line, target) == pytest.approx(1.0 - math.cos(theta), abs=1e-12)
-
-
-def test_snap_frame_lands_inside_target(rng):
-    target = Frame.from_span(rng.standard_normal((3, 8)))
-    p = target.projector()
-    tilt = 1e-3 * rng.standard_normal((2, 8))
-    frame = Frame.from_span(project(target, rng.standard_normal((2, 8))) + tilt)
-    nu = frame_nearness(frame, p)
-    assert nu <= 0.25 / 4
-    snapped = snap_frame_into(frame, p)
-    assert np.max(np.abs(snapped.vectors @ p - snapped.vectors)) < 1e-9
-    assert chordal_distance(snapped, frame) <= math.sqrt(2 * nu * len(frame)) + 1e-9
-
-
-def test_snap_frame_rejects_distant_frames():
-    target = Frame.from_span(np.array([[1.0, 0.0, 0.0]])).projector()
-    frame = Frame.from_span(np.array([[0.0, 1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        snap_frame_into(frame, target)
 
 
 # ---------------------------------------------------------------- power iteration
