@@ -6,7 +6,7 @@ frame come from deterministic grid enumerations; max-min (lattice) forms and
 selector tables give the structural backbone for closeness arguments.
 """
 
-from .enumeration import CandidateList, EnumBudget, architectures, enumerate_kickers, enumerate_networks
+from .enumeration import CandidateList, architectures, enumerate_kickers, enumerate_networks
 from .errors import BudgetError, OrderTypeMissing, StructureMismatch
 from .filteredpca import (
     GaussianOracle,

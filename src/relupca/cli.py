@@ -9,7 +9,7 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from .harness import SUITES, ExperimentSpec, Report, make_instance, run_experiment, run_suite, spec_from_json
+from .harness import SUITES, Report, make_instance, run_experiment, run_suite, spec_from_json
 from .lattice import from_network, serialize_lattice
 from .network import (
     _hypercube_points,
@@ -38,13 +38,11 @@ def _echo_fragment(frag: dict) -> bool:
               help="Experiment spec JSON (see docs/formats.md).")
 @click.option("--eps-prime", type=float, default=None, help="Override enumeration granularity.")
 @click.option("--budget-max-candidates", type=int, default=None, help="Override candidate cap.")
-@click.option("--budget-subsample", type=float, default=None, help="Keep-rate for candidate subsampling.")
 @click.option("--report", "report_path", type=click.Path(), default=None, help="Write the report JSON here.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None, help="Write the CSV extract here.")
 @click.option("--emit-samples", "samples_path", type=click.Path(), default=None,
               help="Dump the first training batch as CSV rows: d coordinates, then y.")
-def learn(config_path, eps_prime, budget_max_candidates, budget_subsample, report_path, csv_path,
-          samples_path):
+def learn(config_path, eps_prime, budget_max_candidates, report_path, csv_path, samples_path):
     """Run the full recovery pipeline from an experiment spec."""
     with open(config_path) as fh:
         text = fh.read()
@@ -53,23 +51,13 @@ def learn(config_path, eps_prime, budget_max_candidates, budget_subsample, repor
         overrides["eps_prime"] = eps_prime
     if budget_max_candidates is not None:
         overrides["max_candidates"] = budget_max_candidates
-    if budget_subsample is not None:
-        overrides["subsample"] = budget_subsample
     try:
         spec = spec_from_json(text)
         learn_cfg = replace(spec.learn, **overrides) if overrides else spec.learn
     except ValueError as err:
         raise click.UsageError(str(err))
-    spec = ExperimentSpec(
-        name=spec.name,
-        instance=spec.instance,
-        learn=learn_cfg,
-        verify=spec.verify,
-        trials=spec.trials,
-        seed=spec.seed,
-        report_path=report_path or spec.report_path,
-        csv_path=csv_path or spec.csv_path,
-    )
+    spec = replace(spec, learn=learn_cfg, report_path=report_path or spec.report_path,
+                   csv_path=csv_path or spec.csv_path)
     report = run_experiment(spec)
     if samples_path is not None:
         from .filteredpca import gaussian_oracle

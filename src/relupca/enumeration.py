@@ -16,31 +16,10 @@ from .subspace import Frame, epsilon_net_ball, epsilon_net_bound, epsilon_net_ma
 
 __all__ = [
     "CandidateList",
-    "EnumBudget",
     "architectures",
     "enumerate_kickers",
     "enumerate_networks",
 ]
-
-
-@dataclass(frozen=True)
-class EnumBudget:
-    """Caps on an enumeration pass.
-
-    max_candidates bounds the declared candidate count before iteration starts;
-    subsample keeps each candidate independently with the given rate (seeded,
-    re-iterable).
-    """
-
-    max_candidates: int | None = 10_000_000
-    subsample: float | None = None
-    subsample_seed: int = 0
-
-    def __post_init__(self):
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise ValueError("max_candidates must be positive")
-        if self.subsample is not None and not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample rate must lie in (0, 1]")
 
 
 @dataclass(eq=False)
@@ -64,32 +43,10 @@ class CandidateList:
         return self.factory()
 
 
-def _subsampled(raw_factory: Callable[[], Iterator], budget: EnumBudget) -> Callable[[], Iterator]:
-    """Wrap an iterator factory with the budget's seeded subsampling, if any."""
-    rate = budget.subsample
-    if rate is None or rate >= 1.0:
-        return raw_factory
-
-    def factory():
-        rng = np.random.default_rng(budget.subsample_seed)
-        for item in raw_factory():
-            if rng.random() < rate:
-                yield item
-
-    return factory
-
-
-def _check_count(bound: int, budget: EnumBudget, what: str) -> None:
-    if budget.max_candidates is None:
-        return
-    effective = bound
-    if budget.subsample is not None:
-        effective = int(bound * budget.subsample) + 1
-    if effective > budget.max_candidates:
-        raise BudgetError(
-            f"{what} count bound {bound} (effective {effective}) exceeds "
-            f"budget {budget.max_candidates}"
-        )
+def _check_count(bound: int, max_candidates: int | None, what: str) -> None:
+    """The one scan budget: refuse a list whose count bound exceeds max_candidates (None: no cap)."""
+    if max_candidates is not None and bound > max_candidates:
+        raise BudgetError(f"{what} count bound {bound} exceeds budget {max_candidates}")
 
 
 def enumerate_kickers(
@@ -97,7 +54,7 @@ def enumerate_kickers(
     eps_prime: float,
     num_leaves: int,
     lam: float,
-    budget: EnumBudget | None = None,
+    max_candidates: int | None = 10_000_000,
 ) -> CandidateList:
     """All selector candidates over the frame at grid granularity eps_prime * lam.
 
@@ -111,13 +68,12 @@ def enumerate_kickers(
         raise ValueError("need at least one leaf")
     if eps_prime <= 0 or lam <= 0:
         raise ValueError("eps_prime and lam must be positive")
-    budget = budget if budget is not None else EnumBudget()
     ell = len(frame)
     eps = eps_prime * lam
     types = all_order_types(num_leaves)
     net_bound = epsilon_net_bound(ell, lam, eps)
     bound = net_bound**num_leaves * num_leaves ** len(types)
-    _check_count(bound, budget, "kicker")
+    _check_count(bound, max_candidates, "kicker")
     vectors = list(epsilon_net_ball(ell, lam, eps))
     tables = list(itertools.product(range(num_leaves), repeat=len(types)))
 
@@ -128,7 +84,7 @@ def enumerate_kickers(
                 yield SelectorKicker(leaves, dict(zip(types, picks)), frame)
 
     return CandidateList(
-        factory=_subsampled(raw, budget),
+        factory=raw,
         kind="kicker",
         eps_prime=eps_prime,
         frame=frame,
@@ -169,7 +125,7 @@ def enumerate_networks(
     size: int,
     l: int,
     b: float,
-    budget: EnumBudget | None = None,
+    max_candidates: int | None = 10_000_000,
 ) -> CandidateList:
     """Candidate networks over the frame: every architecture, per-layer matrix grids.
 
@@ -182,7 +138,6 @@ def enumerate_networks(
         raise ValueError("need a non-empty frame")
     if eps_prime <= 0 or b <= 0:
         raise ValueError("eps_prime and b must be positive")
-    budget = budget if budget is not None else EnumBudget()
     archs = architectures(size, l)
     if not archs:
         raise ValueError(f"no architectures of size {size} with {l + 1} hidden layers")
@@ -198,7 +153,7 @@ def enumerate_networks(
             prod_bound *= _matrix_net_bound(r, c, radius, eps_prime)
         bound += prod_bound
         plans.append(shapes)
-    _check_count(bound, budget, "network")
+    _check_count(bound, max_candidates, "network")
 
     def _clip(mat: np.ndarray) -> np.ndarray:
         return np.where(np.abs(mat) <= eps_prime, 0.0, mat)
@@ -220,11 +175,11 @@ def enumerate_networks(
             yield ReluNetwork(weights)
 
     return CandidateList(
-        factory=_subsampled(nets, budget),
+        factory=nets,
         kind="network",
         eps_prime=eps_prime,
         frame=frame,
         count_bound=bound,
         meta={"size": size, "l": l, "b": b, "architectures": archs},
-        raw_factory=_subsampled(raw_weights, budget),
+        raw_factory=raw_weights,
     )

@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .enumeration import CandidateList, EnumBudget, enumerate_kickers, enumerate_networks
+from .enumeration import CandidateList, enumerate_kickers, enumerate_networks
 from .errors import BudgetError
 from .lattice import SelectorKicker, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
@@ -154,8 +155,15 @@ class LearnConfig:
 
     The residual threshold tau is always derived as c * sqrt(k) * lam (or, with
     tau_mode="quantile", from the per-candidate residual distribution) and
-    never stored, so it cannot go stale.
+    never stored, so it cannot go stale.  c, acc_fraction, num_leaves and
+    tau_quantile are fixed constants of the method, not fields.
+    max_candidates caps every scan's candidate count bound (None: no cap).
     """
+
+    c: ClassVar[float] = 2.0
+    acc_fraction: ClassVar[float] = 0.25
+    num_leaves: ClassVar[int] = 2
+    tau_quantile: ClassVar[float] = 0.95
 
     dim: int
     k: int
@@ -165,20 +173,15 @@ class LearnConfig:
     lam: float
     eps: float
     delta: float
-    c: float = 2.0
     candidate_mode: str = "network"
     lambda_acc: float | None = None
-    acc_fraction: float = 0.25
     n_samples: int = 50_000
     n_check: int = 10_000
     seed: int = 0
     eps_prime: float = 0.5
     final_eps_prime: float | None = None
-    num_leaves: int = 2
     tau_mode: str = "formula"
-    tau_quantile: float = 0.95
     max_candidates: int | None = 10_000_000
-    subsample: float | None = None
     final_select_samples: int = 256
 
     def __post_init__(self):
@@ -188,14 +191,14 @@ class LearnConfig:
             raise ValueError("need size >= 1 and l >= 0")
         if not (0 < self.eps < 1 and 0 < self.delta < 1):
             raise ValueError("eps and delta must lie in (0, 1)")
-        if self.b <= 0 or self.lam <= 0 or self.c <= 0:
-            raise ValueError("b, lam and c must be positive")
+        if self.b <= 0 or self.lam <= 0:
+            raise ValueError("b and lam must be positive")
         if self.candidate_mode not in ("network", "kicker"):
             raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
         if self.tau_mode not in ("formula", "quantile"):
             raise ValueError(f"unknown tau mode {self.tau_mode!r}")
-        if not 0 < self.tau_quantile < 1:
-            raise ValueError("tau_quantile must lie in (0, 1)")
+        if self.max_candidates is not None and self.max_candidates < 1:
+            raise ValueError(f"max_candidates must be positive or null, got {self.max_candidates!r}")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
@@ -220,6 +223,7 @@ class IterationRecord:
     accepted_candidate: int | None
     lam_value: float | None
     nearness: float | None
+    converged: bool | None  # eigen-solver convergence for the accepted candidate
 
 
 @dataclass(eq=False)
@@ -279,18 +283,17 @@ def _zero_candidates(dim: int) -> CandidateList:
     )
 
 
-def _candidates(config: LearnConfig, frame: Frame, eps_prime: float, subsample_seed: int) -> CandidateList:
+def _candidates(config: LearnConfig, frame: Frame, eps_prime: float) -> CandidateList:
     """The configured grid over the frame at eps_prime; the zero net on an empty frame."""
     if len(frame) == 0:
         return _zero_candidates(config.dim)
-    budget = EnumBudget(
-        max_candidates=config.max_candidates,
-        subsample=config.subsample,
-        subsample_seed=subsample_seed,
-    )
     if config.candidate_mode == "kicker":
-        return enumerate_kickers(frame, eps_prime, config.num_leaves, config.lam, budget)
-    return enumerate_networks(frame, eps_prime, config.size, config.l, config.b, budget)
+        return enumerate_kickers(
+            frame, eps_prime, config.num_leaves, config.lam, max_candidates=config.max_candidates
+        )
+    return enumerate_networks(
+        frame, eps_prime, config.size, config.l, config.b, max_candidates=config.max_candidates
+    )
 
 
 def _hypothesis(payload):
@@ -359,7 +362,6 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         "n_check": config.n_check,
         "final_select_samples": config.final_select_samples,
         "max_candidates": config.max_candidates,
-        "subsample": config.subsample,
         "seed": config.seed,
     }
     planted_proj = planted_frame.projector() if planted_frame is not None else None
@@ -373,7 +375,7 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         scanned = 0
         tau_used = config.tau
         try:
-            candidates = _candidates(config, frame, config.eps_prime, config.seed)
+            candidates = _candidates(config, frame, config.eps_prime)
             for idx, resid in enumerate(_iter_residuals(candidates, samples, x_proj)):
                 scanned += 1
                 tau_used = _pick_tau(config, resid)
@@ -392,20 +394,20 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
                     lambda_acc = max(config.acc_fraction * float(top.values[0]), 1e-9)
                     constants["lambda_acc_calibrated"] = lambda_acc
                 if lam_val >= lambda_acc:
-                    accepted = (idx, w, lam_val)
+                    accepted = (idx, w, lam_val, top.converged)
                     break
         except BudgetError as err:
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
-            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None))
+            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, None))
             break
         if accepted is None:
-            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None))
+            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, None))
             break
-        idx, w, lam_val = accepted
+        idx, w, lam_val, converged = accepted
         nearness = None
         if planted_proj is not None:
             nearness = 1.0 - float(np.linalg.norm(planted_proj @ w))
-        trace.append(IterationRecord(ell, tau_used, scanned, idx, lam_val, nearness))
+        trace.append(IterationRecord(ell, tau_used, scanned, idx, lam_val, nearness, converged))
         frame = extend_frame(frame, w)
 
     constants["lambda_acc_effective"] = lambda_acc
@@ -438,7 +440,7 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
     failure = None
     scanned = 0
     try:
-        candidates = _candidates(config, frame, config.default_final_eps_prime(), config.seed + 1)
+        candidates = _candidates(config, frame, config.default_final_eps_prime())
         for payloads, preds in _scored(candidates, select.x):
             errs = np.sqrt(np.mean((preds - select.y) ** 2, axis=1))
             hits = np.flatnonzero(errs <= target)

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
-
 __all__ = [
     "Frame",
     "TopSVDResult",
@@ -230,7 +228,7 @@ def _ball_grid_chunks(dim: int, radius: float, eps: float, chunk: int = 8192):
             yield spacing * z[keep].astype(float)
 
 
-def epsilon_net_ball(dim: int, radius: float, eps: float, max_points: int | None = None):
+def epsilon_net_ball(dim: int, radius: float, eps: float):
     """Deterministic grid covering the radius-R ball to within eps in L2.
 
     Yields grid points of spacing 2*eps/sqrt(dim) with norm at most radius+eps.
@@ -243,16 +241,12 @@ def epsilon_net_ball(dim: int, radius: float, eps: float, max_points: int | None
         raise ValueError("dim must be positive")
     if radius < 0 or eps <= 0:
         raise ValueError("need radius >= 0 and eps > 0")
-    if max_points is not None:
-        bound = epsilon_net_bound(dim, radius, eps)
-        if bound > max_points:
-            raise BudgetError(f"grid bound {bound} exceeds budget {max_points}")
     for block in _ball_grid_chunks(dim, radius, eps):
         for point in block:
             yield point.copy()
 
 
-def epsilon_net_matrices(rows: int, cols: int, b: float, eps: float, max_points: int | None = None):
+def epsilon_net_matrices(rows: int, cols: int, b: float, eps: float):
     """Deterministic grid covering operator-norm-<= b matrices to within eps (operator norm).
 
     Runs through the Frobenius norm: the operator ball of radius b sits inside
@@ -261,10 +255,6 @@ def epsilon_net_matrices(rows: int, cols: int, b: float, eps: float, max_points:
     b+eps are emitted; the covering point of any matrix in the ball survives.
     """
     radius = b * math.sqrt(min(rows, cols))
-    if max_points is not None:
-        bound = epsilon_net_bound(rows * cols, radius, eps)
-        if bound > max_points:
-            raise BudgetError(f"grid bound {bound} exceeds budget {max_points}")
     for block in _ball_grid_chunks(rows * cols, radius, eps):
         mats = block.reshape(-1, rows, cols)
         svals = np.linalg.svd(mats, compute_uv=False)

@@ -90,6 +90,12 @@ def test_learn_budget_override_fails_cleanly(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert "budget" in result.output
+    # a budget below one is a malformed config, not a failed run
+    result = runner.invoke(
+        main, ["learn", "--config", str(spec_path), "--budget-max-candidates", "0"]
+    )
+    assert result.exit_code == 2
+    assert "max_candidates must be positive" in result.output
 
 
 def test_learn_rejects_unknown_spec_key(runner, tmp_path):

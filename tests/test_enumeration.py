@@ -3,7 +3,6 @@ import pytest
 
 from relupca.enumeration import (
     CandidateList,
-    EnumBudget,
     architectures,
     enumerate_kickers,
     enumerate_networks,
@@ -83,19 +82,13 @@ def test_raw_factory_matches_wrapped_networks():
 
 
 def test_network_budget_fails_fast():
-    with pytest.raises(BudgetError):
-        enumerate_networks(
-            LINE, eps_prime=0.5, size=1, l=0, b=1.0, budget=EnumBudget(max_candidates=10)
-        )
-
-
-def test_subsample_is_seeded_and_repeatable():
-    budget = EnumBudget(max_candidates=100, subsample=0.5, subsample_seed=7)
-    cands = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0, budget=budget)
-    first = [net.weights[0].tobytes() for net in cands]
-    second = [net.weights[0].tobytes() for net in cands]
-    assert first == second
-    assert 0 < len(first) < 25
+    # the count bound is checked when the list is built, before any grid point
+    with pytest.raises(BudgetError, match="network count bound 25 exceeds budget 10"):
+        enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0, max_candidates=10)
+    exact = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0, max_candidates=25)
+    assert len(list(exact)) == 25
+    uncapped = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0, max_candidates=None)
+    assert uncapped.count_bound == 25
 
 
 def test_deep_candidates_cover_both_architectures():

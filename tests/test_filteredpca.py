@@ -132,7 +132,7 @@ def test_empty_mask_gives_zero_matrix():
 # ---------------------------------------------------------------- configuration
 
 def test_threshold_formula():
-    cfg = LearnConfig(dim=4, k=2, size=2, l=0, b=1.0, lam=1.5, eps=0.1, delta=0.05, c=2.0)
+    cfg = LearnConfig(dim=4, k=2, size=2, l=0, b=1.0, lam=1.5, eps=0.1, delta=0.05)
     assert cfg.tau == pytest.approx(2.0 * math.sqrt(2.0) * 1.5)
 
 
@@ -148,6 +148,8 @@ def test_final_granularity_formula():
 def test_config_validation():
     with pytest.raises(ValueError):
         LearnConfig(dim=4, k=5, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05)
+    with pytest.raises(ValueError, match="max_candidates"):
+        LearnConfig(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05, max_candidates=0)
 
 
 # ---------------------------------------------------------------- recovery loop
@@ -182,6 +184,7 @@ def test_recovery_on_planted_line():
     assert result.eps_hat <= 0.3
     assert result.trace[0].accepted_candidate is not None
     assert result.trace[0].nearness == pytest.approx(0.0, abs=0.05)
+    assert result.trace[0].converged is True
 
 
 def test_recovery_is_deterministic():
@@ -213,6 +216,11 @@ def test_budget_exhaustion_reports_failure():
     assert not result.certified
     assert result.failure_reason is not None
     assert "budget" in result.failure_reason
+    # with k = 2 the budget stops the loop's second scan: nothing accepted there
+    result = run(gaussian_oracle(net, 1), small_recovery_config(k=2, max_candidates=3))
+    assert "budget exhausted at iteration 1" in result.failure_reason
+    assert [t.accepted_candidate for t in result.trace] == [0, None]
+    assert [t.converged for t in result.trace] == [True, None]
 
 
 class ShiftThirdDraw:

@@ -11,6 +11,7 @@ from relupca.harness import (
     make_instance,
     report_equal_modulo_timing,
     run_experiment,
+    run_suite,
     spec_from_json,
     spec_to_json,
     verify_anti_concentration,
@@ -81,6 +82,18 @@ def test_stability_requires_aligned_structures(rng):
 
     with pytest.raises(StructureMismatch):
         verify_stability(a, b, a, tau=1.0, trials=10)
+
+
+def test_stability_suite_that_cannot_run_is_not_passed():
+    net, planted = make_instance({"kind": "mixed", "dim": 6, "k": 2, "units": 14}, 0)
+    assert net.size == 14  # above from_network's cap of 12 hidden units
+    frag = run_suite("stability", net, planted, trials=1_000, concentration_trials=1, seed=0)
+    assert frag["name"] == "stability"
+    assert frag["passed"] is False
+    assert "exceeds the cap of 12 hidden units" in frag["skipped"]
+    small, planted = make_instance({"kind": "abs", "dim": 4}, 0)
+    frag = run_suite("stability", small, planted, trials=1_000, concentration_trials=1, seed=0)
+    assert frag["passed"] and "skipped" not in frag
 
 
 # ---------------------------------------------------------------- concentration
@@ -207,6 +220,11 @@ def test_spec_from_json_names_unknown_keys():
     doc = json.loads(spec_to_json(small_spec()))
     doc["learn"].update(mode="practical", nu0=None, xi=None)
     with pytest.raises(ValueError, match="mode, nu0, xi"):
+        spec_from_json(json.dumps(doc))
+    # and so are the subsampling rate and the knobs now fixed as constants
+    doc = json.loads(spec_to_json(small_spec()))
+    doc["learn"].update(c=2.0, acc_fraction=0.25, num_leaves=2, tau_quantile=0.95, subsample=None)
+    with pytest.raises(ValueError, match="acc_fraction, c, num_leaves, subsample, tau_quantile"):
         spec_from_json(json.dumps(doc))
 
 

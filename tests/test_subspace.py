@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relupca.errors import BudgetError
 from relupca.subspace import (
     Frame,
     approx_top_svd,
@@ -162,12 +161,6 @@ def test_net_covers_the_ball(rng):
     x *= (radius * rng.uniform(0, 1, size=100) ** (1 / dim) / np.linalg.norm(x, axis=1))[:, None]
     dists = np.min(np.linalg.norm(x[:, None, :] - pts[None, :, :], axis=2), axis=1)
     assert np.max(dists) <= eps + 1e-12
-
-
-def test_net_budget_enforced_up_front():
-    gen = epsilon_net_ball(6, 2.0, 0.05, max_points=1000)
-    with pytest.raises(BudgetError):
-        next(gen)
 
 
 def test_net_stream_is_repeatable():
