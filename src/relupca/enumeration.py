@@ -28,7 +28,14 @@ class CandidateList:
 
     Iterating calls factory() afresh, so the list can be scanned repeatedly
     with identical order.  raw_factory, when present, yields plain weight
-    tuples for cheap batched evaluation of network candidates.
+    tuples (W_0, ..., W_L, w_out), one per candidate in the same order, for
+    batched evaluation of network candidates.
+
+    Shared-prefix contract: consecutive tuples that share a layer prefix hold
+    the same array objects for it, so an evaluator can tell a shared prefix by
+    identity (``is``) and compute its hidden activations once.  The contract
+    is a promise about speed only: a stream whose tuples share no objects is
+    still scored correctly, one tuple at a time.
     """
 
     factory: Callable[[], Iterator]
@@ -133,6 +140,12 @@ def enumerate_networks(
     through the frame.  Every netted entry is clipped at eps_prime, so emitted
     entries are zero or exceed eps_prime in magnitude, and per-layer operator
     norms stay at most b + 2 * eps_prime.
+
+    raw_factory walks each architecture's layer grids as an odometer with the
+    output row fastest, and yields the same array object for a layer every
+    time it repeats: each lifted W_0 appears in one run of consecutive tuples
+    that covers all of its tails, and within it each deeper prefix
+    (W_0, ..., W_j) forms a run that covers all of its own tails.
     """
     if len(frame) < 1:
         raise ValueError("need a non-empty frame")

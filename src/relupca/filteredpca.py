@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -237,37 +238,69 @@ class RecoveryResult:
     constants: dict
 
 
-def _stacked_preds(batch: list, x: np.ndarray) -> np.ndarray:
-    """Evaluate a list of same-shape weight tuples at once; returns (C, N)."""
-    h = np.einsum("nd,ckd->cnk", x, np.stack([ws[0] for ws in batch]))
-    np.maximum(h, 0.0, out=h)
-    for layer in range(1, len(batch[0]) - 1):
-        h = np.einsum("cnk,cjk->cnj", h, np.stack([ws[layer] for ws in batch]))
-        np.maximum(h, 0.0, out=h)
-    out = np.stack([ws[-1][0] for ws in batch])
-    return np.einsum("cnk,ck->cn", h, out)
+def _stacked_preds(batch: list, starts: list[int], x: np.ndarray) -> np.ndarray:
+    """Predictions (C, N) of a chunk of weight tuples at x, row i for batch[i].
+
+    starts lists where each run begins: a run is consecutive tuples whose
+    hidden layers are the same array objects.  The chunk's distinct first
+    layers go through one GEMM, each deeper layer is applied once per distinct
+    layer prefix, and each run's output rows are scored with one GEMM.
+    """
+    firsts: list = []  # the distinct first layers, one per change of W_0 between runs
+    cols: list[slice] = []  # each run's columns of h0
+    width = 0
+    for i in starts:
+        w0 = batch[i][0]
+        if not firsts or firsts[-1] is not w0:
+            firsts.append(w0)
+            width += w0.shape[0]
+        cols.append(slice(width - w0.shape[0], width))
+    h0 = np.maximum(x @ np.concatenate(firsts).T, 0.0)  # (N, width)
+    out = np.empty((len(batch), x.shape[0]))
+    path: list = []  # (layer matrix, its activation) along the previous run's prefix
+    for a, b, run_cols in zip(starts, starts[1:] + [len(batch)], cols):
+        ws = batch[a]
+        depth = 0
+        while depth < min(len(path), len(ws) - 1) and path[depth][0] is ws[depth]:
+            depth += 1
+        del path[depth:]
+        for layer in range(depth, len(ws) - 1):
+            h = h0[:, run_cols] if layer == 0 else np.maximum(path[-1][1] @ ws[layer].T, 0.0)
+            path.append((ws[layer], h))
+        np.matmul(np.concatenate([t[-1] for t in batch[a:b]]), path[-1][1].T, out=out[a:b])
+    return out
 
 
 def _pred_chunks(source, x: np.ndarray, elem_budget: int = 8_000_000):
-    """Group a stream of weight tuples into same-shape chunks and evaluate them.
+    """Group a stream of weight tuples into chunks and evaluate them.
 
-    Yields (list of weight tuples, (C, N) prediction matrix) pairs in stream
-    order, so scanning chunk by chunk preserves first-hit semantics.
+    A chunk takes tuples while the sum of N * (widest hidden layer) stays
+    within elem_budget (at least one tuple).  Consecutive tuples whose hidden
+    layers are the same objects share their evaluation (see CandidateList);
+    a stream that shares nothing is scored one tuple per run.  Yields (list
+    of weight tuples, (C, N) prediction matrix) pairs in stream order, so
+    scanning chunk by chunk preserves first-hit semantics.
     """
     n = x.shape[0]
     buf: list = []
-    sig = None
+    starts: list[int] = []
+    used = 0
+    hidden: tuple = ()
+    cost = 0
     for ws in source:
-        this_sig = tuple(w.shape for w in ws)
-        width = max(w.shape[0] for w in ws)
-        cap = max(1, elem_budget // (n * width))
-        if buf and (this_sig != sig or len(buf) >= cap):
-            yield buf, _stacked_preds(buf, x)
-            buf = []
+        new_run = len(ws) != len(hidden) + 1 or not all(map(operator.is_, ws, hidden))
+        if new_run:
+            hidden = ws[:-1]
+            cost = n * max(w.shape[0] for w in hidden)
+        if buf and used + cost > elem_budget:
+            yield buf, _stacked_preds(buf, starts, x)
+            buf, starts, used = [], [], 0
+        if new_run or not buf:
+            starts.append(len(buf))
         buf.append(ws)
-        sig = this_sig
+        used += cost
     if buf:
-        yield buf, _stacked_preds(buf, x)
+        yield buf, _stacked_preds(buf, starts, x)
 
 
 def _zero_candidates(dim: int) -> CandidateList:
@@ -310,8 +343,9 @@ def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
 def _scored(candidates: CandidateList, x: np.ndarray):
     """Yield (payloads, (C, N) predictions at x) in stream order.
 
-    Weight tuples from raw_factory are evaluated in same-shape chunks; other
-    candidates one at a time.  Scanning chunk by chunk keeps first-hit order.
+    Weight tuples from raw_factory are evaluated in chunks by _pred_chunks,
+    other candidates one at a time.  Scanning chunk by chunk keeps first-hit
+    order.
     """
     if candidates.raw_factory is not None:
         yield from _pred_chunks(candidates.raw_factory(), x)
@@ -400,6 +434,8 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
             trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, None))
             break
+        finally:
+            del samples, x_proj, x_comp  # so the next draw does not hold two batches
         if accepted is None:
             trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, None))
             break

@@ -81,6 +81,20 @@ def test_raw_factory_matches_wrapped_networks():
             assert np.array_equal(a, b)
 
 
+def test_raw_factory_shares_prefix_objects():
+    # the CandidateList contract: each layer prefix is one run of the same array objects
+    frame = Frame.from_span(np.array([[1.0, 0.0]]))
+    stream = list(enumerate_networks(frame, eps_prime=0.9, size=3, l=1, b=1.0).raw_factory())
+    for depth in (1, 2):
+        runs = [stream[0][:depth]]
+        for prev, ws in zip(stream, stream[1:]):
+            if not all(a is b for a, b in zip(ws[:depth], prev[:depth])):
+                runs.append(ws[:depth])
+        keys = [tuple(map(id, prefix)) for prefix in runs]  # the stream keeps every array alive
+        assert len(keys) == len(set(keys))
+    assert len(runs) < len(stream)  # runs do share: the output rows vary fastest
+
+
 def test_network_budget_fails_fast():
     # the count bound is checked when the list is built, before any grid point
     with pytest.raises(BudgetError, match="network count bound 25 exceeds budget 10"):

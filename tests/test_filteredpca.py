@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from relupca import filteredpca
+from relupca.enumeration import CandidateList, enumerate_networks
 from relupca.filteredpca import (
     GaussianOracle,
     LearnConfig,
     SampleSet,
+    _final_search,
+    _pred_chunks,
     as_function,
     estimate_l2_error,
     filter_matrix,
@@ -276,3 +281,136 @@ def test_constants_are_recorded():
     for key in ("tau_formula", "lambda_acc_effective", "final_eps_prime", "seed"):
         assert key in cons
     assert cons["lambda_acc_effective"] is not None
+
+
+# ---------------------------------------------------------------- batched evaluation
+
+
+@given(st.data())
+def test_pred_chunks_match_reference_evaluation(data):
+    """Every chunk row equals evaluate() on its tuple; payloads come back in input order."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    d = data.draw(st.integers(1, 4), label="d")
+    x = rng.standard_normal((data.draw(st.integers(1, 6), label="rows"), d))
+    stream = []
+    for _ in range(data.draw(st.integers(1, 4), label="groups")):
+        widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="widths")
+        dims = (d, *widths)
+        prefix = [rng.standard_normal((o, i)) for i, o in zip(dims, dims[1:])]
+        reusable = bool(stream) and stream[-1][0].shape == prefix[0].shape
+        if reusable and data.draw(st.booleans(), label="reuse W0"):
+            prefix[0] = stream[-1][0]  # a run that continues the previous group's first layer
+        shared = data.draw(st.integers(0, len(widths)), label="shared layers")
+        for _ in range(data.draw(st.integers(1, 5), label="tuples")):
+            hidden = [w if j < shared else rng.standard_normal(w.shape) for j, w in enumerate(prefix)]
+            stream.append((*hidden, rng.standard_normal((1, widths[-1]))))
+    budget = len(x) * data.draw(st.integers(1, 8), label="budget widths")  # chunk edges fall mid-run
+    payloads, rows = [], []
+    for chunk, preds in _pred_chunks(iter(stream), x, elem_budget=budget):
+        assert preds.shape == (len(chunk), len(x))
+        payloads += chunk
+        rows.extend(preds)
+    assert len(payloads) == len(stream)
+    assert all(p is q for p, q in zip(payloads, stream))
+    for ws, row in zip(stream, rows):
+        np.testing.assert_allclose(row, evaluate(ReluNetwork(ws), x), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.9), (3, 1, 1.5), (3, 2, 0.9)])
+def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
+    """The same check on enumerate_networks' own streams, whose runs share first layers."""
+    frame = Frame.from_span(rng.standard_normal((2, 4)))
+    stream = list(enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None).raw_factory())
+    x = rng.standard_normal((5, 4))
+    done = 0
+    for chunk, preds in _pred_chunks(iter(stream), x, elem_budget=5 * 50):
+        for ws, row in zip(chunk, preds):
+            assert ws is stream[done]
+            np.testing.assert_allclose(row, evaluate(ReluNetwork(ws), x), rtol=0, atol=1e-12)
+            done += 1
+    assert done == len(stream)
+
+
+# The terminal scan on a small product grid over a two-dimensional frame in
+# d = 4: 120 first layers (2 x 2 in frame coordinates, lifted) crossed with
+# the same 100 output rows, the shape enumerate_networks streams.  Its layers
+# are random, not netted: clipping makes many grid candidates identical, and
+# identical candidates cannot show which of them a scan picked.  1 024
+# selection rows give chunks of 3 906, so the 12 000 candidates span four.
+_GRID_ROWS = 1024
+_GRID_CHUNK = 8_000_000 // (_GRID_ROWS * 2)
+_GRID_FRAME = Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]]))
+
+
+def _grid_layers():
+    rng = np.random.default_rng(5)
+    firsts = [w @ _GRID_FRAME.vectors for w in rng.standard_normal((120, 2, 2))]
+    tails = list(rng.standard_normal((100, 1, 2)))
+    # candidate (51, 60) computes exactly what candidate (50, 30) does
+    firsts[51] = 2.0 * firsts[50]
+    tails[60] = tails[30] / 2.0
+    return firsts, tails
+
+
+def _grid_search(monkeypatch, target, eps):
+    """_final_search over the product grid (oracle seed 3); returns (its result, the stream)."""
+    firsts, tails = _grid_layers()
+    stream = [(w0, t) for w0 in firsts for t in tails]
+    grid = CandidateList(
+        factory=lambda: (ReluNetwork(ws) for ws in stream), kind="network", eps_prime=0.5,
+        frame=_GRID_FRAME, count_bound=len(stream), meta={}, raw_factory=lambda: iter(stream),
+    )
+    monkeypatch.setattr(filteredpca, "enumerate_networks", lambda *args, **kwargs: grid)
+    config = LearnConfig(
+        dim=4, k=2, size=2, l=0, b=1.0, lam=1.0, eps=eps, delta=0.05,
+        final_select_samples=_GRID_ROWS, n_check=2_000,
+    )
+    return _final_search(GaussianOracle(target, 3), config, _GRID_FRAME), stream
+
+
+def _key(weights):
+    return tuple(w.tobytes() for w in weights)
+
+
+def _brute_force_errors(stream, batch):
+    """RMS error of each candidate on the batch, scored one at a time through evaluate()."""
+    return np.array([
+        np.sqrt(np.mean((evaluate(ReluNetwork(ws), batch.x) - batch.y) ** 2)) for ws in stream
+    ])
+
+
+def test_final_search_first_hit_matches_brute_force(monkeypatch):
+    firsts, tails = _grid_layers()
+    target = ReluNetwork((firsts[50], tails[30]))
+    (hypothesis, _, certified, _), stream = _grid_search(monkeypatch, target, eps=1e-6)
+    errs = _brute_force_errors(stream, GaussianOracle(target, 3).draw(_GRID_ROWS))
+    hits = np.flatnonzero(errs <= 3e-6)
+    assert hits.tolist() == [5030, 5160]  # both in the second chunk, neither at its start
+    assert hits[0] // _GRID_CHUNK == hits[1] // _GRID_CHUNK == 1
+    assert certified
+    assert _key(hypothesis.weights) == _key(stream[hits[0]])
+
+
+def test_final_search_playoff_matches_brute_force(monkeypatch):
+    rng = np.random.default_rng(6)
+    target = ReluNetwork((rng.standard_normal((2, 2)) @ _GRID_FRAME.vectors, np.array([[1.0, -0.7]])))
+    scored = []
+
+    def recording_evaluate(net, x):
+        if net is not target:
+            scored.append(_key(net.weights))
+        return evaluate(net, x)
+
+    monkeypatch.setattr(filteredpca, "evaluate", recording_evaluate)
+    (hypothesis, _, _, reason), stream = _grid_search(monkeypatch, target, eps=0.01)
+    assert "playoff winner" in reason
+    oracle = GaussianOracle(target, 3)
+    errs = _brute_force_errors(stream, oracle.draw(_GRID_ROWS))
+    order = sorted(range(len(stream)), key=lambda i: (errs[i], i))
+    assert errs[order[0]] > 0.03  # no hit, so the playoff decides
+    assert np.all(np.diff(errs[order[:33]]) > 1e-9)  # no near-ties that rounding could swap
+    index = {_key(ws): i for i, ws in enumerate(stream)}
+    assert [index[k] for k in scored[:-1]] == order[:32]  # the playoff set, in its order
+    playoff_errs = _brute_force_errors([stream[i] for i in order[:32]], oracle.draw(8 * _GRID_ROWS))
+    winner = order[int(np.argmin(playoff_errs))]
+    assert _key(hypothesis.weights) == scored[-1] == _key(stream[winner])
