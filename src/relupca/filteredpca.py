@@ -47,7 +47,9 @@ class SampleSet:
     source: str = ""
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float, copy=True)
+        x = np.asarray(self.x, dtype=float)
+        if x.flags.writeable or x.base is not None:  # a reference elsewhere could write it
+            x = x.copy()
         y = np.array(self.y, dtype=float, copy=True).ravel()
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("x must be a non-empty (N, d) array")
@@ -87,6 +89,7 @@ class GaussianOracle:
             raise ValueError("need n >= 1")
         x = self._rng.standard_normal((n, self.net.input_dim))
         y = evaluate(self.net, x)
+        x.flags.writeable = False  # nothing else holds x, so SampleSet keeps it without a copy
         out = SampleSet(x, y, seed=self.seed, source=f"gaussian[{self._drawn}:{self._drawn + n}]")
         self._drawn += n
         return out

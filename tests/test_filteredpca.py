@@ -39,6 +39,37 @@ def test_sample_set_validation():
         SampleSet(np.array([[np.nan, 0.0]]), np.zeros(1))
 
 
+def test_sample_set_copies_writable_input():
+    x, y = np.zeros((3, 2)), np.zeros(3)
+    s = SampleSet(x, y)
+    for mine, theirs in ((s.x, x), (s.y, y)):
+        assert not mine.flags.writeable
+        assert not np.shares_memory(mine, theirs)
+    x[0, 0] = y[0] = 1.0
+    assert s.x[0, 0] == 0.0 and s.y[0] == 0.0
+    # a read-only view is no guarantee: the memory it views is still writable
+    view = x[:, :]
+    view.flags.writeable = False
+    assert not np.shares_memory(SampleSet(view, y).x, x)
+    assert not np.shares_memory(SampleSet(x.tolist(), y).x, x)
+
+
+def test_sample_set_keeps_frozen_batch_and_still_checks_it():
+    x = np.zeros((3, 2))
+    x.flags.writeable = False
+    assert SampleSet(x, np.zeros(3)).x is x
+    bad = np.array([[np.nan, 0.0]])
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match="finite"):
+        SampleSet(bad, np.zeros(1))
+    with pytest.raises(ValueError, match="length"):
+        SampleSet(x, np.zeros(2))
+    flat = np.zeros(3)
+    flat.flags.writeable = False
+    with pytest.raises(ValueError, match=r"\(N, d\)"):
+        SampleSet(flat, np.zeros(3))
+
+
 def test_oracle_is_deterministic_and_sequential():
     net = abs_net([1.0, 0.0])
     a1 = gaussian_oracle(net, 3).draw(10)

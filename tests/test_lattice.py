@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relupca.errors import BudgetError, OrderTypeMissing, StructureMismatch
 from relupca.lattice import (
@@ -193,6 +195,120 @@ def test_selector_missing_order_type_raises():
     assert selector_eval(sk, np.array([1.0, 0.0])) == 1.0
     with pytest.raises(OrderTypeMissing):
         selector_eval(sk, np.array([0.0, 1.0]))
+
+
+def test_selector_missing_type_named_for_first_row_in_input_order():
+    frame = Frame.from_span(np.eye(2))
+    sk = SelectorKicker(np.eye(2), {OrderType((2, 1)): 0}, frame)
+    # rows 1 and 2 realise (1, 2) and (1, 1), neither tabulated; row 1 comes first
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(OrderTypeMissing, match=r"\(1, 2\)"):
+        selector_eval(sk, x)
+
+
+def test_selector_rejects_input_of_wrong_shape():
+    sk = SelectorKicker(np.eye(2), {omega: 0 for omega in all_order_types(2)}, Frame.from_span(np.eye(2)))
+    with pytest.raises(ValueError, match=r"shape \(3, 2, 2\)"):
+        selector_eval(sk, np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        selector_eval(sk, np.zeros(3))
+
+
+def test_negative_tie_tol_rejected():
+    sk = SelectorKicker(np.eye(2), {omega: 0 for omega in all_order_types(2)}, Frame.from_span(np.eye(2)))
+    with pytest.raises(ValueError, match="tie_tol"):
+        order_type([1.0, 2.0], tie_tol=-1e-9)
+    with pytest.raises(ValueError, match="tie_tol"):
+        selector_eval(sk, np.zeros((4, 2)), tie_tol=-1e-9)
+
+
+# ---------------------------------------------------------------- ties: vectorised vs per row
+
+def _reference_order_type(values, tie_tol):
+    """The per-row loop: walk the sorted values, open a new rank past each gap > tie_tol."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=int)
+    rank, prev = 1, None
+    for pos in order:
+        if prev is not None and values[pos] - prev > tie_tol:
+            rank += 1
+        ranks[pos] = rank
+        prev = values[pos]
+    return tuple(int(r) for r in ranks)
+
+
+def _reference_selector_eval(sk, x, tie_tol):
+    out = []
+    for row in np.atleast_2d(x) @ sk.leaves.T:
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(row)))) if tie_tol is None else tie_tol
+        omega = OrderType(_reference_order_type(row, tol))
+        if omega not in sk.table:
+            raise OrderTypeMissing(f"no table entry for order type {omega.ranks}")
+        out.append(row[sk.table[omega]])
+    return np.array(out)
+
+
+@st.composite
+def _tie_row(draw, m):
+    """One anchor at +-scale fixes the default tolerance tol = 1e-12 * max(1, scale); the
+    other entries sit at exact ties, at gaps of exactly tol or one ulp above it, on
+    sub-tol chains, or anywhere in [-scale, scale]."""
+    scale = draw(st.sampled_from([0.25, 1.0, 7.5, 1e6, 3e15]))
+    tol = 1e-12 * max(1.0, scale)
+    near = [0.0, tol, 2 * tol, -tol, np.nextafter(tol, np.inf), 0.75 * tol, 1.5 * tol, -0.75 * tol]
+    anchor = draw(st.sampled_from([scale, -scale]))
+    entry = st.one_of(
+        st.sampled_from(near),
+        st.sampled_from([anchor, -anchor]),
+        st.floats(-scale, scale, allow_nan=False),
+    )
+    rest = draw(st.lists(entry, min_size=m - 1, max_size=m - 1))
+    return draw(st.permutations([anchor, *rest]))
+
+
+@st.composite
+def _tie_tol(draw, rows):
+    """An explicit tolerance: at, just under, or off a realised gap."""
+    gaps = np.unique(np.diff(np.sort(np.asarray(rows), axis=1), axis=1))
+    gaps = [float(g) for g in gaps if g > 0]
+    choices = [st.just(0.0), st.floats(0.0, 1.0)]
+    if gaps:
+        gap = st.sampled_from(gaps)
+        choices += [gap, gap.map(lambda g: float(np.nextafter(g, 0.0)))]
+    return draw(st.one_of(*choices))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_order_type_matches_per_row_reference(data):
+    row = data.draw(st.integers(1, 5).flatmap(_tie_row))
+    tol = data.draw(_tie_tol([row]))
+    assert order_type(row, tol).ranks == _reference_order_type(np.array(row), tol)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_selector_eval_matches_per_row_reference(data):
+    m = data.draw(st.integers(1, 4))
+    x = np.array(data.draw(st.lists(_tie_row(m), min_size=1, max_size=6)))
+    types = all_order_types(m)
+    lowest = -1 if data.draw(st.booleans()) else 0  # -1 leaves a type out of the table
+    picks = data.draw(st.lists(st.integers(lowest, m - 1), min_size=len(types), max_size=len(types)))
+    sk = SelectorKicker(np.eye(m), {t: p for t, p in zip(types, picks) if p >= 0}, Frame.from_span(np.eye(m)))
+    tols = (None, data.draw(_tie_tol(x)))
+    for tol, batch in itertools.product(tols, (x, x[0])):  # a 1-D input returns a float
+        try:
+            want = _reference_selector_eval(sk, batch, tol)
+        except OrderTypeMissing as err:
+            with pytest.raises(OrderTypeMissing) as got:
+                selector_eval(sk, batch, tol)
+            assert str(got.value) == str(err)
+            continue
+        got = selector_eval(sk, batch, tol)
+        if batch.ndim == 1:
+            assert isinstance(got, float)
+            got = np.array([got])
+        assert np.array_equal(got, want)
 
 
 def test_selector_leaves_must_lie_in_frame():
