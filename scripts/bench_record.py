@@ -4,7 +4,7 @@
     python3 scripts/bench_record.py change --out BENCH_1.json
 
 For every workload in the tree's BENCHMARK.json this runs ``bench/run.py``
---repeats times with ``--trace 0`` (the end-to-end metrics: median and every
+three times with ``--trace 0`` (the end-to-end metrics: median and every
 run) and once with ``--trace 1`` (the per-layer metrics).  It also records
 the seconds ``run()`` took on each criterion-7 seed (the last column of
 ``scripts/outcome_digest.py``, whose lines are kept too), the tier-1 wall time and pass count, the core
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREADS = 1
+REPEATS = 3
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -59,8 +60,8 @@ def _bench(tree: Path, workload: str, seconds: float, trace: int) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def _workload(tree: Path, name: str, seconds: float, repeats: int) -> dict:
-    runs = [_bench(tree, name, seconds, 0) for _ in range(repeats)]
+def _workload(tree: Path, name: str, seconds: float) -> dict:
+    runs = [_bench(tree, name, seconds, 0) for _ in range(REPEATS)]
     end_to_end = {k: {"median": statistics.median(r["metrics"][k]["value"] for r in runs),
                       "runs": [r["metrics"][k]["value"] for r in runs], "unit": v["unit"]}
                   for k, v in runs[0]["metrics"].items()}
@@ -74,10 +75,10 @@ def _workload(tree: Path, name: str, seconds: float, repeats: int) -> dict:
     }
 
 
-def record(tree: Path, repeats: int) -> dict:
+def record(tree: Path) -> dict:
     spec = json.loads((tree / "BENCHMARK.json").read_text())
     git = lambda *a: subprocess.run(["git", *a], cwd=tree, capture_output=True, text=True).stdout.strip()
-    workloads = {w["name"]: _workload(tree, w["name"], spec["run_seconds"], repeats)
+    workloads = {w["name"]: _workload(tree, w["name"], spec["run_seconds"])
                  for w in spec["workloads"]}
     digest, _ = _run(tree, ["scripts/outcome_digest.py"])
     criterion7 = [float(line.split("\t")[-1]) for line in digest.splitlines()
@@ -93,7 +94,7 @@ def record(tree: Path, repeats: int) -> dict:
         "blas_threads": BLAS_THREADS,
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
-        "repeats": repeats,
+        "repeats": REPEATS,
         "workloads": workloads,
         "criterion7_run_s": criterion7,
         "criterion7_run_s_total": sum(criterion7),
@@ -108,11 +109,8 @@ def main(argv=None) -> int:
     p.add_argument("label", help="key of this record in the output file, e.g. parent or change")
     p.add_argument("--tree", type=Path, default=ROOT, help="source tree to measure (default: this one)")
     p.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json file to add the record to")
-    p.add_argument("--repeats", type=int, default=3, help="untraced runs per workload (at least 3)")
     args = p.parse_args(argv)
-    if args.repeats < 3:
-        p.error("--repeats must be at least 3")
-    entry = record(args.tree.resolve(), args.repeats)
+    entry = record(args.tree.resolve())
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.label] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
