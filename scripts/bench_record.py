@@ -54,8 +54,8 @@ def _run(tree: Path, args: list[str], check: bool = True) -> tuple[str, float]:
     return done.stdout, seconds
 
 
-def _bench(tree: Path, workload: str, seconds: float, trace: int) -> dict:
-    out, _ = _run(tree, ["bench/run.py", "--workload", workload, "--seed", "0",
+def _bench(tree: Path, workload: str, seconds: float, trace: int, seed: int = 0) -> dict:
+    out, _ = _run(tree, ["bench/run.py", "--workload", workload, "--seed", str(seed),
                          "--seconds", str(seconds), "--trace", str(trace)])
     return json.loads(out.strip().splitlines()[-1])
 

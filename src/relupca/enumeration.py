@@ -29,7 +29,11 @@ class CandidateList:
     Iterating calls factory() afresh, so the list can be scanned repeatedly
     with identical order.  raw_factory, when present, yields plain weight
     tuples (W_0, ..., W_L, w_out), one per candidate in the same order, for
-    batched evaluation of network candidates.
+    batched evaluation of network candidates.  count_bound is an upper bound
+    on the number of candidates emitted, and the one figure a budget
+    (max_candidates) is checked against; a network grid emits each distinct
+    clipped weight tuple once, at its first grid position, so it can emit
+    fewer.
 
     Shared-prefix contract: consecutive tuples that share a layer prefix hold
     the same array objects for it, so an evaluator can tell a shared prefix by
@@ -139,7 +143,13 @@ def enumerate_networks(
     First-layer matrices are netted in frame coordinates (k_0 x ell) and lifted
     through the frame.  Every netted entry is clipped at eps_prime, so emitted
     entries are zero or exceed eps_prime in magnitude, and per-layer operator
-    norms stay at most b + 2 * eps_prime.
+    norms stay at most b + 2 * eps_prime.  Clipping maps distinct grid points
+    to the same matrix; each layer grid keeps only the first occurrence of each
+    clipped matrix (compared by bytes, first layers before lifting).  Since
+    the stream is a product of the layer grids, it holds each distinct clipped
+    weight tuple once, at its first position in the unfiltered product, and
+    in the same order.  count_bound counts the unfiltered product, so it
+    bounds the emitted count from above, and max_candidates caps that bound.
 
     raw_factory walks each architecture's layer grids as an odometer with the
     output row fastest, and yields the same array object for a layer every
@@ -168,18 +178,21 @@ def enumerate_networks(
         plans.append(shapes)
     _check_count(bound, max_candidates, "network")
 
-    def _clip(mat: np.ndarray) -> np.ndarray:
-        return np.where(np.abs(mat) <= eps_prime, 0.0, mat)
+    def _grid(rows: int, cols: int) -> Iterator[np.ndarray]:
+        """The clipped rows x cols grid: each clipped matrix once, where it first occurs."""
+        seen: set[bytes] = set()
+        for mat in epsilon_net_matrices(rows, cols, radius, eps_prime):
+            mat = np.where(np.abs(mat) <= eps_prime, 0.0, mat)
+            key = mat.tobytes()
+            if key not in seen:
+                seen.add(key)
+                yield mat
 
     def raw_weights():
         for shapes in plans:
-            rest = [
-                [_clip(m) for m in epsilon_net_matrices(r, c, radius, eps_prime)]
-                for r, c in shapes[1:]
-            ]
-            r0, c0 = shapes[0]
-            for w0 in epsilon_net_matrices(r0, c0, radius, eps_prime):
-                lifted = _clip(w0) @ frame.vectors
+            rest = [list(_grid(r, c)) for r, c in shapes[1:]]
+            for w0 in _grid(*shapes[0]):
+                lifted = w0 @ frame.vectors
                 for tail in itertools.product(*rest):
                     yield (lifted, *tail)
 

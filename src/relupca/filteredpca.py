@@ -162,6 +162,8 @@ class LearnConfig:
     never stored, so it cannot go stale.  c, acc_fraction, num_leaves and
     tau_quantile are fixed constants of the method, not fields.
     max_candidates caps every scan's candidate count bound (None: no cap).
+    Sample counts are integers of at least 1, and grid granularities are
+    finite and positive (final_eps_prime None: derived from eps).
     """
 
     c: ClassVar[float] = 2.0
@@ -205,6 +207,16 @@ class LearnConfig:
             raise ValueError(f"max_candidates must be positive or null, got {self.max_candidates!r}")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("n_samples", "n_check", "final_select_samples"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        for name in ("eps_prime", "final_eps_prime"):
+            value = getattr(self, name)
+            if name == "final_eps_prime" and value is None:
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
     @property
     def tau(self) -> float:
@@ -274,7 +286,7 @@ def _stacked_preds(batch: list, starts: list[int], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pred_chunks(source, x: np.ndarray, elem_budget: int = 8_000_000):
+def _pred_chunks(source, x: np.ndarray, elem_budget: int):
     """Group a stream of weight tuples into chunks and evaluate them.
 
     A chunk takes tuples while the sum of N * (widest hidden layer) stays
@@ -343,23 +355,35 @@ def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
     return max(float(np.quantile(resid, config.tau_quantile)), 1e-12)
 
 
-def _scored(candidates: CandidateList, x: np.ndarray):
+# Chunk budgets (elements of N x widest hidden layer) for the two scans, measured
+# with BLAS on one thread.  The loop scores every chunk on the whole N x d
+# batch, so smaller chunks re-read it more often: 2e6 slowed the two
+# rank2-highdim runs (d = 100, N = 2e5) from 4.75 s to 5.03 s, median of
+# three.  The terminal scan scores a few hundred selection rows; on criterion
+# 7's terminal grid at 512 rows, 2e6 (16 MB of predictions) scanned 3.0 us per
+# candidate against 3.9 us at 8e6, and 5e5 was no faster.
+_LOOP_CHUNK_ELEMS = 8_000_000
+_TERMINAL_CHUNK_ELEMS = 2_000_000
+
+
+def _scored(candidates: CandidateList, x: np.ndarray, elem_budget: int):
     """Yield (payloads, (C, N) predictions at x) in stream order.
 
-    Weight tuples from raw_factory are evaluated in chunks by _pred_chunks,
-    other candidates one at a time.  Scanning chunk by chunk keeps first-hit
-    order.
+    Weight tuples from raw_factory are evaluated in chunks of at most
+    elem_budget elements by _pred_chunks, other candidates one at a time.
+    Scanning chunk by chunk keeps first-hit order.  The caller owns every
+    prediction array yielded and may overwrite it.
     """
     if candidates.raw_factory is not None:
-        yield from _pred_chunks(candidates.raw_factory(), x)
+        yield from _pred_chunks(candidates.raw_factory(), x, elem_budget)
         return
-    for cand in candidates:
-        yield [cand], np.asarray(as_function(cand)(x), dtype=float).reshape(1, -1)
+    for cand in candidates:  # np.array copies: a candidate may return an array it keeps
+        yield [cand], np.array(as_function(cand)(x), dtype=float).reshape(1, -1)
 
 
 def _iter_residuals(candidates: CandidateList, samples: SampleSet, x_proj: np.ndarray):
     """Yield each candidate's residual vector |y - prediction|, in stream order."""
-    for _payloads, preds in _scored(candidates, x_proj):
+    for _payloads, preds in _scored(candidates, x_proj, _LOOP_CHUNK_ELEMS):
         for row in preds:
             yield np.abs(samples.y - row)
 
@@ -480,8 +504,10 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
     scanned = 0
     try:
         candidates = _candidates(config, frame, config.default_final_eps_prime())
-        for payloads, preds in _scored(candidates, select.x):
-            errs = np.sqrt(np.mean((preds - select.y) ** 2, axis=1))
+        for payloads, preds in _scored(candidates, select.x, _TERMINAL_CHUNK_ELEMS):
+            preds -= select.y  # errors in place: the chunk is ours, and no longer needed
+            np.square(preds, out=preds)
+            errs = np.sqrt(np.mean(preds, axis=1))
             hits = np.flatnonzero(errs <= target)
             if hits.size:
                 chosen = payloads[int(hits[0])]

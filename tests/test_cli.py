@@ -98,6 +98,14 @@ def test_learn_budget_override_fails_cleanly(runner, tmp_path):
     assert "max_candidates must be positive" in result.output
 
 
+def test_learn_rejects_a_nonpositive_eps_prime(runner, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    write_small_spec(spec_path)
+    result = runner.invoke(main, ["learn", "--config", str(spec_path), "--eps-prime", "0"])
+    assert result.exit_code == 2
+    assert "eps_prime must be a finite positive number" in result.output
+
+
 def test_learn_rejects_unknown_spec_key(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
     write_small_spec(spec_path)

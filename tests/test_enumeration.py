@@ -95,6 +95,31 @@ def test_raw_factory_shares_prefix_objects():
     assert len(runs) < len(stream)  # runs do share: the output rows vary fastest
 
 
+def _tuple_key(weights):
+    return tuple((w.shape, w.tobytes()) for w in weights)
+
+
+@pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.7), (3, 1, 0.5)])
+def test_raw_factory_is_the_unfiltered_stream_without_repeats(size, l, eps_prime, unfiltered_network_stream):
+    """Dedup drops exactly the later byte-duplicates of the clipped grid, and keeps the order."""
+    frame = Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]]))
+    cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
+    reference = unfiltered_network_stream(frame, eps_prime, size, l, 1.0)
+    seen, expected = set(), []
+    for ws in reference:
+        key = _tuple_key(ws)
+        if key not in seen:
+            seen.add(key)
+            expected.append(ws)
+    emitted = list(cands.raw_factory())
+    assert len(expected) < len(reference)  # clipping does collapse grid points here
+    assert len(emitted) == len(expected) <= cands.count_bound
+    for got, want in zip(emitted, expected):
+        assert len(got) == len(want)
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+    assert len({_tuple_key(ws) for ws in emitted}) == len(emitted)  # no two tuples byte-equal
+
+
 def test_network_budget_fails_fast():
     # the count bound is checked when the list is built, before any grid point
     with pytest.raises(BudgetError, match="network count bound 25 exceeds budget 10"):

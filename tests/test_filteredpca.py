@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relupca import filteredpca
-from relupca.enumeration import CandidateList, enumerate_networks
+from relupca.enumeration import CandidateList, enumerate_kickers, enumerate_networks
 from relupca.filteredpca import (
     GaussianOracle,
     LearnConfig,
     SampleSet,
     _final_search,
     _pred_chunks,
+    _scored,
     as_function,
     estimate_l2_error,
     filter_matrix,
@@ -186,6 +187,15 @@ def test_config_validation():
         LearnConfig(dim=4, k=5, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05)
     with pytest.raises(ValueError, match="max_candidates"):
         LearnConfig(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05, max_candidates=0)
+    # each of these was once accepted, and run() then failed without naming the
+    # field (or, with k = 1 and eps_prime = 0, certified without reading it)
+    for field, value in [
+        ("n_samples", 0), ("n_check", 0), ("final_select_samples", 0), ("n_samples", 2.5),
+        ("n_check", True), ("eps_prime", 0.0), ("eps_prime", math.nan), ("eps_prime", math.inf),
+        ("final_eps_prime", -1.0), ("final_eps_prime", 0.0),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LearnConfig(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05, **{field: value})
 
 
 # ---------------------------------------------------------------- recovery loop
@@ -367,9 +377,9 @@ def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
 # the same 100 output rows, the shape enumerate_networks streams.  Its layers
 # are random, not netted: clipping makes many grid candidates identical, and
 # identical candidates cannot show which of them a scan picked.  1 024
-# selection rows give chunks of 3 906, so the 12 000 candidates span four.
+# selection rows give terminal chunks of 976, so the 12 000 candidates span 13.
 _GRID_ROWS = 1024
-_GRID_CHUNK = 8_000_000 // (_GRID_ROWS * 2)
+_GRID_CHUNK = filteredpca._TERMINAL_CHUNK_ELEMS // (_GRID_ROWS * 2)
 _GRID_FRAME = Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]]))
 
 
@@ -416,8 +426,8 @@ def test_final_search_first_hit_matches_brute_force(monkeypatch):
     (hypothesis, _, certified, _), stream = _grid_search(monkeypatch, target, eps=1e-6)
     errs = _brute_force_errors(stream, GaussianOracle(target, 3).draw(_GRID_ROWS))
     hits = np.flatnonzero(errs <= 3e-6)
-    assert hits.tolist() == [5030, 5160]  # both in the second chunk, neither at its start
-    assert hits[0] // _GRID_CHUNK == hits[1] // _GRID_CHUNK == 1
+    assert hits.tolist() == [5030, 5160]  # both in the sixth chunk, neither at its start
+    assert hits[0] // _GRID_CHUNK == hits[1] // _GRID_CHUNK == 5
     assert certified
     assert _key(hypothesis.weights) == _key(stream[hits[0]])
 
@@ -445,3 +455,59 @@ def test_final_search_playoff_matches_brute_force(monkeypatch):
     playoff_errs = _brute_force_errors([stream[i] for i in order[:32]], oracle.draw(8 * _GRID_ROWS))
     winner = order[int(np.argmin(playoff_errs))]
     assert _key(hypothesis.weights) == scored[-1] == _key(stream[winner])
+
+
+def test_final_search_playoff_on_a_clipped_grid(monkeypatch, unfiltered_network_stream):
+    """On enumerate_networks' own grid, whose clipped points repeat, the playoff set is
+    32 distinct tuples and holds every tuple of the unfiltered stream's 32 best."""
+    w0 = np.random.default_rng(6).standard_normal((2, 2))
+    w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
+    target = ReluNetwork((w0 @ _GRID_FRAME.vectors, np.array([[1.0, -0.7]])))
+    scored = []
+
+    def recording_evaluate(net, x):
+        if net is not target:
+            scored.append(_key(net.weights))
+        return evaluate(net, x)
+
+    monkeypatch.setattr(filteredpca, "evaluate", recording_evaluate)
+    config = LearnConfig(
+        dim=4, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.01, delta=0.05, final_eps_prime=0.7,
+        final_select_samples=256, n_check=2_000,
+    )
+    _, _, _, reason = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
+    assert "playoff winner" in reason
+    playoff = scored[:-1]  # the last scored network is the winner's error check
+    assert len(playoff) == len(set(playoff)) == 32
+    reference = unfiltered_network_stream(_GRID_FRAME, 0.7, 2, 0, 1.0)
+    errs = _brute_force_errors(reference, GaussianOracle(target, 3).draw(256))
+    order = sorted(range(len(reference)), key=lambda i: (errs[i], i))
+    best = {_key(reference[i]) for i in order[:32]}
+    assert len(best) < 32  # the unfiltered 32 best repeat candidates
+    distinct = sorted({_key(ws): err for ws, err in zip(reference, errs)}.values())
+    assert distinct[31] - distinct[len(best) - 1] > 1e-9  # rounding cannot reorder the cut
+    assert best <= set(playoff)
+
+
+def test_scored_chunks_belong_to_the_caller(rng):
+    """Overwriting a yielded chunk changes neither a later scan nor a candidate's own state."""
+    x = rng.standard_normal((8, 4))
+    held = np.arange(8.0)  # a candidate that returns an array it keeps
+    kickers = list(enumerate_kickers(_GRID_FRAME, 0.9, 2, 1.0))[:20]
+    leaves = [sk.leaves.copy() for sk in kickers]
+    lists = [
+        enumerate_networks(_GRID_FRAME, 0.9, 2, 0, 1.0),
+        CandidateList(factory=lambda: iter(kickers), kind="kicker", eps_prime=0.9,
+                      frame=_GRID_FRAME, count_bound=len(kickers), meta={}),
+        CandidateList(factory=lambda: iter([lambda _x: held]), kind="callable", eps_prime=0.9,
+                      frame=_GRID_FRAME, count_bound=1, meta={}),
+    ]
+    for cands in lists:
+        before = [preds.copy() for _, preds in _scored(cands, x, 8 * 4)]
+        for _, preds in _scored(cands, x, 8 * 4):
+            preds[:] = np.nan
+        after = [preds for _, preds in _scored(cands, x, 8 * 4)]
+        assert len(after) == len(before)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert np.array_equal(held, np.arange(8.0))
+    assert all(np.array_equal(sk.leaves, v) for sk, v in zip(kickers, leaves))
