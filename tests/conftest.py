@@ -1,6 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from relupca.enumeration import architectures
+from relupca.subspace import epsilon_net_matrices
 
 settings.register_profile(
     "repro",
@@ -19,10 +24,6 @@ def rng():
 
 def _unfiltered_network_stream(frame, eps_prime, size, l, b):
     """enumerate_networks' stream before deduplication: every clipped grid point, in odometer order."""
-    import itertools
-
-    from relupca.enumeration import architectures
-    from relupca.subspace import epsilon_net_matrices
 
     def clip(mat):
         return np.where(np.abs(mat) <= eps_prime, 0.0, mat)

@@ -105,12 +105,10 @@ def test_raw_factory_is_the_unfiltered_stream_without_repeats(size, l, eps_prime
     frame = Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]]))
     cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
     reference = unfiltered_network_stream(frame, eps_prime, size, l, 1.0)
-    seen, expected = set(), []
+    first = {}
     for ws in reference:
-        key = _tuple_key(ws)
-        if key not in seen:
-            seen.add(key)
-            expected.append(ws)
+        first.setdefault(_tuple_key(ws), ws)
+    expected = list(first.values())  # in order of first occurrence
     emitted = list(cands.raw_factory())
     assert len(expected) < len(reference)  # clipping does collapse grid points here
     assert len(emitted) == len(expected) <= cands.count_bound
