@@ -6,11 +6,17 @@ Runs relupca.run() on every benchmark instance (bench/workloads.py, imported
 read-only) and on all ten criterion-7 seeds, with BLAS on one thread.  Each
 line is tab-separated: the instance; SHA-256 prefixes of the learned frame,
 of the hypothesis, of (eps_hat, certified, failure_reason, rows drawn) and of
-the trace; certified and eps_hat in plain text; and last the seconds run()
-took.  Two trees had identical outcomes when the lines agree on every field
-but the last:
+the trace; certified and eps_hat in plain text; the loop's decisions in plain
+text, "k=<directions found>" then "<scanned>:<accepted index>" per iteration;
+and last the seconds run() took.  Two trees had identical outcomes when the
+lines agree on every field but the last:
 
-    diff <(cut -f1-7 a.txt) <(cut -f1-7 b.txt)
+    diff <(cut -f1-8 a.txt) <(cut -f1-8 b.txt)
+
+A change that only moves rounding alters the hashes in their low bits but
+keeps the decisions:
+
+    diff <(cut -f1,6,8 a.txt) <(cut -f1,6,8 b.txt)
 """
 
 from __future__ import annotations
@@ -41,6 +47,12 @@ def digest(result, rows: int) -> list[str]:
     return [hashlib.sha256(p).hexdigest()[:12] for p in parts]
 
 
+def decisions(result) -> str:
+    """Directions found, then each iteration's candidates scanned and accepted index."""
+    steps = [f"{r.candidates_scanned}:{r.accepted_candidate}" for r in result.trace]
+    return " ".join([f"k={len(result.frame)}", *steps])
+
+
 def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads
@@ -55,7 +67,7 @@ def main() -> int:
         for inst in workloads.build(workload):
             result, seconds, rows = workloads.learn(inst)
             fields = [f"{name} {inst.label}", *digest(result, rows), str(result.certified),
-                      repr(result.eps_hat), f"{seconds:.2f}"]
+                      repr(result.eps_hat), decisions(result), f"{seconds:.2f}"]
             print("\t".join(fields), flush=True)
     return 0
 

@@ -24,7 +24,7 @@ __all__ = [
 
 @dataclass(eq=False)
 class CandidateList:
-    """Re-iterable lazy candidate sequence with provenance and a count bound.
+    """Re-iterable lazy candidate sequence with a count bound.
 
     Iterating calls factory() afresh, so the list can be scanned repeatedly
     with identical order.  raw_factory, when present, yields plain weight
@@ -43,11 +43,7 @@ class CandidateList:
     """
 
     factory: Callable[[], Iterator]
-    kind: str
-    eps_prime: float
-    frame: Frame
     count_bound: int
-    meta: dict
     raw_factory: Callable[[], Iterator] | None = None
 
     def __iter__(self):
@@ -94,14 +90,7 @@ def enumerate_kickers(
             for picks in tables:
                 yield SelectorKicker(leaves, dict(zip(types, picks)), frame)
 
-    return CandidateList(
-        factory=raw,
-        kind="kicker",
-        eps_prime=eps_prime,
-        frame=frame,
-        count_bound=bound,
-        meta={"num_leaves": num_leaves, "lam": lam, "net_size": len(vectors), "num_tables": len(tables)},
-    )
+    return CandidateList(factory=raw, count_bound=bound)
 
 
 def architectures(size: int, l: int) -> list[tuple[int, ...]]:
@@ -200,12 +189,4 @@ def enumerate_networks(
         for weights in raw_weights():
             yield ReluNetwork(weights)
 
-    return CandidateList(
-        factory=nets,
-        kind="network",
-        eps_prime=eps_prime,
-        frame=frame,
-        count_bound=bound,
-        meta={"size": size, "l": l, "b": b, "architectures": archs},
-        raw_factory=raw_weights,
-    )
+    return CandidateList(factory=nets, count_bound=bound, raw_factory=raw_weights)

@@ -17,7 +17,6 @@ from .network import ReluNetwork, evaluate, restrict, zero_network
 from .subspace import (
     Frame,
     approx_top_svd,
-    complement_project,
     extend_frame,
     project,
 )
@@ -110,13 +109,19 @@ def as_function(candidate):
     raise TypeError(f"cannot evaluate candidate of type {type(candidate).__name__}")
 
 
-def _masked_moment(x_comp: np.ndarray, q: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) * sum over masked rows of (x_comp x_comp^T - q), symmetrised."""
+def _masked_moment(x: np.ndarray, q: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
+    """The filtered second moment: (1/n) * (q X_m^T X_m q - |mask| q), symmetrised.
+
+    X_m = x[mask] holds the raw rows that pass the filter and q is a symmetric
+    projector, so this is (1/n) * sum over masked rows of (q x)(q x)^T - q
+    without forming q x for every row.  The one filtered-moment primitive:
+    filter_matrix, run() and the concentration check all call it.
+    """
     d = q.shape[0]
     if not np.any(mask):
         return np.zeros((d, d))
-    xm = x_comp[mask]
-    m = (xm.T @ xm - int(mask.sum()) * q) / n
+    xm = x[mask]
+    m = (q @ (xm.T @ xm) @ q - int(mask.sum()) * q) / n
     return (m + m.T) / 2.0
 
 
@@ -124,9 +129,10 @@ def filter_matrix(samples: SampleSet, frame: Frame, candidate, tau: float) -> np
     """Complement-projected second moment of the samples with residual above tau.
 
     Returns (1/N) * sum over {i : |y_i - candidate(P x_i)| > tau} of
-    (Q x_i)(Q x_i)^T - Q, with P the frame projector and Q = I - P.  Symmetric
-    by construction; directions inside the frame are annihilated (up to float
-    rounding).
+    (Q x_i)(Q x_i)^T - Q, with P the frame projector and Q = I - P.  The
+    candidate sees the projected rows, since it may be any callable; the moment
+    is _masked_moment of the raw rows with Q.  Symmetric by construction;
+    directions inside the frame are annihilated (up to float rounding).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -136,7 +142,7 @@ def filter_matrix(samples: SampleSet, frame: Frame, candidate, tau: float) -> np
     preds = np.asarray(f(project(frame, samples.x)), dtype=float).ravel()
     mask = np.abs(samples.y - preds) > tau
     q = np.eye(samples.dim) - frame.projector()
-    return _masked_moment(complement_project(frame, samples.x), q, mask, samples.n)
+    return _masked_moment(samples.x, q, mask, samples.n)
 
 
 def idealized_filter_matrix(oracle, true_net: ReluNetwork, frame: Frame, tau: float, n: int) -> np.ndarray:
@@ -162,8 +168,10 @@ class LearnConfig:
     never stored, so it cannot go stale.  c, acc_fraction, num_leaves and
     tau_quantile are fixed constants of the method, not fields.
     max_candidates caps every scan's candidate count bound (None: no cap).
-    Sample counts are integers of at least 1, and grid granularities are
-    finite and positive (final_eps_prime None: derived from eps).
+    Sizes and sample counts are integers (dim, size and the sample counts at
+    least 1, k and l at least 0, k at most dim).  b, lam and the grid
+    granularities are finite and positive, as is lambda_acc when given
+    (final_eps_prime None: derived from eps; lambda_acc None: calibrated).
     """
 
     c: ClassVar[float] = 2.0
@@ -191,14 +199,21 @@ class LearnConfig:
     final_select_samples: int = 256
 
     def __post_init__(self):
-        if self.dim < 1 or not 0 <= self.k <= self.dim:
-            raise ValueError("need 0 <= k <= dim")
-        if self.size < 1 or self.l < 0:
-            raise ValueError("need size >= 1 and l >= 0")
+        for name, low in (("dim", 1), ("k", 0), ("size", 1), ("l", 0),
+                          ("n_samples", 1), ("n_check", 1), ("final_select_samples", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        if self.k > self.dim:
+            raise ValueError(f"k must be at most dim = {self.dim}, got {self.k!r}")
         if not (0 < self.eps < 1 and 0 < self.delta < 1):
             raise ValueError("eps and delta must lie in (0, 1)")
-        if self.b <= 0 or self.lam <= 0:
-            raise ValueError("b and lam must be positive")
+        for name in ("b", "lam", "eps_prime", "final_eps_prime", "lambda_acc"):
+            value = getattr(self, name)
+            if value is None and name in ("final_eps_prime", "lambda_acc"):
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.candidate_mode not in ("network", "kicker"):
             raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
         if self.tau_mode not in ("formula", "quantile"):
@@ -207,16 +222,6 @@ class LearnConfig:
             raise ValueError(f"max_candidates must be positive or null, got {self.max_candidates!r}")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for name in ("n_samples", "n_check", "final_select_samples"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        for name in ("eps_prime", "final_eps_prime"):
-            value = getattr(self, name)
-            if name == "final_eps_prime" and value is None:
-                continue
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
     @property
     def tau(self) -> float:
@@ -321,13 +326,7 @@ def _pred_chunks(source, x: np.ndarray, elem_budget: int):
 def _zero_candidates(dim: int) -> CandidateList:
     net = zero_network(dim)
     return CandidateList(
-        factory=lambda: iter([net]),
-        kind="network",
-        eps_prime=0.0,
-        frame=Frame.empty(dim),
-        count_bound=1,
-        meta={"fixed": "zero"},
-        raw_factory=lambda: iter([net.weights]),
+        factory=lambda: iter([net]), count_bound=1, raw_factory=lambda: iter([net.weights])
     )
 
 
@@ -381,9 +380,9 @@ def _scored(candidates: CandidateList, x: np.ndarray, elem_budget: int):
         yield [cand], np.array(as_function(cand)(x), dtype=float).reshape(1, -1)
 
 
-def _iter_residuals(candidates: CandidateList, samples: SampleSet, x_proj: np.ndarray):
+def _iter_residuals(candidates: CandidateList, samples: SampleSet):
     """Yield each candidate's residual vector |y - prediction|, in stream order."""
-    for _payloads, preds in _scored(candidates, x_proj, _LOOP_CHUNK_ELEMS):
+    for _payloads, preds in _scored(candidates, samples.x, _LOOP_CHUNK_ELEMS):
         for row in preds:
             yield np.abs(samples.y - row)
 
@@ -429,18 +428,19 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
 
     for ell in range(config.k):
         samples = oracle.draw(config.n_samples)
-        x_proj = project(frame, samples.x)
-        x_comp = samples.x - x_proj
         q = np.eye(d) - frame.projector()
         accepted = None
         scanned = 0
         tau_used = config.tau
         try:
+            # Scoring the raw rows is exact up to rounding: every loop candidate
+            # reads x only through the frame (lifted W_0 rows and kicker leaves
+            # lie in its span, and the zero net ignores x), so f(x) = f(P x).
             candidates = _candidates(config, frame, config.eps_prime)
-            for idx, resid in enumerate(_iter_residuals(candidates, samples, x_proj)):
+            for idx, resid in enumerate(_iter_residuals(candidates, samples)):
                 scanned += 1
                 tau_used = _pick_tau(config, resid)
-                m = _masked_moment(x_comp, q, resid > tau_used, samples.n)
+                m = _masked_moment(samples.x, q, resid > tau_used, samples.n)
                 top = approx_top_svd(
                     lambda v: m @ v,
                     d,
@@ -462,7 +462,7 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
             trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, None))
             break
         finally:
-            del samples, x_proj, x_comp  # so the next draw does not hold two batches
+            del samples  # so the next draw does not hold two batches
         if accepted is None:
             trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, None))
             break

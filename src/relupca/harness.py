@@ -15,7 +15,7 @@ import numpy as np
 import scipy
 
 from .errors import BudgetError
-from .filteredpca import LearnConfig, as_function, gaussian_oracle, run
+from .filteredpca import LearnConfig, _masked_moment, as_function, gaussian_oracle, run
 from .lattice import LatticePolynomial, from_network, lattice_eval, perturb_leaves, structural_distance
 from .network import (
     Architecture,
@@ -124,29 +124,32 @@ def verify_stability(g: LatticePolynomial, g_prime: LatticePolynomial, f, tau, t
     }
 
 
-def _weighted_moment_stream(filter_fn, d: int, n: int, rng) -> np.ndarray:
-    """(1/n) sum_i f(x_i) (x_i x_i^T - I) over n fresh rows, chunked to bound memory."""
+def _filtered_moment_stream(filter_fn, d: int, n: int, rng) -> np.ndarray:
+    """_masked_moment with q = I over n fresh rows, summed chunk by chunk to bound memory."""
     chunk = max(1, 2_000_000 // d)
+    eye = np.eye(d)
     acc = np.zeros((d, d))
-    wsum = 0.0
     left = n
     while left > 0:
         take = min(chunk, left)
         x = rng.standard_normal((take, d))
-        w = np.asarray(filter_fn(x), dtype=float).ravel()
-        acc += x.T @ (x * w[:, None])
-        wsum += float(w.sum())
+        keep = np.asarray(filter_fn(x)).ravel()
+        if keep.shape != (take,) or not np.all((keep == 0) | (keep == 1)):
+            raise ValueError("filter_fn must return one indicator (bool or 0/1) per row")
+        acc += _masked_moment(x, eye, keep.astype(bool), n)
         left -= take
-    m = (acc - wsum * np.eye(d)) / n
-    return (m + m.T) / 2.0
+    return acc
 
 
 def verify_matrix_concentration(filter_fn, d, n_values, trials, seed=0, proxy_factor=100) -> dict:
     """Check that filtered-moment spectral error shrinks like sqrt(d/N).
 
-    The population matrix is proxied by a proxy_factor-times larger sample.
-    With two or more N values the log-log slope of the median error must be
-    -0.5 +/- 0.15; a single N just records the error level.
+    filter_fn maps an (N, d) batch to the filter's indicator, one bool or 0/1
+    per row; any other value raises ValueError.  The filtered moment is
+    (1/N) * sum over kept rows of (x x^T - I), the loop's _masked_moment with
+    no frame.  The population matrix is proxied by a proxy_factor-times larger
+    sample.  With two or more N values the log-log slope of the median error
+    must be -0.5 +/- 0.15; a single N just records the error level.
     """
     n_list = sorted(int(v) for v in np.atleast_1d(n_values))
     if not n_list or n_list[0] < 1 or trials < 1:
@@ -154,10 +157,10 @@ def verify_matrix_concentration(filter_fn, d, n_values, trials, seed=0, proxy_fa
     rng = np.random.default_rng(seed)
     medians = []
     for n in n_list:
-        pop = _weighted_moment_stream(filter_fn, d, proxy_factor * n, rng)
+        pop = _filtered_moment_stream(filter_fn, d, proxy_factor * n, rng)
         errs = []
         for _ in range(trials):
-            emp = _weighted_moment_stream(filter_fn, d, n, rng)
+            emp = _filtered_moment_stream(filter_fn, d, n, rng)
             errs.append(float(np.max(np.abs(np.linalg.eigvalsh(emp - pop)))))
         medians.append(float(np.median(errs)))
     slope = None

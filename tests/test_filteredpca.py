@@ -11,6 +11,7 @@ from relupca.filteredpca import (
     LearnConfig,
     SampleSet,
     _final_search,
+    _masked_moment,
     _pred_chunks,
     _scored,
     as_function,
@@ -22,7 +23,7 @@ from relupca.filteredpca import (
 )
 from relupca.harness import make_instance
 from relupca.network import ReluNetwork, evaluate, zero_network
-from relupca.subspace import Frame, chordal_distance
+from relupca.subspace import Frame, chordal_distance, complement_project, project
 
 
 def abs_net(v):
@@ -166,6 +167,38 @@ def test_empty_mask_gives_zero_matrix():
     assert np.all(m == 0.0)
 
 
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_masked_moment_matches_the_complement_reference(ell, rng):
+    """q (X_m^T X_m) q on raw rows equals the moment of the complement-projected rows."""
+    d, n = 6, 500
+    x = rng.standard_normal((n, d))
+    frame = Frame.from_span(rng.standard_normal((ell, d))) if ell else Frame.empty(d)
+    q = np.eye(d) - frame.projector()
+    xc = complement_project(frame, x)
+    for mask in (np.zeros(n, bool), np.ones(n, bool), rng.uniform(size=n) < 0.3):
+        ref = (xc[mask].T @ xc[mask] - int(mask.sum()) * q) / n
+        got = _masked_moment(x, q, mask, n)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(got, got.T)
+
+
+def test_loop_candidates_score_raw_rows_as_projected_rows(rng):
+    """Every loop candidate reads x only through the frame, so run() may score the raw rows."""
+    frame = Frame.from_span(rng.standard_normal((2, 5)))
+    x = rng.standard_normal((300, 5))
+    x_proj = project(frame, x)
+    grids = [
+        enumerate_networks(frame, 0.9, 2, 0, 1.0),
+        enumerate_networks(frame, 0.9, 2, 1, 1.0),
+        enumerate_kickers(frame, 0.9, 2, 1.0),
+    ]
+    for cands in grids:
+        raw = np.concatenate([p for _, p in _scored(cands, x, filteredpca._LOOP_CHUNK_ELEMS)])
+        proj = np.concatenate([p for _, p in _scored(cands, x_proj, filteredpca._LOOP_CHUNK_ELEMS)])
+        assert raw.shape == proj.shape and raw.shape[0] > 1
+        assert np.max(np.abs(raw - proj)) <= 1e-12
+
+
 # ---------------------------------------------------------------- configuration
 
 def test_threshold_formula():
@@ -192,10 +225,13 @@ def test_config_validation():
     for field, value in [
         ("n_samples", 0), ("n_check", 0), ("final_select_samples", 0), ("n_samples", 2.5),
         ("n_check", True), ("eps_prime", 0.0), ("eps_prime", math.nan), ("eps_prime", math.inf),
-        ("final_eps_prime", -1.0), ("final_eps_prime", 0.0),
+        ("final_eps_prime", -1.0), ("final_eps_prime", 0.0), ("b", math.nan), ("b", math.inf),
+        ("lam", math.nan), ("dim", 4.5), ("size", 2.5), ("l", 0.5), ("k", True),
+        ("lambda_acc", -1.0), ("lambda_acc", math.nan),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            LearnConfig(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05, **{field: value})
+            base = dict(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05)
+            LearnConfig(**{**base, field: value})
 
 
 # ---------------------------------------------------------------- recovery loop
@@ -398,8 +434,8 @@ def _grid_search(monkeypatch, target, eps):
     firsts, tails = _grid_layers()
     stream = [(w0, t) for w0 in firsts for t in tails]
     grid = CandidateList(
-        factory=lambda: (ReluNetwork(ws) for ws in stream), kind="network", eps_prime=0.5,
-        frame=_GRID_FRAME, count_bound=len(stream), meta={}, raw_factory=lambda: iter(stream),
+        factory=lambda: (ReluNetwork(ws) for ws in stream), count_bound=len(stream),
+        raw_factory=lambda: iter(stream),
     )
     monkeypatch.setattr(filteredpca, "enumerate_networks", lambda *args, **kwargs: grid)
     config = LearnConfig(
@@ -497,10 +533,8 @@ def test_scored_chunks_belong_to_the_caller(rng):
     leaves = [sk.leaves.copy() for sk in kickers]
     lists = [
         enumerate_networks(_GRID_FRAME, 0.9, 2, 0, 1.0),
-        CandidateList(factory=lambda: iter(kickers), kind="kicker", eps_prime=0.9,
-                      frame=_GRID_FRAME, count_bound=len(kickers), meta={}),
-        CandidateList(factory=lambda: iter([lambda _x: held]), kind="callable", eps_prime=0.9,
-                      frame=_GRID_FRAME, count_bound=1, meta={}),
+        CandidateList(factory=lambda: iter(kickers), count_bound=len(kickers)),
+        CandidateList(factory=lambda: iter([lambda _x: held]), count_bound=1),
     ]
     for cands in lists:
         before = [preds.copy() for _, preds in _scored(cands, x, 8 * 4)]

@@ -116,6 +116,13 @@ def test_moment_error_zero_filter_degenerate_case():
     assert frag["median_errors"] == [0.0, 0.0]
 
 
+def test_moment_filter_must_return_an_indicator():
+    with pytest.raises(ValueError, match="filter_fn"):
+        verify_matrix_concentration(
+            lambda x: np.full(x.shape[0], 0.5), d=4, n_values=[100], trials=1, seed=0
+        )
+
+
 # ---------------------------------------------------------------- slab search
 
 def test_lipschitz_gap_zero_when_frame_covers_truth():
