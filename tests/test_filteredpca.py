@@ -220,6 +220,7 @@ def test_config_validation():
         LearnConfig(dim=4, k=5, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05)
     with pytest.raises(ValueError, match="max_candidates"):
         LearnConfig(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05, max_candidates=0)
+    base = dict(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05)
     # each of these was once accepted, and run() then failed without naming the
     # field (or, with k = 1 and eps_prime = 0, certified without reading it)
     for field, value in [
@@ -230,7 +231,6 @@ def test_config_validation():
         ("lambda_acc", -1.0), ("lambda_acc", math.nan),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            base = dict(dim=4, k=1, size=2, l=0, b=1.0, lam=1.0, eps=0.1, delta=0.05)
             LearnConfig(**{**base, field: value})
 
 
