@@ -5,13 +5,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
 from .errors import BudgetError
 from .lattice import SelectorKicker, all_order_types
-from .network import ReluNetwork
 from .subspace import Frame, epsilon_net_ball, epsilon_net_bound, epsilon_net_matrices
 
 __all__ = [
@@ -24,16 +23,15 @@ __all__ = [
 
 @dataclass(eq=False)
 class CandidateList:
-    """Re-iterable lazy candidate sequence with a count bound.
+    """Re-iterable lazy stream of candidate payloads with a count bound.
 
     Iterating calls factory() afresh, so the list can be scanned repeatedly
-    with identical order.  raw_factory, when present, yields plain weight
-    tuples (W_0, ..., W_L, w_out), one per candidate in the same order, for
-    batched evaluation of network candidates.  count_bound is an upper bound
-    on the number of candidates emitted, and the one figure a budget
-    (max_candidates) is checked against; a network grid emits each distinct
-    clipped weight tuple once, at its first grid position, so it can emit
-    fewer.
+    with identical order.  A payload is a weight tuple (W_0, ..., W_L, w_out)
+    for a network grid or the zero net, and a SelectorKicker for a kicker
+    grid.  count_bound is an upper bound on the number of payloads emitted,
+    and the one figure a budget (max_candidates) is checked against; a network
+    grid emits each distinct clipped weight tuple once, at its first grid
+    position, so it can emit fewer.
 
     Shared-prefix contract: consecutive tuples that share a layer prefix hold
     the same array objects for it, so an evaluator can tell a shared prefix by
@@ -44,7 +42,7 @@ class CandidateList:
 
     factory: Callable[[], Iterator]
     count_bound: int
-    raw_factory: Callable[[], Iterator] | None = None
+    raw_factory: ClassVar[None] = None  # read by bench/tracing.py until the next benchmark change
 
     def __iter__(self):
         return self.factory()
@@ -127,7 +125,7 @@ def enumerate_networks(
     b: float,
     max_candidates: int | None = 10_000_000,
 ) -> CandidateList:
-    """Candidate networks over the frame: every architecture, per-layer matrix grids.
+    """Candidate network weight tuples over the frame: every architecture, per-layer matrix grids.
 
     First-layer matrices are netted in frame coordinates (k_0 x ell) and lifted
     through the frame.  Every netted entry is clipped at eps_prime, so emitted
@@ -140,7 +138,7 @@ def enumerate_networks(
     in the same order.  count_bound counts the unfiltered product, so it
     bounds the emitted count from above, and max_candidates caps that bound.
 
-    raw_factory walks each architecture's layer grids as an odometer with the
+    The factory walks each architecture's layer grids as an odometer with the
     output row fastest, and yields the same array object for a layer every
     time it repeats: each lifted W_0 appears in one run of consecutive tuples
     that covers all of its tails, and within it each deeper prefix
@@ -185,8 +183,4 @@ def enumerate_networks(
                 for tail in itertools.product(*rest):
                     yield (lifted, *tail)
 
-    def nets():
-        for weights in raw_weights():
-            yield ReluNetwork(weights)
-
-    return CandidateList(factory=nets, count_bound=bound, raw_factory=raw_weights)
+    return CandidateList(factory=raw_weights, count_bound=bound)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .enumeration import CandidateList, enumerate_kickers, enumerate_networks
 from .errors import BudgetError
-from .lattice import SelectorKicker, selector_eval
+from .lattice import LatticePolynomial, SelectorKicker, lattice_eval, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
 from .subspace import (
     Frame,
@@ -99,11 +99,13 @@ def gaussian_oracle(net: ReluNetwork, seed: int) -> GaussianOracle:
 
 
 def as_function(candidate):
-    """Uniform batched-callable view of a candidate (network, selector, or callable)."""
+    """Uniform batched-callable view of a candidate (network, selector, lattice, or callable)."""
     if isinstance(candidate, ReluNetwork):
         return lambda x: evaluate(candidate, x)
     if isinstance(candidate, SelectorKicker):
         return lambda x: selector_eval(candidate, x)
+    if isinstance(candidate, LatticePolynomial):
+        return lambda x: lattice_eval(candidate, x)
     if callable(candidate):
         return candidate
     raise TypeError(f"cannot evaluate candidate of type {type(candidate).__name__}")
@@ -167,7 +169,8 @@ class LearnConfig:
     tau_mode="quantile", from the per-candidate residual distribution) and
     never stored, so it cannot go stale.  c, acc_fraction, num_leaves and
     tau_quantile are fixed constants of the method, not fields.
-    max_candidates caps every scan's candidate count bound (None: no cap).
+    max_candidates, an integer of at least 1, caps every scan's candidate count
+    bound (None: no cap).
     Sizes and sample counts are integers (dim, size and the sample counts at
     least 1, k and l at least 0, k at most dim).  b, lam and the grid
     granularities are finite and positive, as is lambda_acc when given
@@ -218,8 +221,9 @@ class LearnConfig:
             raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
         if self.tau_mode not in ("formula", "quantile"):
             raise ValueError(f"unknown tau mode {self.tau_mode!r}")
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise ValueError(f"max_candidates must be positive or null, got {self.max_candidates!r}")
+        mc = self.max_candidates
+        if mc is not None and (not isinstance(mc, numbers.Integral) or isinstance(mc, bool) or mc < 1):
+            raise ValueError(f"max_candidates must be positive (an integer of at least 1) or null, got {mc!r}")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
@@ -291,43 +295,9 @@ def _stacked_preds(batch: list, starts: list[int], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pred_chunks(source, x: np.ndarray, elem_budget: int):
-    """Group a stream of weight tuples into chunks and evaluate them.
-
-    A chunk takes tuples while the sum of N * (widest hidden layer) stays
-    within elem_budget (at least one tuple).  Consecutive tuples whose hidden
-    layers are the same objects share their evaluation (see CandidateList);
-    a stream that shares nothing is scored one tuple per run.  Yields (list
-    of weight tuples, (C, N) prediction matrix) pairs in stream order, so
-    scanning chunk by chunk preserves first-hit semantics.
-    """
-    n = x.shape[0]
-    buf: list = []
-    starts: list[int] = []
-    used = 0
-    hidden: tuple = ()
-    cost = 0
-    for ws in source:
-        new_run = len(ws) != len(hidden) + 1 or not all(map(operator.is_, ws, hidden))
-        if new_run:
-            hidden = ws[:-1]
-            cost = n * max(w.shape[0] for w in hidden)
-        if buf and used + cost > elem_budget:
-            yield buf, _stacked_preds(buf, starts, x)
-            buf, starts, used = [], [], 0
-        if new_run or not buf:
-            starts.append(len(buf))
-        buf.append(ws)
-        used += cost
-    if buf:
-        yield buf, _stacked_preds(buf, starts, x)
-
-
 def _zero_candidates(dim: int) -> CandidateList:
-    net = zero_network(dim)
-    return CandidateList(
-        factory=lambda: iter([net]), count_bound=1, raw_factory=lambda: iter([net.weights])
-    )
+    weights = zero_network(dim).weights
+    return CandidateList(factory=lambda: iter([weights]), count_bound=1)
 
 
 def _candidates(config: LearnConfig, frame: Frame, eps_prime: float) -> CandidateList:
@@ -365,19 +335,41 @@ _LOOP_CHUNK_ELEMS = 8_000_000
 _TERMINAL_CHUNK_ELEMS = 2_000_000
 
 
-def _scored(candidates: CandidateList, x: np.ndarray, elem_budget: int):
-    """Yield (payloads, (C, N) predictions at x) in stream order.
+def _scored(payloads, x: np.ndarray, elem_budget: int):
+    """Yield (payloads, (C, N) predictions at x) in stream order: the one scorer.
 
-    Weight tuples from raw_factory are evaluated in chunks of at most
-    elem_budget elements by _pred_chunks, other candidates one at a time.
-    Scanning chunk by chunk keeps first-hit order.  The caller owns every
-    prediction array yielded and may overwrite it.
+    Weight tuples are grouped into chunks while the sum of N * (widest hidden
+    layer) stays within elem_budget (at least one tuple).  Consecutive tuples
+    whose hidden layers are the same objects share their evaluation (see
+    CandidateList); a stream that shares nothing is scored one tuple per run.
+    Any other payload closes the open chunk and is scored alone through
+    as_function.  Scanning chunk by chunk keeps first-hit order.  The caller
+    owns every prediction array yielded and may overwrite it.
     """
-    if candidates.raw_factory is not None:
-        yield from _pred_chunks(candidates.raw_factory(), x, elem_budget)
-        return
-    for cand in candidates:  # np.array copies: a candidate may return an array it keeps
-        yield [cand], np.array(as_function(cand)(x), dtype=float).reshape(1, -1)
+    n = x.shape[0]
+    buf: list = []
+    starts: list[int] = []
+    used = 0
+    hidden: tuple = ()
+    cost = 0
+    for p in payloads:
+        single = not isinstance(p, tuple)
+        new_run = not single and (len(p) != len(hidden) + 1 or not all(map(operator.is_, p, hidden)))
+        if new_run:
+            hidden = p[:-1]
+            cost = n * max(w.shape[0] for w in hidden)
+        if buf and (single or used + cost > elem_budget):
+            yield buf, _stacked_preds(buf, starts, x)
+            buf, starts, used = [], [], 0
+        if single:  # np.array copies: a candidate may return an array it keeps
+            yield [p], np.array(as_function(p)(x), dtype=float).reshape(1, -1)
+            continue
+        if new_run or not buf:
+            starts.append(len(buf))
+        buf.append(p)
+        used += cost
+    if buf:
+        yield buf, _stacked_preds(buf, starts, x)
 
 
 def _iter_residuals(candidates: CandidateList, samples: SampleSet):

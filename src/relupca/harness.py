@@ -53,12 +53,6 @@ C_AC_DEFAULT = 1.0
 SUITES = ("anti_concentration", "stability", "matrix_concentration", "lipschitz_key")
 
 
-def _eval_any(obj, x: np.ndarray) -> np.ndarray:
-    if isinstance(obj, LatticePolynomial):
-        return lattice_eval(obj, x)
-    return np.asarray(as_function(obj)(x), dtype=float).ravel()
-
-
 def verify_anti_concentration(g, s, m, lam, sigma2, trials, seed=0, c_ac=C_AC_DEFAULT) -> dict:
     """Check the Gaussian tail-mass lower bound for a piecewise-linear function.
 
@@ -71,7 +65,7 @@ def verify_anti_concentration(g, s, m, lam, sigma2, trials, seed=0, c_ac=C_AC_DE
         raise ValueError("need s >= 0, lam > 0, sigma2 > 0")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((trials, m)) * math.sqrt(sigma2)
-    vals = _eval_any(g, x)
+    vals = as_function(g)(x)
     estimate = float(np.mean(np.abs(vals) > s))
     bound = c_ac * math.exp(-3.0 * m * s * s / sigma2) * s * math.sqrt(sigma2) / (math.sqrt(m) * lam * lam)
     return {
@@ -105,7 +99,7 @@ def verify_stability(g: LatticePolynomial, g_prime: LatticePolynomial, f, tau, t
     x = rng.standard_normal((trials, g.dim))
     gv = lattice_eval(g, x)
     gpv = lattice_eval(g_prime, x)
-    fv = _eval_any(f, x)
+    fv = as_function(f)(x)
     event = (np.abs(gv - fv) > tau) & (np.abs(gpv - fv) <= tau)
     estimate = float(np.mean(event))
     std = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
@@ -144,13 +138,16 @@ def _filtered_moment_stream(filter_fn, d: int, n: int, rng) -> np.ndarray:
 def verify_matrix_concentration(filter_fn, d, n_values, trials, seed=0, proxy_factor=100) -> dict:
     """Check that filtered-moment spectral error shrinks like sqrt(d/N).
 
-    filter_fn maps an (N, d) batch to the filter's indicator, one bool or 0/1
-    per row; any other value raises ValueError.  The filtered moment is
-    (1/N) * sum over kept rows of (x x^T - I), the loop's _masked_moment with
-    no frame.  The population matrix is proxied by a proxy_factor-times larger
-    sample.  With two or more N values the log-log slope of the median error
-    must be -0.5 +/- 0.15; a single N just records the error level.
+    d is an integer of at least 1.  filter_fn maps an (N, d) batch to the
+    filter's indicator, one bool or 0/1 per row; any other value raises
+    ValueError.  The filtered moment is (1/N) * sum over kept rows of
+    (x x^T - I), the loop's _masked_moment with no frame.  The population
+    matrix is proxied by a proxy_factor-times larger sample.  With two or more
+    N values the log-log slope of the median error must be -0.5 +/- 0.15; a
+    single N just records the error level.
     """
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
+        raise ValueError(f"d must be an integer of at least 1, got {d!r}")
     n_list = sorted(int(v) for v in np.atleast_1d(n_values))
     if not n_list or n_list[0] < 1 or trials < 1:
         raise ValueError("need positive sample sizes and trials >= 1")

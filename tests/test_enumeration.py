@@ -47,44 +47,38 @@ def test_network_candidates_exact_count_on_scalar_layers():
     assert cands.count_bound == 25
     emitted = list(cands)
     assert len(emitted) == 25
-    assert all(isinstance(net, ReluNetwork) for net in emitted)
+    assert all(isinstance(ws, tuple) and ReluNetwork(ws).hidden_widths == (1,) for ws in emitted)
 
 
 def test_network_candidates_live_on_the_frame(rng):
     cands = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0)
     x = rng.standard_normal((16, 3))
     on_frame = x @ LINE.projector().T
-    for net in cands:
+    for ws in cands:
+        net = ReluNetwork(ws)
         assert net.input_dim == 3
         assert np.allclose(evaluate(net, x), evaluate(net, on_frame), atol=1e-12)
 
 
 def test_network_candidate_entries_clipped():
     cands = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0)
-    for net in cands:
-        for w in net.weights[1:]:
+    for ws in cands:
+        for w in ws[1:]:
             nz = w[np.abs(w) > 0]
             assert np.all(np.abs(nz) > 0.5)
 
 
 def test_candidate_list_is_reiterable():
     cands = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0)
-    first = [tuple(w.tobytes() for w in net.weights) for net in cands]
-    second = [tuple(w.tobytes() for w in net.weights) for net in cands]
+    first = [tuple(w.tobytes() for w in ws) for ws in cands]
+    second = [tuple(w.tobytes() for w in ws) for ws in cands]
     assert first == second
-
-
-def test_raw_factory_matches_wrapped_networks():
-    cands = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0)
-    for net, weights in zip(cands, cands.raw_factory()):
-        for a, b in zip(net.weights, weights):
-            assert np.array_equal(a, b)
 
 
 def test_raw_factory_shares_prefix_objects():
     # the CandidateList contract: each layer prefix is one run of the same array objects
     frame = Frame.from_span(np.array([[1.0, 0.0]]))
-    stream = list(enumerate_networks(frame, eps_prime=0.9, size=3, l=1, b=1.0).raw_factory())
+    stream = list(enumerate_networks(frame, eps_prime=0.9, size=3, l=1, b=1.0))
     for depth in (1, 2):
         runs = [stream[0][:depth]]
         for prev, ws in zip(stream, stream[1:]):
@@ -109,7 +103,7 @@ def test_raw_factory_is_the_unfiltered_stream_without_repeats(size, l, eps_prime
     for ws in reference:
         first.setdefault(_tuple_key(ws), ws)
     expected = list(first.values())  # in order of first occurrence
-    emitted = list(cands.raw_factory())
+    emitted = list(cands)
     assert len(expected) < len(reference)  # clipping does collapse grid points here
     assert len(emitted) == len(expected) <= cands.count_bound
     for got, want in zip(emitted, expected):
@@ -131,7 +125,7 @@ def test_network_budget_fails_fast():
 def test_deep_candidates_cover_both_architectures():
     frame = Frame.from_span(np.array([[1.0, 0.0]]))
     cands = enumerate_networks(frame, eps_prime=0.9, size=3, l=1, b=1.0)
-    widths = {net.hidden_widths for net in cands}
+    widths = {ReluNetwork(ws).hidden_widths for ws in cands}
     assert widths == {(1, 2), (2, 1)}
 
 

@@ -12,7 +12,6 @@ from relupca.filteredpca import (
     SampleSet,
     _final_search,
     _masked_moment,
-    _pred_chunks,
     _scored,
     as_function,
     estimate_l2_error,
@@ -228,7 +227,8 @@ def test_config_validation():
         ("n_check", True), ("eps_prime", 0.0), ("eps_prime", math.nan), ("eps_prime", math.inf),
         ("final_eps_prime", -1.0), ("final_eps_prime", 0.0), ("b", math.nan), ("b", math.inf),
         ("lam", math.nan), ("dim", 4.5), ("size", 2.5), ("l", 0.5), ("k", True),
-        ("lambda_acc", -1.0), ("lambda_acc", math.nan),
+        ("lambda_acc", -1.0), ("lambda_acc", math.nan), ("max_candidates", math.nan),
+        ("max_candidates", 2.5), ("max_candidates", True), ("max_candidates", math.inf),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             LearnConfig(**{**base, field: value})
@@ -365,7 +365,11 @@ def test_constants_are_recorded():
 
 @given(st.data())
 def test_pred_chunks_match_reference_evaluation(data):
-    """Every chunk row equals evaluate() on its tuple; payloads come back in input order."""
+    """Every chunk row equals evaluate() on its tuple or as_function() on any other payload.
+
+    Payloads come back in input order, and one that is not a weight tuple comes
+    back alone, also where it breaks a run whose prefix objects continue after it.
+    """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     d = data.draw(st.integers(1, 4), label="d")
     x = rng.standard_normal((data.draw(st.integers(1, 6), label="rows"), d))
@@ -381,26 +385,34 @@ def test_pred_chunks_match_reference_evaluation(data):
         for _ in range(data.draw(st.integers(1, 5), label="tuples")):
             hidden = [w if j < shared else rng.standard_normal(w.shape) for j, w in enumerate(prefix)]
             stream.append((*hidden, rng.standard_normal((1, widths[-1]))))
+    kickers = list(enumerate_kickers(Frame.from_span(rng.standard_normal((1, d))), 0.9, 2, 1.0))
+    v = rng.standard_normal(d)
+    others = [kickers[data.draw(st.integers(0, len(kickers) - 1), label="kicker")], lambda z: z @ v]
+    breaks = data.draw(st.lists(st.integers(0, len(stream)), max_size=4), label="breaks")
+    for at in sorted(breaks, reverse=True):  # may split a run: its prefix objects go on after
+        stream.insert(at, others[data.draw(st.integers(0, 1), label="other")])
     budget = len(x) * data.draw(st.integers(1, 8), label="budget widths")  # chunk edges fall mid-run
     payloads, rows = [], []
-    for chunk, preds in _pred_chunks(iter(stream), x, elem_budget=budget):
+    for chunk, preds in _scored(iter(stream), x, elem_budget=budget):
         assert preds.shape == (len(chunk), len(x))
+        assert len(chunk) == 1 or all(isinstance(p, tuple) for p in chunk)
         payloads += chunk
         rows.extend(preds)
     assert len(payloads) == len(stream)
     assert all(p is q for p, q in zip(payloads, stream))
-    for ws, row in zip(stream, rows):
-        np.testing.assert_allclose(row, evaluate(ReluNetwork(ws), x), rtol=0, atol=1e-12)
+    for p, row in zip(stream, rows):
+        want = evaluate(ReluNetwork(p), x) if isinstance(p, tuple) else as_function(p)(x)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.9), (3, 1, 1.5), (3, 2, 0.9)])
 def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
     """The same check on enumerate_networks' own streams, whose runs share first layers."""
     frame = Frame.from_span(rng.standard_normal((2, 4)))
-    stream = list(enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None).raw_factory())
+    stream = list(enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None))
     x = rng.standard_normal((5, 4))
     done = 0
-    for chunk, preds in _pred_chunks(iter(stream), x, elem_budget=5 * 50):
+    for chunk, preds in _scored(iter(stream), x, elem_budget=5 * 50):
         for ws, row in zip(chunk, preds):
             assert ws is stream[done]
             np.testing.assert_allclose(row, evaluate(ReluNetwork(ws), x), rtol=0, atol=1e-12)
@@ -433,10 +445,7 @@ def _grid_search(monkeypatch, target, eps):
     """_final_search over the product grid (oracle seed 3); returns (its result, the stream)."""
     firsts, tails = _grid_layers()
     stream = [(w0, t) for w0 in firsts for t in tails]
-    grid = CandidateList(
-        factory=lambda: (ReluNetwork(ws) for ws in stream), count_bound=len(stream),
-        raw_factory=lambda: iter(stream),
-    )
+    grid = CandidateList(factory=lambda: iter(stream), count_bound=len(stream))
     monkeypatch.setattr(filteredpca, "enumerate_networks", lambda *args, **kwargs: grid)
     config = LearnConfig(
         dim=4, k=2, size=2, l=0, b=1.0, lam=1.0, eps=eps, delta=0.05,

@@ -121,6 +121,9 @@ def test_moment_filter_must_return_an_indicator():
         verify_matrix_concentration(
             lambda x: np.full(x.shape[0], 0.5), d=4, n_values=[100], trials=1, seed=0
         )
+    for d in (0, 2.5, -1, True):  # once a ZeroDivisionError, TypeError or numpy's own error
+        with pytest.raises(ValueError, match="^d must be"):
+            verify_matrix_concentration(lambda x: np.ones(x.shape[0]), d=d, n_values=[100], trials=1)
 
 
 # ---------------------------------------------------------------- slab search
