@@ -25,32 +25,14 @@ __all__ = [
 ]
 
 
-def operator_norm(mat, rel_tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value, computed by power iteration on A^T A.
-
-    Deterministic: the iteration starts from a fixed seeded Gaussian vector and
-    stops once the estimate moves by at most rel_tol relatively.
-    """
+def operator_norm(mat) -> float:
+    """Largest singular value of a matrix (LAPACK SVD); 0.0 for an empty one."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
-    if a.size == 0 or not np.any(a):
+    if a.size == 0:
         return 0.0
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = a.T @ (a @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        sigma_new = float(np.linalg.norm(a @ v))
-        if abs(sigma_new - sigma) <= rel_tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+    return float(np.linalg.norm(a, 2))
 
 
 @dataclass(frozen=True)
