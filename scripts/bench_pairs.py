@@ -7,8 +7,10 @@ Each pair runs ``bench/run.py --trace 0`` once on each tree, with the parent
 first in even pairs and this tree first in odd ones, and the benchmark's own
 run length.  For every end-to-end metric the file gets each side's runs in
 pair order, their median and quartiles, and the number of pairs the change
-won (ties count for neither side).  Every child runs with BLAS on one
-thread, as in scripts/bench_record.py.  Standard library only.
+won (ties count for neither side).  The runs go under the key
+``pairs_<workload>``, so one file holds the pairs of several workloads.
+Every child runs with BLAS on one thread, as in scripts/bench_record.py.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def main(argv=None) -> int:
         wins = sum(sign * (c - q) < 0 for q, c in zip(parent["runs"], change["runs"]))
         metrics[name] = {"unit": m["unit"], "parent": parent, "change": change, "change_wins": wins}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["pairs"] = {
+    doc[f"pairs_{args.workload}"] = {
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs, "trace": 0,
         "order": "parent first in even pairs, change first in odd pairs",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",

@@ -223,7 +223,7 @@ class LearnConfig:
             raise ValueError(f"unknown tau mode {self.tau_mode!r}")
         mc = self.max_candidates
         if mc is not None and (not isinstance(mc, numbers.Integral) or isinstance(mc, bool) or mc < 1):
-            raise ValueError(f"max_candidates must be positive (an integer of at least 1) or null, got {mc!r}")
+            raise ValueError(f"max_candidates must be positive (an integer >= 1) or null, got {mc!r}")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
