@@ -36,12 +36,15 @@ def random_net(rng, widths=(3, 2), d=4):
 def test_operator_norm_matches_dense_svd(rng):
     for _ in range(20):
         a = rng.standard_normal((rng.integers(1, 8), rng.integers(1, 8)))
-        exact = np.linalg.norm(a, 2)
+        exact = np.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])  # not the SVD operator_norm calls
         assert operator_norm(a) == pytest.approx(exact, rel=1e-8, abs=1e-12)
 
 
 def test_operator_norm_zero_matrix():
     assert operator_norm(np.zeros((3, 2))) == 0.0
+    assert operator_norm(np.zeros((0, 3))) == 0.0
+    with pytest.raises(ValueError, match="matrix"):
+        operator_norm(np.ones(3))
 
 
 # ---------------------------------------------------------------- construction
