@@ -65,7 +65,7 @@ def verify_anti_concentration(g, s, m, lam, sigma2, trials, seed=0, c_ac=C_AC_DE
         raise ValueError("need s >= 0, lam > 0, sigma2 > 0")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((trials, m)) * math.sqrt(sigma2)
-    vals = as_function(g)(x)
+    vals = np.ravel(as_function(g)(x))
     estimate = float(np.mean(np.abs(vals) > s))
     bound = c_ac * math.exp(-3.0 * m * s * s / sigma2) * s * math.sqrt(sigma2) / (math.sqrt(m) * lam * lam)
     return {
@@ -99,7 +99,7 @@ def verify_stability(g: LatticePolynomial, g_prime: LatticePolynomial, f, tau, t
     x = rng.standard_normal((trials, g.dim))
     gv = lattice_eval(g, x)
     gpv = lattice_eval(g_prime, x)
-    fv = as_function(f)(x)
+    fv = np.ravel(as_function(f)(x))  # a column of values must not broadcast against gv
     event = (np.abs(gv - fv) > tau) & (np.abs(gpv - fv) <= tau)
     estimate = float(np.mean(event))
     std = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)

@@ -21,7 +21,7 @@ from relupca.harness import (
     write_csv,
 )
 from relupca.lattice import from_network, perturb_leaves
-from relupca.network import ReluNetwork, operator_norm
+from relupca.network import ReluNetwork, evaluate, operator_norm
 from relupca.subspace import Frame, chordal_distance
 
 
@@ -71,6 +71,10 @@ def test_stability_for_perturbed_pair(rng):
     same = verify_stability(base, base, base, tau=1.0, trials=1_000, seed=0)
     assert same["estimate"] == 0.0
     assert same["passed"]
+    # a callable that returns a column holds one value per row, as the network does
+    column = lambda x: evaluate(net, x)[:, None]  # noqa: E731
+    estimates = [verify_stability(near, base, f, tau=1.0, trials=2_000, seed=0) for f in (net, column)]
+    assert estimates[0]["estimate"] == estimates[1]["estimate"]
 
 
 def test_stability_requires_aligned_structures(rng):
