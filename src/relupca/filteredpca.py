@@ -353,17 +353,20 @@ def _scored(payloads, x: np.ndarray, elem_budget: int):
     hidden: tuple = ()
     cost = 0
     for p in payloads:
-        single = not isinstance(p, tuple)
-        new_run = not single and (len(p) != len(hidden) + 1 or not all(map(operator.is_, p, hidden)))
+        if not isinstance(p, tuple):  # a branch of its own: the tuple path below is the hot loop
+            if buf:
+                yield buf, _stacked_preds(buf, starts, x)
+                buf, starts, used = [], [], 0
+            # np.array copies: a candidate may return an array it keeps
+            yield [p], np.array(as_function(p)(x), dtype=float).reshape(1, -1)
+            continue
+        new_run = len(p) != len(hidden) + 1 or not all(map(operator.is_, p, hidden))
         if new_run:
             hidden = p[:-1]
             cost = n * max(w.shape[0] for w in hidden)
-        if buf and (single or used + cost > elem_budget):
+        if buf and used + cost > elem_budget:
             yield buf, _stacked_preds(buf, starts, x)
             buf, starts, used = [], [], 0
-        if single:  # np.array copies: a candidate may return an array it keeps
-            yield [p], np.array(as_function(p)(x), dtype=float).reshape(1, -1)
-            continue
         if new_run or not buf:
             starts.append(len(buf))
         buf.append(p)

@@ -73,8 +73,8 @@ def test_stability_for_perturbed_pair(rng):
     assert same["passed"]
     # a callable that returns a column holds one value per row, as the network does
     column = lambda x: evaluate(net, x)[:, None]  # noqa: E731
-    estimates = [verify_stability(near, base, f, tau=1.0, trials=2_000, seed=0) for f in (net, column)]
-    assert estimates[0]["estimate"] == estimates[1]["estimate"]
+    frags = [verify_stability(near, base, f, tau=1.0, trials=2_000, seed=0) for f in (net, column)]
+    assert frags[0]["estimate"] == frags[1]["estimate"]
 
 
 def test_stability_requires_aligned_structures(rng):
@@ -125,7 +125,7 @@ def test_moment_filter_must_return_an_indicator():
         verify_matrix_concentration(
             lambda x: np.full(x.shape[0], 0.5), d=4, n_values=[100], trials=1, seed=0
         )
-    for d in (0, 2.5, -1, True):  # once a ZeroDivisionError, TypeError or numpy's own error
+    for d in (0, 2.5, -1, True):  # 0, 2.5 and -1 once raised ZeroDivisionError, TypeError, numpy's error
         with pytest.raises(ValueError, match="^d must be"):
             verify_matrix_concentration(lambda x: np.ones(x.shape[0]), d=d, n_values=[100], trials=1)
 
