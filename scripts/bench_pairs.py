@@ -6,8 +6,11 @@
 Each pair runs ``bench/run.py --trace 0`` once on each tree, with the parent
 first in even pairs and this tree first in odd ones, and the benchmark's own
 run length.  For every end-to-end metric the file gets each side's runs in
-pair order, their median and quartiles, and the number of pairs the change
-won (ties count for neither side).  The runs go under the key
+pair order, their median and quartiles, the number of pairs the change won
+(ties count for neither side), the change's median relative to the parent's,
+and whether that ratio is within the metric's BENCHMARK.json bound (worse by
+at most the bound).  It also gets each run's ``correct`` and ``failed``, and
+one summary line per metric is printed.  The runs go under the key
 ``pairs_<workload>``, so one file holds the pairs of several workloads.
 Every child runs with BLAS on one thread, as in scripts/bench_record.py.
 Standard library only.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 from pathlib import Path
 
@@ -27,6 +31,18 @@ def _side(runs: list[dict], metric: str) -> dict:
     values = [r["metrics"][metric]["value"] for r in runs]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def _relative(parent: float, change: float) -> float:
+    """The change's median over the parent's; 1.0 when they are equal, inf over a parent of 0."""
+    if change == parent:
+        return 1.0
+    return change / parent if parent else math.inf
+
+
+def _within_bound(relative: float, better: str, bound: float) -> bool:
+    """Whether a median ratio is worse than the parent's by no more than bound."""
+    return relative <= 1.0 + bound if better == "lower" else relative >= 1.0 - bound
 
 
 def main(argv=None) -> int:
@@ -48,16 +64,26 @@ def main(argv=None) -> int:
         name, sign = m["name"], (1 if m["better"] == "lower" else -1)
         parent, change = _side(runs["parent"], name), _side(runs["change"], name)
         wins = sum(sign * (c - q) < 0 for q, c in zip(parent["runs"], change["runs"]))
-        metrics[name] = {"unit": m["unit"], "parent": parent, "change": change, "change_wins": wins}
+        relative = _relative(parent["median"], change["median"])
+        ok = _within_bound(relative, m["better"], m["bound"])
+        metrics[name] = {"unit": m["unit"], "parent": parent, "change": change, "change_wins": wins,
+                         "relative_median": relative, "bound": m["bound"], "within_bound": ok}
+        print(f"{args.workload} {name}: parent {parent['median']:.4g} -> change {change['median']:.4g} "
+              f"{m['unit']} ({relative - 1.0:+.1%}, bound {m['bound']:.0%} {m['better']}-is-better: "
+              f"{'within' if ok else 'OUTSIDE'}); change won {wins}/{args.pairs}")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[f"pairs_{args.workload}"] = {
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs, "trace": 0,
         "order": "parent first in even pairs, change first in odd pairs",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+        "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
         "metrics": metrics,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    bad = {side: sum(not r["correct"] or r["failed"] > 0 for r in rs) for side, rs in runs.items()}
+    print(f"{args.workload} runs not correct or with failed operations: "
+          f"parent {bad['parent']}/{args.pairs}, change {bad['change']}/{args.pairs}")
     return 0
 
 

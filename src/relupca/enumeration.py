@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import BudgetError
 from .lattice import SelectorKicker, all_order_types
-from .subspace import Frame, epsilon_net_ball, epsilon_net_bound, epsilon_net_matrices
+from .subspace import Frame, epsilon_net_ball, epsilon_net_bound, epsilon_net_matrix_blocks
+from .subspace import epsilon_net_matrices  # noqa: F401  (bench/tracing.py wraps it; unused here)
 
 __all__ = [
     "CandidateList",
@@ -26,18 +27,21 @@ class CandidateList:
     """Re-iterable lazy stream of candidate payloads with a count bound.
 
     Iterating calls factory() afresh, so the list can be scanned repeatedly
-    with identical order.  A payload is a weight tuple (W_0, ..., W_L, w_out)
-    for a network grid or the zero net, and a SelectorKicker for a kicker
-    grid.  count_bound is an upper bound on the number of payloads emitted,
-    and the one figure a budget (max_candidates) is checked against; a network
-    grid emits each distinct clipped weight tuple once, at its first grid
-    position, so it can emit fewer.
+    with identical order.  A payload is either a network block or a
+    SelectorKicker (one candidate).  A block is a weight tuple (W_0, ..., W_L,
+    W_out) whose R output rows are R candidates sharing the hidden layers
+    W_0, ..., W_L: row r is the network (W_0, ..., W_L, W_out[r:r + 1]), and a
+    one-row block is a plain network's weights (the zero net is one).  The
+    candidate stream is the payloads' rows in order.  count_bound is an upper
+    bound on the number of candidates (rows, not payloads) and the one figure
+    a budget (max_candidates) is checked against; a network grid emits each
+    distinct clipped weight tuple once, at its first grid position, so it can
+    emit fewer.
 
-    Shared-prefix contract: consecutive tuples that share a layer prefix hold
-    the same array objects for it, so an evaluator can tell a shared prefix by
-    identity (``is``) and compute its hidden activations once.  The contract
-    is a promise about speed only: a stream whose tuples share no objects is
-    still scored correctly, one tuple at a time.
+    Blocks that share a first layer hold the same array object for it, so an
+    evaluator can tell a shared layer by identity (``is``) and compute it
+    once.  That is a promise about speed only: blocks that share no objects
+    are still scored correctly.
     """
 
     factory: Callable[[], Iterator]
@@ -125,7 +129,7 @@ def enumerate_networks(
     b: float,
     max_candidates: int | None = 10_000_000,
 ) -> CandidateList:
-    """Candidate network weight tuples over the frame: every architecture, per-layer matrix grids.
+    """Candidate network blocks over the frame: every architecture, per-layer matrix grids.
 
     First-layer matrices are netted in frame coordinates (k_0 x ell) and lifted
     through the frame.  Every netted entry is clipped at eps_prime, so emitted
@@ -138,11 +142,13 @@ def enumerate_networks(
     in the same order.  count_bound counts the unfiltered product, so it
     bounds the emitted count from above, and max_candidates caps that bound.
 
-    The factory walks each architecture's layer grids as an odometer with the
-    output row fastest, and yields the same array object for a layer every
-    time it repeats: each lifted W_0 appears in one run of consecutive tuples
-    that covers all of its tails, and within it each deeper prefix
-    (W_0, ..., W_j) forms a run that covers all of its own tails.
+    The factory yields one block (see CandidateList) per hidden prefix
+    (W_0, ..., W_L), walking each architecture's hidden-layer grids as an
+    odometer.  Its W_out stacks the architecture's whole output-layer grid, one
+    row per candidate, and is the same read-only array in every block of that
+    architecture.  Each lifted W_0 is one array object, shared by the
+    consecutive blocks that cover all of its tails, so the flattened rows are
+    the per-tuple stream with the output row varying fastest.
     """
     if len(frame) < 1:
         raise ValueError("need a non-empty frame")
@@ -166,21 +172,28 @@ def enumerate_networks(
     _check_count(bound, max_candidates, "network")
 
     def _grid(rows: int, cols: int) -> Iterator[np.ndarray]:
-        """The clipped rows x cols grid: each clipped matrix once, where it first occurs."""
+        """The clipped grid in (B, rows, cols) arrays: each clipped matrix once, where it first occurs."""
         seen: set[bytes] = set()
-        for mat in epsilon_net_matrices(rows, cols, radius, eps_prime):
-            mat = np.where(np.abs(mat) <= eps_prime, 0.0, mat)
-            key = mat.tobytes()
-            if key not in seen:
-                seen.add(key)
-                yield mat
+        for mats in epsilon_net_matrix_blocks(rows, cols, radius, eps_prime):
+            mats[np.abs(mats) <= eps_prime] = 0.0
+            keep = []
+            for i, mat in enumerate(mats):
+                key = mat.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(i)
+            if keep:
+                yield mats[keep]
 
-    def raw_weights():
+    def blocks():
         for shapes in plans:
-            rest = [list(_grid(r, c)) for r, c in shapes[1:]]
-            for w0 in _grid(*shapes[0]):
-                lifted = w0 @ frame.vectors
-                for tail in itertools.product(*rest):
-                    yield (lifted, *tail)
+            w_out = np.concatenate(list(_grid(*shapes[-1]))).reshape(-1, shapes[-1][1])
+            w_out.flags.writeable = False  # one array for every block of the architecture
+            deeper = [list(np.concatenate(list(_grid(r, c)))) for r, c in shapes[1:-1]]
+            for w0s in _grid(*shapes[0]):
+                for w0 in w0s:
+                    lifted = w0 @ frame.vectors
+                    for mid in itertools.product(*deeper):
+                        yield (lifted, *mid, w_out)
 
-    return CandidateList(factory=raw_weights, count_bound=bound)
+    return CandidateList(factory=blocks, count_bound=bound)

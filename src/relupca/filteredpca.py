@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -27,6 +28,7 @@ __all__ = [
     "LearnConfig",
     "RecoveryResult",
     "SampleSet",
+    "TerminalRecord",
     "as_function",
     "estimate_l2_error",
     "filter_matrix",
@@ -251,6 +253,15 @@ class IterationRecord:
     converged: bool | None  # eigen-solver convergence for the accepted candidate
 
 
+@dataclass(frozen=True)
+class TerminalRecord:
+    """The terminal search: candidates scored, the first hit's stream index, whether the playoff ran."""
+
+    scored: int
+    first_hit: int | None  # None when no candidate reached 3*eps on the selection batch
+    playoff: bool
+
+
 @dataclass(eq=False)
 class RecoveryResult:
     frame: Frame
@@ -260,39 +271,7 @@ class RecoveryResult:
     certified: bool
     failure_reason: str | None
     constants: dict
-
-
-def _stacked_preds(batch: list, starts: list[int], x: np.ndarray) -> np.ndarray:
-    """Predictions (C, N) of a chunk of weight tuples at x, row i for batch[i].
-
-    starts lists where each run begins: a run is consecutive tuples whose
-    hidden layers are the same array objects.  The chunk's distinct first
-    layers go through one GEMM, each deeper layer is applied once per distinct
-    layer prefix, and each run's output rows are scored with one GEMM.
-    """
-    firsts: list = []  # the distinct first layers, one per change of W_0 between runs
-    cols: list[slice] = []  # each run's columns of h0
-    width = 0
-    for i in starts:
-        w0 = batch[i][0]
-        if not firsts or firsts[-1] is not w0:
-            firsts.append(w0)
-            width += w0.shape[0]
-        cols.append(slice(width - w0.shape[0], width))
-    h0 = np.maximum(x @ np.concatenate(firsts).T, 0.0)  # (N, width)
-    out = np.empty((len(batch), x.shape[0]))
-    path: list = []  # (layer matrix, its activation) along the previous run's prefix
-    for a, b, run_cols in zip(starts, starts[1:] + [len(batch)], cols):
-        ws = batch[a]
-        depth = 0
-        while depth < min(len(path), len(ws) - 1) and path[depth][0] is ws[depth]:
-            depth += 1
-        del path[depth:]
-        for layer in range(depth, len(ws) - 1):
-            h = h0[:, run_cols] if layer == 0 else np.maximum(path[-1][1] @ ws[layer].T, 0.0)
-            path.append((ws[layer], h))
-        np.matmul(np.concatenate([t[-1] for t in batch[a:b]]), path[-1][1].T, out=out[a:b])
-    return out
+    terminal: TerminalRecord
 
 
 def _zero_candidates(dim: int) -> CandidateList:
@@ -313,9 +292,11 @@ def _candidates(config: LearnConfig, frame: Frame, eps_prime: float) -> Candidat
     )
 
 
-def _hypothesis(payload):
-    """A scanned payload as a hypothesis: weight tuples become networks."""
-    return ReluNetwork(payload) if isinstance(payload, tuple) else payload
+def _hypothesis(payload, row: int = 0):
+    """Candidate row of a scanned payload as a hypothesis: block rows become networks."""
+    if isinstance(payload, tuple):
+        return ReluNetwork((*payload[:-1], payload[-1][row : row + 1]))
+    return payload
 
 
 def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
@@ -324,62 +305,127 @@ def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
     return max(float(np.quantile(resid, config.tau_quantile)), 1e-12)
 
 
-# Chunk budgets (elements of N x widest hidden layer) for the two scans, measured
-# with BLAS on one thread.  The loop scores every chunk on the whole N x d
-# batch, so smaller chunks re-read it more often: 2e6 slowed the two
-# rank2-highdim runs (d = 100, N = 2e5) from 4.75 s to 5.03 s, median of
-# three.  The terminal scan scores a few hundred selection rows; on criterion
-# 7's terminal grid at 512 rows, 2e6 (16 MB of predictions) scanned 3.0 us per
-# candidate against 3.9 us at 8e6, and 5e5 was no faster.
+# Chunk budgets, in elements of N x (widest hidden layer) per candidate: the
+# loop's (C, N) predictions stay within budget / width elements.  Measured
+# with BLAS on one thread on 2 cores.  The loop scores every chunk on the whole
+# N x d batch, so smaller chunks re-read it more often: the two rank2-highdim
+# runs (d = 100, N = 2e5) took 5.13 s at 2e6 against 4.66 s at 8e6, median of
+# three.  The terminal scan keeps only hidden activations on 512 selection
+# rows (errors come from the Gram form), so its budget sets the per-chunk
+# overhead: on the two rank2-terminal runs it took 0.37 s at 5e5, 0.23 s at
+# 2e6 and 0.25 s at 8e6, median of five.
 _LOOP_CHUNK_ELEMS = 8_000_000
 _TERMINAL_CHUNK_ELEMS = 2_000_000
+_ONE = np.ones((1, 1))  # the output row of a payload scored through as_function
+_ONE.flags.writeable = False
+
+
+def _hidden(pieces: list, x: np.ndarray) -> list:
+    """[(payload, lo, W_out[lo:hi], H)] for (block, lo, hi) pieces: H is the last hidden activation at x.
+
+    The distinct first layers (told apart by identity) go through one GEMM;
+    deeper layers are applied per piece.
+    """
+    firsts: list = []
+    cols: list[slice] = []  # each piece's columns of h0
+    width = 0
+    for ws, _, _ in pieces:
+        if not firsts or firsts[-1] is not ws[0]:
+            firsts.append(ws[0])
+            width += ws[0].shape[0]
+        cols.append(slice(width - ws[0].shape[0], width))
+    h0 = np.maximum(x @ np.concatenate(firsts).T, 0.0)  # (N, width)
+    out = []
+    for (ws, lo, hi), c in zip(pieces, cols):
+        h = h0[:, c]
+        for w in ws[1:-1]:
+            h = np.maximum(h @ w.T, 0.0)
+        h.flags.writeable = False  # pieces share h0
+        out.append((ws, lo, ws[-1][lo:hi], h))
+    return out
 
 
 def _scored(payloads, x: np.ndarray, elem_budget: int):
-    """Yield (payloads, (C, N) predictions at x) in stream order: the one scorer.
+    """Yield chunks [(payload, lo, W, H)] in stream order: the one scorer.
 
-    Weight tuples are grouped into chunks while the sum of N * (widest hidden
-    layer) stays within elem_budget (at least one tuple).  Consecutive tuples
-    whose hidden layers are the same objects share their evaluation (see
-    CandidateList); a stream that shares nothing is scored one tuple per run.
-    Any other payload closes the open chunk and is scored alone through
-    as_function.  Scanning chunk by chunk keeps first-hit order.  The caller
-    owns every prediction array yielded and may overwrite it.
+    A chunk holds pieces of network blocks (see CandidateList): W is the
+    piece's output rows W_out[lo:lo + len(W)], H the block's last hidden
+    activation at x, (N, k_L), and the piece's candidates' predictions at x
+    are the rows of W @ H.T.  Every candidate costs N * (widest hidden layer)
+    elements; a chunk holds candidates up to elem_budget (at least one) and at
+    most twice as many pieces as the chunk before (the first holds one), so
+    an early hit pays for little, and a block that does not fit is split
+    across chunks.  Any other payload closes the open chunk and comes alone,
+    scored through as_function: W is [[1.0]] and H its (N, 1) prediction
+    column.  Scanning chunk by chunk keeps first-hit order.  Every H yielded
+    is read-only.
     """
     n = x.shape[0]
-    buf: list = []
-    starts: list[int] = []
+    chunk: list = []  # (block, lo, hi)
     used = 0
-    hidden: tuple = ()
-    cost = 0
+    cap = 1
     for p in payloads:
-        if not isinstance(p, tuple):  # a branch of its own: the tuple path below is the hot loop
-            if buf:
-                yield buf, _stacked_preds(buf, starts, x)
-                buf, starts, used = [], [], 0
-            # np.array copies: a candidate may return an array it keeps
-            yield [p], np.array(as_function(p)(x), dtype=float).reshape(1, -1)
+        if not isinstance(p, tuple):
+            if chunk:
+                yield _hidden(chunk, x)
+                chunk, used, cap = [], 0, 2 * cap
+            h = np.asarray(as_function(p)(x), dtype=float).reshape(-1, 1)
+            h.flags.writeable = False  # on a view: a candidate's own array stays writable
+            yield [(p, 0, _ONE, h)]
             continue
-        new_run = len(p) != len(hidden) + 1 or not all(map(operator.is_, p, hidden))
-        if new_run:
-            hidden = p[:-1]
-            cost = n * max(w.shape[0] for w in hidden)
-        if buf and used + cost > elem_budget:
-            yield buf, _stacked_preds(buf, starts, x)
-            buf, starts, used = [], [], 0
-        if new_run or not buf:
-            starts.append(len(buf))
-        buf.append(p)
-        used += cost
-    if buf:
-        yield buf, _stacked_preds(buf, starts, x)
+        cost = n * max(w.shape[0] for w in p[:-1])
+        lo = 0
+        while lo < len(p[-1]):
+            if chunk and (len(chunk) == cap or used + cost > elem_budget):
+                yield _hidden(chunk, x)
+                chunk, used, cap = [], 0, 2 * cap
+            hi = min(len(p[-1]), lo + max(1, (elem_budget - used) // cost))
+            chunk.append((p, lo, hi))
+            used += (hi - lo) * cost
+            lo = hi
+    if chunk:
+        yield _hidden(chunk, x)
 
 
 def _iter_residuals(candidates: CandidateList, samples: SampleSet):
-    """Yield each candidate's residual vector |y - prediction|, in stream order."""
-    for _payloads, preds in _scored(candidates, samples.x, _LOOP_CHUNK_ELEMS):
+    """Yield each candidate's residual vector |y - prediction|, in stream order.
+
+    Each chunk's (C, N) predictions are formed before its rows are scanned,
+    so the chunk's hidden activations are freed first.
+    """
+    for chunk in _scored(candidates, samples.x, _LOOP_CHUNK_ELEMS):
+        preds = np.empty((sum(len(w) for _, _, w, _ in chunk), samples.n))
+        a = 0
+        for _, _, w, h in chunk:
+            np.matmul(w, h.T, out=preds[a : a + len(w)])
+            a += len(w)
+        del chunk, h  # the hidden activations are not needed for the scan
         for row in preds:
             yield np.abs(samples.y - row)
+
+
+def _chunk_errors(chunk: list, y: np.ndarray) -> np.ndarray:
+    """RMS errors against y of a _scored chunk's candidates, in stream order.
+
+    A payload scored alone is compared directly.  A run of pieces with the
+    same output rows is scored in the Gram form: row w of W on activations H
+    has err^2 = w G w^T - 2 w.c + s, clamped at 0, with G = H^T H / N,
+    c = H^T y / N and s = y.y / N, so a candidate costs O(k^2) once G is
+    formed, not O(N).
+    """
+    if chunk[0][2] is _ONE:
+        err = chunk[0][3].T - y
+        np.square(err, out=err)
+        return np.sqrt(np.mean(err, axis=1))
+    n = y.shape[0]
+    err2 = []
+    for _, run in itertools.groupby(chunk, key=lambda e: (id(e[0][-1]), e[1], len(e[2]))):
+        run = list(run)
+        w, hs = run[0][2], np.stack([h for _, _, _, h in run])  # hs: (B, N, k)
+        g = np.matmul(hs.transpose(0, 2, 1), hs) / n
+        c = (y @ hs) / n
+        err2.append((np.einsum("brj,rj->br", w @ g, w) - 2.0 * (c @ w.T) + (y @ y) / n).ravel())
+    return np.sqrt(np.maximum(np.concatenate(err2), 0.0))
 
 
 def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> RecoveryResult:
@@ -436,6 +482,8 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
                 scanned += 1
                 tau_used = _pick_tau(config, resid)
                 m = _masked_moment(samples.x, q, resid > tau_used, samples.n)
+                if lambda_acc is not None and np.linalg.norm(m) < lambda_acc:
+                    continue  # w M w <= lambda_max <= ||M||_F: no direction can clear lambda_acc
                 top = approx_top_svd(
                     lambda v: m @ v,
                     d,
@@ -469,7 +517,7 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         frame = extend_frame(frame, w)
 
     constants["lambda_acc_effective"] = lambda_acc
-    hypothesis, eps_hat, certified, final_failure = _final_search(oracle, config, frame)
+    hypothesis, eps_hat, certified, final_failure, terminal = _final_search(oracle, config, frame)
     return RecoveryResult(
         frame=frame,
         hypothesis=hypothesis,
@@ -478,6 +526,7 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         certified=certified,
         failure_reason=failure or final_failure,
         constants=constants,
+        terminal=terminal,
     )
 
 
@@ -487,52 +536,65 @@ _PLAYOFF_SIZE = 32  # lowest-error terminal candidates rescored when nothing hit
 def _final_search(oracle, config: LearnConfig, frame: Frame):
     """Scan the terminal candidate list for the first hypothesis within 3*eps.
 
-    If nothing clears the target on the selection batch, the lowest-error
-    candidates are rescored on a larger fresh batch to strip selection noise,
-    and the winner of that playoff is returned.
+    Errors on the selection batch come from each block's Gram form
+    (_chunk_errors).  If nothing clears the target, the lowest-error candidates
+    are rescored on a larger fresh batch to strip selection noise, and the
+    winner of that playoff is returned.  Only those candidates are wrapped as
+    networks.  Returns (hypothesis, eps_hat, certified, failure, TerminalRecord).
     """
     select = oracle.draw(config.final_select_samples)
     target = 3.0 * config.eps
-    best: list = []  # (error, stream index, payload) of the lowest errors so far
-    chosen = None
+    best: list = []  # (error, stream index, payload, row) of the lowest errors so far
+    chosen = None  # (payload, row)
+    first_hit = None
     failure = None
-    scanned = 0
+    scored = 0
     try:
         candidates = _candidates(config, frame, config.default_final_eps_prime())
-        for payloads, preds in _scored(candidates, select.x, _TERMINAL_CHUNK_ELEMS):
-            preds -= select.y  # errors in place: the chunk is ours, and no longer needed
-            np.square(preds, out=preds)
-            errs = np.sqrt(np.mean(preds, axis=1))
+        for chunk in _scored(candidates, select.x, _TERMINAL_CHUNK_ELEMS):
+            errs = _chunk_errors(chunk, select.y)
+            ends = list(itertools.accumulate(len(w) for _, _, w, _ in chunk))
+
+            def locate(j: int):
+                b = bisect.bisect_right(ends, j)
+                payload, lo, w, _ = chunk[b]
+                return payload, lo + j - ends[b] + len(w)
+
             hits = np.flatnonzero(errs <= target)
             if hits.size:
-                chosen = payloads[int(hits[0])]
+                first_hit = scored + int(hits[0])
+                chosen = locate(int(hits[0]))
+            else:
+                for j in np.argsort(errs, kind="stable")[:_PLAYOFF_SIZE]:
+                    best.append((float(errs[j]), scored + int(j), *locate(int(j))))
+                best.sort(key=lambda t: (t[0], t[1]))
+                del best[_PLAYOFF_SIZE:]
+            scored += errs.size
+            if chosen is not None:
                 break
-            for j in np.argsort(errs, kind="stable")[:_PLAYOFF_SIZE]:
-                best.append((float(errs[j]), scanned + int(j), payloads[int(j)]))
-            best.sort(key=lambda t: (t[0], t[1]))
-            del best[_PLAYOFF_SIZE:]
-            scanned += len(payloads)
     except BudgetError as err:
         failure = f"terminal enumeration budget exhausted: {err}"
-    if chosen is None and best:
-        playoff = oracle.draw(8 * config.final_select_samples)
+    playoff = chosen is None and bool(best)
+    if playoff:
+        rescore = oracle.draw(8 * config.final_select_samples)
         best_err = math.inf
-        for _, _, payload in best:
-            preds = as_function(_hypothesis(payload))(playoff.x)
-            err = float(np.sqrt(np.mean((playoff.y - preds) ** 2)))
+        for _, _, payload, row in best:
+            preds = as_function(_hypothesis(payload, row))(rescore.x)
+            err = float(np.sqrt(np.mean((rescore.y - preds) ** 2)))
             if err < best_err:
-                chosen, best_err = payload, err
+                chosen, best_err = (payload, row), err
         if failure is None:
             failure = "no terminal candidate reached 3*eps; returning the playoff winner"
+    record = TerminalRecord(scored, first_hit, playoff)
     if chosen is None:
-        return None, math.inf, False, failure or "terminal enumeration yielded no candidates"
-    hypothesis = _hypothesis(chosen)
+        return None, math.inf, False, failure or "terminal enumeration yielded no candidates", record
+    hypothesis = _hypothesis(*chosen)
     eps_hat = estimate_l2_error(hypothesis, oracle, config.n_check)
     if eps_hat <= target:
-        return hypothesis, eps_hat, True, None
+        return hypothesis, eps_hat, True, None, record
     if failure is None:
         failure = (
             f"the first candidate within 3*eps on the selection batch failed the check: "
             f"eps_hat {eps_hat:.6g} > 3*eps {target:.6g}"
         )
-    return hypothesis, eps_hat, False, failure
+    return hypothesis, eps_hat, False, failure, record

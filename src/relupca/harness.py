@@ -429,6 +429,8 @@ def _report_csv_rows(report: Report):
         for key, value in sorted(rec.items()):
             if isinstance(value, (int, float, bool, str)) or value is None:
                 rows.append(("iteration", f"{key}[{i}]", value))
+    for key, value in sorted(report.recovery.get("terminal", {}).items()):
+        rows.append(("terminal", key, value))
     for frag in report.fragments:
         name = frag.get("name", "fragment")
         for key, value in sorted(frag.items()):
@@ -469,6 +471,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         "failure_reason": result.failure_reason,
         "norm_f": norm_f,
         "iterations": [asdict(r) for r in result.trace],
+        "terminal": asdict(result.terminal),
         "constants": result.constants,
     }
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ __all__ = [
     "epsilon_net_ball",
     "epsilon_net_bound",
     "epsilon_net_matrices",
+    "epsilon_net_matrix_blocks",
     "extend_frame",
     "procrustes_distance",
     "project",
@@ -213,16 +213,17 @@ def epsilon_net_bound(dim: int, radius: float, eps: float) -> int:
 
 
 def _ball_grid_chunks(dim: int, radius: float, eps: float, chunk: int = 8192):
-    """Stream (B, dim) blocks of net points, integer-filtered to the ball."""
+    """Stream (B, dim) blocks of net points, integer-filtered to the ball.
+
+    The bounding box is walked in itertools.product order (last coordinate
+    fastest), chunk box points at a time, by unravelling their flat indices.
+    """
     spacing, t = _grid_geometry(dim, radius, eps)
     maxj = math.isqrt(t)
-    rng_1d = range(-maxj, maxj + 1)
-    it = itertools.product(rng_1d, repeat=dim)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        z = np.array(block, dtype=np.int64)
+    shape = (2 * maxj + 1,) * dim
+    total = math.prod(shape)
+    for start in range(0, total, chunk):
+        z = np.stack(np.unravel_index(np.arange(start, min(start + chunk, total)), shape), axis=1) - maxj
         keep = (z * z).sum(axis=1) <= t
         if np.any(keep):
             yield spacing * z[keep].astype(float)
@@ -246,6 +247,15 @@ def epsilon_net_ball(dim: int, radius: float, eps: float):
             yield point.copy()
 
 
+def epsilon_net_matrix_blocks(rows: int, cols: int, b: float, eps: float):
+    """epsilon_net_matrices as a stream of (B, rows, cols) arrays, in the same order."""
+    radius = b * math.sqrt(min(rows, cols))
+    for block in _ball_grid_chunks(rows * cols, radius, eps):
+        mats = block.reshape(-1, rows, cols)
+        svals = np.linalg.svd(mats, compute_uv=False)
+        yield mats[svals[:, 0] <= b + eps]
+
+
 def epsilon_net_matrices(rows: int, cols: int, b: float, eps: float):
     """Deterministic grid covering operator-norm-<= b matrices to within eps (operator norm).
 
@@ -254,9 +264,6 @@ def epsilon_net_matrices(rows: int, cols: int, b: float, eps: float):
     is at most Frobenius distance.  Only points with operator norm at most
     b+eps are emitted; the covering point of any matrix in the ball survives.
     """
-    radius = b * math.sqrt(min(rows, cols))
-    for block in _ball_grid_chunks(rows * cols, radius, eps):
-        mats = block.reshape(-1, rows, cols)
-        svals = np.linalg.svd(mats, compute_uv=False)
-        for m in mats[svals[:, 0] <= b + eps]:
+    for mats in epsilon_net_matrix_blocks(rows, cols, b, eps):
+        for m in mats:
             yield m.copy()

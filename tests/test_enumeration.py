@@ -40,21 +40,24 @@ def test_architectures_validates_input():
 
 # ---------------------------------------------------------------- network candidates
 
-def test_network_candidates_exact_count_on_scalar_layers():
+def test_network_candidates_exact_count_on_scalar_layers(flat_candidates):
     # ell = 1, size = 1, l = 0: both layers are 1x1, operator norm == |entry|,
-    # so the declared bound is met exactly: 5 grid values per layer, 25 total
+    # so the declared bound is met exactly: 5 grid values per layer, 25 total,
+    # in 5 blocks (one per first layer) of the 5 output weights
     cands = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0)
     assert cands.count_bound == 25
-    emitted = list(cands)
+    blocks = list(cands)
+    assert [ws[-1].shape for ws in blocks] == [(5, 1)] * 5
+    emitted = flat_candidates(blocks)
     assert len(emitted) == 25
     assert all(isinstance(ws, tuple) and ReluNetwork(ws).hidden_widths == (1,) for ws in emitted)
 
 
-def test_network_candidates_live_on_the_frame(rng):
+def test_network_candidates_live_on_the_frame(rng, flat_candidates):
     cands = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0)
     x = rng.standard_normal((16, 3))
     on_frame = x @ LINE.projector().T
-    for ws in cands:
+    for ws in flat_candidates(cands):
         net = ReluNetwork(ws)
         assert net.input_dim == 3
         assert np.allclose(evaluate(net, x), evaluate(net, on_frame), atol=1e-12)
@@ -76,17 +79,20 @@ def test_candidate_list_is_reiterable():
 
 
 def test_raw_factory_shares_prefix_objects():
-    # the CandidateList contract: each layer prefix is one run of the same array objects
+    # the CandidateList contract: each first layer is one run of blocks holding the
+    # same array object, and an architecture's blocks share one read-only W_out
     frame = Frame.from_span(np.array([[1.0, 0.0]]))
     stream = list(enumerate_networks(frame, eps_prime=0.9, size=3, l=1, b=1.0))
-    for depth in (1, 2):
-        runs = [stream[0][:depth]]
-        for prev, ws in zip(stream, stream[1:]):
-            if not all(a is b for a, b in zip(ws[:depth], prev[:depth])):
-                runs.append(ws[:depth])
-        keys = [tuple(map(id, prefix)) for prefix in runs]  # the stream keeps every array alive
-        assert len(keys) == len(set(keys))
-    assert len(runs) < len(stream)  # runs do share: the output rows vary fastest
+    runs = [stream[0][0]]
+    for prev, ws in zip(stream, stream[1:]):
+        if ws[0] is not prev[0]:
+            runs.append(ws[0])
+    assert len({id(w0) for w0 in runs}) == len(runs)  # the stream keeps every array alive
+    assert len(runs) < len(stream)  # runs do share: the deeper layers vary faster
+    for widths in ((1, 2), (2, 1)):
+        outs = {id(ws[-1]) for ws in stream if tuple(w.shape[0] for w in ws[:-1]) == widths}
+        assert len(outs) == 1
+    assert all(len(ws[-1]) > 1 and not ws[-1].flags.writeable for ws in stream)
 
 
 def _tuple_key(weights):
@@ -94,8 +100,10 @@ def _tuple_key(weights):
 
 
 @pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.7), (3, 1, 0.5)])
-def test_raw_factory_is_the_unfiltered_stream_without_repeats(size, l, eps_prime, unfiltered_network_stream):
-    """Dedup drops exactly the later byte-duplicates of the clipped grid, and keeps the order."""
+def test_raw_factory_is_the_unfiltered_stream_without_repeats(
+    size, l, eps_prime, unfiltered_network_stream, flat_candidates
+):
+    """The flattened blocks are the clipped grid without its later byte-duplicates, in order."""
     frame = Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]]))
     cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
     reference = unfiltered_network_stream(frame, eps_prime, size, l, 1.0)
@@ -103,7 +111,7 @@ def test_raw_factory_is_the_unfiltered_stream_without_repeats(size, l, eps_prime
     for ws in reference:
         first.setdefault(_tuple_key(ws), ws)
     expected = list(first.values())  # in order of first occurrence
-    emitted = list(cands)
+    emitted = flat_candidates(cands)
     assert len(expected) < len(reference)  # clipping does collapse grid points here
     assert len(emitted) == len(expected) <= cands.count_bound
     for got, want in zip(emitted, expected):
@@ -112,12 +120,12 @@ def test_raw_factory_is_the_unfiltered_stream_without_repeats(size, l, eps_prime
     assert len({_tuple_key(ws) for ws in emitted}) == len(emitted)  # no two tuples byte-equal
 
 
-def test_network_budget_fails_fast():
+def test_network_budget_fails_fast(flat_candidates):
     # the count bound is checked when the list is built, before any grid point
     with pytest.raises(BudgetError, match="network count bound 25 exceeds budget 10"):
         enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0, max_candidates=10)
     exact = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0, max_candidates=25)
-    assert len(list(exact)) == 25
+    assert len(flat_candidates(exact)) == 25
     uncapped = enumerate_networks(LINE, eps_prime=0.5, size=1, l=0, b=1.0, max_candidates=None)
     assert uncapped.count_bound == 25
 
@@ -125,7 +133,7 @@ def test_network_budget_fails_fast():
 def test_deep_candidates_cover_both_architectures():
     frame = Frame.from_span(np.array([[1.0, 0.0]]))
     cands = enumerate_networks(frame, eps_prime=0.9, size=3, l=1, b=1.0)
-    widths = {ReluNetwork(ws).hidden_widths for ws in cands}
+    widths = {ReluNetwork((*ws[:-1], ws[-1][:1])).hidden_widths for ws in cands}
     assert widths == {(1, 2), (2, 1)}
 
 

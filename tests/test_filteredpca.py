@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from relupca.filteredpca import (
     GaussianOracle,
     LearnConfig,
     SampleSet,
+    _chunk_errors,
     _final_search,
+    _iter_residuals,
     _masked_moment,
     _scored,
     as_function,
@@ -181,6 +184,11 @@ def test_masked_moment_matches_the_complement_reference(ell, rng):
         assert np.array_equal(got, got.T)
 
 
+def _block_preds(payloads, x, budget):
+    """Every candidate's predictions at x, (candidates, N), from _scored's pieces."""
+    return np.concatenate([w @ h.T for chunk in _scored(payloads, x, budget) for _, _, w, h in chunk])
+
+
 def test_loop_candidates_score_raw_rows_as_projected_rows(rng):
     """Every loop candidate reads x only through the frame, so run() may score the raw rows."""
     frame = Frame.from_span(rng.standard_normal((2, 5)))
@@ -192,8 +200,8 @@ def test_loop_candidates_score_raw_rows_as_projected_rows(rng):
         enumerate_kickers(frame, 0.9, 2, 1.0),
     ]
     for cands in grids:
-        raw = np.concatenate([p for _, p in _scored(cands, x, filteredpca._LOOP_CHUNK_ELEMS)])
-        proj = np.concatenate([p for _, p in _scored(cands, x_proj, filteredpca._LOOP_CHUNK_ELEMS)])
+        raw = _block_preds(cands, x, filteredpca._LOOP_CHUNK_ELEMS)
+        proj = _block_preds(cands, x_proj, filteredpca._LOOP_CHUNK_ELEMS)
         assert raw.shape == proj.shape and raw.shape[0] > 1
         assert np.max(np.abs(raw - proj)) <= 1e-12
 
@@ -305,6 +313,50 @@ def test_budget_exhaustion_reports_failure():
     assert [t.converged for t in result.trace] == [True, None]
 
 
+def test_frobenius_precheck_matches_a_scan_that_solves_every_candidate(monkeypatch):
+    """The loop skips the eigen-solve when ||M||_F < lambda_acc, since w M w <= lambda_max <= ||M||_F.
+
+    Solving every recorded moment with its own seed gives the same accepted
+    index and value in every iteration, and each skipped moment is
+    below lambda_acc in Frobenius norm.
+    """
+    net, _ = make_instance({"kind": "mixed", "dim": 6, "k": 2, "units": 2, "b": 1.0}, 0)
+    config = LearnConfig(
+        dim=6, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.05, delta=0.05, n_samples=20_000,
+        n_check=2_000, tau_mode="quantile", final_eps_prime=0.3, seed=0,
+    )
+    moments, solved = [], []
+    real_moment, real_solve = filteredpca._masked_moment, filteredpca.approx_top_svd
+
+    def recording_moment(*args):
+        moments.append(real_moment(*args))
+        return moments[-1]
+
+    def recording_solve(*args, **kwargs):
+        solved.append(len(moments) - 1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(filteredpca, "_masked_moment", recording_moment)
+    monkeypatch.setattr(filteredpca, "approx_top_svd", recording_solve)
+    result = run(gaussian_oracle(net, 0), config)
+    lambda_acc = result.constants["lambda_acc_effective"]
+    assert [t.candidates_scanned for t in result.trace] == [1, 86]
+    assert len(moments) == 87 and len(solved) == 2  # 85 solves skipped
+    start = 0
+    for ell, record in enumerate(result.trace):
+        accepted = None
+        for idx, m in enumerate(moments[start : start + record.candidates_scanned]):
+            top = real_solve(lambda v, m=m: m @ v, 6, 1, eta=1e-9, delta=config.delta,
+                             seed=config.seed * 1_000_003 + 7919 * ell + idx)
+            w = top.frame.vectors[0]
+            if float(w @ m @ w) >= lambda_acc:
+                accepted = (idx, float(w @ m @ w))
+                break
+            assert start + idx in solved or np.linalg.norm(m) < lambda_acc
+        assert accepted == (record.accepted_candidate, record.lam_value)
+        start += record.candidates_scanned
+
+
 class ShiftThirdDraw:
     """Oracle whose third batch (loop, select, check) has every label raised by 1."""
 
@@ -365,14 +417,19 @@ def test_constants_are_recorded():
 
 @given(st.data())
 def test_pred_chunks_match_reference_evaluation(data):
-    """Every chunk row equals evaluate() on its tuple or as_function() on any other payload.
+    """Every block row's predictions equal evaluate() on its own network, and any other
+    payload's equal as_function(); the loop's residuals and the chunk errors agree too.
 
-    Payloads come back in input order, and one that is not a weight tuple comes
-    back alone, also where it breaks a run whose prefix objects continue after it.
+    Candidates come back in input order.  A payload that is not a weight tuple comes
+    back alone, also where it breaks a run of blocks whose first layer continues
+    after it.  Network chunks hold one piece, then at most twice the previous
+    count, and no more candidates than the budget allows (at least one), so small
+    budgets split blocks: chunk edges fall inside a block.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     d = data.draw(st.integers(1, 4), label="d")
     x = rng.standard_normal((data.draw(st.integers(1, 6), label="rows"), d))
+    y = rng.standard_normal(len(x))
     stream = []
     for _ in range(data.draw(st.integers(1, 4), label="groups")):
         widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="widths")
@@ -382,52 +439,86 @@ def test_pred_chunks_match_reference_evaluation(data):
         if reusable and data.draw(st.booleans(), label="reuse W0"):
             prefix[0] = stream[-1][0]  # a run that continues the previous group's first layer
         shared = data.draw(st.integers(0, len(widths)), label="shared layers")
-        for _ in range(data.draw(st.integers(1, 5), label="tuples")):
+        w_out = rng.standard_normal((data.draw(st.integers(1, 4), label="block rows"), widths[-1]))
+        share_out = data.draw(st.booleans(), label="blocks share W_out")  # one Gram pass for the run
+        for _ in range(data.draw(st.integers(1, 5), label="blocks")):
             hidden = [w if j < shared else rng.standard_normal(w.shape) for j, w in enumerate(prefix)]
-            stream.append((*hidden, rng.standard_normal((1, widths[-1]))))
+            stream.append((*hidden, w_out if share_out else rng.standard_normal(w_out.shape)))
     kickers = list(enumerate_kickers(Frame.from_span(rng.standard_normal((1, d))), 0.9, 2, 1.0))
     v = rng.standard_normal(d)
     others = [kickers[data.draw(st.integers(0, len(kickers) - 1), label="kicker")], lambda z: z @ v]
     breaks = data.draw(st.lists(st.integers(0, len(stream)), max_size=4), label="breaks")
-    for at in sorted(breaks, reverse=True):  # may split a run: its prefix objects go on after
+    for at in sorted(breaks, reverse=True):  # may split a run: its first layer goes on after
         stream.insert(at, others[data.draw(st.integers(0, 1), label="other")])
-    budget = len(x) * data.draw(st.integers(1, 8), label="budget widths")  # chunk edges fall mid-run
-    payloads, rows = [], []
-    for chunk, preds in _scored(iter(stream), x, elem_budget=budget):
-        assert preds.shape == (len(chunk), len(x))
-        assert len(chunk) == 1 or all(isinstance(p, tuple) for p in chunk)
-        payloads += chunk
-        rows.extend(preds)
-    assert len(payloads) == len(stream)
-    assert all(p is q for p, q in zip(payloads, stream))
-    for p, row in zip(stream, rows):
-        want = evaluate(ReluNetwork(p), x) if isinstance(p, tuple) else as_function(p)(x)
-        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+    budget = len(x) * data.draw(st.integers(1, 8), label="budget widths")
+    candidates, preds, errs = [], [], []
+    cap = 1
+    for chunk in _scored(iter(stream), x, elem_budget=budget):
+        if all(isinstance(p, tuple) for p, _, _, _ in chunk):
+            assert len(chunk) <= cap
+            used = sum(len(w) * len(x) * max(m.shape[0] for m in p[:-1]) for p, _, w, _ in chunk)
+            assert sum(len(w) for _, _, w, _ in chunk) == 1 or used <= budget
+        else:
+            assert len(chunk) == 1
+        cap *= 2
+        for p, lo, w, h in chunk:
+            assert h.shape == (len(x), w.shape[1]) and not h.flags.writeable
+            candidates.extend((p, lo + r) for r in range(len(w)))
+            preds.extend(w @ h.T)
+        errs.extend(_chunk_errors(chunk, y))
+    flat = [(p, r) for p in stream for r in range(len(p[-1]) if isinstance(p, tuple) else 1)]
+    assert len(candidates) == len(flat)
+    assert all(p is q and r == s for (p, r), (q, s) in zip(candidates, flat))
+    want = []
+    for p, r in flat:
+        if isinstance(p, tuple):
+            want.append(evaluate(ReluNetwork((*p[:-1], p[-1][r : r + 1])), x))
+        else:
+            want.append(np.asarray(as_function(p)(x), dtype=float).ravel())
+    np.testing.assert_allclose(preds, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(errs, np.sqrt(np.mean((np.array(want) - y) ** 2, axis=1)), rtol=0, atol=1e-9)
+    samples = SampleSet(x, y)
+    with mock.patch.object(filteredpca, "_LOOP_CHUNK_ELEMS", budget):
+        resids = list(_iter_residuals(CandidateList(lambda: iter(stream), len(flat)), samples))
+    np.testing.assert_allclose(resids, np.abs(y - np.array(want)), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.9), (3, 1, 1.5), (3, 2, 0.9)])
-def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
-    """The same check on enumerate_networks' own streams, whose runs share first layers."""
+def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng, flat_candidates):
+    """The same check on enumerate_networks' own block streams, whose blocks share first layers."""
     frame = Frame.from_span(rng.standard_normal((2, 4)))
-    stream = list(enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None))
+    cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
     x = rng.standard_normal((5, 4))
-    done = 0
-    for chunk, preds in _scored(iter(stream), x, elem_budget=5 * 50):
-        for ws, row in zip(chunk, preds):
-            assert ws is stream[done]
-            np.testing.assert_allclose(row, evaluate(ReluNetwork(ws), x), rtol=0, atol=1e-12)
-            done += 1
-    assert done == len(stream)
+    preds = _block_preds(cands, x, 5 * 50)
+    flat = flat_candidates(cands)
+    assert len(preds) == len(flat) > len(list(cands))
+    for ws, row in zip(flat, preds):
+        np.testing.assert_allclose(row, evaluate(ReluNetwork(ws), x), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.5), (2, 1, 0.7), (3, 1, 0.9)])
+def test_gram_errors_match_direct_evaluation(size, l, eps_prime, rng, flat_candidates):
+    """On enumerate_networks' streams, each row's Gram error is the direct RMS error to 1e-9."""
+    frame = Frame.from_span(rng.standard_normal((2, 5)))
+    target = ReluNetwork((rng.standard_normal((2, 5)), rng.standard_normal((1, 2))))
+    x = rng.standard_normal((512, 5))
+    y = evaluate(target, x)
+    cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
+    errs = np.concatenate([_chunk_errors(chunk, y) for chunk in _scored(cands, x, 512 * 8)])
+    direct = np.array([
+        np.sqrt(np.mean((evaluate(ReluNetwork(ws), x) - y) ** 2)) for ws in flat_candidates(cands)
+    ])
+    assert len(errs) == len(direct) > 100
+    np.testing.assert_allclose(errs, direct, rtol=0, atol=1e-9)
 
 
 # The terminal scan on a small product grid over a two-dimensional frame in
-# d = 4: 120 first layers (2 x 2 in frame coordinates, lifted) crossed with
-# the same 100 output rows, the shape enumerate_networks streams.  Its layers
-# are random, not netted: clipping makes many grid candidates identical, and
-# identical candidates cannot show which of them a scan picked.  1 024
-# selection rows give terminal chunks of 976, so the 12 000 candidates span 13.
+# d = 4: 120 first layers (2 x 2 in frame coordinates, lifted), each a block
+# of the same 100 output rows, the shape enumerate_networks streams.  Its
+# layers are random, not netted: clipping makes many grid candidates
+# identical, and identical candidates cannot show which of them a scan
+# picked.
 _GRID_ROWS = 1024
-_GRID_CHUNK = filteredpca._TERMINAL_CHUNK_ELEMS // (_GRID_ROWS * 2)
 _GRID_FRAME = Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]]))
 
 
@@ -442,15 +533,17 @@ def _grid_layers():
 
 
 def _grid_search(monkeypatch, target, eps):
-    """_final_search over the product grid (oracle seed 3); returns (its result, the stream)."""
+    """_final_search over the block grid (oracle seed 3); returns (its result, the flat stream)."""
     firsts, tails = _grid_layers()
-    stream = [(w0, t) for w0 in firsts for t in tails]
-    grid = CandidateList(factory=lambda: iter(stream), count_bound=len(stream))
+    w_out = np.concatenate(tails)
+    blocks = [(w0, w_out) for w0 in firsts]
+    grid = CandidateList(factory=lambda: iter(blocks), count_bound=len(firsts) * len(tails))
     monkeypatch.setattr(filteredpca, "enumerate_networks", lambda *args, **kwargs: grid)
     config = LearnConfig(
         dim=4, k=2, size=2, l=0, b=1.0, lam=1.0, eps=eps, delta=0.05,
         final_select_samples=_GRID_ROWS, n_check=2_000,
     )
+    stream = [(w0, t) for w0 in firsts for t in tails]
     return _final_search(GaussianOracle(target, 3), config, _GRID_FRAME), stream
 
 
@@ -465,16 +558,38 @@ def _brute_force_errors(stream, batch):
     ])
 
 
+def _chunk_ends(blocks, rows):
+    """Where the terminal scan's chunks over these blocks end, in stream positions."""
+    x = np.zeros((rows, blocks[0][0].shape[1]))
+    sizes = [sum(len(w) for _, _, w, _ in c) for c in _scored(blocks, x, filteredpca._TERMINAL_CHUNK_ELEMS)]
+    return np.cumsum(sizes)
+
+
 def test_final_search_first_hit_matches_brute_force(monkeypatch):
     firsts, tails = _grid_layers()
     target = ReluNetwork((firsts[50], tails[30]))
-    (hypothesis, _, certified, _), stream = _grid_search(monkeypatch, target, eps=1e-6)
+    (hypothesis, _, certified, _, record), stream = _grid_search(monkeypatch, target, eps=1e-6)
     errs = _brute_force_errors(stream, GaussianOracle(target, 3).draw(_GRID_ROWS))
     hits = np.flatnonzero(errs <= 3e-6)
-    assert hits.tolist() == [5030, 5160]  # both in the sixth chunk, neither at its start
-    assert hits[0] // _GRID_CHUNK == hits[1] // _GRID_CHUNK == 5
+    assert hits.tolist() == [5030, 5160]  # mid-block, in blocks 50 and 51
+    ends = _chunk_ends([(w0, np.concatenate(tails)) for w0 in firsts], _GRID_ROWS)
+    chunk = int(np.searchsorted(ends, hits[0], side="right"))
+    assert ends[chunk - 1] < hits[0] < hits[1] < ends[chunk]  # one chunk, neither at its start
     assert certified
     assert _key(hypothesis.weights) == _key(stream[hits[0]])
+    assert record == filteredpca.TerminalRecord(scored=int(ends[chunk]), first_hit=5030, playoff=False)
+
+
+def test_final_search_first_hit_in_a_split_block(monkeypatch):
+    """A hit in the part of a block that a chunk edge cut off maps back to its own row."""
+    firsts, tails = _grid_layers()
+    ends = _chunk_ends([(w0, np.concatenate(tails)) for w0 in firsts], _GRID_ROWS)
+    cut = int(next(e for e in ends if e % len(tails)))  # a chunk edge inside a block
+    block, row = divmod(cut + (len(tails) - cut % len(tails)) // 2, len(tails))
+    target = ReluNetwork((firsts[block], tails[row]))
+    (hypothesis, _, certified, _, record), stream = _grid_search(monkeypatch, target, eps=1e-6)
+    assert certified and record.first_hit == block * len(tails) + row
+    assert _key(hypothesis.weights) == _key(stream[record.first_hit])
 
 
 def test_final_search_playoff_matches_brute_force(monkeypatch):
@@ -488,8 +603,9 @@ def test_final_search_playoff_matches_brute_force(monkeypatch):
         return evaluate(net, x)
 
     monkeypatch.setattr(filteredpca, "evaluate", recording_evaluate)
-    (hypothesis, _, _, reason), stream = _grid_search(monkeypatch, target, eps=0.01)
+    (hypothesis, _, _, reason, record), stream = _grid_search(monkeypatch, target, eps=0.01)
     assert "playoff winner" in reason
+    assert record == filteredpca.TerminalRecord(scored=len(stream), first_hit=None, playoff=True)
     oracle = GaussianOracle(target, 3)
     errs = _brute_force_errors(stream, oracle.draw(_GRID_ROWS))
     order = sorted(range(len(stream)), key=lambda i: (errs[i], i))
@@ -520,7 +636,8 @@ def test_final_search_playoff_on_a_clipped_grid(monkeypatch, unfiltered_network_
         dim=4, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.01, delta=0.05, final_eps_prime=0.7,
         final_select_samples=256, n_check=2_000,
     )
-    _, _, _, reason = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
+    _, _, _, reason, record = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
+    assert record.playoff and record.first_hit is None
     assert "playoff winner" in reason
     playoff = scored[:-1]  # the last scored network is the winner's error check
     assert len(playoff) == len(set(playoff)) == 32
@@ -534,8 +651,8 @@ def test_final_search_playoff_on_a_clipped_grid(monkeypatch, unfiltered_network_
     assert best <= set(playoff)
 
 
-def test_scored_chunks_belong_to_the_caller(rng):
-    """Overwriting a yielded chunk changes neither a later scan nor a candidate's own state."""
+def test_scored_hidden_activations_are_read_only(rng):
+    """No consumer can write a yielded H (blocks share h0), and scanning leaves candidates as they were."""
     x = rng.standard_normal((8, 4))
     held = np.arange(8.0)  # a candidate that returns an array it keeps
     kickers = list(enumerate_kickers(_GRID_FRAME, 0.9, 2, 1.0))[:20]
@@ -546,11 +663,11 @@ def test_scored_chunks_belong_to_the_caller(rng):
         CandidateList(factory=lambda: iter([lambda _x: held]), count_bound=1),
     ]
     for cands in lists:
-        before = [preds.copy() for _, preds in _scored(cands, x, 8 * 4)]
-        for _, preds in _scored(cands, x, 8 * 4):
-            preds[:] = np.nan
-        after = [preds for _, preds in _scored(cands, x, 8 * 4)]
-        assert len(after) == len(before)
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
-    assert np.array_equal(held, np.arange(8.0))
+        before = _block_preds(cands, x, 8 * 4)
+        for chunk in _scored(cands, x, 8 * 4):
+            for _, _, _, h in chunk:
+                with pytest.raises(ValueError, match="read-only"):
+                    h[:] = np.nan
+        assert np.array_equal(_block_preds(cands, x, 8 * 4), before)
+    assert held.flags.writeable and np.array_equal(held, np.arange(8.0))
     assert all(np.array_equal(sk.leaves, v) for sk, v in zip(kickers, leaves))

@@ -285,6 +285,11 @@ def test_run_experiment_end_to_end(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "section,key,value"
     assert len(lines) > 10
+    # the terminal search explains itself: a first hit, so no playoff
+    terminal = report.recovery["terminal"]
+    assert terminal["first_hit"] is not None and not terminal["playoff"]
+    assert terminal["scored"] > terminal["first_hit"] >= 0
+    assert {f"terminal,{key},{value}" for key, value in terminal.items()} <= set(lines)
 
 
 def test_reports_byte_identical_modulo_timing(tmp_path):
