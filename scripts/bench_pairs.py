@@ -8,9 +8,12 @@ first in even pairs and this tree first in odd ones, and the benchmark's own
 run length.  For every end-to-end metric the file gets each side's runs in
 pair order, their median and quartiles, the number of pairs the change won
 (ties count for neither side), the change's median relative to the parent's,
-and whether that ratio is within the metric's BENCHMARK.json bound (worse by
-at most the bound).  It also gets each run's ``correct`` and ``failed``, and
-one summary line per metric is printed.  The runs go under the key
+whether that ratio is within the metric's BENCHMARK.json bound (worse by
+at most the bound), and whether the metric is unresolved: the parent's
+interquartile range exceeds the bound times the parent's median, so the runs
+spread too widely to tell, unless every change run beats every parent run.
+It also gets each run's ``correct`` and ``failed``, and one summary line per
+metric is printed.  The runs go under the key
 ``pairs_<workload>``, so one file holds the pairs of several workloads.
 Every child runs with BLAS on one thread, as in scripts/bench_record.py.
 Standard library only.
@@ -45,6 +48,15 @@ def _within_bound(relative: float, better: str, bound: float) -> bool:
     return relative <= 1.0 + bound if better == "lower" else relative >= 1.0 - bound
 
 
+def _unresolved(parent: dict, change: dict, better: str, bound: float) -> bool:
+    """Whether the parent's spread exceeds the bound while the change does not beat every parent run."""
+    if parent["q3"] - parent["q1"] <= bound * abs(parent["median"]):
+        return False
+    if better == "lower":
+        return not max(change["runs"]) < min(parent["runs"])
+    return not min(change["runs"]) > max(parent["runs"])
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="the parent commit's source tree")
@@ -66,11 +78,14 @@ def main(argv=None) -> int:
         wins = sum(sign * (c - q) < 0 for q, c in zip(parent["runs"], change["runs"]))
         relative = _relative(parent["median"], change["median"])
         ok = _within_bound(relative, m["better"], m["bound"])
+        unresolved = _unresolved(parent, change, m["better"], m["bound"])
         metrics[name] = {"unit": m["unit"], "parent": parent, "change": change, "change_wins": wins,
-                         "relative_median": relative, "bound": m["bound"], "within_bound": ok}
+                         "relative_median": relative, "bound": m["bound"], "within_bound": ok,
+                         "unresolved": unresolved}
         print(f"{args.workload} {name}: parent {parent['median']:.4g} -> change {change['median']:.4g} "
               f"{m['unit']} ({relative - 1.0:+.1%}, bound {m['bound']:.0%} {m['better']}-is-better: "
-              f"{'within' if ok else 'OUTSIDE'}); change won {wins}/{args.pairs}")
+              f"{'within' if ok else 'OUTSIDE'}{', unresolved' if unresolved else ''}); "
+              f"change won {wins}/{args.pairs}")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[f"pairs_{args.workload}"] = {
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs, "trace": 0,

@@ -15,12 +15,8 @@ from .enumeration import CandidateList, enumerate_kickers, enumerate_networks
 from .errors import BudgetError
 from .lattice import LatticePolynomial, SelectorKicker, lattice_eval, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
-from .subspace import (
-    Frame,
-    approx_top_svd,
-    extend_frame,
-    project,
-)
+from .subspace import Frame, extend_frame, project, seeded_start
+from .subspace import approx_top_svd  # noqa: F401  (bench/tracing.py wraps it; unused here)
 
 __all__ = [
     "GaussianOracle",
@@ -177,6 +173,9 @@ class LearnConfig:
     least 1, k and l at least 0, k at most dim).  b, lam and the grid
     granularities are finite and positive, as is lambda_acc when given
     (final_eps_prime None: derived from eps; lambda_acc None: calibrated).
+    eps lies in [1e-6, 1): terminal errors come from a Gram form that resolves
+    them only to about 1e-8.  delta lies in (0, 1) but sets no decision (the
+    eigen-step is exact); it stays a field because the acceptance tests pass it.
     """
 
     c: ClassVar[float] = 2.0
@@ -211,8 +210,10 @@ class LearnConfig:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         if self.k > self.dim:
             raise ValueError(f"k must be at most dim = {self.dim}, got {self.k!r}")
-        if not (0 < self.eps < 1 and 0 < self.delta < 1):
-            raise ValueError("eps and delta must lie in (0, 1)")
+        if not 1e-6 <= self.eps < 1:
+            raise ValueError(f"eps must be in [1e-6, 1), got {self.eps!r}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
         for name in ("b", "lam", "eps_prime", "final_eps_prime", "lambda_acc"):
             value = getattr(self, name)
             if value is None and name in ("final_eps_prime", "lambda_acc"):
@@ -250,7 +251,6 @@ class IterationRecord:
     accepted_candidate: int | None
     lam_value: float | None
     nearness: float | None
-    converged: bool | None  # eigen-solver convergence for the accepted candidate
 
 
 @dataclass(frozen=True)
@@ -432,10 +432,10 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     """Iterative direction recovery followed by a terminal hypothesis search.
 
     Per iteration: draw a batch, scan candidates over the current frame, build
-    each candidate's filtered second-moment matrix, take its top direction, and
-    accept the first candidate whose quadratic form clears the acceptance
-    threshold (calibrated from the first scan unless lambda_acc is given).  The frame
-    grows by the accepted direction; a scan with no acceptance ends the loop.
+    each candidate's filtered second-moment matrix, and accept the first whose
+    eigenvalue of largest magnitude clears the acceptance threshold (calibrated
+    from the first scan unless lambda_acc is given).  The frame grows by the
+    accepted moment's top eigenvector; a scan with no acceptance ends the loop.
     A final enumeration at fine granularity picks the hypothesis: the first
     candidate whose empirical error is at most 3*eps, else the best seen.
     """
@@ -482,38 +482,29 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
                 scanned += 1
                 tau_used = _pick_tau(config, resid)
                 m = _masked_moment(samples.x, q, resid > tau_used, samples.n)
-                if lambda_acc is not None and np.linalg.norm(m) < lambda_acc:
-                    continue  # w M w <= lambda_max <= ||M||_F: no direction can clear lambda_acc
-                top = approx_top_svd(
-                    lambda v: m @ v,
-                    d,
-                    1,
-                    eta=1e-9,
-                    delta=config.delta,
-                    seed=config.seed * 1_000_003 + 7919 * ell + idx,
-                )
-                w = top.frame.vectors[0]
-                lam_val = float(w @ m @ w)
+                vals = np.linalg.eigvalsh(m)  # ascending; power iteration converges to the larger |end|
+                lam_val = float(vals[-1] if vals[-1] >= -vals[0] else vals[0])
                 if lambda_acc is None:
-                    lambda_acc = max(config.acc_fraction * float(top.values[0]), 1e-9)
+                    lambda_acc = max(config.acc_fraction * abs(lam_val), 1e-9)
                     constants["lambda_acc_calibrated"] = lambda_acc
                 if lam_val >= lambda_acc:
-                    accepted = (idx, w, lam_val, top.converged)
+                    # signed as power iteration from approx_top_svd's seeded start converges to it
+                    w = np.linalg.eigh(m)[1][:, -1]
+                    q0 = seeded_start(d, 1, config.seed * 1_000_003 + 7919 * ell + idx)[:, 0]
+                    accepted = (idx, -w if w @ q0 < 0 else w, lam_val)
                     break
         except BudgetError as err:
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
-            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, None))
-            break
         finally:
             del samples  # so the next draw does not hold two batches
         if accepted is None:
-            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, None))
+            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None))
             break
-        idx, w, lam_val, converged = accepted
+        idx, w, lam_val = accepted
         nearness = None
         if planted_proj is not None:
             nearness = 1.0 - float(np.linalg.norm(planted_proj @ w))
-        trace.append(IterationRecord(ell, tau_used, scanned, idx, lam_val, nearness, converged))
+        trace.append(IterationRecord(ell, tau_used, scanned, idx, lam_val, nearness))
         frame = extend_frame(frame, w)
 
     constants["lambda_acc_effective"] = lambda_acc

@@ -20,6 +20,7 @@ __all__ = [
     "extend_frame",
     "procrustes_distance",
     "project",
+    "seeded_start",
 ]
 
 
@@ -138,6 +139,11 @@ class TopSVDResult:
     converged: bool
 
 
+def seeded_start(dim: int, k: int, seed) -> np.ndarray:
+    """approx_top_svd's start block for a seed: the Q factor of a (dim, k) Gaussian draw."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, k)))[0]
+
+
 def approx_top_svd(matvec, dim: int, k: int, eta: float, delta: float, seed) -> TopSVDResult:
     """Top-k singular pairs of a symmetric operator by seeded block power iteration.
 
@@ -150,8 +156,7 @@ def approx_top_svd(matvec, dim: int, k: int, eta: float, delta: float, seed) -> 
         raise ValueError("need 1 <= k <= dim")
     if eta <= 0 or delta <= 0:
         raise ValueError("eta and delta must be positive")
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(rng.standard_normal((dim, k)))[0]
+    q = seeded_start(dim, k, seed)
     cap = max(1, math.ceil(10.0 * math.log(dim / (eta * delta))))
     rayleigh = np.full(k, np.inf)
     converged = False

@@ -25,7 +25,7 @@ from relupca.filteredpca import (
 )
 from relupca.harness import make_instance
 from relupca.network import ReluNetwork, evaluate, zero_network
-from relupca.subspace import Frame, chordal_distance, complement_project, project
+from relupca.subspace import Frame, approx_top_svd, chordal_distance, complement_project, project
 
 
 def abs_net(v):
@@ -237,6 +237,7 @@ def test_config_validation():
         ("lam", math.nan), ("dim", 4.5), ("size", 2.5), ("l", 0.5), ("k", True),
         ("lambda_acc", -1.0), ("lambda_acc", math.nan), ("max_candidates", math.nan),
         ("max_candidates", 2.5), ("max_candidates", True), ("max_candidates", math.inf),
+        ("delta", 1.0), ("eps", 1e-7),  # below the resolution of the Gram-form terminal errors
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             LearnConfig(**{**base, field: value})
@@ -274,7 +275,6 @@ def test_recovery_on_planted_line():
     assert result.eps_hat <= 0.3
     assert result.trace[0].accepted_candidate is not None
     assert result.trace[0].nearness == pytest.approx(0.0, abs=0.05)
-    assert result.trace[0].converged is True
 
 
 def test_recovery_is_deterministic():
@@ -310,50 +310,89 @@ def test_budget_exhaustion_reports_failure():
     result = run(gaussian_oracle(net, 1), small_recovery_config(k=2, max_candidates=3))
     assert "budget exhausted at iteration 1" in result.failure_reason
     assert [t.accepted_candidate for t in result.trace] == [0, None]
-    assert [t.converged for t in result.trace] == [True, None]
 
 
-def test_frobenius_precheck_matches_a_scan_that_solves_every_candidate(monkeypatch):
-    """The loop skips the eigen-solve when ||M||_F < lambda_acc, since w M w <= lambda_max <= ||M||_F.
+def _power_step(m, seed):
+    """Seeded power iteration on m: its vector, w M w, and its |lambda| estimate."""
+    top = approx_top_svd(lambda v: m @ v, m.shape[0], 1, eta=1e-9, delta=0.05, seed=seed)
+    w = top.frame.vectors[0]
+    return w, float(w @ m @ w), float(top.values[0])
 
-    Solving every recorded moment with its own seed gives the same accepted
-    index and value in every iteration, and each skipped moment is
-    below lambda_acc in Frobenius norm.
+
+def _gapped(rng, dim, tops, comp=None):
+    """Symmetric matrix with eigenvalues tops, 0 on comp when given, and the rest in [-0.1, 0.1]."""
+    lead = [] if comp is None else [comp]
+    u = np.linalg.qr(np.column_stack([*lead, rng.standard_normal((dim, dim - len(lead)))]))[0]
+    rest = rng.uniform(-0.1, 0.1, dim - len(lead) - len(tops))
+    m = (u * np.concatenate([[0.0] * len(lead), tops, rest])) @ u.T
+    return (m + m.T) / 2.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eigen_step_orients_like_power_iteration(monkeypatch, seed):
+    """On gapped moments the loop accepts and orients as seeded power iteration would.
+
+    Iteration 0 calibrates on its one moment and accepts it.  In iteration 1
+    the first moment's dominant eigenvalue is negative (-2, with +1 above the
+    threshold as well): power iteration converges to the -2 pair, so it is
+    rejected.  The second is accepted.  Values agree to 1e-9 relative and
+    frame vectors, sign included, to 1e-6.
+    """
+    rng = np.random.default_rng(seed)
+    m0 = _gapped(rng, 5, [rng.uniform(0.8, 2.0)])
+    u0, _, _ = _power_step(m0, seed * 1_000_003)
+    bad = _gapped(rng, 5, [-2.0, 1.0], u0)
+    good = _gapped(rng, 5, [rng.uniform(0.8, 2.0)], u0)
+    moments = iter([m0, bad, good])
+    monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: next(moments))
+    config = small_recovery_config(dim=5, k=2, final_eps_prime=1.0, seed=seed)
+    result = run(gaussian_oracle(abs_net([1.0, 0.0, 0.0, 0.0, 0.0]), seed), config)
+    assert [t.accepted_candidate for t in result.trace] == [0, 1]
+    _, bad_lam, _ = _power_step(bad, seed * 1_000_003 + 7919)
+    assert bad_lam == pytest.approx(-2.0, rel=1e-9)
+    for ell, (m, idx) in enumerate([(m0, 0), (good, 1)]):
+        w, lam, _ = _power_step(m, seed * 1_000_003 + 7919 * ell + idx)
+        assert result.trace[ell].lam_value == pytest.approx(lam, rel=1e-9)
+        assert np.max(np.abs(result.frame.vectors[ell] - w)) <= 1e-6
+
+
+def test_exact_eigen_step_matches_power_iteration(monkeypatch):
+    """Solving every recorded moment with approx_top_svd and its own seed accepts what run() accepts.
+
+    Same accepted index in every iteration, the same calibrated threshold and
+    lambda to 1e-9 relative, and the same frame vector, sign included, to 1e-6.
     """
     net, _ = make_instance({"kind": "mixed", "dim": 6, "k": 2, "units": 2, "b": 1.0}, 0)
     config = LearnConfig(
         dim=6, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.05, delta=0.05, n_samples=20_000,
         n_check=2_000, tau_mode="quantile", final_eps_prime=0.3, seed=0,
     )
-    moments, solved = [], []
-    real_moment, real_solve = filteredpca._masked_moment, filteredpca.approx_top_svd
+    moments = []
+    real_moment = filteredpca._masked_moment
 
     def recording_moment(*args):
         moments.append(real_moment(*args))
         return moments[-1]
 
-    def recording_solve(*args, **kwargs):
-        solved.append(len(moments) - 1)
-        return real_solve(*args, **kwargs)
-
     monkeypatch.setattr(filteredpca, "_masked_moment", recording_moment)
-    monkeypatch.setattr(filteredpca, "approx_top_svd", recording_solve)
     result = run(gaussian_oracle(net, 0), config)
     lambda_acc = result.constants["lambda_acc_effective"]
     assert [t.candidates_scanned for t in result.trace] == [1, 86]
-    assert len(moments) == 87 and len(solved) == 2  # 85 solves skipped
+    assert len(moments) == 87
+    _, _, first_abs = _power_step(moments[0], config.seed * 1_000_003)
+    assert lambda_acc == pytest.approx(config.acc_fraction * first_abs, rel=1e-9)
     start = 0
     for ell, record in enumerate(result.trace):
         accepted = None
         for idx, m in enumerate(moments[start : start + record.candidates_scanned]):
-            top = real_solve(lambda v, m=m: m @ v, 6, 1, eta=1e-9, delta=config.delta,
-                             seed=config.seed * 1_000_003 + 7919 * ell + idx)
-            w = top.frame.vectors[0]
-            if float(w @ m @ w) >= lambda_acc:
-                accepted = (idx, float(w @ m @ w))
+            w, lam, _ = _power_step(m, config.seed * 1_000_003 + 7919 * ell + idx)
+            if lam >= lambda_acc:
+                accepted = (idx, w, lam)
                 break
-            assert start + idx in solved or np.linalg.norm(m) < lambda_acc
-        assert accepted == (record.accepted_candidate, record.lam_value)
+        idx, w, lam = accepted
+        assert idx == record.accepted_candidate
+        assert record.lam_value == pytest.approx(lam, rel=1e-9)
+        assert np.max(np.abs(result.frame.vectors[ell] - w)) <= 1e-6
         start += record.candidates_scanned
 
 
