@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 import math
 import numbers
@@ -112,7 +113,7 @@ def as_function(candidate):
 def _masked_moment(x: np.ndarray, q: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
     """The filtered second moment: (1/n) * (q X_m^T X_m q - |mask| q), symmetrised.
 
-    X_m = x[mask] holds the raw rows that pass the filter and q is a symmetric
+    X_m holds the raw rows that pass the filter and q is a symmetric
     projector, so this is (1/n) * sum over masked rows of (q x)(q x)^T - q
     without forming q x for every row.  The one filtered-moment primitive:
     filter_matrix, run() and the concentration check all call it.
@@ -120,8 +121,8 @@ def _masked_moment(x: np.ndarray, q: np.ndarray, mask: np.ndarray, n: int) -> np
     d = q.shape[0]
     if not np.any(mask):
         return np.zeros((d, d))
-    xm = x[mask]
-    m = (q @ (xm.T @ xm) @ q - int(mask.sum()) * q) / n
+    xm = np.compress(mask, x, axis=0)  # x[mask], gathered faster
+    m = (q @ (xm.T @ xm) @ q - xm.shape[0] * q) / n
     return (m + m.T) / 2.0
 
 
@@ -388,11 +389,16 @@ def _scored(payloads, x: np.ndarray, elem_budget: int):
 
 
 def _iter_residuals(candidates: CandidateList, samples: SampleSet):
-    """Yield each candidate's residual vector |y - prediction|, in stream order.
+    """Yield (digest, residual) per candidate, in stream order.
 
-    Each chunk's (C, N) predictions are formed before its rows are scanned,
-    so the chunk's hidden activations are freed first.
+    digest is the SHA-256 of the candidate's prediction row and residual its
+    vector |y - prediction|, or None when an earlier row had the same bytes:
+    that residual was yielded already, so only distinct rows pay for one.
+    Only digests are kept, never rows.  Each chunk's (C, N) predictions are
+    formed before its rows are scanned, so the chunk's hidden activations are
+    freed first.
     """
+    seen: set[bytes] = set()
     for chunk in _scored(candidates, samples.x, _LOOP_CHUNK_ELEMS):
         preds = np.empty((sum(len(w) for _, _, w, _ in chunk), samples.n))
         a = 0
@@ -401,7 +407,12 @@ def _iter_residuals(candidates: CandidateList, samples: SampleSet):
             a += len(w)
         del chunk, h  # the hidden activations are not needed for the scan
         for row in preds:
-            yield np.abs(samples.y - row)
+            key = hashlib.sha256(row).digest()
+            if key in seen:
+                yield key, None
+            else:
+                seen.add(key)
+                yield key, np.abs(samples.y - row)
 
 
 def _chunk_errors(chunk: list, y: np.ndarray) -> np.ndarray:
@@ -434,7 +445,10 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     Per iteration: draw a batch, scan candidates over the current frame, build
     each candidate's filtered second-moment matrix, and accept the first whose
     eigenvalue of largest magnitude clears the acceptance threshold (calibrated
-    from the first scan unless lambda_acc is given).  The frame grows by the
+    from the first scan unless lambda_acc is given).  A candidate whose
+    prediction row is byte-identical to one scanned before in the same scan
+    is skipped: it has that row's tau, moment and eigenvalue, and that row was
+    rejected.  It still counts as scanned and keeps its index.  The frame grows by the
     accepted moment's top eigenvector; a scan with no acceptance ends the loop.
     A final enumeration at fine granularity picks the hypothesis: the first
     candidate whose empirical error is at most 3*eps, else the best seen.
@@ -473,14 +487,18 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         accepted = None
         scanned = 0
         tau_used = config.tau
+        taus: dict[bytes, float] = {}  # prediction-row digest -> tau, one entry per moment formed
         try:
             # Scoring the raw rows is exact up to rounding: every loop candidate
             # reads x only through the frame (lifted W_0 rows and kicker leaves
             # lie in its span, and the zero net ignores x), so f(x) = f(P x).
             candidates = _candidates(config, frame, config.eps_prime)
-            for idx, resid in enumerate(_iter_residuals(candidates, samples)):
+            for idx, (key, resid) in enumerate(_iter_residuals(candidates, samples)):
                 scanned += 1
-                tau_used = _pick_tau(config, resid)
+                if resid is None:  # a repeat of a rejected row: same tau, moment and lambda
+                    tau_used = taus[key]
+                    continue
+                tau_used = taus[key] = _pick_tau(config, resid)
                 m = _masked_moment(samples.x, q, resid > tau_used, samples.n)
                 vals = np.linalg.eigvalsh(m)  # ascending; power iteration converges to the larger |end|
                 lam_val = float(vals[-1] if vals[-1] >= -vals[0] else vals[0])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -356,36 +357,75 @@ def test_eigen_step_orients_like_power_iteration(monkeypatch, seed):
         assert np.max(np.abs(result.frame.vectors[ell] - w)) <= 1e-6
 
 
-def test_exact_eigen_step_matches_power_iteration(monkeypatch):
-    """Solving every recorded moment with approx_top_svd and its own seed accepts what run() accepts.
+_DIFF_INSTANCE = {"kind": "mixed", "dim": 6, "k": 2, "units": 2, "b": 1.0}
 
-    Same accepted index in every iteration, the same calibrated threshold and
-    lambda to 1e-9 relative, and the same frame vector, sign included, to 1e-6.
-    """
-    net, _ = make_instance({"kind": "mixed", "dim": 6, "k": 2, "units": 2, "b": 1.0}, 0)
-    config = LearnConfig(
+
+def _diff_config(**overrides):
+    """A d = 6 mixed run whose second scan accepts candidate 85 of a grid full of repeated rows."""
+    base = dict(
         dim=6, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.05, delta=0.05, n_samples=20_000,
         n_check=2_000, tau_mode="quantile", final_eps_prime=0.3, seed=0,
     )
-    moments = []
-    real_moment = filteredpca._masked_moment
+    return LearnConfig(**{**base, **overrides})
+
+
+def _recording_run(monkeypatch, config, residuals=None):
+    """run() on the d = 6 mixed instance, recording every moment formed and every row digest.
+
+    residuals, when given, replaces _iter_residuals.  Returns (result, moments,
+    per-scan lists of digests).
+    """
+    net, _ = make_instance(_DIFF_INSTANCE, 0)
+    moments, scans = [], []
+    scan_rows = residuals or _iter_residuals
 
     def recording_moment(*args):
-        moments.append(real_moment(*args))
+        moments.append(_masked_moment(*args))
         return moments[-1]
 
+    def recording_rows(*args):
+        scans.append([])
+        for key, resid in scan_rows(*args):
+            scans[-1].append(key)
+            yield key, resid
+
     monkeypatch.setattr(filteredpca, "_masked_moment", recording_moment)
-    result = run(gaussian_oracle(net, 0), config)
+    monkeypatch.setattr(filteredpca, "_iter_residuals", recording_rows)
+    return run(gaussian_oracle(net, 0), config), moments, scans
+
+
+def _every_residual(candidates, samples):
+    """Brute-force reference for _iter_residuals: a fresh key and a residual for every candidate."""
+    rows = itertools.chain.from_iterable(
+        w @ h.T for chunk in _scored(candidates, samples.x, filteredpca._LOOP_CHUNK_ELEMS) for _, _, w, h in chunk
+    )
+    for i, row in enumerate(rows):
+        yield i.to_bytes(8, "little"), np.abs(samples.y - row)
+
+
+def test_exact_eigen_step_matches_power_iteration(monkeypatch):
+    """Solving every candidate's moment with approx_top_svd and its own seed accepts what run() accepts.
+
+    run() forms one moment per distinct prediction row; each repeat is decided
+    on its first occurrence's moment, so all 87 candidates are checked.  Same
+    accepted index in every iteration, the same calibrated threshold and
+    lambda to 1e-9 relative, and the same frame vector, sign included, to 1e-6.
+    """
+    config = _diff_config()
+    result, moments, scans = _recording_run(monkeypatch, config)
     lambda_acc = result.constants["lambda_acc_effective"]
-    assert [t.candidates_scanned for t in result.trace] == [1, 86]
-    assert len(moments) == 87
+    assert [t.candidates_scanned for t in result.trace] == [len(keys) for keys in scans] == [1, 86]
+    assert len(moments) == sum(len(set(keys)) for keys in scans) == 33
     _, _, first_abs = _power_step(moments[0], config.seed * 1_000_003)
     assert lambda_acc == pytest.approx(config.acc_fraction * first_abs, rel=1e-9)
-    start = 0
-    for ell, record in enumerate(result.trace):
+    formed = iter(moments)
+    for ell, (record, keys) in enumerate(zip(result.trace, scans)):
+        scan_moments: dict = {}  # digest -> its first occurrence's moment
         accepted = None
-        for idx, m in enumerate(moments[start : start + record.candidates_scanned]):
-            w, lam, _ = _power_step(m, config.seed * 1_000_003 + 7919 * ell + idx)
+        for idx, key in enumerate(keys):
+            if key not in scan_moments:
+                scan_moments[key] = next(formed)
+            w, lam, _ = _power_step(scan_moments[key], config.seed * 1_000_003 + 7919 * ell + idx)
             if lam >= lambda_acc:
                 accepted = (idx, w, lam)
                 break
@@ -393,7 +433,35 @@ def test_exact_eigen_step_matches_power_iteration(monkeypatch):
         assert idx == record.accepted_candidate
         assert record.lam_value == pytest.approx(lam, rel=1e-9)
         assert np.max(np.abs(result.frame.vectors[ell] - w)) <= 1e-6
-        start += record.candidates_scanned
+
+
+def test_repeat_skip_matches_a_brute_force_scan(monkeypatch):
+    """run() equals a scan that forms every candidate's moment: same decisions, tau, lambda and frame bytes."""
+    config = _diff_config()
+    result, moments, _ = _recording_run(monkeypatch, config)
+    reference, every_moment, _ = _recording_run(monkeypatch, config, _every_residual)
+    assert (len(moments), len(every_moment)) == (33, 87)
+    assert result.trace == reference.trace
+    assert result.frame.vectors.tobytes() == reference.frame.vectors.tobytes()
+    assert result.constants == reference.constants
+    assert result.eps_hat == reference.eps_hat
+
+
+def test_repeat_as_the_last_candidate_keeps_its_first_tau(monkeypatch):
+    """A scan with no acceptance that ends on a repeat records the repeated row's tau, not its neighbour's."""
+    v = np.array([1.0, 0.0, 0.0, 0.0])
+    f_a, f_b = (lambda x: np.abs(x @ v)), (lambda x: 0.5 * (x @ v))
+    stream = [f_a, f_b, f_a]
+    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter(stream), 3))
+    calls = []
+    monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
+    oracle = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0)
+    result = run(oracle, small_recovery_config(lambda_acc=1e9))
+    batch = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0).draw(20_000)  # the scan's batch
+    record = result.trace[0]
+    assert (record.accepted_candidate, record.candidates_scanned, len(calls)) == (None, 3, 2)
+    assert record.tau == float(np.quantile(np.abs(batch.y - f_a(batch.x)), 0.95))
+    assert record.tau != float(np.quantile(np.abs(batch.y - f_b(batch.x)), 0.95))
 
 
 class ShiftThirdDraw:
@@ -463,7 +531,10 @@ def test_pred_chunks_match_reference_evaluation(data):
     back alone, also where it breaks a run of blocks whose first layer continues
     after it.  Network chunks hold one piece, then at most twice the previous
     count, and no more candidates than the budget allows (at least one), so small
-    budgets split blocks: chunk edges fall inside a block.
+    budgets split blocks: chunk edges fall inside a block.  A payload may come
+    again later in the stream: _iter_residuals yields no residual for a row
+    whose bytes it has digested before, and such a row's reference equals its
+    first occurrence's.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     d = data.draw(st.integers(1, 4), label="d")
@@ -489,6 +560,9 @@ def test_pred_chunks_match_reference_evaluation(data):
     breaks = data.draw(st.lists(st.integers(0, len(stream)), max_size=4), label="breaks")
     for at in sorted(breaks, reverse=True):  # may split a run: its first layer goes on after
         stream.insert(at, others[data.draw(st.integers(0, 1), label="other")])
+    for _ in range(data.draw(st.integers(0, 3), label="repeats")):  # the same payload again, later
+        src = data.draw(st.integers(0, len(stream) - 1), label="repeat of")
+        stream.insert(data.draw(st.integers(src + 1, len(stream)), label="repeat at"), stream[src])
     budget = len(x) * data.draw(st.integers(1, 8), label="budget widths")
     candidates, preds, errs = [], [], []
     cap = 1
@@ -518,8 +592,18 @@ def test_pred_chunks_match_reference_evaluation(data):
     np.testing.assert_allclose(errs, np.sqrt(np.mean((np.array(want) - y) ** 2, axis=1)), rtol=0, atol=1e-9)
     samples = SampleSet(x, y)
     with mock.patch.object(filteredpca, "_LOOP_CHUNK_ELEMS", budget):
-        resids = list(_iter_residuals(CandidateList(lambda: iter(stream), len(flat)), samples))
-    np.testing.assert_allclose(resids, np.abs(y - np.array(want)), rtol=0, atol=1e-12)
+        scan = list(_iter_residuals(CandidateList(lambda: iter(stream), len(flat)), samples))
+    assert len(scan) == len(flat)
+    first: dict = {}  # digest -> index of the row that first had it
+    for i, ((key, resid), (p, _)) in enumerate(zip(scan, flat)):
+        if resid is None:  # a repeat: its reference row is its first occurrence's
+            np.testing.assert_allclose(want[i], want[first[key]], rtol=0, atol=1e-12)
+        else:
+            assert key not in first
+            first[key] = i
+            np.testing.assert_allclose(resid, np.abs(y - want[i]), rtol=0, atol=1e-12)
+        if not isinstance(p, tuple) and any(q is p for q, _ in flat[:i]):
+            assert resid is None  # a kicker or callable scored again has the same bytes
 
 
 @pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.9), (3, 1, 1.5), (3, 2, 0.9)])
