@@ -176,6 +176,11 @@ def report_summarize(report_path):
     click.echo(f"run: {report.spec.get('name', '?')} (instance {rec.get('instance_kind', '?')})")
     click.echo(f"directions found: {rec.get('k_found')}/{rec.get('k_target')}, "
                f"eps_hat={rec.get('eps_hat'):.6g}, certified={rec.get('certified')}")
+    for it in rec.get("iterations", []):
+        lam = it.get("lam_value")
+        click.echo(f"iteration {it.get('index')}: scanned={it.get('candidates_scanned')}, "
+                   f"distinct={it.get('candidates_distinct')}, accepted={it.get('accepted_candidate')}, "
+                   f"tau={it.get('tau'):.6g}, lambda={'-' if lam is None else format(lam, '.6g')}")
     for frag in report.fragments:
         _echo_fragment(frag)
     click.echo(f"all assertions passed: {report.all_passed}")

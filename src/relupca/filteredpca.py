@@ -244,7 +244,11 @@ class LearnConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One loop iteration: what was scanned, what was accepted, how well aligned."""
+    """One loop iteration: what was scanned, what was accepted, how well aligned.
+
+    candidates_distinct counts the filtered moments the scan formed: one per
+    distinct prediction row among the candidates scanned.
+    """
 
     index: int
     tau: float
@@ -252,6 +256,7 @@ class IterationRecord:
     accepted_candidate: int | None
     lam_value: float | None
     nearness: float | None
+    candidates_distinct: int
 
 
 @dataclass(frozen=True)
@@ -516,24 +521,33 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         finally:
             del samples  # so the next draw does not hold two batches
         if accepted is None:
-            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None))
+            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, len(taus)))
             break
         idx, w, lam_val = accepted
         nearness = None
         if planted_proj is not None:
             nearness = 1.0 - float(np.linalg.norm(planted_proj @ w))
-        trace.append(IterationRecord(ell, tau_used, scanned, idx, lam_val, nearness))
+        trace.append(IterationRecord(ell, tau_used, scanned, idx, lam_val, nearness, len(taus)))
         frame = extend_frame(frame, w)
 
     constants["lambda_acc_effective"] = lambda_acc
     hypothesis, eps_hat, certified, final_failure, terminal = _final_search(oracle, config, frame)
+    failure = failure or final_failure
+    if not certified and config.candidate_mode == "kicker" and len(frame):
+        fep = config.default_final_eps_prime()
+        spacing = 2.0 * fep * config.lam / math.sqrt(len(frame))  # enumerate_kickers' leaf grid
+        if spacing > 1.0:
+            failure += (
+                f"; the terminal kicker grid cannot hold a unit-scale leaf: its spacing "
+                f"2*final_eps_prime*lam/sqrt(ell) is {spacing:.6g} > 1 at final_eps_prime {fep:.6g}"
+            )
     return RecoveryResult(
         frame=frame,
         hypothesis=hypothesis,
         trace=trace,
         eps_hat=eps_hat,
         certified=certified,
-        failure_reason=failure or final_failure,
+        failure_reason=failure,
         constants=constants,
         terminal=terminal,
     )

@@ -183,6 +183,11 @@ def test_report_summarize(runner, tmp_path):
     result = runner.invoke(main, ["report-summarize", str(report_path)])
     assert result.exit_code == 0, result.output
     assert "all assertions passed: True" in result.output
+    it = json.loads(report_path.read_text())["recovery"]["iterations"][0]
+    assert (
+        f"iteration 0: scanned={it['candidates_scanned']}, distinct={it['candidates_distinct']}, "
+        f"accepted={it['accepted_candidate']}, tau={it['tau']:.6g}, lambda={it['lam_value']:.6g}"
+    ) in result.output.splitlines()
     # corrupting a fragment flips the exit code
     doc = json.loads(report_path.read_text())
     doc["all_passed"] = False

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -441,7 +442,10 @@ def test_repeat_skip_matches_a_brute_force_scan(monkeypatch):
     result, moments, _ = _recording_run(monkeypatch, config)
     reference, every_moment, _ = _recording_run(monkeypatch, config, _every_residual)
     assert (len(moments), len(every_moment)) == (33, 87)
-    assert result.trace == reference.trace
+    assert [t.candidates_distinct for t in result.trace] == [1, 32]
+    assert [t.candidates_distinct for t in reference.trace] == [1, 86]
+    uncounted = [dataclasses.replace(t, candidates_distinct=0) for t in result.trace]
+    assert uncounted == [dataclasses.replace(t, candidates_distinct=0) for t in reference.trace]
     assert result.frame.vectors.tobytes() == reference.frame.vectors.tobytes()
     assert result.constants == reference.constants
     assert result.eps_hat == reference.eps_hat
@@ -460,6 +464,7 @@ def test_repeat_as_the_last_candidate_keeps_its_first_tau(monkeypatch):
     batch = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0).draw(20_000)  # the scan's batch
     record = result.trace[0]
     assert (record.accepted_candidate, record.candidates_scanned, len(calls)) == (None, 3, 2)
+    assert record.candidates_distinct == 2
     assert record.tau == float(np.quantile(np.abs(batch.y - f_a(batch.x)), 0.95))
     assert record.tau != float(np.quantile(np.abs(batch.y - f_b(batch.x)), 0.95))
 
@@ -502,6 +507,20 @@ def test_kicker_mode_recovers_a_line(seed):
     assert result.certified, result.failure_reason
     assert len(result.frame) == 1
     assert chordal_distance(result.frame, planted) <= 0.1
+
+
+def test_kicker_failure_names_a_grid_too_coarse_for_a_unit_leaf():
+    """At final_eps_prime 0.5 and lam 2 the terminal kicker grid has spacing 2, so no unit-scale leaf fits."""
+    net, _ = make_instance({"kind": "abs", "dim": 4}, 0)
+    cfg = small_recovery_config(candidate_mode="kicker", final_eps_prime=0.5)
+    result = run(gaussian_oracle(net, 0), cfg)
+    assert not result.certified and len(result.frame) == 1
+    assert result.eps_hat > 0.9
+    assert result.failure_reason == (
+        "no terminal candidate reached 3*eps; returning the playoff winner; the terminal kicker grid "
+        "cannot hold a unit-scale leaf: its spacing 2*final_eps_prime*lam/sqrt(ell) is 2 > 1 "
+        "at final_eps_prime 0.5"
+    )
 
 
 def test_oracle_dimension_checked():

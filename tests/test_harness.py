@@ -290,6 +290,10 @@ def test_run_experiment_end_to_end(tmp_path):
     assert terminal["first_hit"] is not None and not terminal["playoff"]
     assert terminal["scored"] > terminal["first_hit"] >= 0
     assert {f"terminal,{key},{value}" for key, value in terminal.items()} <= set(lines)
+    # each iteration counts the moments its scan formed, at most one per candidate scanned
+    for i, it in enumerate(report.recovery["iterations"]):
+        assert 1 <= it["candidates_distinct"] <= it["candidates_scanned"]
+        assert f"iteration,candidates_distinct[{i}],{it['candidates_distinct']}" in lines
 
 
 def test_reports_byte_identical_modulo_timing(tmp_path):
