@@ -453,8 +453,9 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     from the first scan unless lambda_acc is given).  A candidate whose
     prediction row is byte-identical to one scanned before in the same scan
     is skipped: it has that row's tau, moment and eigenvalue, and that row was
-    rejected.  It still counts as scanned and keeps its index.  The frame grows by the
-    accepted moment's top eigenvector; a scan with no acceptance ends the loop.
+    rejected.  It still counts as scanned and keeps its index.  The frame
+    grows by the accepted moment's top eigenvector; a scan with no acceptance
+    ends the loop.
     A final enumeration at fine granularity picks the hypothesis: the first
     candidate whose empirical error is at most 3*eps, else the best seen.
     """
