@@ -393,31 +393,23 @@ def _scored(payloads, x: np.ndarray, elem_budget: int):
         yield _hidden(chunk, x)
 
 
-def _iter_residuals(candidates: CandidateList, samples: SampleSet):
-    """Yield (digest, residual) per candidate, in stream order.
+def _iter_predictions(candidates: CandidateList, x: np.ndarray):
+    """Yield (digest, prediction row at x) per candidate, in stream order.
 
-    digest is the SHA-256 of the candidate's prediction row and residual its
-    vector |y - prediction|, or None when an earlier row had the same bytes:
-    that residual was yielded already, so only distinct rows pay for one.
-    Only digests are kept, never rows.  Each chunk's (C, N) predictions are
-    formed before its rows are scanned, so the chunk's hidden activations are
+    digest is the SHA-256 of the row's bytes, so a scan can tell a row it has
+    scored before without keeping rows.  Each chunk's (C, N) predictions are
+    formed before its rows are yielded, so the chunk's hidden activations are
     freed first.
     """
-    seen: set[bytes] = set()
-    for chunk in _scored(candidates, samples.x, _LOOP_CHUNK_ELEMS):
-        preds = np.empty((sum(len(w) for _, _, w, _ in chunk), samples.n))
+    for chunk in _scored(candidates, x, _LOOP_CHUNK_ELEMS):
+        preds = np.empty((sum(len(w) for _, _, w, _ in chunk), x.shape[0]))
         a = 0
         for _, _, w, h in chunk:
             np.matmul(w, h.T, out=preds[a : a + len(w)])
             a += len(w)
         del chunk, h  # the hidden activations are not needed for the scan
         for row in preds:
-            key = hashlib.sha256(row).digest()
-            if key in seen:
-                yield key, None
-            else:
-                seen.add(key)
-                yield key, np.abs(samples.y - row)
+            yield hashlib.sha256(row).digest(), row
 
 
 def _chunk_errors(chunk: list, y: np.ndarray) -> np.ndarray:
@@ -499,11 +491,12 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
             # reads x only through the frame (lifted W_0 rows and kicker leaves
             # lie in its span, and the zero net ignores x), so f(x) = f(P x).
             candidates = _candidates(config, frame, config.eps_prime)
-            for idx, (key, resid) in enumerate(_iter_residuals(candidates, samples)):
+            for idx, (key, row) in enumerate(_iter_predictions(candidates, samples.x)):
                 scanned += 1
-                if resid is None:  # a repeat of a rejected row: same tau, moment and lambda
+                if key in taus:  # a repeat of a rejected row: same tau, moment and lambda
                     tau_used = taus[key]
                     continue
+                resid = np.abs(samples.y - row)
                 tau_used = taus[key] = _pick_tau(config, resid)
                 m = _masked_moment(samples.x, q, resid > tau_used, samples.n)
                 vals = np.linalg.eigvalsh(m)  # ascending; power iteration converges to the larger |end|

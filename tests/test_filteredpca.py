@@ -1,5 +1,5 @@
 import dataclasses
-import itertools
+import hashlib
 import math
 from unittest import mock
 
@@ -15,7 +15,7 @@ from relupca.filteredpca import (
     SampleSet,
     _chunk_errors,
     _final_search,
-    _iter_residuals,
+    _iter_predictions,
     _masked_moment,
     _scored,
     as_function,
@@ -370,15 +370,15 @@ def _diff_config(**overrides):
     return LearnConfig(**{**base, **overrides})
 
 
-def _recording_run(monkeypatch, config, residuals=None):
+def _recording_run(monkeypatch, config, rows=None):
     """run() on the d = 6 mixed instance, recording every moment formed and every row digest.
 
-    residuals, when given, replaces _iter_residuals.  Returns (result, moments,
+    rows, when given, replaces _iter_predictions.  Returns (result, moments,
     per-scan lists of digests).
     """
     net, _ = make_instance(_DIFF_INSTANCE, 0)
     moments, scans = [], []
-    scan_rows = residuals or _iter_residuals
+    scan_rows = rows or _iter_predictions
 
     def recording_moment(*args):
         moments.append(_masked_moment(*args))
@@ -386,22 +386,19 @@ def _recording_run(monkeypatch, config, residuals=None):
 
     def recording_rows(*args):
         scans.append([])
-        for key, resid in scan_rows(*args):
+        for key, row in scan_rows(*args):
             scans[-1].append(key)
-            yield key, resid
+            yield key, row
 
     monkeypatch.setattr(filteredpca, "_masked_moment", recording_moment)
-    monkeypatch.setattr(filteredpca, "_iter_residuals", recording_rows)
+    monkeypatch.setattr(filteredpca, "_iter_predictions", recording_rows)
     return run(gaussian_oracle(net, 0), config), moments, scans
 
 
-def _every_residual(candidates, samples):
-    """Brute-force reference for _iter_residuals: a fresh key and a residual for every candidate."""
-    rows = itertools.chain.from_iterable(
-        w @ h.T for chunk in _scored(candidates, samples.x, filteredpca._LOOP_CHUNK_ELEMS) for _, _, w, h in chunk
-    )
-    for i, row in enumerate(rows):
-        yield i.to_bytes(8, "little"), np.abs(samples.y - row)
+def _every_row(candidates, x):
+    """Brute-force reference for _iter_predictions: a fresh key for every row, so every moment is formed."""
+    for i, (_, row) in enumerate(_iter_predictions(candidates, x)):
+        yield i.to_bytes(8, "little"), row
 
 
 def test_exact_eigen_step_matches_power_iteration(monkeypatch):
@@ -440,7 +437,7 @@ def test_repeat_skip_matches_a_brute_force_scan(monkeypatch):
     """run() equals a scan that forms every candidate's moment: same decisions, tau, lambda and frame bytes."""
     config = _diff_config()
     result, moments, _ = _recording_run(monkeypatch, config)
-    reference, every_moment, _ = _recording_run(monkeypatch, config, _every_residual)
+    reference, every_moment, _ = _recording_run(monkeypatch, config, _every_row)
     assert (len(moments), len(every_moment)) == (33, 87)
     assert [t.candidates_distinct for t in result.trace] == [1, 32]
     assert [t.candidates_distinct for t in reference.trace] == [1, 86]
@@ -551,9 +548,9 @@ def test_pred_chunks_match_reference_evaluation(data):
     after it.  Network chunks hold one piece, then at most twice the previous
     count, and no more candidates than the budget allows (at least one), so small
     budgets split blocks: chunk edges fall inside a block.  A payload may come
-    again later in the stream: _iter_residuals yields no residual for a row
-    whose bytes it has digested before, and such a row's reference equals its
-    first occurrence's.
+    again later in the stream: each row _iter_predictions yields has the
+    SHA-256 digest of its bytes, so a repeated digest marks a row equal to an
+    earlier one, and its reference equals that row's.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     d = data.draw(st.integers(1, 4), label="d")
@@ -609,20 +606,18 @@ def test_pred_chunks_match_reference_evaluation(data):
             want.append(np.asarray(as_function(p)(x), dtype=float).ravel())
     np.testing.assert_allclose(preds, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(errs, np.sqrt(np.mean((np.array(want) - y) ** 2, axis=1)), rtol=0, atol=1e-9)
-    samples = SampleSet(x, y)
     with mock.patch.object(filteredpca, "_LOOP_CHUNK_ELEMS", budget):
-        scan = list(_iter_residuals(CandidateList(lambda: iter(stream), len(flat)), samples))
+        scan = list(_iter_predictions(CandidateList(lambda: iter(stream), len(flat)), x))
     assert len(scan) == len(flat)
     first: dict = {}  # digest -> index of the row that first had it
-    for i, ((key, resid), (p, _)) in enumerate(zip(scan, flat)):
-        if resid is None:  # a repeat: its reference row is its first occurrence's
+    for i, ((key, row), (p, _)) in enumerate(zip(scan, flat)):
+        assert key == hashlib.sha256(row).digest()
+        np.testing.assert_allclose(row, want[i], rtol=0, atol=1e-12)
+        if key in first:  # a repeat: its reference row is its first occurrence's
             np.testing.assert_allclose(want[i], want[first[key]], rtol=0, atol=1e-12)
-        else:
-            assert key not in first
-            first[key] = i
-            np.testing.assert_allclose(resid, np.abs(y - want[i]), rtol=0, atol=1e-12)
-        if not isinstance(p, tuple) and any(q is p for q, _ in flat[:i]):
-            assert resid is None  # a kicker or callable scored again has the same bytes
+        elif not isinstance(p, tuple):
+            assert not any(q is p for q, _ in flat[:i])  # a kicker or callable scored again has the same bytes
+        first.setdefault(key, i)
 
 
 @pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.9), (3, 1, 1.5), (3, 2, 0.9)])
