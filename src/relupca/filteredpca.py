@@ -513,7 +513,8 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         except BudgetError as err:
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
         finally:
-            del samples  # so the next draw does not hold two batches
+            # so the next draw does not hold two batches, nor the terminal search a chunk of predictions
+            samples = row = None
         if accepted is None:
             trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, len(taus)))
             break
