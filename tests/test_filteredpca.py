@@ -361,13 +361,12 @@ def test_eigen_step_orients_like_power_iteration(monkeypatch, seed):
 _DIFF_INSTANCE = {"kind": "mixed", "dim": 6, "k": 2, "units": 2, "b": 1.0}
 
 
-def _diff_config(**overrides):
+def _diff_config():
     """A d = 6 mixed run whose second scan accepts candidate 85 of a grid full of repeated rows."""
-    base = dict(
+    return LearnConfig(
         dim=6, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.05, delta=0.05, n_samples=20_000,
         n_check=2_000, tau_mode="quantile", final_eps_prime=0.3, seed=0,
     )
-    return LearnConfig(**{**base, **overrides})
 
 
 def _recording_run(monkeypatch, config, rows=None):
