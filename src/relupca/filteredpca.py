@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import hashlib
 import itertools
 import math
 import numbers
@@ -247,7 +246,7 @@ class IterationRecord:
     """One loop iteration: what was scanned, what was accepted, how well aligned.
 
     candidates_distinct counts the filtered moments the scan formed: one per
-    distinct prediction row among the candidates scanned.
+    distinct mask (residual above tau) among the candidates scanned.
     """
 
     index: int
@@ -308,7 +307,51 @@ def _hypothesis(payload, row: int = 0):
 def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
     if config.tau_mode == "formula":
         return config.tau
-    return max(float(np.quantile(resid, config.tau_quantile)), 1e-12)
+    return max(_quantile(resid, config.tau_quantile), 1e-12)
+
+
+# _quantile bounds its order statistics from below with a strided subsample of
+# about this many entries, on residual rows of at least 4 times as many.
+_TAU_SAMPLE = 8192
+
+
+def _quantile(r: np.ndarray, q: float) -> float:
+    """float(np.quantile(r, q)) to the bit, for 0 < q < 1, without partitioning all of r.
+
+    np.quantile's default method interpolates order statistics lo and
+    hi = lo + 1 (both n - 1 when (n - 1) q >= n - 1) as its _lerp does.  A
+    long r is first cut at the rank-(~q - 5 sd) order statistic of its strided
+    subsample: if at most lo entries fall below that cut, both order
+    statistics are among the entries kept, and only those are partitioned;
+    otherwise all of r is, as np.quantile does.  NaN sorts last, so the kept
+    entries hold every NaN, and any NaN gives NaN, as in np.quantile.
+    """
+    n = r.size
+    vi = (n - 1) * q
+    lo = hi = n - 1
+    if vi < n - 1:
+        lo = math.floor(vi)
+        hi = lo + 1
+    part, skip = None, 0  # skip: the entries left out, each below every entry kept
+    if n >= 4 * _TAU_SAMPLE:
+        sample = r[:: n // _TAU_SAMPLE]
+        p = lo / n
+        rank = math.floor(sample.size * p - 5.0 * math.sqrt(sample.size * p * (1.0 - p)))
+        if rank > 0:
+            below = r < np.partition(sample, rank)[rank]
+            skip = int(np.count_nonzero(below))
+            if skip <= lo:
+                part = np.compress(np.logical_not(below, out=below), r)
+            else:
+                skip = 0
+    if part is None:
+        part = r.copy()
+    part.partition(sorted({lo - skip, hi - skip, part.size - 1}))
+    if math.isnan(part[-1]):
+        return math.nan
+    a, b, gamma = float(part[lo - skip]), float(part[hi - skip]), vi - lo
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 # Chunk budgets, in elements of N x (widest hidden layer) per candidate: the
@@ -394,12 +437,11 @@ def _scored(payloads, x: np.ndarray, elem_budget: int):
 
 
 def _iter_predictions(candidates: CandidateList, x: np.ndarray):
-    """Yield (digest, prediction row at x) per candidate, in stream order.
+    """Yield each candidate's prediction row at x, in stream order.
 
-    digest is the SHA-256 of the row's bytes, so a scan can tell a row it has
-    scored before without keeping rows.  Each chunk's (C, N) predictions are
-    formed before its rows are yielded, so the chunk's hidden activations are
-    freed first.
+    Each row is a writable view of its chunk's own (C, N) buffer, so the scan
+    may overwrite it.  A chunk's predictions are formed before its rows are
+    yielded, so the chunk's hidden activations are freed first.
     """
     for chunk in _scored(candidates, x, _LOOP_CHUNK_ELEMS):
         preds = np.empty((sum(len(w) for _, _, w, _ in chunk), x.shape[0]))
@@ -408,8 +450,12 @@ def _iter_predictions(candidates: CandidateList, x: np.ndarray):
             np.matmul(w, h.T, out=preds[a : a + len(w)])
             a += len(w)
         del chunk, h  # the hidden activations are not needed for the scan
-        for row in preds:
-            yield hashlib.sha256(row).digest(), row
+        yield from preds
+
+
+def _mask_key(mask: np.ndarray) -> bytes:
+    """A scan's repeat key: the mask's own bits, so only equal masks have equal keys."""
+    return np.packbits(mask).tobytes()
 
 
 def _chunk_errors(chunk: list, y: np.ndarray) -> np.ndarray:
@@ -442,10 +488,11 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     Per iteration: draw a batch, scan candidates over the current frame, build
     each candidate's filtered second-moment matrix, and accept the first whose
     eigenvalue of largest magnitude clears the acceptance threshold (calibrated
-    from the first scan unless lambda_acc is given).  A candidate whose
-    prediction row is byte-identical to one scanned before in the same scan
-    is skipped: it has that row's tau, moment and eigenvalue, and that row was
-    rejected.  It still counts as scanned and keeps its index.  The frame
+    from the first scan unless lambda_acc is given).  The moment reads a
+    candidate only through its mask (residual above tau), so a candidate
+    whose mask equals one formed before in the same scan is skipped: it has
+    that moment and eigenvalue, and that candidate was rejected.  It still
+    counts as scanned, keeps its index and records its own tau.  The frame
     grows by the accepted moment's top eigenvector; a scan with no acceptance
     ends the loop.
     A final enumeration at fine granularity picks the hypothesis: the first
@@ -485,20 +532,23 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         accepted = None
         scanned = 0
         tau_used = config.tau
-        taus: dict[bytes, float] = {}  # prediction-row digest -> tau, one entry per moment formed
+        masks: set[bytes] = set()  # _mask_key of every moment formed
         try:
             # Scoring the raw rows is exact up to rounding: every loop candidate
             # reads x only through the frame (lifted W_0 rows and kicker leaves
             # lie in its span, and the zero net ignores x), so f(x) = f(P x).
             candidates = _candidates(config, frame, config.eps_prime)
-            for idx, (key, row) in enumerate(_iter_predictions(candidates, samples.x)):
+            for idx, row in enumerate(_iter_predictions(candidates, samples.x)):
                 scanned += 1
-                if key in taus:  # a repeat of a rejected row: same tau, moment and lambda
-                    tau_used = taus[key]
+                # the residual in the row's own buffer: |row - y| is bitwise |y - row|
+                resid = np.abs(np.subtract(row, samples.y, out=row), out=row)
+                tau_used = _pick_tau(config, resid)
+                mask = resid > tau_used
+                key = _mask_key(mask)
+                if key in masks:  # a rejected candidate's mask: same moment and lambda
                     continue
-                resid = np.abs(samples.y - row)
-                tau_used = taus[key] = _pick_tau(config, resid)
-                m = _masked_moment(samples.x, q, resid > tau_used, samples.n)
+                masks.add(key)
+                m = _masked_moment(samples.x, q, mask, samples.n)
                 vals = np.linalg.eigvalsh(m)  # ascending; power iteration converges to the larger |end|
                 lam_val = float(vals[-1] if vals[-1] >= -vals[0] else vals[0])
                 if lambda_acc is None:
@@ -514,15 +564,16 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
         finally:
             # so the next draw does not hold two batches, nor the terminal search a chunk of predictions
-            samples = row = None
+            distinct = len(masks)
+            samples = row = resid = mask = masks = None
         if accepted is None:
-            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, len(taus)))
+            trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, distinct))
             break
         idx, w, lam_val = accepted
         nearness = None
         if planted_proj is not None:
             nearness = 1.0 - float(np.linalg.norm(planted_proj @ w))
-        trace.append(IterationRecord(ell, tau_used, scanned, idx, lam_val, nearness, len(taus)))
+        trace.append(IterationRecord(ell, tau_used, scanned, idx, lam_val, nearness, distinct))
         frame = extend_frame(frame, w)
 
     constants["lambda_acc_effective"] = lambda_acc
@@ -583,7 +634,10 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
                 first_hit = scored + int(hits[0])
                 chosen = locate(int(hits[0]))
             else:
-                for j in np.argsort(errs, kind="stable")[:_PLAYOFF_SIZE]:
+                idx = np.arange(errs.size)
+                if len(best) == _PLAYOFF_SIZE:  # an error above best's last cannot enter: that entry is earlier
+                    idx = np.flatnonzero(errs <= best[-1][0])
+                for j in idx[np.argsort(errs[idx], kind="stable")[:_PLAYOFF_SIZE]]:
                     best.append((float(errs[j]), scored + int(j), *locate(int(j))))
                 best.sort(key=lambda t: (t[0], t[1]))
                 del best[_PLAYOFF_SIZE:]

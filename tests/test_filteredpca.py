@@ -1,11 +1,12 @@
 import dataclasses
-import hashlib
+import itertools
 import math
+import types
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relupca import filteredpca
 from relupca.enumeration import CandidateList, enumerate_kickers, enumerate_networks
@@ -16,7 +17,9 @@ from relupca.filteredpca import (
     _chunk_errors,
     _final_search,
     _iter_predictions,
+    _mask_key,
     _masked_moment,
+    _pick_tau,
     _scored,
     as_function,
     estimate_l2_error,
@@ -369,15 +372,16 @@ def _diff_config():
     )
 
 
-def _recording_run(monkeypatch, config, rows=None):
-    """run() on the d = 6 mixed instance, recording every moment formed and every row digest.
+def _recording_run(monkeypatch, config, fresh_keys=False):
+    """run() on the d = 6 mixed instance, recording every moment formed and every candidate's mask.
 
-    rows, when given, replaces _iter_predictions.  Returns (result, moments,
-    per-scan lists of digests).
+    With fresh_keys every candidate gets a repeat key of its own, so every
+    moment is formed: the brute-force reference.  Returns (result, moments,
+    per-scan lists of masks).
     """
     net, _ = make_instance(_DIFF_INSTANCE, 0)
     moments, scans = [], []
-    scan_rows = rows or _iter_predictions
+    fresh = itertools.count()
 
     def recording_moment(*args):
         moments.append(_masked_moment(*args))
@@ -385,41 +389,39 @@ def _recording_run(monkeypatch, config, rows=None):
 
     def recording_rows(*args):
         scans.append([])
-        for key, row in scan_rows(*args):
-            scans[-1].append(key)
-            yield key, row
+        yield from _iter_predictions(*args)
+
+    def recording_key(mask):
+        scans[-1].append(mask.copy())
+        return next(fresh).to_bytes(8, "little") if fresh_keys else _mask_key(mask)
 
     monkeypatch.setattr(filteredpca, "_masked_moment", recording_moment)
     monkeypatch.setattr(filteredpca, "_iter_predictions", recording_rows)
+    monkeypatch.setattr(filteredpca, "_mask_key", recording_key)
     return run(gaussian_oracle(net, 0), config), moments, scans
-
-
-def _every_row(candidates, x):
-    """Brute-force reference for _iter_predictions: a fresh key for every row, so every moment is formed."""
-    for i, (_, row) in enumerate(_iter_predictions(candidates, x)):
-        yield i.to_bytes(8, "little"), row
 
 
 def test_exact_eigen_step_matches_power_iteration(monkeypatch):
     """Solving every candidate's moment with approx_top_svd and its own seed accepts what run() accepts.
 
-    run() forms one moment per distinct prediction row; each repeat is decided
-    on its first occurrence's moment, so all 87 candidates are checked.  Same
+    run() forms one moment per distinct mask; each repeat is decided on its
+    first occurrence's moment, so all 87 candidates are checked.  Same
     accepted index in every iteration, the same calibrated threshold and
     lambda to 1e-9 relative, and the same frame vector, sign included, to 1e-6.
     """
     config = _diff_config()
     result, moments, scans = _recording_run(monkeypatch, config)
     lambda_acc = result.constants["lambda_acc_effective"]
-    assert [t.candidates_scanned for t in result.trace] == [len(keys) for keys in scans] == [1, 86]
-    assert len(moments) == sum(len(set(keys)) for keys in scans) == 33
+    assert [t.candidates_scanned for t in result.trace] == [len(masks) for masks in scans] == [1, 86]
+    assert len(moments) == sum(len({m.tobytes() for m in masks}) for masks in scans) == 22
     _, _, first_abs = _power_step(moments[0], config.seed * 1_000_003)
     assert lambda_acc == pytest.approx(config.acc_fraction * first_abs, rel=1e-9)
     formed = iter(moments)
-    for ell, (record, keys) in enumerate(zip(result.trace, scans)):
-        scan_moments: dict = {}  # digest -> its first occurrence's moment
+    for ell, (record, masks) in enumerate(zip(result.trace, scans)):
+        scan_moments: dict = {}  # mask bytes -> its first occurrence's moment
         accepted = None
-        for idx, key in enumerate(keys):
+        for idx, mask in enumerate(masks):
+            key = mask.tobytes()
             if key not in scan_moments:
                 scan_moments[key] = next(formed)
             w, lam, _ = _power_step(scan_moments[key], config.seed * 1_000_003 + 7919 * ell + idx)
@@ -436,9 +438,9 @@ def test_repeat_skip_matches_a_brute_force_scan(monkeypatch):
     """run() equals a scan that forms every candidate's moment: same decisions, tau, lambda and frame bytes."""
     config = _diff_config()
     result, moments, _ = _recording_run(monkeypatch, config)
-    reference, every_moment, _ = _recording_run(monkeypatch, config, _every_row)
-    assert (len(moments), len(every_moment)) == (33, 87)
-    assert [t.candidates_distinct for t in result.trace] == [1, 32]
+    reference, every_moment, _ = _recording_run(monkeypatch, config, fresh_keys=True)
+    assert (len(moments), len(every_moment)) == (22, 87)
+    assert [t.candidates_distinct for t in result.trace] == [1, 21]
     assert [t.candidates_distinct for t in reference.trace] == [1, 86]
     uncounted = [dataclasses.replace(t, candidates_distinct=0) for t in result.trace]
     assert uncounted == [dataclasses.replace(t, candidates_distinct=0) for t in reference.trace]
@@ -463,6 +465,101 @@ def test_repeat_as_the_last_candidate_keeps_its_first_tau(monkeypatch):
     assert record.candidates_distinct == 2
     assert record.tau == float(np.quantile(np.abs(batch.y - f_a(batch.x)), 0.95))
     assert record.tau != float(np.quantile(np.abs(batch.y - f_b(batch.x)), 0.95))
+
+
+def test_rows_with_one_mask_form_one_moment(monkeypatch):
+    """Two rows whose bytes differ but whose masks agree form one moment; the record keeps the later row's tau."""
+    v = np.array([1.0, 0.0, 0.0, 0.0])
+    f_a, f_b = (lambda x: np.abs(x @ v)), (lambda x: np.abs(x @ v) * (1.0 + 1e-9))
+    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter([f_a, f_b]), 2))
+    calls = []
+    monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
+    oracle = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0)
+    result = run(oracle, small_recovery_config(lambda_acc=1e9))
+    batch = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0).draw(20_000)  # the scan's batch
+    resid = [np.abs(batch.y - f(batch.x)) for f in (f_a, f_b)]
+    tau_a, tau_b = (float(np.quantile(r, 0.95)) for r in resid)
+    assert f_a(batch.x).tobytes() != f_b(batch.x).tobytes() and tau_a != tau_b
+    assert np.array_equal(resid[0] > tau_a, resid[1] > tau_b)
+    record = result.trace[0]
+    assert (record.accepted_candidate, record.candidates_scanned, len(calls)) == (None, 2, 1)
+    assert record.candidates_distinct == 1
+    assert record.tau == tau_b
+
+
+def _numpy_tau(r, q):
+    return max(float(np.quantile(r, q)), 1e-12)
+
+
+def _assert_same_tau(r, q):
+    got, want = _pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=q), r), _numpy_tau(r, q)
+    assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+_TAU_CUTOFF = 4 * filteredpca._TAU_SAMPLE  # rows this long are prefiltered
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_pick_tau_matches_numpy_quantile(data):
+    """Quantile-mode tau equals max(np.quantile(r, q), 1e-12) to the bit, on both sides of the prefilter cutoff."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    n = data.draw(st.one_of(st.integers(1, 50), st.integers(_TAU_CUTOFF - 50, _TAU_CUTOFF + 50),
+                            st.integers(_TAU_CUTOFF, 300_000)), label="n")
+    kind = data.draw(st.sampled_from(["gaussian", "ties", "equal", "zeros"]), label="kind")
+    r = np.abs(rng.standard_normal(n)) * rng.uniform(0.1, 10.0)
+    if kind == "ties":  # a handful of distinct values, so the cut and tau fall inside runs of equal entries
+        r = np.floor(r * data.draw(st.integers(1, 4), label="levels"))
+    elif kind == "equal":
+        r = np.full(n, rng.uniform(0.0, 3.0))
+    elif kind == "zeros":
+        r = np.zeros(n)
+    q = data.draw(st.sampled_from([0.95, 0.5, 0.05]) | st.floats(0.001, 0.999), label="q")
+    _assert_same_tau(r, q)
+
+
+@pytest.mark.parametrize("n", [_TAU_CUTOFF - 1, _TAU_CUTOFF, 200_000])
+def test_pick_tau_edges(n):
+    """hi = n - 1 and NaN give np.quantile's tau; the prefilter runs on a plain long row."""
+    rng = np.random.default_rng(n)
+    r = np.abs(rng.standard_normal(n))
+    with mock.patch.object(filteredpca.np, "compress", wraps=np.compress) as compress:
+        _assert_same_tau(r, 0.95)
+        assert compress.called == (n >= _TAU_CUTOFF)
+        q = (n - 1.5) / (n - 1)  # (n - 1) q = n - 1.5: lo = n - 2, hi = n - 1
+        assert math.floor((n - 1) * q) == n - 2
+        _assert_same_tau(r, q)
+    r[n // 3] = np.nan
+    assert math.isnan(_pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=0.95), r))
+    assert math.isnan(_numpy_tau(r, 0.95))
+
+
+@pytest.mark.parametrize("r, q", [
+    ([1.226006602106081, 1.8345954095818053], 0.95),  # gamma >= 0.5: b - (b - a) * (1 - gamma)
+    ([1.6554051876408835, 0.8183982727383226], 0.05),  # gamma < 0.5: a + (b - a) * gamma
+])
+def test_pick_tau_interpolates_as_numpy(r, q):
+    """Each branch of np.quantile's interpolation, on a pair where the other branch rounds differently."""
+    _assert_same_tau(np.array(r), q)
+
+
+@pytest.mark.parametrize("below", [-1, 0, 1])
+def test_pick_tau_at_the_cut(below):
+    """lo + below entries fall below the subsample's cut: kept up to lo, all of r partitioned past it."""
+    n, q = _TAU_CUTOFF, 0.95
+    lo = math.floor((n - 1) * q)
+    stride = n // filteredpca._TAU_SAMPLE
+    sample = np.random.default_rng(0).permutation(n // stride).astype(float)  # cut = the rank-th value
+    p = lo / n
+    rank = math.floor(sample.size * p - 5.0 * math.sqrt(sample.size * p * (1.0 - p)))
+    r = np.full(n, 1e6)
+    r[::stride] = sample
+    rest = np.flatnonzero(r == 1e6)
+    r[rest[: lo + below - rank]] = rank - 0.5  # with the sample's rank entries, lo + below under the cut
+    assert np.count_nonzero(r < rank) == lo + below
+    with mock.patch.object(filteredpca.np, "compress", wraps=np.compress) as compress:
+        _assert_same_tau(r, q)
+    assert compress.called == (below <= 0)
 
 
 class ShiftThirdDraw:
@@ -547,9 +644,9 @@ def test_pred_chunks_match_reference_evaluation(data):
     after it.  Network chunks hold one piece, then at most twice the previous
     count, and no more candidates than the budget allows (at least one), so small
     budgets split blocks: chunk edges fall inside a block.  A payload may come
-    again later in the stream: each row _iter_predictions yields has the
-    SHA-256 digest of its bytes, so a repeated digest marks a row equal to an
-    earlier one, and its reference equals that row's.
+    again later in the stream.  _iter_predictions yields the same rows, each
+    writable and its own, as the scan overwrites each row with its residual;
+    a kicker or callable scored again gives the same bytes.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     d = data.draw(st.integers(1, 4), label="d")
@@ -605,18 +702,18 @@ def test_pred_chunks_match_reference_evaluation(data):
             want.append(np.asarray(as_function(p)(x), dtype=float).ravel())
     np.testing.assert_allclose(preds, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(errs, np.sqrt(np.mean((np.array(want) - y) ** 2, axis=1)), rtol=0, atol=1e-9)
+    scan = []
     with mock.patch.object(filteredpca, "_LOOP_CHUNK_ELEMS", budget):
-        scan = list(_iter_predictions(CandidateList(lambda: iter(stream), len(flat)), x))
+        for row in _iter_predictions(CandidateList(lambda: iter(stream), len(flat)), x):
+            assert row.flags.writeable
+            scan.append(row.copy())
+            row.fill(np.nan)  # as the scan overwrites it: no later row may change
     assert len(scan) == len(flat)
-    first: dict = {}  # digest -> index of the row that first had it
-    for i, ((key, row), (p, _)) in enumerate(zip(scan, flat)):
-        assert key == hashlib.sha256(row).digest()
-        np.testing.assert_allclose(row, want[i], rtol=0, atol=1e-12)
-        if key in first:  # a repeat: its reference row is its first occurrence's
-            np.testing.assert_allclose(want[i], want[first[key]], rtol=0, atol=1e-12)
-        elif not isinstance(p, tuple):
-            assert not any(q is p for q, _ in flat[:i])  # a kicker or callable scored again has the same bytes
-        first.setdefault(key, i)
+    np.testing.assert_allclose(scan, want, rtol=0, atol=1e-12)
+    for i, (p, _) in enumerate(flat):
+        first = next(j for j, (q, _) in enumerate(flat) if q is p)
+        if not isinstance(p, tuple):
+            assert scan[i].tobytes() == scan[first].tobytes()
 
 
 @pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.9), (3, 1, 1.5), (3, 2, 0.9)])
