@@ -563,7 +563,8 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         except BudgetError as err:
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
         finally:
-            # so the next draw does not hold two batches, nor the terminal search a chunk of predictions
+            # so the next draw does not hold two batches, nor the terminal search
+            # a chunk of predictions or the scan's keys
             distinct = len(masks)
             samples = row = resid = mask = masks = None
         if accepted is None:
@@ -635,7 +636,7 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
                 chosen = locate(int(hits[0]))
             else:
                 idx = np.arange(errs.size)
-                if len(best) == _PLAYOFF_SIZE:  # an error above best's last cannot enter: that entry is earlier
+                if len(best) == _PLAYOFF_SIZE:  # an error above best's last cannot enter: it is earlier
                     idx = np.flatnonzero(errs <= best[-1][0])
                 for j in idx[np.argsort(errs[idx], kind="stable")[:_PLAYOFF_SIZE]]:
                     best.append((float(errs[j]), scored + int(j), *locate(int(j))))

@@ -468,7 +468,7 @@ def test_repeat_as_the_last_candidate_keeps_its_first_tau(monkeypatch):
 
 
 def test_rows_with_one_mask_form_one_moment(monkeypatch):
-    """Two rows whose bytes differ but whose masks agree form one moment; the record keeps the later row's tau."""
+    """Rows whose bytes differ but whose masks agree form one moment; the record keeps the later row's tau."""
     v = np.array([1.0, 0.0, 0.0, 0.0])
     f_a, f_b = (lambda x: np.abs(x @ v)), (lambda x: np.abs(x @ v) * (1.0 + 1e-9))
     monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter([f_a, f_b]), 2))
@@ -502,7 +502,7 @@ _TAU_CUTOFF = 4 * filteredpca._TAU_SAMPLE  # rows this long are prefiltered
 @settings(max_examples=100)
 @given(st.data())
 def test_pick_tau_matches_numpy_quantile(data):
-    """Quantile-mode tau equals max(np.quantile(r, q), 1e-12) to the bit, on both sides of the prefilter cutoff."""
+    """Quantile-mode tau is max(np.quantile(r, q), 1e-12) to the bit, on both sides of the prefilter cutoff."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     n = data.draw(st.one_of(st.integers(1, 50), st.integers(_TAU_CUTOFF - 50, _TAU_CUTOFF + 50),
                             st.integers(_TAU_CUTOFF, 300_000)), label="n")
@@ -711,8 +711,8 @@ def test_pred_chunks_match_reference_evaluation(data):
     assert len(scan) == len(flat)
     np.testing.assert_allclose(scan, want, rtol=0, atol=1e-12)
     for i, (p, _) in enumerate(flat):
-        first = next(j for j, (q, _) in enumerate(flat) if q is p)
-        if not isinstance(p, tuple):
+        if not isinstance(p, tuple):  # a kicker or callable scored again gives the same bytes
+            first = next(j for j, (q, _) in enumerate(flat) if q is p)
             assert scan[i].tobytes() == scan[first].tobytes()
 
 
