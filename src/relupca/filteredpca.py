@@ -636,7 +636,7 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
                 chosen = locate(int(hits[0]))
             else:
                 idx = np.arange(errs.size)
-                if len(best) == _PLAYOFF_SIZE:  # an error above best's last cannot enter: it is earlier
+                if len(best) == _PLAYOFF_SIZE:  # an error above best[-1] sorts after all of best
                     idx = np.flatnonzero(errs <= best[-1][0])
                 for j in idx[np.argsort(errs[idx], kind="stable")[:_PLAYOFF_SIZE]]:
                     best.append((float(errs[j]), scored + int(j), *locate(int(j))))
