@@ -8,10 +8,11 @@ three times with ``--trace 0`` (the end-to-end metrics: median and every
 run) and once with ``--trace 1`` (the per-layer metrics).  It also records
 the seconds ``run()`` took on each criterion-7 seed (the last column of
 ``scripts/outcome_digest.py``, whose lines are kept too), the tier-1 wall time and pass count, the core
-count, the BLAS thread count, the Python and numpy versions, and the tree's
-commit.  Every child runs with BLAS on one thread.  The tree's own scripts
-and benchmark are run, so a parent checkout is measured with its own code;
-the file keeps the other labels already in it.  Standard library only.
+count, the BLAS thread count, the Python and numpy versions, the tree's
+commit, and ``src_lines``, the ``wc -l`` total of its ``src/relupca/*.py``.
+Every child runs with BLAS on one thread.  The tree's own scripts and
+benchmark are run, so a parent checkout is measured with its own code; the
+file keeps the other labels already in it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ def record(tree: Path) -> dict:
         "commit": git("rev-parse", "HEAD"),
         "src_tree": git("rev-parse", "HEAD:src"),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "src_lines": sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "relupca").glob("*.py")),
         "nproc": os.cpu_count(),
         "blas_threads": BLAS_THREADS,
         "python": platform.python_version(),

@@ -36,28 +36,19 @@ def _echo_fragment(frag: dict) -> bool:
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True),
               help="Experiment spec JSON (see docs/formats.md).")
-@click.option("--eps-prime", type=float, default=None, help="Override enumeration granularity.")
-@click.option("--budget-max-candidates", type=int, default=None, help="Override candidate cap.")
 @click.option("--report", "report_path", type=click.Path(), default=None, help="Write the report JSON here.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None, help="Write the CSV extract here.")
 @click.option("--emit-samples", "samples_path", type=click.Path(), default=None,
               help="Dump the first training batch as CSV rows: d coordinates, then y.")
-def learn(config_path, eps_prime, budget_max_candidates, report_path, csv_path, samples_path):
-    """Run the full recovery pipeline from an experiment spec."""
+def learn(config_path, report_path, csv_path, samples_path):
+    """Run the full recovery pipeline from an experiment spec; a malformed spec is a usage error."""
     with open(config_path) as fh:
         text = fh.read()
-    overrides = {}
-    if eps_prime is not None:
-        overrides["eps_prime"] = eps_prime
-    if budget_max_candidates is not None:
-        overrides["max_candidates"] = budget_max_candidates
     try:
         spec = spec_from_json(text)
-        learn_cfg = replace(spec.learn, **overrides) if overrides else spec.learn
     except ValueError as err:
         raise click.UsageError(str(err))
-    spec = replace(spec, learn=learn_cfg, report_path=report_path or spec.report_path,
-                   csv_path=csv_path or spec.csv_path)
+    spec = replace(spec, report_path=report_path or spec.report_path, csv_path=csv_path or spec.csv_path)
     report = run_experiment(spec)
     if samples_path is not None:
         from .filteredpca import gaussian_oracle
@@ -109,7 +100,6 @@ def gen_instance(kind, dim, k, units, widths, lam, b, net_seed, out_path):
     recipe = {"kind": kind, "net_seed": net_seed, "b": b}
     if dim is not None:
         recipe["dim"] = dim
-        recipe["input_dim"] = dim
     if k is not None:
         recipe["k"] = k
     if units is not None:
@@ -118,7 +108,10 @@ def gen_instance(kind, dim, k, units, widths, lam, b, net_seed, out_path):
         recipe["widths"] = [int(w) for w in widths.split(",")]
     if lam is not None:
         recipe["lam"] = lam
-    net, planted = make_instance(recipe, net_seed)
+    try:
+        net, planted = make_instance(recipe, net_seed)
+    except ValueError as err:
+        raise click.UsageError(str(err))
     meta = {"recipe": recipe, "planted_frame": planted.vectors.tolist()}
     with open(out_path, "wb") as fh:
         fh.write(serialize(net, meta=meta))

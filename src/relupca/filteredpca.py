@@ -15,7 +15,7 @@ from .enumeration import CandidateList, enumerate_kickers, enumerate_networks
 from .errors import BudgetError
 from .lattice import LatticePolynomial, SelectorKicker, lattice_eval, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
-from .subspace import Frame, extend_frame, project, seeded_start
+from .subspace import Frame, _grid_geometry, extend_frame, project, seeded_start
 from .subspace import approx_top_svd  # noqa: F401  (bench/tracing.py wraps it; unused here)
 
 __all__ = [
@@ -506,23 +506,13 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     trace: list[IterationRecord] = []
     lambda_acc = config.lambda_acc
     failure = None
+    # only what the config's fields do not hold: the method's constants and derived values
     constants = {
-        "candidate_mode": config.candidate_mode,
         "c": config.c,
-        "tau_formula": config.tau,
-        "tau_mode": config.tau_mode,
-        "tau_quantile": config.tau_quantile,
         "acc_fraction": config.acc_fraction,
-        "lambda_acc_configured": config.lambda_acc,
-        "eps": config.eps,
-        "delta": config.delta,
-        "eps_prime": config.eps_prime,
+        "tau_quantile": config.tau_quantile,
+        "tau_formula": config.tau,
         "final_eps_prime": config.default_final_eps_prime(),
-        "n_samples": config.n_samples,
-        "n_check": config.n_check,
-        "final_select_samples": config.final_select_samples,
-        "max_candidates": config.max_candidates,
-        "seed": config.seed,
     }
     planted_proj = planted_frame.projector() if planted_frame is not None else None
 
@@ -581,8 +571,8 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     hypothesis, eps_hat, certified, final_failure, terminal = _final_search(oracle, config, frame)
     failure = failure or final_failure
     if not certified and config.candidate_mode == "kicker" and len(frame):
-        fep = config.default_final_eps_prime()
-        spacing = 2.0 * fep * config.lam / math.sqrt(len(frame))  # enumerate_kickers' leaf grid
+        fep = constants["final_eps_prime"]
+        spacing, _ = _grid_geometry(len(frame), config.lam, fep * config.lam)  # enumerate_kickers' leaf net
         if spacing > 1.0:
             failure += (
                 f"; the terminal kicker grid cannot hold a unit-scale leaf: its spacing "

@@ -267,10 +267,11 @@ class ExperimentSpec:
         unknown = set(self.verify) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown verification suites: {sorted(unknown)}")
-        if "kind" not in self.instance:
-            raise ValueError("instance recipe needs a 'kind'")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        net, _ = make_instance(self.instance, self.seed)  # a malformed recipe raises here, naming its field
+        if net.input_dim != self.learn.dim:
+            raise ValueError(f"instance dimension {net.input_dim} does not match learn.dim {self.learn.dim}")
 
 
 def spec_to_json(spec: ExperimentSpec) -> str:
@@ -304,26 +305,45 @@ def _unit(rng, d):
     return v / np.linalg.norm(v)
 
 
+def _recipe_field(recipe: dict, name: str, low, default=None):
+    """recipe[name] (or default): an integer >= low if low is an int, else a finite number > low."""
+    value = recipe.get(name, default)
+    if isinstance(low, int):
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+    else:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and low < value < math.inf
+    if not ok:
+        want = f"an integer of at least {low}" if isinstance(low, int) else f"a finite number above {low}"
+        raise ValueError(f"{recipe['kind']} instance recipe field {name!r} must be {want}, got {value!r}")
+    return value
+
+
 def make_instance(recipe: dict, default_seed: int = 0):
-    """Build (net, planted_frame) from an instance recipe dict."""
+    """Build (net, planted_frame) from an instance recipe; a ValueError names a bad or missing field."""
+    if not isinstance(recipe, dict) or "kind" not in recipe:
+        raise ValueError("instance recipe must be a JSON object with a 'kind'")
     kind = recipe["kind"]
-    seed = int(recipe.get("net_seed", default_seed))
+    seed = _recipe_field(recipe, "net_seed", 0) if "net_seed" in recipe else default_seed
     if kind == "random":
-        arch = Architecture(tuple(recipe["widths"]), int(recipe["input_dim"]))
-        net = random_network(arch, float(recipe.get("b", 1.0)), seed)
+        widths = recipe.get("widths")
+        if not isinstance(widths, list) or not widths:
+            raise ValueError(f"random instance recipe field 'widths' must be a non-empty list, got {widths!r}")
+        widths = [_recipe_field({"kind": kind, "widths": w}, "widths", 1) for w in widths]
+        arch = Architecture(tuple(widths), _recipe_field(recipe, "dim", 1))
+        net = random_network(arch, float(_recipe_field(recipe, "b", 0.0, 1.0)), seed)
         frame = Frame.from_span(net.weights[0])
         return net, frame
     if kind == "spike":
-        net = spike_network(float(recipe["lam"]))
+        net = spike_network(float(_recipe_field(recipe, "lam", 0.0)))
         return net, Frame.from_span(net.weights[0])
     if kind == "abs":
-        d = int(recipe["dim"])
+        d = _recipe_field(recipe, "dim", 1)
         rng = np.random.default_rng(seed)
         v = _unit(rng, d)
         net = ReluNetwork((np.vstack([v, -v]), np.array([[1.0, 1.0]])))
         return net, Frame.from_span(v[None, :])
     if kind == "abs_pair":
-        d = int(recipe["dim"])
+        d = _recipe_field(recipe, "dim", 2)
         rng = np.random.default_rng(seed)
         v1 = _unit(rng, d)
         v2 = complement_project(Frame.from_span(v1[None, :]), rng.standard_normal((1, d)))[0]
@@ -331,10 +351,12 @@ def make_instance(recipe: dict, default_seed: int = 0):
         net = ReluNetwork((np.vstack([v1, -v1, v2, -v2]), np.array([[1.0, 1.0, 1.0, 1.0]])))
         return net, Frame.from_span(np.vstack([v1, v2]))
     if kind == "mixed":
-        d = int(recipe["dim"])
-        k = int(recipe["k"])
-        units = int(recipe.get("units", 2 * k))
-        b = float(recipe.get("b", 1.0))
+        d = _recipe_field(recipe, "dim", 1)
+        k = _recipe_field(recipe, "k", 1)
+        if k > d:
+            raise ValueError(f"mixed instance recipe field 'k' must be at most dim = {d}, got {k!r}")
+        units = _recipe_field(recipe, "units", k, 2 * k)  # fewer units leave planted directions unused
+        b = float(_recipe_field(recipe, "b", 0.0, 1.0))
         rng = np.random.default_rng(seed)
         basis = Frame.from_span(rng.standard_normal((k, d))).vectors
         # redraw badly conditioned hidden maps so every planted direction
@@ -366,27 +388,11 @@ class Report:
     all_passed: bool
 
     def to_json(self) -> str:
-        payload = {
-            "spec": self.spec,
-            "fingerprint": self.fingerprint,
-            "recovery": self.recovery,
-            "fragments": self.fragments,
-            "timings": self.timings,
-            "all_passed": self.all_passed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
-        d = json.loads(text)
-        return cls(
-            spec=d["spec"],
-            fingerprint=d["fingerprint"],
-            recovery=d["recovery"],
-            fragments=d["fragments"],
-            timings=d["timings"],
-            all_passed=d["all_passed"],
-        )
+        return cls(**json.loads(text))
 
 
 def report_equal_modulo_timing(a: str, b: str) -> bool:

@@ -252,21 +252,16 @@ class OrderType:
         return len(self.ranks)
 
 
-def _rank_patterns(vals: np.ndarray, tie_tol: float | None):
+def _rank_patterns(vals: np.ndarray):
     """Order types of the rows of an (n, m) array, each distinct one built once.
 
     Returns the distinct types, the first row realising each, and each row's
     index into the types.  Ranks are dense, and merging is single-linkage on
-    each sorted row: consecutive sorted values at gap <= the row's tolerance
-    join the same rank, so float noise cannot split a tie.  The tolerance is
-    tie_tol, or 1e-12 * max(1, max |row|) when tie_tol is None.
+    each sorted row: consecutive sorted values at gap <= 1e-12 * max(1, max
+    |row|) join the same rank, so float noise cannot split a tie.  This is the
+    one tie rule: order_type, selector_eval and selector_from_lattice all use it.
     """
-    if tie_tol is None:
-        tol = 1e-12 * np.fmax(1.0, np.max(np.abs(vals), axis=1, keepdims=True))
-    elif tie_tol < 0:
-        raise ValueError("tie_tol must be nonnegative")
-    else:
-        tol = tie_tol
+    tol = 1e-12 * np.fmax(1.0, np.max(np.abs(vals), axis=1, keepdims=True))
     order = np.argsort(vals, axis=1, kind="stable")
     steps = np.diff(np.take_along_axis(vals, order, axis=1), axis=1) > tol
     ranks = np.empty(vals.shape, dtype=np.intp)
@@ -277,12 +272,12 @@ def _rank_patterns(vals: np.ndarray, tie_tol: float | None):
     return [OrderType(tuple(r)) for r in ranks[first].tolist()], first, group
 
 
-def order_type(values, tie_tol: float = 0.0) -> OrderType:
-    """Rank pattern of the values; entries within tie_tol chains are merged (see _rank_patterns)."""
+def order_type(values) -> OrderType:
+    """Rank pattern of the values; near-equal entries share a rank (see _rank_patterns)."""
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size == 0:
         raise ValueError("need at least one value")
-    return _rank_patterns(vals[None, :], tie_tol)[0][0]
+    return _rank_patterns(vals[None, :])[0][0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,7 +328,7 @@ class SelectorKicker:
         return self.leaves.shape[0]
 
 
-def selector_eval(sk: SelectorKicker, x, tie_tol: float | None = None):
+def selector_eval(sk: SelectorKicker, x):
     """Evaluate the selector; missing order types raise, never default silently."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -341,7 +336,7 @@ def selector_eval(sk: SelectorKicker, x, tie_tol: float | None = None):
     if pts.ndim != 2 or pts.shape[1] != sk.frame.dim:
         raise ValueError(f"expected input dimension {sk.frame.dim}, got shape {x.shape}")
     vals = pts @ sk.leaves.T
-    types, first, group = _rank_patterns(vals, tie_tol)
+    types, first, group = _rank_patterns(vals)
     picks = np.array([sk.table.get(omega, -1) for omega in types], dtype=np.intp)
     missing = np.flatnonzero(picks < 0)
     if missing.size:  # name the type of the first row, in input order, that has no entry
@@ -365,7 +360,7 @@ def selector_from_lattice(
     x = rng.standard_normal((num_witness, lp.dim))
     vals = x @ lp.leaves.T
     evals = lattice_eval(lp, x)
-    types, first, _ = _rank_patterns(vals, None)
+    types, first, _ = _rank_patterns(vals)
     table: dict[OrderType, int] = {}
     for i, omega in sorted(zip(first.tolist(), types)):  # first witness of each type, in draw order
         row, val = vals[i], evals[i]

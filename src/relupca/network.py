@@ -100,10 +100,6 @@ class ReluNetwork:
         """Total number of hidden units."""
         return sum(self.hidden_widths)
 
-    @property
-    def architecture(self) -> Architecture:
-        return Architecture(self.hidden_widths, self.input_dim)
-
 
 def evaluate(net: ReluNetwork, x):
     """Apply the network; x may be a length-d vector or an (n, d) batch."""

@@ -17,7 +17,8 @@ def runner():
     return CliRunner()
 
 
-def write_small_spec(path):
+def write_small_spec(path, instance=None, **learn_values):
+    """The small abs spec; instance and learn_values replace its recipe and learn fields as written."""
     learn = LearnConfig(
         dim=4,
         k=1,
@@ -40,7 +41,11 @@ def write_small_spec(path):
         trials=2,
         seed=0,
     )
-    path.write_text(spec_to_json(spec))
+    doc = json.loads(spec_to_json(spec))
+    doc["learn"].update(learn_values)
+    if instance is not None:
+        doc["instance"] = instance
+    path.write_text(json.dumps(doc))
 
 
 def test_help_lists_subcommands(runner):
@@ -84,26 +89,41 @@ def test_learn_emit_samples_writes_training_batch(runner, tmp_path):
 
 def test_learn_budget_override_fails_cleanly(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
-    write_small_spec(spec_path)
-    result = runner.invoke(
-        main, ["learn", "--config", str(spec_path), "--budget-max-candidates", "2"]
-    )
+    write_small_spec(spec_path, max_candidates=2)
+    result = runner.invoke(main, ["learn", "--config", str(spec_path)])
     assert result.exit_code == 1
     assert "budget" in result.output
     # a budget below one is a malformed config, not a failed run
-    result = runner.invoke(
-        main, ["learn", "--config", str(spec_path), "--budget-max-candidates", "0"]
-    )
+    write_small_spec(spec_path, max_candidates=0)
+    result = runner.invoke(main, ["learn", "--config", str(spec_path)])
     assert result.exit_code == 2
     assert "max_candidates must be positive" in result.output
 
 
 def test_learn_rejects_a_nonpositive_eps_prime(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
-    write_small_spec(spec_path)
-    result = runner.invoke(main, ["learn", "--config", str(spec_path), "--eps-prime", "0"])
+    write_small_spec(spec_path, eps_prime=0)
+    result = runner.invoke(main, ["learn", "--config", str(spec_path)])
     assert result.exit_code == 2
     assert "eps_prime must be a finite positive number" in result.output
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        ({"kind": "abs"}, "abs instance recipe field 'dim' must be an integer of at least 1, got None"),
+        ({"kind": "mixed", "dim": 4, "k": 2, "units": 0},
+         "mixed instance recipe field 'units' must be an integer of at least 2, got 0"),
+        ({"kind": "abs", "dim": 5}, "instance dimension 5 does not match learn.dim 4"),
+    ],
+)
+def test_learn_reports_a_bad_instance_as_a_usage_error(runner, tmp_path, instance, message):
+    spec_path = tmp_path / "spec.json"
+    write_small_spec(spec_path, instance=instance)
+    result = runner.invoke(main, ["learn", "--config", str(spec_path)])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_learn_rejects_unknown_spec_key(runner, tmp_path):
@@ -135,6 +155,19 @@ def test_gen_instance_round_trips(runner, tmp_path):
     planted = np.array(meta["planted_frame"])
     assert planted.shape == (1, 5)
     assert np.linalg.norm(planted[0]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_gen_instance_random_reads_dim(runner, tmp_path):
+    out = tmp_path / "net.json"
+    args = ["gen-instance", "--kind", "random", "--widths", "3,2", "--out", str(out)]
+    result = runner.invoke(main, [*args, "--dim", "4"])
+    assert result.exit_code == 0, result.output
+    net, meta = deserialize(out.read_bytes())
+    assert net.input_dim == 4 and net.hidden_widths == (3, 2)
+    assert meta["recipe"] == {"kind": "random", "net_seed": 0, "b": 1.0, "dim": 4, "widths": [3, 2]}
+    result = runner.invoke(main, args)  # no --dim
+    assert result.exit_code == 2
+    assert "random instance recipe field 'dim' must be an integer" in result.output
 
 
 def test_compile_boolean_xor_is_exact(runner, tmp_path):

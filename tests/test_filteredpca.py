@@ -623,12 +623,22 @@ def test_oracle_dimension_checked():
 
 
 def test_constants_are_recorded():
+    """constants holds only what the config's fields do not: the method's constants and derived values."""
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    result = run(gaussian_oracle(abs_net(v), 3), small_recovery_config())
-    cons = result.constants
-    for key in ("tau_formula", "lambda_acc_effective", "final_eps_prime", "seed"):
-        assert key in cons
-    assert cons["lambda_acc_effective"] is not None
+    config = small_recovery_config()
+    cons = run(gaussian_oracle(abs_net(v), 3), config).constants
+    lam_acc = cons["lambda_acc_calibrated"]
+    assert lam_acc > 0
+    assert cons == {
+        "c": 2.0, "acc_fraction": 0.25, "tau_quantile": 0.95, "tau_formula": config.tau,
+        "final_eps_prime": config.default_final_eps_prime(),
+        "lambda_acc_calibrated": lam_acc, "lambda_acc_effective": lam_acc,
+    }
+    # a configured threshold is not calibrated, and is the effective one
+    config = small_recovery_config(lambda_acc=0.5, final_eps_prime=0.3)
+    cons = run(gaussian_oracle(abs_net(v), 3), config).constants
+    assert "lambda_acc_calibrated" not in cons
+    assert (cons["lambda_acc_effective"], cons["final_eps_prime"]) == (0.5, 0.3)
 
 
 # ---------------------------------------------------------------- batched evaluation

@@ -179,6 +179,27 @@ def test_make_instance_rejects_unknown_kind():
         make_instance({"kind": "nope"}, 0)
 
 
+@pytest.mark.parametrize(
+    "recipe, field",
+    [
+        ({"kind": "abs"}, "'dim'"),
+        ({"kind": "abs", "dim": 0}, "'dim'"),
+        ({"kind": "abs", "dim": 4, "net_seed": -1}, "'net_seed'"),
+        ({"kind": "abs_pair", "dim": 1}, "'dim'"),
+        ({"kind": "mixed", "dim": 4, "k": 2, "units": 0}, "'units'"),
+        ({"kind": "mixed", "dim": 4, "k": 5}, "'k'"),
+        ({"kind": "mixed", "dim": 4, "k": 2, "b": 0.0}, "'b'"),
+        ({"kind": "random", "widths": [3], "input_dim": 4}, "'dim'"),
+        ({"kind": "random", "widths": "3,2", "dim": 4}, "'widths'"),
+        ({"kind": "spike", "lam": "2"}, "'lam'"),
+        ({"dim": 4}, "'kind'"),
+    ],
+)
+def test_make_instance_names_the_bad_recipe_field(recipe, field):
+    with pytest.raises(ValueError, match=field):
+        make_instance(recipe, 0)
+
+
 # ---------------------------------------------------------------- specs + reports
 
 def small_spec(tmp_path=None, **overrides):
@@ -273,10 +294,18 @@ def test_run_experiment_end_to_end(tmp_path):
         "matrix_concentration",
         "lipschitz_key",
     }
-    # every effective constant of the learn loop is embedded in the report
+    # the report holds each effective value of the learn loop once: the configured
+    # ones under spec.learn, the method's constants and derived values under constants
     constants = report.recovery["constants"]
-    for key in ("tau_formula", "lambda_acc_effective", "n_samples"):
-        assert key in constants
+    assert set(constants) == {"c", "acc_fraction", "tau_quantile", "tau_formula", "final_eps_prime",
+                              "lambda_acc_calibrated", "lambda_acc_effective"}
+    learn = report.spec["learn"]  # the keys constants no longer copies (lambda_acc as lambda_acc_configured)
+    removed = {"candidate_mode": "network", "tau_mode": "quantile", "lambda_acc": None, "eps": 0.1,
+               "delta": 0.05, "eps_prime": 0.5, "n_samples": 20_000, "n_check": 5_000,
+               "final_select_samples": 256, "max_candidates": 10_000_000, "seed": 0}
+    assert {key: learn[key] for key in removed} == removed
+    assert constants["lambda_acc_effective"] == constants["lambda_acc_calibrated"]
+    assert constants["final_eps_prime"] == spec.learn.default_final_eps_prime()
     # artifacts exist and the JSON body round-trips
     text = report_path.read_text()
     assert report_equal_modulo_timing(text, report.to_json())

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,7 +159,7 @@ def test_leaf_budget_enforced():
 
 def test_order_type_ranks():
     assert order_type([3.0, 1.0, 2.0]).ranks == (3, 1, 2)
-    assert order_type([1.0, 1.0 + 5e-13, 2.0], tie_tol=1e-12).ranks == (1, 1, 2)
+    assert order_type([1.0, 1.0 + 5e-13, 2.0]).ranks == (1, 1, 2)
     assert order_type([1.0, 1.0, 1.0]).ranks == (1, 1, 1)
 
 
@@ -214,34 +212,36 @@ def test_selector_rejects_input_of_wrong_shape():
         selector_eval(sk, np.zeros(3))
 
 
-def test_negative_tie_tol_rejected():
-    sk = SelectorKicker(np.eye(2), {omega: 0 for omega in all_order_types(2)}, Frame.from_span(np.eye(2)))
-    with pytest.raises(ValueError, match="tie_tol"):
-        order_type([1.0, 2.0], tie_tol=-1e-9)
-    with pytest.raises(ValueError, match="tie_tol"):
-        selector_eval(sk, np.zeros((4, 2)), tie_tol=-1e-9)
+def test_selector_eval_finds_the_order_type_key_of_its_row():
+    """order_type and selector_eval share one tie rule, so a table keyed by order_type covers the row."""
+    frame = Frame.from_span(np.eye(2))
+    row = np.array([1.0, 1.0 + 1e-13])
+    omega = order_type(row)
+    assert omega.ranks == (1, 1)  # the gap is below 1e-12 * max(1, max |row|)
+    sk = SelectorKicker(np.eye(2), {omega: 1}, frame)
+    assert selector_eval(sk, row) == row[1]
 
 
 # ---------------------------------------------------------------- ties: vectorised vs per row
 
-def _reference_order_type(values, tie_tol):
-    """The per-row loop: walk the sorted values, open a new rank past each gap > tie_tol."""
+def _reference_order_type(values):
+    """The per-row loop: walk the sorted values, open a new rank past each gap > tol."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values), dtype=int)
     rank, prev = 1, None
     for pos in order:
-        if prev is not None and values[pos] - prev > tie_tol:
+        if prev is not None and values[pos] - prev > tol:
             rank += 1
         ranks[pos] = rank
         prev = values[pos]
     return tuple(int(r) for r in ranks)
 
 
-def _reference_selector_eval(sk, x, tie_tol):
+def _reference_selector_eval(sk, x):
     out = []
     for row in np.atleast_2d(x) @ sk.leaves.T:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(row)))) if tie_tol is None else tie_tol
-        omega = OrderType(_reference_order_type(row, tol))
+        omega = OrderType(_reference_order_type(row))
         if omega not in sk.table:
             raise OrderTypeMissing(f"no table entry for order type {omega.ranks}")
         out.append(row[sk.table[omega]])
@@ -250,7 +250,7 @@ def _reference_selector_eval(sk, x, tie_tol):
 
 @st.composite
 def _tie_row(draw, m):
-    """One anchor at +-scale fixes the default tolerance tol = 1e-12 * max(1, scale); the
+    """One anchor at +-scale fixes the tolerance tol = 1e-12 * max(1, scale); the
     other entries sit at exact ties, at gaps of exactly tol or one ulp above it, on
     sub-tol chains, or anywhere in [-scale, scale]."""
     scale = draw(st.sampled_from([0.25, 1.0, 7.5, 1e6, 3e15]))
@@ -266,24 +266,11 @@ def _tie_row(draw, m):
     return draw(st.permutations([anchor, *rest]))
 
 
-@st.composite
-def _tie_tol(draw, rows):
-    """An explicit tolerance: at, just under, or off a realised gap."""
-    gaps = np.unique(np.diff(np.sort(np.asarray(rows), axis=1), axis=1))
-    gaps = [float(g) for g in gaps if g > 0]
-    choices = [st.just(0.0), st.floats(0.0, 1.0)]
-    if gaps:
-        gap = st.sampled_from(gaps)
-        choices += [gap, gap.map(lambda g: float(np.nextafter(g, 0.0)))]
-    return draw(st.one_of(*choices))
-
-
 @settings(max_examples=300)
 @given(st.data())
 def test_order_type_matches_per_row_reference(data):
     row = data.draw(st.integers(1, 5).flatmap(_tie_row))
-    tol = data.draw(_tie_tol([row]))
-    assert order_type(row, tol).ranks == _reference_order_type(np.array(row), tol)
+    assert order_type(row).ranks == _reference_order_type(np.array(row))
 
 
 @settings(max_examples=300)
@@ -295,16 +282,15 @@ def test_selector_eval_matches_per_row_reference(data):
     lowest = -1 if data.draw(st.booleans()) else 0  # -1 leaves a type out of the table
     picks = data.draw(st.lists(st.integers(lowest, m - 1), min_size=len(types), max_size=len(types)))
     sk = SelectorKicker(np.eye(m), {t: p for t, p in zip(types, picks) if p >= 0}, Frame.from_span(np.eye(m)))
-    tols = (None, data.draw(_tie_tol(x)))
-    for tol, batch in itertools.product(tols, (x, x[0])):  # a 1-D input returns a float
+    for batch in (x, x[0]):  # a 1-D input returns a float
         try:
-            want = _reference_selector_eval(sk, batch, tol)
+            want = _reference_selector_eval(sk, batch)
         except OrderTypeMissing as err:
             with pytest.raises(OrderTypeMissing) as got:
-                selector_eval(sk, batch, tol)
+                selector_eval(sk, batch)
             assert str(got.value) == str(err)
             continue
-        got = selector_eval(sk, batch, tol)
+        got = selector_eval(sk, batch)
         if batch.ndim == 1:
             assert isinstance(got, float)
             got = np.array([got])
