@@ -2,14 +2,16 @@
 
 Builds a d=4 instance F(x) = |<v, x>|, runs the recovery loop at modest sample
 sizes, executes all four verification suites, and writes the
-report JSON plus a CSV extract next to the working directory (or --out-dir).
+report JSON plus a CSV extract to --out-dir, or to a fresh temporary directory
+when none is given; the last line printed says where they went.
 
-Usage: python3 scripts/run_smoke.py [--out-dir /tmp/smoke]
+Usage: python3 scripts/run_smoke.py [--out-dir DIR]
 """
 
 import argparse
 import math
 import pathlib
+import tempfile
 
 from relupca import LearnConfig
 from relupca.harness import ExperimentSpec, run_experiment
@@ -17,11 +19,15 @@ from relupca.harness import ExperimentSpec, run_experiment
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out-dir", default=".", help="where report.json / report.csv go")
+    ap.add_argument("--out-dir", default=None,
+                    help="where report.json / report.csv go (default: a fresh temporary directory)")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if args.out_dir is None:
+        out = pathlib.Path(tempfile.mkdtemp(prefix="relupca-smoke-"))
+    else:
+        out = pathlib.Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
 
     learn = LearnConfig(
         dim=4, k=1, size=2, l=0, b=math.sqrt(2.0), lam=2.0, eps=0.1, delta=0.05,

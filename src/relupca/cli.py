@@ -97,17 +97,14 @@ def verify(suites, dim, trials, seed):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def gen_instance(kind, dim, k, units, widths, lam, b, net_seed, out_path):
     """Generate a planted instance and write it as network JSON."""
-    recipe = {"kind": kind, "net_seed": net_seed, "b": b}
-    if dim is not None:
-        recipe["dim"] = dim
-    if k is not None:
-        recipe["k"] = k
-    if units is not None:
-        recipe["units"] = units
     if widths is not None:
-        recipe["widths"] = [int(w) for w in widths.split(",")]
-    if lam is not None:
-        recipe["lam"] = lam
+        try:
+            widths = [int(w) for w in widths.split(",")]
+        except ValueError:
+            raise click.BadParameter(f"{widths!r} is not a comma-separated list of integers", param_hint="'--widths'")
+    recipe = {"kind": kind, "net_seed": net_seed, "b": b}
+    given = {"dim": dim, "k": k, "units": units, "widths": widths, "lam": lam}
+    recipe.update((key, value) for key, value in given.items() if value is not None)
     try:
         net, planted = make_instance(recipe, net_seed)
     except ValueError as err:

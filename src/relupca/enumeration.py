@@ -4,44 +4,65 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError
 from .lattice import SelectorKicker, all_order_types
+from .network import ReluNetwork
 from .subspace import Frame, epsilon_net_ball, epsilon_net_bound, epsilon_net_matrix_blocks
 from .subspace import epsilon_net_matrices  # noqa: F401  (bench/tracing.py wraps it; unused here)
 
 __all__ = [
     "CandidateList",
+    "KickerBlock",
     "architectures",
     "enumerate_kickers",
     "enumerate_networks",
 ]
 
 
+class KickerBlock(NamedTuple):
+    """The selector candidates on one leaf tuple, one per row of a one-hot pick matrix.
+
+    selector holds the m leaves (checked once, by its constructor) and the frame, with an
+    empty table.  Row r of picks, (R, m * T) over the T order types of all_order_types(m),
+    has a 1 at t * m + j when candidate r's table sends type t to leaf j, so it picks that
+    leaf's value from an input's gated leaf features (see filteredpca._gated).
+    """
+
+    selector: SelectorKicker
+    picks: np.ndarray
+
+
+def _candidate(payload, row: int):
+    """Candidate row of a payload as a hypothesis of its own: a ReluNetwork or a SelectorKicker."""
+    if isinstance(payload, KickerBlock):
+        types = all_order_types(payload.selector.num_leaves)
+        picks = payload.picks[row].reshape(len(types), -1).argmax(axis=1)
+        return replace(payload.selector, table=dict(zip(types, picks.tolist())))
+    return ReluNetwork((*payload[:-1], payload[-1][row : row + 1]))
+
+
 @dataclass(eq=False)
 class CandidateList:
-    """Re-iterable lazy stream of candidate payloads with a count bound.
+    """Re-iterable lazy stream of candidates in blocks, with a count bound.
 
-    Iterating calls factory() afresh, so the list can be scanned repeatedly
-    with identical order.  A payload is either a network block or a
-    SelectorKicker (one candidate).  A block is a weight tuple (W_0, ..., W_L,
-    W_out) whose R output rows are R candidates sharing the hidden layers
-    W_0, ..., W_L: row r is the network (W_0, ..., W_L, W_out[r:r + 1]), and a
-    one-row block is a plain network's weights (the zero net is one).  The
-    candidate stream is the payloads' rows in order.  count_bound is an upper
-    bound on the number of candidates (rows, not payloads) and the one figure
-    a budget (max_candidates) is checked against; a network grid emits each
-    distinct clipped weight tuple once, at its first grid position, so it can
-    emit fewer.
+    factory() yields the blocks, the payloads the scorer reads; the candidate
+    stream is their rows in order.  A network block is a weight tuple (W_0, ...,
+    W_L, W_out): row r is the network (W_0, ..., W_L, W_out[r:r + 1]), and a
+    one-row block is a plain network (the zero net is one).  A KickerBlock is a
+    leaf tuple with every table.  Iterating calls factory() afresh and yields
+    each candidate as its own ReluNetwork or SelectorKicker, in identical order
+    every time.  count_bound bounds the number of candidates (rows, not blocks)
+    and is the one figure a budget (max_candidates) is checked against.
 
-    Blocks that share a first layer hold the same array object for it, so an
-    evaluator can tell a shared layer by identity (``is``) and compute it
-    once.  That is a promise about speed only: blocks that share no objects
-    are still scored correctly.
+    Blocks that share a first layer hold the same array object for it, and the
+    blocks of an architecture (or of a kicker list) share one read-only array of
+    output rows, so an evaluator can tell shared work by identity (``is``) and do
+    it once: a promise about speed only.
     """
 
     factory: Callable[[], Iterator]
@@ -49,7 +70,8 @@ class CandidateList:
     raw_factory: ClassVar[None] = None  # read by bench/tracing.py until the next benchmark change
 
     def __iter__(self):
-        return self.factory()
+        for payload in self.factory():
+            yield from (_candidate(payload, row) for row in range(len(payload[-1])))
 
 
 def _check_count(bound: int, max_candidates: int | None, what: str) -> None:
@@ -69,7 +91,8 @@ def enumerate_kickers(
 
     Leaf tuples are drawn from a grid net of the lam-ball in frame coordinates
     (then lifted to ambient space); each tuple is crossed with every total
-    table from order types on num_leaves values to leaf indices.
+    table from order types on num_leaves values to leaf indices: one KickerBlock
+    per tuple, whose row r is the r-th table in itertools.product order.
     """
     if len(frame) < 1:
         raise ValueError("need a non-empty frame")
@@ -85,40 +108,26 @@ def enumerate_kickers(
     _check_count(bound, max_candidates, "kicker")
     vectors = list(epsilon_net_ball(ell, lam, eps))
     tables = list(itertools.product(range(num_leaves), repeat=len(types)))
+    picks = np.eye(num_leaves)[tables].reshape(len(tables), -1)  # row r: table r, one-hot per order type
+    picks.flags.writeable = False
 
-    def raw():
+    def blocks():
         for coords in itertools.product(vectors, repeat=num_leaves):
-            leaves = np.array(coords) @ frame.vectors
-            for picks in tables:
-                yield SelectorKicker(leaves, dict(zip(types, picks)), frame)
+            yield KickerBlock(SelectorKicker(np.array(coords) @ frame.vectors, {}, frame), picks)
 
-    return CandidateList(factory=raw, count_bound=bound)
+    return CandidateList(factory=blocks, count_bound=bound)
 
 
 def architectures(size: int, l: int) -> list[tuple[int, ...]]:
     """All hidden-width tuples (k_0, ..., k_l) of positive ints summing to size.
 
-    Lexicographic order.  Empty when size < l + 1.
+    Lexicographic order.  Empty when size < l + 1.  Each tuple is cut at l
+    distinct points of 1, ..., size - 1, and combinations come in that order.
     """
     if size < 1 or l < 0:
         raise ValueError("need size >= 1 and l >= 0")
-    parts = l + 1
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(1, remaining - slots + 2):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    if size >= parts:
-        rec((), size, parts)
-    return out
-
-
-def _matrix_net_bound(rows: int, cols: int, radius: float, eps: float) -> int:
-    return epsilon_net_bound(rows * cols, radius * math.sqrt(min(rows, cols)), eps)
+    splits = itertools.combinations(range(1, size), l)
+    return [tuple(b - a for a, b in zip((0, *cuts), (*cuts, size))) for cuts in splits]
 
 
 def enumerate_networks(
@@ -166,7 +175,7 @@ def enumerate_networks(
         shapes = [(dout, din) for din, dout in zip(dims, dims[1:])]
         prod_bound = 1
         for r, c in shapes:
-            prod_bound *= _matrix_net_bound(r, c, radius, eps_prime)
+            prod_bound *= epsilon_net_bound(r * c, radius * math.sqrt(min(r, c)), eps_prime)
         bound += prod_bound
         plans.append(shapes)
     _check_count(bound, max_candidates, "network")

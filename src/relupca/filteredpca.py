@@ -11,9 +11,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .enumeration import CandidateList, enumerate_kickers, enumerate_networks
+from .enumeration import CandidateList, KickerBlock, _candidate, enumerate_kickers, enumerate_networks
 from .errors import BudgetError
-from .lattice import LatticePolynomial, SelectorKicker, lattice_eval, selector_eval
+from .lattice import LatticePolynomial, SelectorKicker, _rank_patterns, all_order_types, lattice_eval, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
 from .subspace import Frame, _grid_geometry, extend_frame, project, seeded_start
 from .subspace import approx_top_svd  # noqa: F401  (bench/tracing.py wraps it; unused here)
@@ -289,19 +289,8 @@ def _candidates(config: LearnConfig, frame: Frame, eps_prime: float) -> Candidat
     if len(frame) == 0:
         return _zero_candidates(config.dim)
     if config.candidate_mode == "kicker":
-        return enumerate_kickers(
-            frame, eps_prime, config.num_leaves, config.lam, max_candidates=config.max_candidates
-        )
-    return enumerate_networks(
-        frame, eps_prime, config.size, config.l, config.b, max_candidates=config.max_candidates
-    )
-
-
-def _hypothesis(payload, row: int = 0):
-    """Candidate row of a scanned payload as a hypothesis: block rows become networks."""
-    if isinstance(payload, tuple):
-        return ReluNetwork((*payload[:-1], payload[-1][row : row + 1]))
-    return payload
+        return enumerate_kickers(frame, eps_prime, config.num_leaves, config.lam, max_candidates=config.max_candidates)
+    return enumerate_networks(frame, eps_prime, config.size, config.l, config.b, max_candidates=config.max_candidates)
 
 
 def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
@@ -365,12 +354,25 @@ def _quantile(r: np.ndarray, q: float) -> float:
 # 2e6 and 0.25 s at 8e6, median of five.
 _LOOP_CHUNK_ELEMS = 8_000_000
 _TERMINAL_CHUNK_ELEMS = 2_000_000
-_ONE = np.ones((1, 1))  # the output row of a payload scored through as_function
-_ONE.flags.writeable = False
+
+
+def _gated(block: KickerBlock, x: np.ndarray) -> np.ndarray:
+    """A kicker block's gated leaf features at x, (N, m * T), read-only.
+
+    Row n holds its m leaf values in the slots of its order type (one _rank_patterns call types every row) and zeros.
+    """
+    vals = x @ block.selector.leaves.T  # (N, m), as selector_eval computes them
+    types, _, group = _rank_patterns(vals)
+    order = all_order_types(vals.shape[1])
+    h = np.zeros((len(vals), len(order), vals.shape[1]))
+    h[np.arange(len(vals)), np.array([order.index(omega) for omega in types])[group]] = vals
+    h = h.reshape(len(vals), -1)
+    h.flags.writeable = False
+    return h
 
 
 def _hidden(pieces: list, x: np.ndarray) -> list:
-    """[(payload, lo, W_out[lo:hi], H)] for (block, lo, hi) pieces: H is the last hidden activation at x.
+    """[(payload, lo, W_out[lo:hi], H)] for (block, lo, hi) network pieces: H is the last hidden activation at x.
 
     The distinct first layers (told apart by identity) go through one GEMM;
     deeper layers are applied per piece.
@@ -397,30 +399,28 @@ def _hidden(pieces: list, x: np.ndarray) -> list:
 def _scored(payloads, x: np.ndarray, elem_budget: int):
     """Yield chunks [(payload, lo, W, H)] in stream order: the one scorer.
 
-    A chunk holds pieces of network blocks (see CandidateList): W is the
-    piece's output rows W_out[lo:lo + len(W)], H the block's last hidden
-    activation at x, (N, k_L), and the piece's candidates' predictions at x
-    are the rows of W @ H.T.  Every candidate costs N * (widest hidden layer)
-    elements; a chunk holds candidates up to elem_budget (at least one) and at
-    most twice as many pieces as the chunk before (the first holds one), so
-    an early hit pays for little, and a block that does not fit is split
-    across chunks.  Any other payload closes the open chunk and comes alone,
-    scored through as_function: W is [[1.0]] and H its (N, 1) prediction
-    column.  Scanning chunk by chunk keeps first-hit order.  Every H yielded
-    is read-only.
+    A chunk holds pieces of blocks (see CandidateList): W is the piece's output
+    rows from row lo, H the block's last hidden activation at x, (N, k) (a
+    kicker block's gated leaf features, see _gated), and the piece's
+    candidates' predictions at x are the rows of W @ H.T.  Every network
+    candidate costs N * (widest hidden layer) elements; a chunk of network
+    pieces holds candidates up to elem_budget (at least one) and at most twice
+    as many pieces as the chunk before (the first holds one), so an early hit
+    pays for little, and a block that does not fit is split across chunks.  A
+    kicker block is a chunk of its own: leaf tuples share no layer, and a hit
+    ends the terminal scan at the end of its block.  Scanning chunk by chunk
+    keeps first-hit order.  Every H yielded is read-only.
     """
     n = x.shape[0]
     chunk: list = []  # (block, lo, hi)
     used = 0
     cap = 1
     for p in payloads:
-        if not isinstance(p, tuple):
+        if isinstance(p, KickerBlock):
             if chunk:
                 yield _hidden(chunk, x)
                 chunk, used, cap = [], 0, 2 * cap
-            h = np.asarray(as_function(p)(x), dtype=float).reshape(-1, 1)
-            h.flags.writeable = False  # on a view: a candidate's own array stays writable
-            yield [(p, 0, _ONE, h)]
+            yield [(p, 0, p.picks, _gated(p, x))]
             continue
         cost = n * max(w.shape[0] for w in p[:-1])
         lo = 0
@@ -443,7 +443,7 @@ def _iter_predictions(candidates: CandidateList, x: np.ndarray):
     may overwrite it.  A chunk's predictions are formed before its rows are
     yielded, so the chunk's hidden activations are freed first.
     """
-    for chunk in _scored(candidates, x, _LOOP_CHUNK_ELEMS):
+    for chunk in _scored(candidates.factory(), x, _LOOP_CHUNK_ELEMS):
         preds = np.empty((sum(len(w) for _, _, w, _ in chunk), x.shape[0]))
         a = 0
         for _, _, w, h in chunk:
@@ -461,16 +461,11 @@ def _mask_key(mask: np.ndarray) -> bytes:
 def _chunk_errors(chunk: list, y: np.ndarray) -> np.ndarray:
     """RMS errors against y of a _scored chunk's candidates, in stream order.
 
-    A payload scored alone is compared directly.  A run of pieces with the
-    same output rows is scored in the Gram form: row w of W on activations H
-    has err^2 = w G w^T - 2 w.c + s, clamped at 0, with G = H^T H / N,
-    c = H^T y / N and s = y.y / N, so a candidate costs O(k^2) once G is
-    formed, not O(N).
+    A run of pieces with the same output rows is scored in the Gram form: row
+    w of W on activations H has err^2 = w G w^T - 2 w.c + s, clamped at 0,
+    with G = H^T H / N, c = H^T y / N and s = y.y / N, so a candidate costs
+    O(k^2) once G is formed, not O(N).
     """
-    if chunk[0][2] is _ONE:
-        err = chunk[0][3].T - y
-        np.square(err, out=err)
-        return np.sqrt(np.mean(err, axis=1))
     n = y.shape[0]
     err2 = []
     for _, run in itertools.groupby(chunk, key=lambda e: (id(e[0][-1]), e[1], len(e[2]))):
@@ -599,8 +594,8 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
     Errors on the selection batch come from each block's Gram form
     (_chunk_errors).  If nothing clears the target, the lowest-error candidates
     are rescored on a larger fresh batch to strip selection noise, and the
-    winner of that playoff is returned.  Only those candidates are wrapped as
-    networks.  Returns (hypothesis, eps_hat, certified, failure, TerminalRecord).
+    winner of that playoff is returned.  Only those candidates are built as
+    hypotheses.  Returns (hypothesis, eps_hat, certified, failure, TerminalRecord).
     """
     select = oracle.draw(config.final_select_samples)
     target = 3.0 * config.eps
@@ -611,7 +606,7 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
     scored = 0
     try:
         candidates = _candidates(config, frame, config.default_final_eps_prime())
-        for chunk in _scored(candidates, select.x, _TERMINAL_CHUNK_ELEMS):
+        for chunk in _scored(candidates.factory(), select.x, _TERMINAL_CHUNK_ELEMS):
             errs = _chunk_errors(chunk, select.y)
             ends = list(itertools.accumulate(len(w) for _, _, w, _ in chunk))
 
@@ -640,18 +635,14 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
     playoff = chosen is None and bool(best)
     if playoff:
         rescore = oracle.draw(8 * config.final_select_samples)
-        best_err = math.inf
-        for _, _, payload, row in best:
-            preds = as_function(_hypothesis(payload, row))(rescore.x)
-            err = float(np.sqrt(np.mean((rescore.y - preds) ** 2)))
-            if err < best_err:
-                chosen, best_err = (payload, row), err
+        errs = [np.sqrt(np.mean((rescore.y - as_function(_candidate(p, r))(rescore.x)) ** 2)) for _, _, p, r in best]
+        chosen = best[int(np.argmin(errs))][2:]  # the first lowest error
         if failure is None:
             failure = "no terminal candidate reached 3*eps; returning the playoff winner"
     record = TerminalRecord(scored, first_hit, playoff)
     if chosen is None:
         return None, math.inf, False, failure or "terminal enumeration yielded no candidates", record
-    hypothesis = _hypothesis(*chosen)
+    hypothesis = _candidate(*chosen)
     eps_hat = estimate_l2_error(hypothesis, oracle, config.n_check)
     if eps_hat <= target:
         return hypothesis, eps_hat, True, None, record

@@ -43,19 +43,3 @@ def _unfiltered_network_stream(frame, eps_prime, size, l, b):
 @pytest.fixture
 def unfiltered_network_stream():
     return _unfiltered_network_stream
-
-
-def _flat_candidates(payloads):
-    """The candidate stream of a payload stream: each block row as a weight tuple of its own."""
-    out = []
-    for p in payloads:
-        if isinstance(p, tuple):
-            out.extend((*p[:-1], p[-1][r : r + 1]) for r in range(len(p[-1])))
-        else:
-            out.append(p)
-    return out
-
-
-@pytest.fixture
-def flat_candidates():
-    return _flat_candidates

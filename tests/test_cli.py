@@ -170,6 +170,19 @@ def test_gen_instance_random_reads_dim(runner, tmp_path):
     assert "random instance recipe field 'dim' must be an integer" in result.output
 
 
+@pytest.mark.parametrize("widths, message", [
+    ("3,x", "Invalid value for '--widths': '3,x' is not a comma-separated list of integers"),
+    ("3,0", "random instance recipe field 'widths'"),
+])
+def test_gen_instance_reports_bad_widths_as_a_usage_error(runner, tmp_path, widths, message):
+    out = tmp_path / "net.json"
+    result = runner.invoke(main, ["gen-instance", "--kind", "random", "--dim", "4", "--widths", widths,
+                                  "--out", str(out)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)  # not a traceback's exit 1
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_compile_boolean_xor_is_exact(runner, tmp_path):
     out = tmp_path / "xor.json"
     result = runner.invoke(main, ["compile-boolean", "--table", "0110", "--out", str(out)])

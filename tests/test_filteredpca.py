@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relupca import filteredpca
-from relupca.enumeration import CandidateList, enumerate_kickers, enumerate_networks
+from relupca.enumeration import CandidateList, KickerBlock, _candidate, enumerate_kickers, enumerate_networks
 from relupca.filteredpca import (
     GaussianOracle,
     LearnConfig,
@@ -29,8 +29,16 @@ from relupca.filteredpca import (
     run,
 )
 from relupca.harness import make_instance
+from relupca.lattice import SelectorKicker, all_order_types, order_type, selector_eval
 from relupca.network import ReluNetwork, evaluate, zero_network
-from relupca.subspace import Frame, approx_top_svd, chordal_distance, complement_project, project
+from relupca.subspace import (
+    Frame,
+    approx_top_svd,
+    chordal_distance,
+    complement_project,
+    epsilon_net_ball,
+    project,
+)
 
 
 def abs_net(v):
@@ -189,9 +197,9 @@ def test_masked_moment_matches_the_complement_reference(ell, rng):
         assert np.array_equal(got, got.T)
 
 
-def _block_preds(payloads, x, budget):
-    """Every candidate's predictions at x, (candidates, N), from _scored's pieces."""
-    return np.concatenate([w @ h.T for chunk in _scored(payloads, x, budget) for _, _, w, h in chunk])
+def _block_preds(cands, x, budget):
+    """Every candidate's predictions at x, (candidates, N), from _scored's pieces of a CandidateList."""
+    return np.concatenate([w @ h.T for chunk in _scored(cands.factory(), x, budget) for _, _, w, h in chunk])
 
 
 def test_loop_candidates_score_raw_rows_as_projected_rows(rng):
@@ -449,11 +457,22 @@ def test_repeat_skip_matches_a_brute_force_scan(monkeypatch):
     assert result.eps_hat == reference.eps_hat
 
 
+def _abs_block(v, *out):
+    """The network block relu(v.x) * a + relu(-v.x) * b, one row per (a, b) in out."""
+    return (np.array([v, -v]), np.array(out, dtype=float))
+
+
+def _scan_row(block, x):
+    """A one-row block's prediction row as the scan forms it: W_out @ relu(x W_0^T)^T."""
+    return (block[-1] @ np.maximum(x @ block[0].T, 0.0).T)[0]
+
+
 def test_repeat_as_the_last_candidate_keeps_its_first_tau(monkeypatch):
     """A scan with no acceptance that ends on a repeat records the repeated row's tau, not its neighbour's."""
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    f_a, f_b = (lambda x: np.abs(x @ v)), (lambda x: 0.5 * (x @ v))
-    stream = [f_a, f_b, f_a]
+    a, b = _abs_block(v, (1.0, 1.0)), _abs_block(v, (0.5, -0.5))  # |x.v| and x.v / 2
+    f_a, f_b = (lambda x: _scan_row(a, x)), (lambda x: _scan_row(b, x))
+    stream = [a, b, a]
     monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter(stream), 3))
     calls = []
     monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
@@ -470,8 +489,9 @@ def test_repeat_as_the_last_candidate_keeps_its_first_tau(monkeypatch):
 def test_rows_with_one_mask_form_one_moment(monkeypatch):
     """Rows whose bytes differ but whose masks agree form one moment; the record keeps the later row's tau."""
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    f_a, f_b = (lambda x: np.abs(x @ v)), (lambda x: np.abs(x @ v) * (1.0 + 1e-9))
-    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter([f_a, f_b]), 2))
+    a, b = _abs_block(v, (1.0, 1.0)), _abs_block(v, (1.0 + 1e-9, 1.0 + 1e-9))  # |x.v| and |x.v| (1 + 1e-9)
+    f_a, f_b = (lambda x: _scan_row(a, x)), (lambda x: _scan_row(b, x))
+    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter([a, b]), 2))
     calls = []
     monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
     oracle = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0)
@@ -646,17 +666,18 @@ def test_constants_are_recorded():
 
 @given(st.data())
 def test_pred_chunks_match_reference_evaluation(data):
-    """Every block row's predictions equal evaluate() on its own network, and any other
-    payload's equal as_function(); the loop's residuals and the chunk errors agree too.
+    """Every network block row's predictions equal evaluate() on its own network, and
+    every kicker block row's equal selector_eval() on its own SelectorKicker; the
+    loop's residuals and the chunk errors agree too.
 
-    Candidates come back in input order.  A payload that is not a weight tuple comes
-    back alone, also where it breaks a run of blocks whose first layer continues
-    after it.  Network chunks hold one piece, then at most twice the previous
-    count, and no more candidates than the budget allows (at least one), so small
-    budgets split blocks: chunk edges fall inside a block.  A payload may come
-    again later in the stream.  _iter_predictions yields the same rows, each
-    writable and its own, as the scan overwrites each row with its residual;
-    a kicker or callable scored again gives the same bytes.
+    Candidates come back in input order.  A kicker block comes back whole and
+    alone, also where it breaks a run of blocks whose first layer continues after
+    it.  Network chunks hold one piece, then at most twice the previous count, and
+    no more candidates than the budget allows (at least one), so small budgets
+    split blocks: chunk edges fall inside a block.  A payload may come again later
+    in the stream.  _iter_predictions yields the same rows, each writable and its
+    own, as the scan overwrites each row with its residual; a kicker block scored
+    again gives the same bytes.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     d = data.draw(st.integers(1, 4), label="d")
@@ -676,9 +697,8 @@ def test_pred_chunks_match_reference_evaluation(data):
         for _ in range(data.draw(st.integers(1, 5), label="blocks")):
             hidden = [w if j < shared else rng.standard_normal(w.shape) for j, w in enumerate(prefix)]
             stream.append((*hidden, w_out if share_out else rng.standard_normal(w_out.shape)))
-    kickers = list(enumerate_kickers(Frame.from_span(rng.standard_normal((1, d))), 0.9, 2, 1.0))
-    v = rng.standard_normal(d)
-    others = [kickers[data.draw(st.integers(0, len(kickers) - 1), label="kicker")], lambda z: z @ v]
+    kickers = list(enumerate_kickers(Frame.from_span(rng.standard_normal((1, d))), 0.9, 2, 1.0).factory())
+    others = [kickers[data.draw(st.integers(0, len(kickers) - 1), label="kicker")] for _ in range(2)]
     breaks = data.draw(st.lists(st.integers(0, len(stream)), max_size=4), label="breaks")
     for at in sorted(breaks, reverse=True):  # may split a run: its first layer goes on after
         stream.insert(at, others[data.draw(st.integers(0, 1), label="other")])
@@ -689,27 +709,31 @@ def test_pred_chunks_match_reference_evaluation(data):
     candidates, preds, errs = [], [], []
     cap = 1
     for chunk in _scored(iter(stream), x, elem_budget=budget):
-        if all(isinstance(p, tuple) for p, _, _, _ in chunk):
+        if not any(isinstance(p, KickerBlock) for p, _, _, _ in chunk):
             assert len(chunk) <= cap
             used = sum(len(w) * len(x) * max(m.shape[0] for m in p[:-1]) for p, _, w, _ in chunk)
             assert sum(len(w) for _, _, w, _ in chunk) == 1 or used <= budget
         else:
-            assert len(chunk) == 1
+            [(p, lo, w, _)] = chunk
+            assert lo == 0 and w is p.picks
         cap *= 2
         for p, lo, w, h in chunk:
             assert h.shape == (len(x), w.shape[1]) and not h.flags.writeable
             candidates.extend((p, lo + r) for r in range(len(w)))
             preds.extend(w @ h.T)
         errs.extend(_chunk_errors(chunk, y))
-    flat = [(p, r) for p in stream for r in range(len(p[-1]) if isinstance(p, tuple) else 1)]
+    flat = [(p, r) for p in stream for r in range(len(p[-1]))]
     assert len(candidates) == len(flat)
     assert all(p is q and r == s for (p, r), (q, s) in zip(candidates, flat))
+    types = all_order_types(2)
+    tables = list(itertools.product(range(2), repeat=len(types)))  # a kicker block's rows, in order
     want = []
     for p, r in flat:
-        if isinstance(p, tuple):
-            want.append(evaluate(ReluNetwork((*p[:-1], p[-1][r : r + 1])), x))
+        if isinstance(p, KickerBlock):
+            sk = SelectorKicker(p.selector.leaves, dict(zip(types, tables[r])), p.selector.frame)
+            want.append(selector_eval(sk, x))
         else:
-            want.append(np.asarray(as_function(p)(x), dtype=float).ravel())
+            want.append(evaluate(ReluNetwork((*p[:-1], p[-1][r : r + 1])), x))
     np.testing.assert_allclose(preds, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(errs, np.sqrt(np.mean((np.array(want) - y) ** 2, axis=1)), rtol=0, atol=1e-9)
     scan = []
@@ -720,37 +744,35 @@ def test_pred_chunks_match_reference_evaluation(data):
             row.fill(np.nan)  # as the scan overwrites it: no later row may change
     assert len(scan) == len(flat)
     np.testing.assert_allclose(scan, want, rtol=0, atol=1e-12)
-    for i, (p, _) in enumerate(flat):
-        if not isinstance(p, tuple):  # a kicker or callable scored again gives the same bytes
-            first = next(j for j, (q, _) in enumerate(flat) if q is p)
+    for i, (p, r) in enumerate(flat):
+        if isinstance(p, KickerBlock):  # a kicker block scored again gives the same bytes
+            first = next(j for j, (q, s) in enumerate(flat) if q is p and s == r)
             assert scan[i].tobytes() == scan[first].tobytes()
 
 
 @pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.9), (3, 1, 1.5), (3, 2, 0.9)])
-def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng, flat_candidates):
+def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
     """The same check on enumerate_networks' own block streams, whose blocks share first layers."""
     frame = Frame.from_span(rng.standard_normal((2, 4)))
     cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
     x = rng.standard_normal((5, 4))
     preds = _block_preds(cands, x, 5 * 50)
-    flat = flat_candidates(cands)
-    assert len(preds) == len(flat) > len(list(cands))
-    for ws, row in zip(flat, preds):
-        np.testing.assert_allclose(row, evaluate(ReluNetwork(ws), x), rtol=0, atol=1e-12)
+    flat = list(cands)
+    assert len(preds) == len(flat) > len(list(cands.factory()))
+    for net, row in zip(flat, preds):
+        np.testing.assert_allclose(row, evaluate(net, x), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.5), (2, 1, 0.7), (3, 1, 0.9)])
-def test_gram_errors_match_direct_evaluation(size, l, eps_prime, rng, flat_candidates):
+def test_gram_errors_match_direct_evaluation(size, l, eps_prime, rng):
     """On enumerate_networks' streams, each row's Gram error is the direct RMS error to 1e-9."""
     frame = Frame.from_span(rng.standard_normal((2, 5)))
     target = ReluNetwork((rng.standard_normal((2, 5)), rng.standard_normal((1, 2))))
     x = rng.standard_normal((512, 5))
     y = evaluate(target, x)
     cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
-    errs = np.concatenate([_chunk_errors(chunk, y) for chunk in _scored(cands, x, 512 * 8)])
-    direct = np.array([
-        np.sqrt(np.mean((evaluate(ReluNetwork(ws), x) - y) ** 2)) for ws in flat_candidates(cands)
-    ])
+    errs = np.concatenate([_chunk_errors(chunk, y) for chunk in _scored(cands.factory(), x, 512 * 8)])
+    direct = np.array([np.sqrt(np.mean((evaluate(net, x) - y) ** 2)) for net in cands])
     assert len(errs) == len(direct) > 100
     np.testing.assert_allclose(errs, direct, rtol=0, atol=1e-9)
 
@@ -861,6 +883,128 @@ def test_final_search_playoff_matches_brute_force(monkeypatch):
     assert _key(hypothesis.weights) == scored[-1] == _key(stream[winner])
 
 
+@given(st.data())
+def test_kicker_block_rows_equal_selector_eval(data):
+    """Each row of a kicker block's W @ H.T is selector_eval of that row's SelectorKicker, bit for bit.
+
+    Tables are drawn at random over 1 to 3 leaves, two of which may be equal.
+    Rows of x are Gaussian at scales 1e-3 to 1e3, rows whose first and last
+    leaf values tie within the rule 1e-12 * max(1, max |row|) (so those leaves
+    share a rank), or exact zeros.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    d = data.draw(st.integers(1, 4), label="d")
+    frame = Frame.from_span(rng.standard_normal((data.draw(st.integers(1, d), label="ell"), d)))
+    m = data.draw(st.integers(1, 3), label="leaves")
+    leaves = rng.standard_normal((m, len(frame))) @ frame.vectors
+    if m > 1 and data.draw(st.booleans(), label="two equal leaves"):
+        leaves[1] = leaves[0]
+    types = all_order_types(m)
+    table = st.lists(st.integers(0, m - 1), min_size=len(types), max_size=len(types))
+    tables = data.draw(st.lists(table, min_size=1, max_size=6), label="tables")
+    picks = (np.array(tables)[:, :, None] == np.arange(m)).astype(float).reshape(len(tables), -1)
+    block = KickerBlock(SelectorKicker(leaves, {}, frame), picks)
+    kinds = data.draw(st.lists(st.sampled_from(["gauss", "tie", "zero"]), min_size=1, max_size=12), label="rows")
+    x = rng.standard_normal((len(kinds), d)) * 10.0 ** rng.integers(-3, 4, size=(len(kinds), 1))
+    diff = leaves[0] - leaves[-1]
+    for i, kind in enumerate(kinds):
+        if kind == "zero":
+            x[i] = 0.0
+        elif kind == "tie" and diff @ diff > 0:
+            x[i] -= (diff @ x[i]) / (diff @ diff) * diff  # leaf 0 and leaf m - 1 meet
+            gap = data.draw(st.floats(-0.4, 0.4), label="gap") * 1e-12 * max(1.0, np.max(np.abs(leaves @ x[i])))
+            x[i] += gap / (diff @ diff) * diff
+            ranks = order_type(leaves @ x[i]).ranks
+            assert ranks[0] == ranks[-1]
+    [[(payload, lo, w, h)]] = list(_scored(iter([block]), x, 1))
+    assert payload is block and lo == 0 and w is block.picks and h.shape == (len(x), m * len(types))
+    preds = w @ h.T
+    scan = [row.copy() for row in _iter_predictions(CandidateList(lambda: iter([block]), len(tables)), x)]
+    for r, tab in enumerate(tables):
+        sk = SelectorKicker(leaves, dict(zip(types, tab)), frame)
+        want = selector_eval(sk, x)
+        np.testing.assert_array_equal(preds[r], want)
+        np.testing.assert_array_equal(scan[r], want)
+        built = _candidate(block, r)
+        assert built.table == sk.table and built.leaves.tobytes() == sk.leaves.tobytes()
+
+
+def _kicker_stream(frame, eps_prime, lam):
+    """enumerate_kickers' candidates built one at a time as SelectorKickers, in stream order."""
+    types = all_order_types(2)
+    vectors = list(epsilon_net_ball(len(frame), lam, eps_prime * lam))
+    return [
+        SelectorKicker(np.array(coords) @ frame.vectors, dict(zip(types, table)), frame)
+        for coords in itertools.product(vectors, repeat=2)
+        for table in itertools.product(range(2), repeat=len(types))
+    ]
+
+
+def _selector_key(sk):
+    return sk.leaves.tobytes(), tuple(sorted((omega.ranks, pick) for omega, pick in sk.table.items()))
+
+
+def _selector_errors(stream, batch):
+    """RMS error of each selector on the batch, scored one at a time through selector_eval()."""
+    return np.array([np.sqrt(np.mean((selector_eval(sk, batch.x) - batch.y) ** 2)) for sk in stream])
+
+
+def _kicker_search(monkeypatch, target, frame, eps, lam, final_eps_prime):
+    """_final_search in kicker mode (oracle seed 3), recording every selector that selector_eval scores."""
+    scored = []
+
+    def recording_selector_eval(sk, x):
+        scored.append(_selector_key(sk))
+        return selector_eval(sk, x)
+
+    monkeypatch.setattr(filteredpca, "selector_eval", recording_selector_eval)
+    config = LearnConfig(
+        dim=frame.dim, k=len(frame), size=2, l=0, b=1.0, lam=lam, eps=eps, delta=0.05,
+        candidate_mode="kicker", final_eps_prime=final_eps_prime, n_check=2_000,
+    )
+    out = _final_search(GaussianOracle(target, 3), config, frame)
+    return out, config, scored
+
+
+def test_kicker_final_search_first_hit_matches_brute_force(monkeypatch):
+    """The kicker terminal scan hits where selector_eval on every candidate first reaches 3*eps."""
+    v = np.array([0.6, 0.0, 0.8, 0.0])
+    frame = Frame.from_span(v[None, :])
+    target = abs_net(v)
+    (hypothesis, _, certified, _, record), config, scored = _kicker_search(monkeypatch, target, frame, 0.01, 2.0, 0.25)
+    stream = _kicker_stream(frame, 0.25, config.lam)
+    errs = _selector_errors(stream, GaussianOracle(target, 3).draw(config.final_select_samples))
+    hits = np.flatnonzero(errs <= 3 * config.eps)
+    rows = len(all_order_types(2)) ** 2 * 2  # 8 tables per leaf tuple
+    assert hits.size and hits[0] % rows not in (0, rows - 1)  # mid-block
+    assert record == filteredpca.TerminalRecord(scored=(hits[0] // rows + 1) * rows, first_hit=int(hits[0]),
+                                                playoff=False)
+    assert certified and _selector_key(hypothesis) == _selector_key(stream[hits[0]])
+    assert scored == [_selector_key(stream[hits[0]])]  # selector_eval ran for the error check only
+
+
+def test_kicker_final_search_playoff_matches_brute_force(monkeypatch):
+    """With no hit, the playoff set is the 32 lowest selector_eval errors and the winner is theirs."""
+    u = np.array([0.9, 0.4, 0.2, 0.1]) @ _GRID_FRAME.projector()
+    u /= np.linalg.norm(u)
+    target = abs_net(u)
+    (hypothesis, _, _, reason, record), config, scored = _kicker_search(
+        monkeypatch, target, _GRID_FRAME, 0.01, 1.0, 0.5)
+    stream = _kicker_stream(_GRID_FRAME, 0.5, config.lam)
+    oracle = GaussianOracle(target, 3)
+    errs = _selector_errors(stream, oracle.draw(config.final_select_samples))
+    assert "playoff winner" in reason
+    assert record == filteredpca.TerminalRecord(scored=len(stream), first_hit=None, playoff=True)
+    order = sorted(range(len(stream)), key=lambda i: (errs[i], i))
+    assert errs[order[0]] > 3 * config.eps  # no hit, so the playoff decides
+    assert errs[order[32]] - errs[order[31]] > 1e-9  # rounding cannot move the cut
+    index = {_selector_key(sk): i for i, sk in enumerate(stream)}
+    assert [index[k] for k in scored[:-1]] == order[:32]  # the playoff set, in its order
+    playoff_errs = _selector_errors([stream[i] for i in order[:32]], oracle.draw(8 * config.final_select_samples))
+    winner = order[int(np.argmin(playoff_errs))]
+    assert _selector_key(hypothesis) == scored[-1] == _selector_key(stream[winner])
+
+
 def test_final_search_playoff_on_a_clipped_grid(monkeypatch, unfiltered_network_stream):
     """On enumerate_networks' own grid, whose clipped points repeat, the playoff set is
     32 distinct tuples and holds every tuple of the unfiltered stream's 32 best."""
@@ -895,22 +1039,21 @@ def test_final_search_playoff_on_a_clipped_grid(monkeypatch, unfiltered_network_
 
 
 def test_scored_hidden_activations_are_read_only(rng):
-    """No consumer can write a yielded H (blocks share h0), and scanning leaves candidates as they were."""
+    """No consumer can write a yielded H (blocks share h0) or W, and scanning leaves the blocks as they were."""
     x = rng.standard_normal((8, 4))
-    held = np.arange(8.0)  # a candidate that returns an array it keeps
-    kickers = list(enumerate_kickers(_GRID_FRAME, 0.9, 2, 1.0))[:20]
-    leaves = [sk.leaves.copy() for sk in kickers]
+    kickers = list(enumerate_kickers(_GRID_FRAME, 0.9, 2, 1.0).factory())[:20]
+    before_blocks = [(b.selector.leaves.copy(), b.picks.copy()) for b in kickers]
     lists = [
         enumerate_networks(_GRID_FRAME, 0.9, 2, 0, 1.0),
-        CandidateList(factory=lambda: iter(kickers), count_bound=len(kickers)),
-        CandidateList(factory=lambda: iter([lambda _x: held]), count_bound=1),
+        CandidateList(factory=lambda: iter(kickers), count_bound=len(kickers) * len(kickers[0].picks)),
     ]
     for cands in lists:
         before = _block_preds(cands, x, 8 * 4)
-        for chunk in _scored(cands, x, 8 * 4):
-            for _, _, _, h in chunk:
-                with pytest.raises(ValueError, match="read-only"):
-                    h[:] = np.nan
+        for chunk in _scored(cands.factory(), x, 8 * 4):
+            for _, _, w, h in chunk:
+                for arr in (w, h):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[:] = np.nan
         assert np.array_equal(_block_preds(cands, x, 8 * 4), before)
-    assert held.flags.writeable and np.array_equal(held, np.arange(8.0))
-    assert all(np.array_equal(sk.leaves, v) for sk, v in zip(kickers, leaves))
+    for b, (leaves, picks) in zip(kickers, before_blocks):
+        assert np.array_equal(b.selector.leaves, leaves) and np.array_equal(b.picks, picks)
