@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -11,11 +9,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .enumeration import CandidateList, KickerBlock, _candidate, enumerate_kickers, enumerate_networks
+from .enumeration import CandidateList, KickerBlock, enumerate_kickers, enumerate_networks
 from .errors import BudgetError
 from .lattice import LatticePolynomial, SelectorKicker, _rank_patterns, all_order_types, lattice_eval, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
-from .subspace import Frame, _grid_geometry, extend_frame, project, seeded_start
+from .subspace import Frame, extend_frame, project, seeded_start
 from .subspace import approx_top_svd  # noqa: F401  (bench/tracing.py wraps it; unused here)
 
 __all__ = [
@@ -168,13 +166,15 @@ class LearnConfig:
     never stored, so it cannot go stale.  c, acc_fraction, num_leaves and
     tau_quantile are fixed constants of the method, not fields.
     max_candidates, an integer of at least 1, caps every scan's candidate count
-    bound (None: no cap).
+    bound (None: no cap), the terminal dictionary's grid included.
+    The terminal fit reads final_select_samples (its row count), b and
+    final_eps_prime (its dictionary's grid), and not size or l, which shape
+    only the loop's networks (l also enters the derived final_eps_prime).
     Sizes and sample counts are integers (dim, size and the sample counts at
     least 1, k and l at least 0, k at most dim).  b, lam and the grid
     granularities are finite and positive, as is lambda_acc when given
     (final_eps_prime None: derived from eps; lambda_acc None: calibrated).
-    eps lies in [1e-6, 1): terminal errors come from a Gram form that resolves
-    them only to about 1e-8.  delta lies in (0, 1) but sets no decision (the
+    eps lies in [1e-6, 1).  delta lies in (0, 1) but sets no decision (the
     eigen-step is exact); it stays a field because the acceptance tests pass it.
     """
 
@@ -260,11 +260,11 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class TerminalRecord:
-    """The terminal search: candidates scored, the first hit's stream index, whether the playoff ran."""
+    """The terminal fit: dictionary rows (hidden units), rows fitted on, and the RMS error on them."""
 
-    scored: int
-    first_hit: int | None  # None when no candidate reached 3*eps on the selection batch
-    playoff: bool
+    features: int
+    rows: int
+    select_err: float | None  # None when the terminal grid exceeded the budget, so nothing was fitted
 
 
 @dataclass(eq=False)
@@ -343,17 +343,13 @@ def _quantile(r: np.ndarray, q: float) -> float:
     return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
-# Chunk budgets, in elements of N x (widest hidden layer) per candidate: the
-# loop's (C, N) predictions stay within budget / width elements.  Measured
-# with BLAS on one thread on 2 cores.  The loop scores every chunk on the whole
-# N x d batch, so smaller chunks re-read it more often: the two rank2-highdim
-# runs (d = 100, N = 2e5) took 5.13 s at 2e6 against 4.66 s at 8e6, median of
-# three.  The terminal scan keeps only hidden activations on 512 selection
-# rows (errors come from the Gram form), so its budget sets the per-chunk
-# overhead: on the two rank2-terminal runs it took 0.37 s at 5e5, 0.23 s at
-# 2e6 and 0.25 s at 8e6, median of five.
+# The loop's chunk budget, in elements of N x (widest hidden layer) per
+# candidate: its (C, N) predictions stay within budget / width elements.
+# Measured with BLAS on one thread on 2 cores.  The loop scores every chunk on
+# the whole N x d batch, so smaller chunks re-read it more often: the two
+# rank2-highdim runs (d = 100, N = 2e5) took 5.13 s at 2e6 against 4.66 s at
+# 8e6, median of three.
 _LOOP_CHUNK_ELEMS = 8_000_000
-_TERMINAL_CHUNK_ELEMS = 2_000_000
 
 
 def _gated(block: KickerBlock, x: np.ndarray) -> np.ndarray:
@@ -405,11 +401,10 @@ def _scored(payloads, x: np.ndarray, elem_budget: int):
     candidates' predictions at x are the rows of W @ H.T.  Every network
     candidate costs N * (widest hidden layer) elements; a chunk of network
     pieces holds candidates up to elem_budget (at least one) and at most twice
-    as many pieces as the chunk before (the first holds one), so an early hit
-    pays for little, and a block that does not fit is split across chunks.  A
-    kicker block is a chunk of its own: leaf tuples share no layer, and a hit
-    ends the terminal scan at the end of its block.  Scanning chunk by chunk
-    keeps first-hit order.  Every H yielded is read-only.
+    as many pieces as the chunk before (the first holds one), so a scan that
+    accepts early pays for little, and a block that does not fit is split
+    across chunks.  A kicker block is a chunk of its own: leaf tuples share no
+    layer.  Every H yielded is read-only.
     """
     n = x.shape[0]
     chunk: list = []  # (block, lo, hi)
@@ -458,27 +453,8 @@ def _mask_key(mask: np.ndarray) -> bytes:
     return np.packbits(mask).tobytes()
 
 
-def _chunk_errors(chunk: list, y: np.ndarray) -> np.ndarray:
-    """RMS errors against y of a _scored chunk's candidates, in stream order.
-
-    A run of pieces with the same output rows is scored in the Gram form: row
-    w of W on activations H has err^2 = w G w^T - 2 w.c + s, clamped at 0,
-    with G = H^T H / N, c = H^T y / N and s = y.y / N, so a candidate costs
-    O(k^2) once G is formed, not O(N).
-    """
-    n = y.shape[0]
-    err2 = []
-    for _, run in itertools.groupby(chunk, key=lambda e: (id(e[0][-1]), e[1], len(e[2]))):
-        run = list(run)
-        w, hs = run[0][2], np.stack([h for _, _, _, h in run])  # hs: (B, N, k)
-        g = np.matmul(hs.transpose(0, 2, 1), hs) / n
-        c = (y @ hs) / n
-        err2.append((np.einsum("brj,rj->br", w @ g, w) - 2.0 * (c @ w.T) + (y @ y) / n).ravel())
-    return np.sqrt(np.maximum(np.concatenate(err2), 0.0))
-
-
 def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> RecoveryResult:
-    """Iterative direction recovery followed by a terminal hypothesis search.
+    """Iterative direction recovery followed by a terminal hypothesis fit.
 
     Per iteration: draw a batch, scan candidates over the current frame, build
     each candidate's filtered second-moment matrix, and accept the first whose
@@ -490,8 +466,9 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     counts as scanned, keeps its index and records its own tau.  The frame
     grows by the accepted moment's top eigenvector; a scan with no acceptance
     ends the loop.
-    A final enumeration at fine granularity picks the hypothesis: the first
-    candidate whose empirical error is at most 3*eps, else the best seen.
+    The hypothesis is then a least-squares fit of a depth-2 net over a fine
+    net of directions in the frame (_final_search), certified when its error
+    on a fresh batch is at most 3*eps.
     """
     d = config.dim
     oracle_dim = getattr(oracle, "input_dim", d)
@@ -548,7 +525,7 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         except BudgetError as err:
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
         finally:
-            # so the next draw does not hold two batches, nor the terminal search
+            # so the next draw does not hold two batches, nor the terminal fit
             # a chunk of predictions or the scan's keys
             distinct = len(masks)
             samples = row = resid = mask = masks = None
@@ -565,14 +542,6 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     constants["lambda_acc_effective"] = lambda_acc
     hypothesis, eps_hat, certified, final_failure, terminal = _final_search(oracle, config, frame)
     failure = failure or final_failure
-    if not certified and config.candidate_mode == "kicker" and len(frame):
-        fep = constants["final_eps_prime"]
-        spacing, _ = _grid_geometry(len(frame), config.lam, fep * config.lam)  # enumerate_kickers' leaf net
-        if spacing > 1.0:
-            failure += (
-                f"; the terminal kicker grid cannot hold a unit-scale leaf: its spacing "
-                f"2*final_eps_prime*lam/sqrt(ell) is {spacing:.6g} > 1 at final_eps_prime {fep:.6g}"
-            )
     return RecoveryResult(
         frame=frame,
         hypothesis=hypothesis,
@@ -585,70 +554,45 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     )
 
 
-_PLAYOFF_SIZE = 32  # lowest-error terminal candidates rescored when nothing hits
-
-
 def _final_search(oracle, config: LearnConfig, frame: Frame):
-    """Scan the terminal candidate list for the first hypothesis within 3*eps.
+    """Fit the terminal hypothesis's output layer by least squares on the selection batch.
 
-    Errors on the selection batch come from each block's Gram form
-    (_chunk_errors).  If nothing clears the target, the lowest-error candidates
-    are rescored on a larger fresh batch to strip selection noise, and the
-    winner of that playoff is returned.  Only those candidates are built as
-    hypotheses.  Returns (hypothesis, eps_hat, certified, failure, TerminalRecord).
+    A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden
+    directions w in its span.  The dictionary is the first-layer rows of the
+    one-unit network grid at final_eps_prime, the final_eps_prime-net of the
+    (b + final_eps_prime)-ball in frame coordinates (lifted), zero rows dropped.
+    The output layer is lstsq's minimum-norm fit of y on relu(X W_0^T), which
+    also settles collinear rows such as w and 2w.  At ell = 1 the fit is exact,
+    the only directions being +-1; at ell >= 2, rounding each hidden direction
+    to the net costs at most final_eps_prime times the net's path norm.  An
+    empty frame gives the zero net.  The fitted network is certified by the
+    error check.  Returns (hypothesis, eps_hat, certified, failure, TerminalRecord).
     """
     select = oracle.draw(config.final_select_samples)
     target = 3.0 * config.eps
-    best: list = []  # (error, stream index, payload, row) of the lowest errors so far
-    chosen = None  # (payload, row)
-    first_hit = None
-    failure = None
-    scored = 0
-    try:
-        candidates = _candidates(config, frame, config.default_final_eps_prime())
-        for chunk in _scored(candidates.factory(), select.x, _TERMINAL_CHUNK_ELEMS):
-            errs = _chunk_errors(chunk, select.y)
-            ends = list(itertools.accumulate(len(w) for _, _, w, _ in chunk))
-
-            def locate(j: int):
-                b = bisect.bisect_right(ends, j)
-                payload, lo, w, _ = chunk[b]
-                return payload, lo + j - ends[b] + len(w)
-
-            hits = np.flatnonzero(errs <= target)
-            if hits.size:
-                first_hit = scored + int(hits[0])
-                chosen = locate(int(hits[0]))
-            else:
-                idx = np.arange(errs.size)
-                if len(best) == _PLAYOFF_SIZE:  # an error above best[-1] sorts after all of best
-                    idx = np.flatnonzero(errs <= best[-1][0])
-                for j in idx[np.argsort(errs[idx], kind="stable")[:_PLAYOFF_SIZE]]:
-                    best.append((float(errs[j]), scored + int(j), *locate(int(j))))
-                best.sort(key=lambda t: (t[0], t[1]))
-                del best[_PLAYOFF_SIZE:]
-            scored += errs.size
-            if chosen is not None:
-                break
-    except BudgetError as err:
-        failure = f"terminal enumeration budget exhausted: {err}"
-    playoff = chosen is None and bool(best)
-    if playoff:
-        rescore = oracle.draw(8 * config.final_select_samples)
-        errs = [np.sqrt(np.mean((rescore.y - as_function(_candidate(p, r))(rescore.x)) ** 2)) for _, _, p, r in best]
-        chosen = best[int(np.argmin(errs))][2:]  # the first lowest error
-        if failure is None:
-            failure = "no terminal candidate reached 3*eps; returning the playoff winner"
-    record = TerminalRecord(scored, first_hit, playoff)
-    if chosen is None:
-        return None, math.inf, False, failure or "terminal enumeration yielded no candidates", record
-    hypothesis = _candidate(*chosen)
+    fep = config.default_final_eps_prime()
+    hypothesis, preds, features = zero_network(config.dim), np.zeros(select.n), 0
+    if len(frame):
+        try:
+            grid = enumerate_networks(frame, fep, 1, 0, config.b, max_candidates=config.max_candidates)
+        except BudgetError as err:
+            record = TerminalRecord(0, select.n, None)
+            return None, math.inf, False, f"terminal enumeration budget exhausted: {err}", record
+        w0 = np.concatenate([block[0] for block in grid.factory()])
+        w0 = w0[np.any(w0 != 0.0, axis=1)]
+        features = len(w0)
+        if features:
+            h = np.maximum(select.x @ w0.T, 0.0)
+            coef = np.linalg.lstsq(h, select.y, rcond=None)[0]
+            hypothesis, preds = ReluNetwork((w0, coef[None, :])), h @ coef
+    record = TerminalRecord(features, select.n, float(np.sqrt(np.mean((select.y - preds) ** 2))))
     eps_hat = estimate_l2_error(hypothesis, oracle, config.n_check)
     if eps_hat <= target:
         return hypothesis, eps_hat, True, None, record
-    if failure is None:
-        failure = (
-            f"the first candidate within 3*eps on the selection batch failed the check: "
-            f"eps_hat {eps_hat:.6g} > 3*eps {target:.6g}"
+    failure = f"the fitted hypothesis failed the check: eps_hat {eps_hat:.6g} > 3*eps {target:.6g}"
+    if features >= select.n:
+        failure += (
+            f"; the fit is underdetermined: {features} dictionary rows for final_select_samples "
+            f"{select.n} at final_eps_prime {fep:.6g}"
         )
     return hypothesis, eps_hat, False, failure, record

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 import types
 from unittest import mock
 
@@ -14,7 +15,6 @@ from relupca.filteredpca import (
     GaussianOracle,
     LearnConfig,
     SampleSet,
-    _chunk_errors,
     _final_search,
     _iter_predictions,
     _mask_key,
@@ -36,7 +36,6 @@ from relupca.subspace import (
     approx_top_svd,
     chordal_distance,
     complement_project,
-    epsilon_net_ball,
     project,
 )
 
@@ -605,7 +604,7 @@ def test_failed_check_after_selection_hit_gives_a_reason():
     net, _ = make_instance({"kind": "abs", "dim": 4}, 0)
     oracle = ShiftThirdDraw(gaussian_oracle(net, 0))
     result = run(oracle, small_recovery_config())
-    assert oracle.draws == 3  # the selection batch had a hit, so no playoff draw
+    assert oracle.draws == 3  # the loop's batch, the selection batch and the check
     assert not result.certified
     assert result.eps_hat > 0.3
     assert result.failure_reason is not None
@@ -620,20 +619,6 @@ def test_kicker_mode_recovers_a_line(seed):
     assert result.certified, result.failure_reason
     assert len(result.frame) == 1
     assert chordal_distance(result.frame, planted) <= 0.1
-
-
-def test_kicker_failure_names_a_grid_too_coarse_for_a_unit_leaf():
-    """At final_eps_prime 0.5 and lam 2 the terminal kicker grid has spacing 2, so no unit-scale leaf fits."""
-    net, _ = make_instance({"kind": "abs", "dim": 4}, 0)
-    cfg = small_recovery_config(candidate_mode="kicker", final_eps_prime=0.5)
-    result = run(gaussian_oracle(net, 0), cfg)
-    assert not result.certified and len(result.frame) == 1
-    assert result.eps_hat > 0.9
-    assert result.failure_reason == (
-        "no terminal candidate reached 3*eps; returning the playoff winner; the terminal kicker grid "
-        "cannot hold a unit-scale leaf: its spacing 2*final_eps_prime*lam/sqrt(ell) is 2 > 1 "
-        "at final_eps_prime 0.5"
-    )
 
 
 def test_oracle_dimension_checked():
@@ -661,6 +646,103 @@ def test_constants_are_recorded():
     assert (cons["lambda_acc_effective"], cons["final_eps_prime"]) == (0.5, 0.3)
 
 
+# ---------------------------------------------------------------- terminal fit
+
+_GRID_FRAME = Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]]))
+
+
+def _terminal_config(frame, **overrides):
+    base = dict(dim=frame.dim, k=len(frame), size=2, l=0, b=1.0, lam=1.0, eps=0.02, delta=0.05,
+                final_eps_prime=0.16, final_select_samples=512, n_check=2_000)
+    return LearnConfig(**{**base, **overrides})
+
+
+def test_terminal_fit_on_a_line_solves_the_two_by_two_normal_equations():
+    """On a one-vector frame every dictionary row is c v with c of either sign, so the fit's
+    predictions are alpha relu(t) + beta relu(-t) at t = <v, x>, with alpha and beta from the
+    diagonal 2 x 2 normal equations: relu(t) and relu(-t) are never both non-zero."""
+    v = np.array([0.6, 0.0, 0.8, 0.0])
+    frame = Frame.from_span(v[None, :])
+    # a target off the line, so the fit leaves a residual
+    target = ReluNetwork((np.array([[0.6, 0.3, 0.8, 0.0], [-0.5, 0.0, -0.9, 0.6]]), np.array([[1.0, -0.7]])))
+    config = _terminal_config(frame, b=math.sqrt(2.0), final_eps_prime=0.25)
+    hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, frame)
+    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    t = select.x @ frame.vectors[0]
+    pos, neg = np.maximum(t, 0.0), np.maximum(-t, 0.0)
+    alpha, beta = (select.y @ pos) / (pos @ pos), (select.y @ neg) / (neg @ neg)
+    want = alpha * pos + beta * neg
+    assert record.features > 2  # several rows of each sign: collinear columns
+    np.testing.assert_allclose(evaluate(hypothesis, select.x), want, rtol=1e-10, atol=0)
+    assert record.select_err == pytest.approx(np.sqrt(np.mean((select.y - want) ** 2)), rel=1e-10)
+
+
+def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
+    """The first layer is the one-unit grid's non-zero first-layer rows in stream order, and the
+    network's predictions on the selection rows are the feature matrix times lstsq's coefficients."""
+    rng = np.random.default_rng(6)
+    target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
+    config = _terminal_config(_GRID_FRAME)
+    hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
+    rows = [block[0][0] for block in enumerate_networks(_GRID_FRAME, 0.16, 1, 0, 1.0).factory()]
+    w0 = np.array([row for row in rows if np.any(row != 0.0)])
+    assert len(w0) == len(rows) - 1  # the zero row is dropped
+    np.testing.assert_array_equal(hypothesis.weights[0], w0)
+    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    h = np.maximum(select.x @ w0.T, 0.0)
+    coef = np.linalg.lstsq(h, select.y, rcond=None)[0]
+    np.testing.assert_array_equal(hypothesis.weights[1], coef[None, :])
+    np.testing.assert_allclose(evaluate(hypothesis, select.x), h @ coef, rtol=0, atol=1e-12)
+    assert (record.features, record.rows) == (len(w0), config.final_select_samples)
+    assert record.select_err == pytest.approx(np.sqrt(np.mean((select.y - h @ coef) ** 2)), rel=1e-12)
+
+
+def test_terminal_fit_on_an_empty_frame_is_the_zero_net():
+    target = abs_net([1.0, 0.0, 0.0, 0.0])
+    config = _terminal_config(Frame.empty(4), k=1)
+    hypothesis, eps_hat, certified, _, record = _final_search(GaussianOracle(target, 3), config, Frame.empty(4))
+    assert all(not np.any(w) for w in hypothesis.weights)
+    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    assert record == filteredpca.TerminalRecord(0, config.final_select_samples, float(np.sqrt(np.mean(select.y**2))))
+    assert not certified and eps_hat > 0.5
+
+
+def _criterion_7_run(seed, **overrides):
+    """run() on criterion 7's recipe (the rank2-terminal benchmark's): mixed, d = 10, after a 4 096-row burn-in."""
+    net, _ = make_instance({"kind": "mixed", "dim": 10, "k": 2, "units": 2, "b": 1.0}, seed)
+    oracle = GaussianOracle(net, 100 + seed)
+    oracle.draw(4096)
+    config = dict(
+        dim=10, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.02, delta=0.05, n_samples=200_000, n_check=20_000,
+        seed=200 + seed, tau_mode="quantile", eps_prime=0.5, final_eps_prime=0.16, final_select_samples=512,
+        max_candidates=20_000_000,
+    )
+    return run(oracle, LearnConfig(**{**config, **overrides}))
+
+
+def test_criterion_7_seed_1_certifies():
+    """The seed a grid search over size-2 networks left uncertified (eps_hat 0.0650 > 0.06)."""
+    start = time.perf_counter()
+    result = _criterion_7_run(1)
+    seconds = time.perf_counter() - start
+    assert result.certified, result.failure_reason
+    assert result.failure_reason is None
+    assert result.eps_hat <= 3 * 0.02
+    assert seconds < 2.0
+
+
+def test_underdetermined_terminal_fit_is_named_in_the_reason():
+    """With no more selection rows than dictionary rows the fit interpolates, and a failed check says so."""
+    result = _criterion_7_run(2, final_select_samples=2)
+    assert len(result.frame) == 2 and result.terminal.rows == 2
+    assert not result.certified
+    assert result.failure_reason.endswith(
+        f"; the fit is underdetermined: {result.terminal.features} dictionary rows for "
+        "final_select_samples 2 at final_eps_prime 0.16"
+    )
+    assert result.terminal.features >= 2
+
+
 # ---------------------------------------------------------------- batched evaluation
 
 
@@ -668,7 +750,7 @@ def test_constants_are_recorded():
 def test_pred_chunks_match_reference_evaluation(data):
     """Every network block row's predictions equal evaluate() on its own network, and
     every kicker block row's equal selector_eval() on its own SelectorKicker; the
-    loop's residuals and the chunk errors agree too.
+    loop's residuals agree too.
 
     Candidates come back in input order.  A kicker block comes back whole and
     alone, also where it breaks a run of blocks whose first layer continues after
@@ -682,7 +764,6 @@ def test_pred_chunks_match_reference_evaluation(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     d = data.draw(st.integers(1, 4), label="d")
     x = rng.standard_normal((data.draw(st.integers(1, 6), label="rows"), d))
-    y = rng.standard_normal(len(x))
     stream = []
     for _ in range(data.draw(st.integers(1, 4), label="groups")):
         widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="widths")
@@ -693,7 +774,7 @@ def test_pred_chunks_match_reference_evaluation(data):
             prefix[0] = stream[-1][0]  # a run that continues the previous group's first layer
         shared = data.draw(st.integers(0, len(widths)), label="shared layers")
         w_out = rng.standard_normal((data.draw(st.integers(1, 4), label="block rows"), widths[-1]))
-        share_out = data.draw(st.booleans(), label="blocks share W_out")  # one Gram pass for the run
+        share_out = data.draw(st.booleans(), label="blocks share W_out")
         for _ in range(data.draw(st.integers(1, 5), label="blocks")):
             hidden = [w if j < shared else rng.standard_normal(w.shape) for j, w in enumerate(prefix)]
             stream.append((*hidden, w_out if share_out else rng.standard_normal(w_out.shape)))
@@ -706,7 +787,7 @@ def test_pred_chunks_match_reference_evaluation(data):
         src = data.draw(st.integers(0, len(stream) - 1), label="repeat of")
         stream.insert(data.draw(st.integers(src + 1, len(stream)), label="repeat at"), stream[src])
     budget = len(x) * data.draw(st.integers(1, 8), label="budget widths")
-    candidates, preds, errs = [], [], []
+    candidates, preds = [], []
     cap = 1
     for chunk in _scored(iter(stream), x, elem_budget=budget):
         if not any(isinstance(p, KickerBlock) for p, _, _, _ in chunk):
@@ -721,7 +802,6 @@ def test_pred_chunks_match_reference_evaluation(data):
             assert h.shape == (len(x), w.shape[1]) and not h.flags.writeable
             candidates.extend((p, lo + r) for r in range(len(w)))
             preds.extend(w @ h.T)
-        errs.extend(_chunk_errors(chunk, y))
     flat = [(p, r) for p in stream for r in range(len(p[-1]))]
     assert len(candidates) == len(flat)
     assert all(p is q and r == s for (p, r), (q, s) in zip(candidates, flat))
@@ -735,7 +815,6 @@ def test_pred_chunks_match_reference_evaluation(data):
         else:
             want.append(evaluate(ReluNetwork((*p[:-1], p[-1][r : r + 1])), x))
     np.testing.assert_allclose(preds, want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(errs, np.sqrt(np.mean((np.array(want) - y) ** 2, axis=1)), rtol=0, atol=1e-9)
     scan = []
     with mock.patch.object(filteredpca, "_LOOP_CHUNK_ELEMS", budget):
         for row in _iter_predictions(CandidateList(lambda: iter(stream), len(flat)), x):
@@ -761,126 +840,6 @@ def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
     assert len(preds) == len(flat) > len(list(cands.factory()))
     for net, row in zip(flat, preds):
         np.testing.assert_allclose(row, evaluate(net, x), rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.5), (2, 1, 0.7), (3, 1, 0.9)])
-def test_gram_errors_match_direct_evaluation(size, l, eps_prime, rng):
-    """On enumerate_networks' streams, each row's Gram error is the direct RMS error to 1e-9."""
-    frame = Frame.from_span(rng.standard_normal((2, 5)))
-    target = ReluNetwork((rng.standard_normal((2, 5)), rng.standard_normal((1, 2))))
-    x = rng.standard_normal((512, 5))
-    y = evaluate(target, x)
-    cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
-    errs = np.concatenate([_chunk_errors(chunk, y) for chunk in _scored(cands.factory(), x, 512 * 8)])
-    direct = np.array([np.sqrt(np.mean((evaluate(net, x) - y) ** 2)) for net in cands])
-    assert len(errs) == len(direct) > 100
-    np.testing.assert_allclose(errs, direct, rtol=0, atol=1e-9)
-
-
-# The terminal scan on a small product grid over a two-dimensional frame in
-# d = 4: 120 first layers (2 x 2 in frame coordinates, lifted), each a block
-# of the same 100 output rows, the shape enumerate_networks streams.  Its
-# layers are random, not netted: clipping makes many grid candidates
-# identical, and identical candidates cannot show which of them a scan
-# picked.
-_GRID_ROWS = 1024
-_GRID_FRAME = Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]]))
-
-
-def _grid_layers():
-    rng = np.random.default_rng(5)
-    firsts = [w @ _GRID_FRAME.vectors for w in rng.standard_normal((120, 2, 2))]
-    tails = list(rng.standard_normal((100, 1, 2)))
-    # candidate (51, 60) computes exactly what candidate (50, 30) does
-    firsts[51] = 2.0 * firsts[50]
-    tails[60] = tails[30] / 2.0
-    return firsts, tails
-
-
-def _grid_search(monkeypatch, target, eps):
-    """_final_search over the block grid (oracle seed 3); returns (its result, the flat stream)."""
-    firsts, tails = _grid_layers()
-    w_out = np.concatenate(tails)
-    blocks = [(w0, w_out) for w0 in firsts]
-    grid = CandidateList(factory=lambda: iter(blocks), count_bound=len(firsts) * len(tails))
-    monkeypatch.setattr(filteredpca, "enumerate_networks", lambda *args, **kwargs: grid)
-    config = LearnConfig(
-        dim=4, k=2, size=2, l=0, b=1.0, lam=1.0, eps=eps, delta=0.05,
-        final_select_samples=_GRID_ROWS, n_check=2_000,
-    )
-    stream = [(w0, t) for w0 in firsts for t in tails]
-    return _final_search(GaussianOracle(target, 3), config, _GRID_FRAME), stream
-
-
-def _key(weights):
-    return tuple(w.tobytes() for w in weights)
-
-
-def _brute_force_errors(stream, batch):
-    """RMS error of each candidate on the batch, scored one at a time through evaluate()."""
-    return np.array([
-        np.sqrt(np.mean((evaluate(ReluNetwork(ws), batch.x) - batch.y) ** 2)) for ws in stream
-    ])
-
-
-def _chunk_ends(blocks, rows):
-    """Where the terminal scan's chunks over these blocks end, in stream positions."""
-    x = np.zeros((rows, blocks[0][0].shape[1]))
-    sizes = [sum(len(w) for _, _, w, _ in c) for c in _scored(blocks, x, filteredpca._TERMINAL_CHUNK_ELEMS)]
-    return np.cumsum(sizes)
-
-
-def test_final_search_first_hit_matches_brute_force(monkeypatch):
-    firsts, tails = _grid_layers()
-    target = ReluNetwork((firsts[50], tails[30]))
-    (hypothesis, _, certified, _, record), stream = _grid_search(monkeypatch, target, eps=1e-6)
-    errs = _brute_force_errors(stream, GaussianOracle(target, 3).draw(_GRID_ROWS))
-    hits = np.flatnonzero(errs <= 3e-6)
-    assert hits.tolist() == [5030, 5160]  # mid-block, in blocks 50 and 51
-    ends = _chunk_ends([(w0, np.concatenate(tails)) for w0 in firsts], _GRID_ROWS)
-    chunk = int(np.searchsorted(ends, hits[0], side="right"))
-    assert ends[chunk - 1] < hits[0] < hits[1] < ends[chunk]  # one chunk, neither at its start
-    assert certified
-    assert _key(hypothesis.weights) == _key(stream[hits[0]])
-    assert record == filteredpca.TerminalRecord(scored=int(ends[chunk]), first_hit=5030, playoff=False)
-
-
-def test_final_search_first_hit_in_a_split_block(monkeypatch):
-    """A hit in the part of a block that a chunk edge cut off maps back to its own row."""
-    firsts, tails = _grid_layers()
-    ends = _chunk_ends([(w0, np.concatenate(tails)) for w0 in firsts], _GRID_ROWS)
-    cut = int(next(e for e in ends if e % len(tails)))  # a chunk edge inside a block
-    block, row = divmod(cut + (len(tails) - cut % len(tails)) // 2, len(tails))
-    target = ReluNetwork((firsts[block], tails[row]))
-    (hypothesis, _, certified, _, record), stream = _grid_search(monkeypatch, target, eps=1e-6)
-    assert certified and record.first_hit == block * len(tails) + row
-    assert _key(hypothesis.weights) == _key(stream[record.first_hit])
-
-
-def test_final_search_playoff_matches_brute_force(monkeypatch):
-    rng = np.random.default_rng(6)
-    target = ReluNetwork((rng.standard_normal((2, 2)) @ _GRID_FRAME.vectors, np.array([[1.0, -0.7]])))
-    scored = []
-
-    def recording_evaluate(net, x):
-        if net is not target:
-            scored.append(_key(net.weights))
-        return evaluate(net, x)
-
-    monkeypatch.setattr(filteredpca, "evaluate", recording_evaluate)
-    (hypothesis, _, _, reason, record), stream = _grid_search(monkeypatch, target, eps=0.01)
-    assert "playoff winner" in reason
-    assert record == filteredpca.TerminalRecord(scored=len(stream), first_hit=None, playoff=True)
-    oracle = GaussianOracle(target, 3)
-    errs = _brute_force_errors(stream, oracle.draw(_GRID_ROWS))
-    order = sorted(range(len(stream)), key=lambda i: (errs[i], i))
-    assert errs[order[0]] > 0.03  # no hit, so the playoff decides
-    assert np.all(np.diff(errs[order[:33]]) > 1e-9)  # no near-ties that rounding could swap
-    index = {_key(ws): i for i, ws in enumerate(stream)}
-    assert [index[k] for k in scored[:-1]] == order[:32]  # the playoff set, in its order
-    playoff_errs = _brute_force_errors([stream[i] for i in order[:32]], oracle.draw(8 * _GRID_ROWS))
-    winner = order[int(np.argmin(playoff_errs))]
-    assert _key(hypothesis.weights) == scored[-1] == _key(stream[winner])
 
 
 @given(st.data())
@@ -927,115 +886,6 @@ def test_kicker_block_rows_equal_selector_eval(data):
         np.testing.assert_array_equal(scan[r], want)
         built = _candidate(block, r)
         assert built.table == sk.table and built.leaves.tobytes() == sk.leaves.tobytes()
-
-
-def _kicker_stream(frame, eps_prime, lam):
-    """enumerate_kickers' candidates built one at a time as SelectorKickers, in stream order."""
-    types = all_order_types(2)
-    vectors = list(epsilon_net_ball(len(frame), lam, eps_prime * lam))
-    return [
-        SelectorKicker(np.array(coords) @ frame.vectors, dict(zip(types, table)), frame)
-        for coords in itertools.product(vectors, repeat=2)
-        for table in itertools.product(range(2), repeat=len(types))
-    ]
-
-
-def _selector_key(sk):
-    return sk.leaves.tobytes(), tuple(sorted((omega.ranks, pick) for omega, pick in sk.table.items()))
-
-
-def _selector_errors(stream, batch):
-    """RMS error of each selector on the batch, scored one at a time through selector_eval()."""
-    return np.array([np.sqrt(np.mean((selector_eval(sk, batch.x) - batch.y) ** 2)) for sk in stream])
-
-
-def _kicker_search(monkeypatch, target, frame, eps, lam, final_eps_prime):
-    """_final_search in kicker mode (oracle seed 3), recording every selector that selector_eval scores."""
-    scored = []
-
-    def recording_selector_eval(sk, x):
-        scored.append(_selector_key(sk))
-        return selector_eval(sk, x)
-
-    monkeypatch.setattr(filteredpca, "selector_eval", recording_selector_eval)
-    config = LearnConfig(
-        dim=frame.dim, k=len(frame), size=2, l=0, b=1.0, lam=lam, eps=eps, delta=0.05,
-        candidate_mode="kicker", final_eps_prime=final_eps_prime, n_check=2_000,
-    )
-    out = _final_search(GaussianOracle(target, 3), config, frame)
-    return out, config, scored
-
-
-def test_kicker_final_search_first_hit_matches_brute_force(monkeypatch):
-    """The kicker terminal scan hits where selector_eval on every candidate first reaches 3*eps."""
-    v = np.array([0.6, 0.0, 0.8, 0.0])
-    frame = Frame.from_span(v[None, :])
-    target = abs_net(v)
-    (hypothesis, _, certified, _, record), config, scored = _kicker_search(monkeypatch, target, frame, 0.01, 2.0, 0.25)
-    stream = _kicker_stream(frame, 0.25, config.lam)
-    errs = _selector_errors(stream, GaussianOracle(target, 3).draw(config.final_select_samples))
-    hits = np.flatnonzero(errs <= 3 * config.eps)
-    rows = len(all_order_types(2)) ** 2 * 2  # 8 tables per leaf tuple
-    assert hits.size and hits[0] % rows not in (0, rows - 1)  # mid-block
-    assert record == filteredpca.TerminalRecord(scored=(hits[0] // rows + 1) * rows, first_hit=int(hits[0]),
-                                                playoff=False)
-    assert certified and _selector_key(hypothesis) == _selector_key(stream[hits[0]])
-    assert scored == [_selector_key(stream[hits[0]])]  # selector_eval ran for the error check only
-
-
-def test_kicker_final_search_playoff_matches_brute_force(monkeypatch):
-    """With no hit, the playoff set is the 32 lowest selector_eval errors and the winner is theirs."""
-    u = np.array([0.9, 0.4, 0.2, 0.1]) @ _GRID_FRAME.projector()
-    u /= np.linalg.norm(u)
-    target = abs_net(u)
-    (hypothesis, _, _, reason, record), config, scored = _kicker_search(
-        monkeypatch, target, _GRID_FRAME, 0.01, 1.0, 0.5)
-    stream = _kicker_stream(_GRID_FRAME, 0.5, config.lam)
-    oracle = GaussianOracle(target, 3)
-    errs = _selector_errors(stream, oracle.draw(config.final_select_samples))
-    assert "playoff winner" in reason
-    assert record == filteredpca.TerminalRecord(scored=len(stream), first_hit=None, playoff=True)
-    order = sorted(range(len(stream)), key=lambda i: (errs[i], i))
-    assert errs[order[0]] > 3 * config.eps  # no hit, so the playoff decides
-    assert errs[order[32]] - errs[order[31]] > 1e-9  # rounding cannot move the cut
-    index = {_selector_key(sk): i for i, sk in enumerate(stream)}
-    assert [index[k] for k in scored[:-1]] == order[:32]  # the playoff set, in its order
-    playoff_errs = _selector_errors([stream[i] for i in order[:32]], oracle.draw(8 * config.final_select_samples))
-    winner = order[int(np.argmin(playoff_errs))]
-    assert _selector_key(hypothesis) == scored[-1] == _selector_key(stream[winner])
-
-
-def test_final_search_playoff_on_a_clipped_grid(monkeypatch, unfiltered_network_stream):
-    """On enumerate_networks' own grid, whose clipped points repeat, the playoff set is
-    32 distinct tuples and holds every tuple of the unfiltered stream's 32 best."""
-    w0 = np.random.default_rng(6).standard_normal((2, 2))
-    w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
-    target = ReluNetwork((w0 @ _GRID_FRAME.vectors, np.array([[1.0, -0.7]])))
-    scored = []
-
-    def recording_evaluate(net, x):
-        if net is not target:
-            scored.append(_key(net.weights))
-        return evaluate(net, x)
-
-    monkeypatch.setattr(filteredpca, "evaluate", recording_evaluate)
-    config = LearnConfig(
-        dim=4, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.01, delta=0.05, final_eps_prime=0.7,
-        final_select_samples=256, n_check=2_000,
-    )
-    _, _, _, reason, record = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
-    assert record.playoff and record.first_hit is None
-    assert "playoff winner" in reason
-    playoff = scored[:-1]  # the last scored network is the winner's error check
-    assert len(playoff) == len(set(playoff)) == 32
-    reference = unfiltered_network_stream(_GRID_FRAME, 0.7, 2, 0, 1.0)
-    errs = _brute_force_errors(reference, GaussianOracle(target, 3).draw(256))
-    order = sorted(range(len(reference)), key=lambda i: (errs[i], i))
-    best = {_key(reference[i]) for i in order[:32]}
-    assert len(best) < 32  # the unfiltered 32 best repeat candidates
-    distinct = sorted({_key(ws): err for ws, err in zip(reference, errs)}.values())
-    assert distinct[31] - distinct[len(best) - 1] > 1e-9  # rounding cannot reorder the cut
-    assert best <= set(playoff)
 
 
 def test_scored_hidden_activations_are_read_only(rng):

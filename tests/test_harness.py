@@ -314,11 +314,13 @@ def test_run_experiment_end_to_end(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "section,key,value"
     assert len(lines) > 10
-    # the terminal search explains itself: a first hit, so no playoff
+    # the terminal fit explains itself: its dictionary rows, the rows it was fitted on, and its error there
     terminal = report.recovery["terminal"]
-    assert terminal["first_hit"] is not None and not terminal["playoff"]
-    assert terminal["scored"] > terminal["first_hit"] >= 0
-    assert {f"terminal,{key},{value}" for key, value in terminal.items()} <= set(lines)
+    assert set(terminal) == {"features", "rows", "select_err"}
+    assert terminal["features"] > 0 and terminal["rows"] == 256
+    assert isinstance(terminal["select_err"], float) and terminal["select_err"] >= 0
+    assert {f"terminal,features,{terminal['features']}", "terminal,rows,256",
+            f"terminal,select_err,{terminal['select_err']:.17g}"} <= set(lines)
     # each iteration counts the moments its scan formed, at most one per candidate scanned
     for i, it in enumerate(report.recovery["iterations"]):
         assert 1 <= it["candidates_distinct"] <= it["candidates_scanned"]
