@@ -27,23 +27,25 @@ __all__ = [
 class KickerBlock(NamedTuple):
     """The selector candidates on one leaf tuple, one per row of a one-hot pick matrix.
 
-    selector holds the m leaves (checked once, by its constructor) and the frame, with an
-    empty table.  Row r of picks, (R, m * T) over the T order types of all_order_types(m),
-    has a 1 at t * m + j when candidate r's table sends type t to leaf j, so it picks that
-    leaf's value from an input's gated leaf features (see filteredpca._gated).
+    selector holds the m leaves in frame coordinates (checked once, by its constructor) and
+    the identity frame of R^ell, with an empty table.  Row r of picks, (R, m * T) over the T
+    order types of all_order_types(m), has a 1 at t * m + j when candidate r's table sends
+    type t to leaf j, so it picks that leaf's value from an input's gated leaf features.
     """
 
     selector: SelectorKicker
     picks: np.ndarray
 
 
-def _candidate(payload, row: int):
-    """Candidate row of a payload as a hypothesis of its own: a ReluNetwork or a SelectorKicker."""
+def _candidate(payload, row: int, frame: Frame | None = None):
+    """Candidate row of a payload as a ReluNetwork or a SelectorKicker, lifted through frame if given."""
     if isinstance(payload, KickerBlock):
         types = all_order_types(payload.selector.num_leaves)
         picks = payload.picks[row].reshape(len(types), -1).argmax(axis=1)
-        return replace(payload.selector, table=dict(zip(types, picks.tolist())))
-    return ReluNetwork((*payload[:-1], payload[-1][row : row + 1]))
+        sk = replace(payload.selector, table=dict(zip(types, picks.tolist())))
+        return sk if frame is None else SelectorKicker(sk.leaves @ frame.vectors, sk.table, frame)
+    w0 = payload[0] if frame is None else payload[0] @ frame.vectors
+    return ReluNetwork((w0, *payload[1:-1], payload[-1][row : row + 1]))
 
 
 @dataclass(eq=False)
@@ -54,10 +56,13 @@ class CandidateList:
     stream is their rows in order.  A network block is a weight tuple (W_0, ...,
     W_L, W_out): row r is the network (W_0, ..., W_L, W_out[r:r + 1]), and a
     one-row block is a plain network (the zero net is one).  A KickerBlock is a
-    leaf tuple with every table.  Iterating calls factory() afresh and yields
-    each candidate as its own ReluNetwork or SelectorKicker, in identical order
-    every time.  count_bound bounds the number of candidates (rows, not blocks)
-    and is the one figure a budget (max_candidates) is checked against.
+    leaf tuple with every table.  Blocks are in frame coordinates (a first layer
+    is k_0 x ell, a leaf has ell entries), so they read x only through
+    coordinates(x) = x F^T (x itself when frame is None).  Iterating calls
+    factory() afresh and yields each candidate lifted through the frame, as its
+    own ReluNetwork or SelectorKicker, in identical order every time.
+    count_bound bounds the number of candidates (rows, not blocks) and is the
+    one figure a budget (max_candidates) is checked against.
 
     Blocks that share a first layer hold the same array object for it, and the
     blocks of an architecture (or of a kicker list) share one read-only array of
@@ -67,11 +72,16 @@ class CandidateList:
 
     factory: Callable[[], Iterator]
     count_bound: int
+    frame: Frame | None = None
     raw_factory: ClassVar[None] = None  # read by bench/tracing.py until the next benchmark change
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """The rows of x in the blocks' coordinates: x F^T, or x itself without a frame."""
+        return x if self.frame is None else x @ self.frame.vectors.T
 
     def __iter__(self):
         for payload in self.factory():
-            yield from (_candidate(payload, row) for row in range(len(payload[-1])))
+            yield from (_candidate(payload, row, self.frame) for row in range(len(payload[-1])))
 
 
 def _check_count(bound: int, max_candidates: int | None, what: str) -> None:
@@ -89,10 +99,10 @@ def enumerate_kickers(
 ) -> CandidateList:
     """All selector candidates over the frame at grid granularity eps_prime * lam.
 
-    Leaf tuples are drawn from a grid net of the lam-ball in frame coordinates
-    (then lifted to ambient space); each tuple is crossed with every total
-    table from order types on num_leaves values to leaf indices: one KickerBlock
-    per tuple, whose row r is the r-th table in itertools.product order.
+    Leaf tuples are drawn from a grid net of the lam-ball in frame coordinates,
+    and kept there; each tuple is crossed with every total table from order
+    types on num_leaves values to leaf indices: one KickerBlock per tuple,
+    whose row r is the r-th table in itertools.product order.
     """
     if len(frame) < 1:
         raise ValueError("need a non-empty frame")
@@ -110,12 +120,13 @@ def enumerate_kickers(
     tables = list(itertools.product(range(num_leaves), repeat=len(types)))
     picks = np.eye(num_leaves)[tables].reshape(len(tables), -1)  # row r: table r, one-hot per order type
     picks.flags.writeable = False
+    eye = Frame(np.eye(ell))
 
     def blocks():
         for coords in itertools.product(vectors, repeat=num_leaves):
-            yield KickerBlock(SelectorKicker(np.array(coords) @ frame.vectors, {}, frame), picks)
+            yield KickerBlock(SelectorKicker(np.array(coords), {}, eye), picks)
 
-    return CandidateList(factory=blocks, count_bound=bound)
+    return CandidateList(factory=blocks, count_bound=bound, frame=frame)
 
 
 def architectures(size: int, l: int) -> list[tuple[int, ...]]:
@@ -140,12 +151,12 @@ def enumerate_networks(
 ) -> CandidateList:
     """Candidate network blocks over the frame: every architecture, per-layer matrix grids.
 
-    First-layer matrices are netted in frame coordinates (k_0 x ell) and lifted
-    through the frame.  Every netted entry is clipped at eps_prime, so emitted
-    entries are zero or exceed eps_prime in magnitude, and per-layer operator
-    norms stay at most b + 2 * eps_prime.  Clipping maps distinct grid points
-    to the same matrix; each layer grid keeps only the first occurrence of each
-    clipped matrix (compared by bytes, first layers before lifting).  Since
+    First-layer matrices are netted, and kept, in frame coordinates (k_0 x ell).
+    Every netted entry is clipped at eps_prime, so emitted entries are zero or
+    exceed eps_prime in magnitude, and per-layer operator norms stay at most
+    b + 2 * eps_prime.  Clipping maps distinct grid points to the same matrix;
+    each layer grid keeps only the first occurrence of each clipped matrix
+    (compared by bytes).  Since
     the stream is a product of the layer grids, it holds each distinct clipped
     weight tuple once, at its first position in the unfiltered product, and
     in the same order.  count_bound counts the unfiltered product, so it
@@ -155,9 +166,9 @@ def enumerate_networks(
     (W_0, ..., W_L), walking each architecture's hidden-layer grids as an
     odometer.  Its W_out stacks the architecture's whole output-layer grid, one
     row per candidate, and is the same read-only array in every block of that
-    architecture.  Each lifted W_0 is one array object, shared by the
-    consecutive blocks that cover all of its tails, so the flattened rows are
-    the per-tuple stream with the output row varying fastest.
+    architecture.  Each W_0 is one array object, shared by the consecutive
+    blocks that cover all of its tails, so the flattened rows are the
+    per-tuple stream with the output row varying fastest.
     """
     if len(frame) < 1:
         raise ValueError("need a non-empty frame")
@@ -201,8 +212,7 @@ def enumerate_networks(
             deeper = [list(np.concatenate(list(_grid(r, c)))) for r, c in shapes[1:-1]]
             for w0s in _grid(*shapes[0]):
                 for w0 in w0s:
-                    lifted = w0 @ frame.vectors
                     for mid in itertools.product(*deeper):
-                        yield (lifted, *mid, w_out)
+                        yield (w0, *mid, w_out)
 
-    return CandidateList(factory=blocks, count_bound=bound)
+    return CandidateList(factory=blocks, count_bound=bound, frame=frame)

@@ -13,7 +13,7 @@ from .enumeration import CandidateList, KickerBlock, enumerate_kickers, enumerat
 from .errors import BudgetError
 from .lattice import LatticePolynomial, SelectorKicker, _rank_patterns, all_order_types, lattice_eval, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
-from .subspace import Frame, extend_frame, project, seeded_start
+from .subspace import Frame, _grid_geometry, extend_frame, project, seeded_start
 from .subspace import approx_top_svd  # noqa: F401  (bench/tracing.py wraps it; unused here)
 
 __all__ = [
@@ -50,7 +50,9 @@ class SampleSet:
             raise ValueError("x must be a non-empty (N, d) array")
         if y.shape[0] != x.shape[0]:
             raise ValueError("y length must match x")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite sum rules out every NaN and +-inf
+            finite = all(math.isfinite(a.sum()) or np.all(np.isfinite(a)) for a in (x, y))
+        if not finite:
             raise ValueError("samples must be finite")
         x.flags.writeable = False
         y.flags.writeable = False
@@ -280,8 +282,8 @@ class RecoveryResult:
 
 
 def _zero_candidates(dim: int) -> CandidateList:
-    weights = zero_network(dim).weights
-    return CandidateList(factory=lambda: iter([weights]), count_bound=1)
+    weights = zero_network(0).weights  # in the empty frame's coordinates: it reads an (N, 0) array
+    return CandidateList(factory=lambda: iter([weights]), count_bound=1, frame=Frame.empty(dim))
 
 
 def _candidates(config: LearnConfig, frame: Frame, eps_prime: float) -> CandidateList:
@@ -344,20 +346,20 @@ def _quantile(r: np.ndarray, q: float) -> float:
 
 
 # The loop's chunk budget, in elements of N x (widest hidden layer) per
-# candidate: its (C, N) predictions stay within budget / width elements.
-# Measured with BLAS on one thread on 2 cores.  The loop scores every chunk on
-# the whole N x d batch, so smaller chunks re-read it more often: the two
-# rank2-highdim runs (d = 100, N = 2e5) took 5.13 s at 2e6 against 4.66 s at
-# 8e6, median of three.
-_LOOP_CHUNK_ELEMS = 8_000_000
+# candidate: its (C, N) predictions stay within budget / width elements.  A
+# chunk reads Z (N x ell), not the N x d batch, so its size sets memory only:
+# bench/run.py (2 cores, one BLAS thread, median of 3) peaked at 216 MB on
+# rank2-highdim and 101 MB on rank2-terminal at 1e6, 268 and 134 MB at 8e6;
+# wall 2.6-2.8 s and 0.43-0.47 s at every budget from 1e6 to 8e6.
+_LOOP_CHUNK_ELEMS = 1_000_000
 
 
-def _gated(block: KickerBlock, x: np.ndarray) -> np.ndarray:
-    """A kicker block's gated leaf features at x, (N, m * T), read-only.
+def _gated(block: KickerBlock, z: np.ndarray) -> np.ndarray:
+    """A kicker block's gated leaf features at the frame coordinates z, (N, m * T), read-only.
 
     Row n holds its m leaf values in the slots of its order type (one _rank_patterns call types every row) and zeros.
     """
-    vals = x @ block.selector.leaves.T  # (N, m), as selector_eval computes them
+    vals = z @ block.selector.leaves.T  # (N, m), as selector_eval of the block's own selector computes them
     types, _, group = _rank_patterns(vals)
     order = all_order_types(vals.shape[1])
     h = np.zeros((len(vals), len(order), vals.shape[1]))
@@ -367,8 +369,8 @@ def _gated(block: KickerBlock, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _hidden(pieces: list, x: np.ndarray) -> list:
-    """[(payload, lo, W_out[lo:hi], H)] for (block, lo, hi) network pieces: H is the last hidden activation at x.
+def _hidden(pieces: list, z: np.ndarray) -> list:
+    """[(payload, lo, W_out[lo:hi], H)] for (block, lo, hi) network pieces: H is the last hidden activation at z.
 
     The distinct first layers (told apart by identity) go through one GEMM;
     deeper layers are applied per piece.
@@ -381,7 +383,8 @@ def _hidden(pieces: list, x: np.ndarray) -> list:
             firsts.append(ws[0])
             width += ws[0].shape[0]
         cols.append(slice(width - ws[0].shape[0], width))
-    h0 = np.maximum(x @ np.concatenate(firsts).T, 0.0)  # (N, width)
+    h0 = z @ np.concatenate(firsts).T  # (N, width)
+    np.maximum(h0, 0.0, out=h0)  # in place: no second (N, width) buffer
     out = []
     for (ws, lo, hi), c in zip(pieces, cols):
         h = h0[:, c]
@@ -392,54 +395,54 @@ def _hidden(pieces: list, x: np.ndarray) -> list:
     return out
 
 
-def _scored(payloads, x: np.ndarray, elem_budget: int):
+def _scored(payloads, z: np.ndarray, elem_budget: int):
     """Yield chunks [(payload, lo, W, H)] in stream order: the one scorer.
 
-    A chunk holds pieces of blocks (see CandidateList): W is the piece's output
-    rows from row lo, H the block's last hidden activation at x, (N, k) (a
-    kicker block's gated leaf features, see _gated), and the piece's
-    candidates' predictions at x are the rows of W @ H.T.  Every network
-    candidate costs N * (widest hidden layer) elements; a chunk of network
-    pieces holds candidates up to elem_budget (at least one) and at most twice
-    as many pieces as the chunk before (the first holds one), so a scan that
-    accepts early pays for little, and a block that does not fit is split
-    across chunks.  A kicker block is a chunk of its own: leaf tuples share no
-    layer.  Every H yielded is read-only.
+    z is the batch in the blocks' coordinates (Z = X F^T, N x ell).  A chunk
+    holds pieces of blocks (see CandidateList): W is the piece's output rows
+    from row lo, H the block's last hidden activation at z, (N, k) (a kicker
+    block's gated leaf features, see _gated), and the piece's candidates'
+    predictions are the rows of W @ H.T.  Every network candidate costs
+    N * (widest hidden layer) elements; a chunk of network pieces holds
+    candidates up to elem_budget (at least one) and at most twice as many
+    pieces as the chunk before (the first holds one), so a scan that accepts
+    early pays for little, and a block that does not fit is split across
+    chunks.  A kicker block is a chunk of its own.  Every H is read-only.
     """
-    n = x.shape[0]
+    n = z.shape[0]
     chunk: list = []  # (block, lo, hi)
     used = 0
     cap = 1
     for p in payloads:
         if isinstance(p, KickerBlock):
             if chunk:
-                yield _hidden(chunk, x)
+                yield _hidden(chunk, z)
                 chunk, used, cap = [], 0, 2 * cap
-            yield [(p, 0, p.picks, _gated(p, x))]
+            yield [(p, 0, p.picks, _gated(p, z))]
             continue
         cost = n * max(w.shape[0] for w in p[:-1])
         lo = 0
         while lo < len(p[-1]):
             if chunk and (len(chunk) == cap or used + cost > elem_budget):
-                yield _hidden(chunk, x)
+                yield _hidden(chunk, z)
                 chunk, used, cap = [], 0, 2 * cap
             hi = min(len(p[-1]), lo + max(1, (elem_budget - used) // cost))
             chunk.append((p, lo, hi))
             used += (hi - lo) * cost
             lo = hi
     if chunk:
-        yield _hidden(chunk, x)
+        yield _hidden(chunk, z)
 
 
-def _iter_predictions(candidates: CandidateList, x: np.ndarray):
-    """Yield each candidate's prediction row at x, in stream order.
+def _iter_predictions(candidates: CandidateList, z: np.ndarray):
+    """Yield each candidate's prediction row at z (the inputs in the blocks' coordinates), in stream order.
 
     Each row is a writable view of its chunk's own (C, N) buffer, so the scan
     may overwrite it.  A chunk's predictions are formed before its rows are
     yielded, so the chunk's hidden activations are freed first.
     """
-    for chunk in _scored(candidates.factory(), x, _LOOP_CHUNK_ELEMS):
-        preds = np.empty((sum(len(w) for _, _, w, _ in chunk), x.shape[0]))
+    for chunk in _scored(candidates.factory(), z, _LOOP_CHUNK_ELEMS):
+        preds = np.empty((sum(len(w) for _, _, w, _ in chunk), z.shape[0]))
         a = 0
         for _, _, w, h in chunk:
             np.matmul(w, h.T, out=preds[a : a + len(w)])
@@ -496,11 +499,12 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         tau_used = config.tau
         masks: set[bytes] = set()  # _mask_key of every moment formed
         try:
-            # Scoring the raw rows is exact up to rounding: every loop candidate
-            # reads x only through the frame (lifted W_0 rows and kicker leaves
-            # lie in its span, and the zero net ignores x), so f(x) = f(P x).
+            # The blocks are in frame coordinates, so the scan reads the batch
+            # only through Z = X F^T (N x ell), and each row equals its lifted
+            # candidate's up to rounding: (W_0 F) x = W_0 (F x).
             candidates = _candidates(config, frame, config.eps_prime)
-            for idx, row in enumerate(_iter_predictions(candidates, samples.x)):
+            z = candidates.coordinates(samples.x)
+            for idx, row in enumerate(_iter_predictions(candidates, z)):
                 scanned += 1
                 # the residual in the row's own buffer: |row - y| is bitwise |y - row|
                 resid = np.abs(np.subtract(row, samples.y, out=row), out=row)
@@ -528,7 +532,7 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
             # so the next draw does not hold two batches, nor the terminal fit
             # a chunk of predictions or the scan's keys
             distinct = len(masks)
-            samples = row = resid = mask = masks = None
+            samples = z = row = resid = mask = masks = None
         if accepted is None:
             trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, distinct))
             break
@@ -560,13 +564,14 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
     A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden
     directions w in its span.  The dictionary is the first-layer rows of the
     one-unit network grid at final_eps_prime, the final_eps_prime-net of the
-    (b + final_eps_prime)-ball in frame coordinates (lifted), zero rows dropped.
-    The output layer is lstsq's minimum-norm fit of y on relu(X W_0^T), which
-    also settles collinear rows such as w and 2w.  At ell = 1 the fit is exact,
-    the only directions being +-1; at ell >= 2, rounding each hidden direction
-    to the net costs at most final_eps_prime times the net's path norm.  An
-    empty frame gives the zero net.  The fitted network is certified by the
-    error check.  Returns (hypothesis, eps_hat, certified, failure, TerminalRecord).
+    (b + final_eps_prime)-ball in frame coordinates, the first row of each ray
+    in stream order (relu(c <w, x>) = c relu(<w, x>) for c > 0), lifted.  The
+    output layer is lstsq's minimum-norm fit of y on relu(X W_0^T).  At ell = 1
+    the fit is exact, the only directions being +-1; at ell >= 2, rounding each
+    hidden direction to the net costs at most final_eps_prime times the net's
+    path norm.  An empty frame gives the zero net.  The fitted network is
+    certified by the error check.  Returns (hypothesis, eps_hat, certified,
+    failure, TerminalRecord).
     """
     select = oracle.draw(config.final_select_samples)
     target = 3.0 * config.eps
@@ -578,10 +583,16 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
         except BudgetError as err:
             record = TerminalRecord(0, select.n, None)
             return None, math.inf, False, f"terminal enumeration budget exhausted: {err}", record
-        w0 = np.concatenate([block[0] for block in grid.factory()])
-        w0 = w0[np.any(w0 != 0.0, axis=1)]
+        rows = [block[0] for block in grid.factory()]  # (1, ell) first layers in frame coordinates
+        # the first row of each ray: rows are the grid's spacing times integer vectors, so exactly
+        ints = np.rint(np.concatenate(rows) / _grid_geometry(len(frame), 0.0, fep)[0]).astype(np.int64)
+        gcd = np.gcd.reduce(ints, axis=1)
+        nonzero = np.flatnonzero(gcd)
+        first = np.unique(ints[nonzero] // gcd[nonzero, None], axis=0, return_index=True)[1]
+        w0 = [rows[i] @ frame.vectors for i in nonzero[np.sort(first)]]
         features = len(w0)
         if features:
+            w0 = np.concatenate(w0)
             h = np.maximum(select.x @ w0.T, 0.0)
             coef = np.linalg.lstsq(h, select.y, rcond=None)[0]
             hypothesis, preds = ReluNetwork((w0, coef[None, :])), h @ coef

@@ -154,13 +154,14 @@ def test_kicker_candidates_exact_count():
     emitted = list(cands)
     assert len(emitted) == 72
     assert all(isinstance(sk, SelectorKicker) for sk in emitted)
-    # row r is the r-th table in itertools.product order, on its block's leaves
+    # row r is the r-th table in itertools.product order, on its block's leaves lifted through the frame
     types = all_order_types(2)
     tables = list(itertools.product(range(2), repeat=len(types)))
     for i, sk in enumerate(emitted):
         block, row = divmod(i, len(tables))
         assert sk.table == dict(zip(types, tables[row]))
-        assert np.array_equal(sk.leaves, blocks[block].selector.leaves)
+        assert sk.leaves.tobytes() == (blocks[block].selector.leaves @ LINE.vectors).tobytes()
+        assert sk.frame is LINE and blocks[block].selector.leaves.shape == (2, 1)
 
 
 def test_kicker_leaves_lie_in_frame_span():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 import types
 from unittest import mock
 
@@ -53,6 +54,27 @@ def test_sample_set_validation():
         SampleSet(np.zeros((3, 2)), np.zeros(2))  # length mismatch
     with pytest.raises(ValueError):
         SampleSet(np.array([[np.nan, 0.0]]), np.zeros(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_set_rejects_every_non_finite_value(bad):
+    for x, y in ((np.array([[1.0, bad], [0.0, 2.0]]), np.zeros(2)), (np.ones((2, 2)), np.array([0.0, bad]))):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            SampleSet(x, y)
+
+
+def test_sample_set_accepts_finite_values_whose_sum_overflows():
+    big = np.finfo(float).max
+    x, y = np.array([[big, big], [-big, -big]]), np.array([big, big])
+    with np.errstate(over="ignore"):
+        assert math.isinf(np.array([big, big]).sum())
+    s = SampleSet(x, y)
+    assert np.array_equal(s.x, x) and np.array_equal(s.y, y)
+    x[1] = big  # every entry finite, the sum +inf
+    assert SampleSet(x, y).n == 2
+    x[0, 0] = -np.inf  # a sum of +inf and -inf is NaN
+    with pytest.raises(ValueError, match="samples must be finite"):
+        SampleSet(x, y)
 
 
 def test_sample_set_copies_writable_input():
@@ -197,12 +219,18 @@ def test_masked_moment_matches_the_complement_reference(ell, rng):
 
 
 def _block_preds(cands, x, budget):
-    """Every candidate's predictions at x, (candidates, N), from _scored's pieces of a CandidateList."""
-    return np.concatenate([w @ h.T for chunk in _scored(cands.factory(), x, budget) for _, _, w, h in chunk])
+    """Every candidate's predictions at x, (candidates, N), from _scored's pieces of a CandidateList.
+
+    x is in ambient coordinates; the blocks are scored on cands.coordinates(x), as run() scores them.
+    """
+    z = cands.coordinates(x)
+    return np.concatenate([w @ h.T for chunk in _scored(cands.factory(), z, budget) for _, _, w, h in chunk])
 
 
 def test_loop_candidates_score_raw_rows_as_projected_rows(rng):
-    """Every loop candidate reads x only through the frame, so run() may score the raw rows."""
+    """Every loop candidate reads x only through the frame, so run() may score the raw rows' frame
+    coordinates Z = X F^T: the blocks' rows equal each lifted candidate at the raw rows and at the
+    projected rows."""
     frame = Frame.from_span(rng.standard_normal((2, 5)))
     x = rng.standard_normal((300, 5))
     x_proj = project(frame, x)
@@ -212,10 +240,13 @@ def test_loop_candidates_score_raw_rows_as_projected_rows(rng):
         enumerate_kickers(frame, 0.9, 2, 1.0),
     ]
     for cands in grids:
-        raw = _block_preds(cands, x, filteredpca._LOOP_CHUNK_ELEMS)
-        proj = _block_preds(cands, x_proj, filteredpca._LOOP_CHUNK_ELEMS)
-        assert raw.shape == proj.shape and raw.shape[0] > 1
-        assert np.max(np.abs(raw - proj)) <= 1e-12
+        assert cands.frame is frame
+        scored = _block_preds(cands, x, filteredpca._LOOP_CHUNK_ELEMS)
+        raw = np.array([as_function(c)(x) for c in cands])
+        proj = np.array([as_function(c)(x_proj) for c in cands])
+        assert scored.shape == raw.shape == proj.shape and raw.shape[0] > 1
+        assert np.max(np.abs(scored - raw)) <= 1e-12
+        assert np.max(np.abs(scored - proj)) <= 1e-12
 
 
 # ---------------------------------------------------------------- configuration
@@ -672,21 +703,35 @@ def test_terminal_fit_on_a_line_solves_the_two_by_two_normal_equations():
     pos, neg = np.maximum(t, 0.0), np.maximum(-t, 0.0)
     alpha, beta = (select.y @ pos) / (pos @ pos), (select.y @ neg) / (neg @ neg)
     want = alpha * pos + beta * neg
-    assert record.features > 2  # several rows of each sign: collinear columns
+    assert record.features == 2  # one row per ray: a positive and a negative multiple of v
     np.testing.assert_allclose(evaluate(hypothesis, select.x), want, rtol=1e-10, atol=0)
     assert record.select_err == pytest.approx(np.sqrt(np.mean((select.y - want) ** 2)), rel=1e-10)
 
 
+def _first_per_direction(rows):
+    """Indices of the rows that are the first non-zero row with their direction (rounded to 1e-9)."""
+    seen, keep = set(), []
+    for i, row in enumerate(rows):
+        norm = np.linalg.norm(row)
+        key = tuple(np.round(row / norm, 9)) if norm else None
+        if key is not None and key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return keep
+
+
 def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
-    """The first layer is the one-unit grid's non-zero first-layer rows in stream order, and the
-    network's predictions on the selection rows are the feature matrix times lstsq's coefficients."""
+    """The first layer is the one-unit grid's first-layer rows, the first of each direction in
+    stream order, each lifted through the frame; the network's predictions on the selection rows
+    are the feature matrix times lstsq's coefficients."""
     rng = np.random.default_rng(6)
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
     config = _terminal_config(_GRID_FRAME)
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
-    rows = [block[0][0] for block in enumerate_networks(_GRID_FRAME, 0.16, 1, 0, 1.0).factory()]
-    w0 = np.array([row for row in rows if np.any(row != 0.0)])
-    assert len(w0) == len(rows) - 1  # the zero row is dropped
+    rows = [block[0] for block in enumerate_networks(_GRID_FRAME, 0.16, 1, 0, 1.0).factory()]
+    keep = _first_per_direction([row[0] for row in rows])
+    w0 = np.concatenate([rows[i] @ _GRID_FRAME.vectors for i in keep])
+    assert sum(bool(np.any(row)) for row in rows) == 108 and len(w0) == 72  # collinear and zero rows dropped
     np.testing.assert_array_equal(hypothesis.weights[0], w0)
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
     h = np.maximum(select.x @ w0.T, 0.0)
@@ -695,6 +740,43 @@ def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
     np.testing.assert_allclose(evaluate(hypothesis, select.x), h @ coef, rtol=0, atol=1e-12)
     assert (record.features, record.rows) == (len(w0), config.final_select_samples)
     assert record.select_err == pytest.approx(np.sqrt(np.mean((select.y - h @ coef) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("ell, eps, radius", [(1, 0.25, math.sqrt(2.0)), (2, 0.16, 1.0), (2, 0.5, 1.0), (3, 0.3, 1.0)])
+def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
+    """The dictionary keeps exactly the non-zero grid rows that are not a positive multiple of an
+    earlier row, checked on the grid's integer vectors by exact 2 x 2 minors, each lifted."""
+    frame = Frame.from_span(np.random.default_rng(ell).standard_normal((ell, ell + 2)))
+    rows = [block[0] for block in enumerate_networks(frame, eps, 1, 0, radius).factory()]
+    spacing = 2.0 * eps / math.sqrt(ell)
+    ints = np.rint(np.concatenate(rows) / spacing)
+    assert np.array_equal(ints * spacing, np.concatenate(rows))  # the rows are the spacing times integer vectors
+    ints = ints.astype(np.int64)
+
+    def same_ray(u, v):  # exact: every 2 x 2 minor vanishes and the two point the same way
+        return not np.any(np.outer(u, v) - np.outer(v, u)) and u @ v > 0
+
+    keep = [i for i, u in enumerate(ints) if np.any(u) and not any(same_ray(u, ints[j]) for j in range(i))]
+    assert keep == _first_per_direction(np.concatenate(rows))
+    assert len(keep) < int(np.count_nonzero(np.any(ints, axis=1)))
+    target = abs_net(frame.vectors[0])
+    config = _terminal_config(frame, b=radius, final_eps_prime=eps)
+    hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, frame)
+    assert record.features == len(keep)
+    assert hypothesis.weights[0].tobytes() == np.concatenate([rows[i] @ frame.vectors for i in keep]).tobytes()
+
+
+def test_dropping_collinear_rows_keeps_the_fitted_function():
+    """The reduced dictionary spans the same columns, so the least-squares predictions agree to rounding."""
+    rng = np.random.default_rng(6)
+    target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
+    config = _terminal_config(_GRID_FRAME)
+    hypothesis, _, _, _, _ = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
+    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    every = [block[0] @ _GRID_FRAME.vectors for block in enumerate_networks(_GRID_FRAME, 0.16, 1, 0, 1.0).factory()]
+    h = np.maximum(select.x @ np.concatenate(every).T, 0.0)
+    full = h @ np.linalg.lstsq(h, select.y, rcond=None)[0]
+    np.testing.assert_allclose(evaluate(hypothesis, select.x), full, rtol=0, atol=1e-9 * np.max(np.abs(full)))
 
 
 def test_terminal_fit_on_an_empty_frame_is_the_zero_net():
@@ -746,6 +828,11 @@ def test_underdetermined_terminal_fit_is_named_in_the_reason():
 # ---------------------------------------------------------------- batched evaluation
 
 
+def _ambient_kicker(block, frame):
+    """A kicker block lifted out of frame coordinates: it reads an ambient x, as a block of a list without a frame."""
+    return KickerBlock(SelectorKicker(block.selector.leaves @ frame.vectors, {}, frame), block.picks)
+
+
 @given(st.data())
 def test_pred_chunks_match_reference_evaluation(data):
     """Every network block row's predictions equal evaluate() on its own network, and
@@ -778,7 +865,8 @@ def test_pred_chunks_match_reference_evaluation(data):
         for _ in range(data.draw(st.integers(1, 5), label="blocks")):
             hidden = [w if j < shared else rng.standard_normal(w.shape) for j, w in enumerate(prefix)]
             stream.append((*hidden, w_out if share_out else rng.standard_normal(w_out.shape)))
-    kickers = list(enumerate_kickers(Frame.from_span(rng.standard_normal((1, d))), 0.9, 2, 1.0).factory())
+    line = Frame.from_span(rng.standard_normal((1, d)))
+    kickers = [_ambient_kicker(b, line) for b in enumerate_kickers(line, 0.9, 2, 1.0).factory()]
     others = [kickers[data.draw(st.integers(0, len(kickers) - 1), label="kicker")] for _ in range(2)]
     breaks = data.draw(st.lists(st.integers(0, len(stream)), max_size=4), label="breaks")
     for at in sorted(breaks, reverse=True):  # may split a run: its first layer goes on after
@@ -831,7 +919,8 @@ def test_pred_chunks_match_reference_evaluation(data):
 
 @pytest.mark.parametrize("size, l, eps_prime", [(2, 0, 0.9), (3, 1, 1.5), (3, 2, 0.9)])
 def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
-    """The same check on enumerate_networks' own block streams, whose blocks share first layers."""
+    """The same check on enumerate_networks' own block streams, whose blocks share first layers:
+    scored in frame coordinates, each row equals evaluate() of the lifted candidate at x."""
     frame = Frame.from_span(rng.standard_normal((2, 4)))
     cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
     x = rng.standard_normal((5, 4))
@@ -842,50 +931,102 @@ def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
         np.testing.assert_allclose(row, evaluate(net, x), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("ell, size, l", [(1, 2, 0), (2, 2, 0), (2, 3, 1), (3, 2, 1)])
+def test_frame_coordinate_network_rows_equal_the_lifted_networks(ell, size, l, rng):
+    """At d = 10, network blocks scored on Z = X F^T give each lifted candidate's evaluate() at x,
+    to 1e-12 relative, with depth-3 blocks (l = 1) and chunk edges inside blocks."""
+    d = 10
+    frame = Frame.from_span(rng.standard_normal((ell, d)))
+    cands = enumerate_networks(frame, 0.9, size, l, 1.0, max_candidates=None)
+    x = 3.0 * rng.standard_normal((64, d))
+    preds, split = [], 0
+    for chunk in _scored(cands.factory(), cands.coordinates(x), 64 * 4):
+        for p, lo, w, h in chunk:
+            assert p[0].shape[1] == ell and h.shape[0] == len(x)
+            split += lo > 0  # a piece that starts inside its block
+            preds.extend(w @ h.T)
+    flat = list(cands)
+    assert split > 0 and len(preds) == len(flat)
+    for net, row in zip(flat, preds):
+        want = evaluate(net, x)
+        assert net.input_dim == d
+        assert np.max(np.abs(row - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("ell, eps_prime", [(1, 0.5), (2, 0.9), (3, 1.5)])
+def test_frame_coordinate_kicker_rows_equal_the_lifted_selectors(ell, eps_prime, rng):
+    """At d = 10, kicker blocks scored on Z = X F^T give selector_eval of each lifted SelectorKicker
+    at x, to 1e-12 relative, on the rows whose gaps between distinct leaf values exceed the tie rule
+    1e-12 * max(1, max |row|) tenfold: there both computations see the same order type."""
+    d = 10
+    frame = Frame.from_span(rng.standard_normal((ell, d)))
+    cands = enumerate_kickers(frame, eps_prime, 2, 1.0)
+    x = 3.0 * rng.standard_normal((200, d))
+    preds = _block_preds(cands, x, filteredpca._LOOP_CHUNK_ELEMS)
+    flat = list(cands)
+    assert len(preds) == len(flat) > len(list(cands.factory()))
+    checked = 0
+    for sk, row in zip(flat, preds):
+        vals = x @ sk.leaves.T
+        gap = np.abs(vals[:, 0] - vals[:, 1])
+        same_leaf = np.array_equal(sk.leaves[0], sk.leaves[1])
+        keep = same_leaf | (gap > 10 * 1e-12 * np.fmax(1.0, np.max(np.abs(vals), axis=1)))
+        want = selector_eval(sk, x)
+        assert np.max(np.abs(row - want)[keep]) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        checked += int(keep.sum())
+    assert checked >= 0.99 * len(flat) * len(x)
+
+
 @given(st.data())
 def test_kicker_block_rows_equal_selector_eval(data):
-    """Each row of a kicker block's W @ H.T is selector_eval of that row's SelectorKicker, bit for bit.
+    """Each row of a kicker block's W @ H.T at the frame coordinates z is selector_eval of that row's
+    frame-coordinate SelectorKicker at z, bit for bit, and the list lifts that row through the frame.
 
     Tables are drawn at random over 1 to 3 leaves, two of which may be equal.
-    Rows of x are Gaussian at scales 1e-3 to 1e3, rows whose first and last
+    Rows of z are Gaussian at scales 1e-3 to 1e3, rows whose first and last
     leaf values tie within the rule 1e-12 * max(1, max |row|) (so those leaves
     share a rank), or exact zeros.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     d = data.draw(st.integers(1, 4), label="d")
-    frame = Frame.from_span(rng.standard_normal((data.draw(st.integers(1, d), label="ell"), d)))
+    ell = data.draw(st.integers(1, d), label="ell")
+    frame = Frame.from_span(rng.standard_normal((ell, d)))
+    coords = Frame(np.eye(ell))  # the frame-coordinate selectors' frame
     m = data.draw(st.integers(1, 3), label="leaves")
-    leaves = rng.standard_normal((m, len(frame))) @ frame.vectors
+    leaves = rng.standard_normal((m, ell))
     if m > 1 and data.draw(st.booleans(), label="two equal leaves"):
         leaves[1] = leaves[0]
     types = all_order_types(m)
     table = st.lists(st.integers(0, m - 1), min_size=len(types), max_size=len(types))
     tables = data.draw(st.lists(table, min_size=1, max_size=6), label="tables")
     picks = (np.array(tables)[:, :, None] == np.arange(m)).astype(float).reshape(len(tables), -1)
-    block = KickerBlock(SelectorKicker(leaves, {}, frame), picks)
+    block = KickerBlock(SelectorKicker(leaves, {}, coords), picks)
     kinds = data.draw(st.lists(st.sampled_from(["gauss", "tie", "zero"]), min_size=1, max_size=12), label="rows")
-    x = rng.standard_normal((len(kinds), d)) * 10.0 ** rng.integers(-3, 4, size=(len(kinds), 1))
+    z = rng.standard_normal((len(kinds), ell)) * 10.0 ** rng.integers(-3, 4, size=(len(kinds), 1))
     diff = leaves[0] - leaves[-1]
     for i, kind in enumerate(kinds):
         if kind == "zero":
-            x[i] = 0.0
+            z[i] = 0.0
         elif kind == "tie" and diff @ diff > 0:
-            x[i] -= (diff @ x[i]) / (diff @ diff) * diff  # leaf 0 and leaf m - 1 meet
-            gap = data.draw(st.floats(-0.4, 0.4), label="gap") * 1e-12 * max(1.0, np.max(np.abs(leaves @ x[i])))
-            x[i] += gap / (diff @ diff) * diff
-            ranks = order_type(leaves @ x[i]).ranks
+            z[i] -= (diff @ z[i]) / (diff @ diff) * diff  # leaf 0 and leaf m - 1 meet
+            gap = data.draw(st.floats(-0.4, 0.4), label="gap") * 1e-12 * max(1.0, np.max(np.abs(leaves @ z[i])))
+            z[i] += gap / (diff @ diff) * diff
+            ranks = order_type(leaves @ z[i]).ranks
             assert ranks[0] == ranks[-1]
-    [[(payload, lo, w, h)]] = list(_scored(iter([block]), x, 1))
-    assert payload is block and lo == 0 and w is block.picks and h.shape == (len(x), m * len(types))
+    [[(payload, lo, w, h)]] = list(_scored(iter([block]), z, 1))
+    assert payload is block and lo == 0 and w is block.picks and h.shape == (len(z), m * len(types))
     preds = w @ h.T
-    scan = [row.copy() for row in _iter_predictions(CandidateList(lambda: iter([block]), len(tables)), x)]
-    for r, tab in enumerate(tables):
-        sk = SelectorKicker(leaves, dict(zip(types, tab)), frame)
-        want = selector_eval(sk, x)
+    cands = CandidateList(lambda: iter([block]), len(tables), frame)
+    scan = [row.copy() for row in _iter_predictions(cands, z)]
+    for r, (tab, lifted) in enumerate(zip(tables, cands)):
+        sk = SelectorKicker(leaves, dict(zip(types, tab)), coords)
+        want = selector_eval(sk, z)
         np.testing.assert_array_equal(preds[r], want)
         np.testing.assert_array_equal(scan[r], want)
         built = _candidate(block, r)
         assert built.table == sk.table and built.leaves.tobytes() == sk.leaves.tobytes()
+        assert lifted.table == sk.table and lifted.frame is frame
+        assert lifted.leaves.tobytes() == (leaves @ frame.vectors).tobytes()
 
 
 def test_scored_hidden_activations_are_read_only(rng):
@@ -895,11 +1036,11 @@ def test_scored_hidden_activations_are_read_only(rng):
     before_blocks = [(b.selector.leaves.copy(), b.picks.copy()) for b in kickers]
     lists = [
         enumerate_networks(_GRID_FRAME, 0.9, 2, 0, 1.0),
-        CandidateList(factory=lambda: iter(kickers), count_bound=len(kickers) * len(kickers[0].picks)),
+        CandidateList(lambda: iter(kickers), len(kickers) * len(kickers[0].picks), _GRID_FRAME),
     ]
     for cands in lists:
         before = _block_preds(cands, x, 8 * 4)
-        for chunk in _scored(cands.factory(), x, 8 * 4):
+        for chunk in _scored(cands.factory(), cands.coordinates(x), 8 * 4):
             for _, _, w, h in chunk:
                 for arr in (w, h):
                     with pytest.raises(ValueError, match="read-only"):
@@ -907,3 +1048,50 @@ def test_scored_hidden_activations_are_read_only(rng):
         assert np.array_equal(_block_preds(cands, x, 8 * 4), before)
     for b, (leaves, picks) in zip(kickers, before_blocks):
         assert np.array_equal(b.selector.leaves, leaves) and np.array_equal(b.picks, picks)
+
+
+class _Predrawn:
+    """An oracle whose batches, one per size in sizes, are drawn before run(), so it allocates none."""
+
+    def __init__(self, net, seed, sizes):
+        oracle = GaussianOracle(net, seed)
+        self.input_dim = net.input_dim
+        self.batches = [oracle.draw(n) for n in sizes]
+
+    def draw(self, n):
+        batch = self.batches.pop(0)
+        assert batch.n == n
+        return batch
+
+
+def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
+    """The loop's peak traced allocation, net of the N x d batch (drawn before tracing) and of the
+    largest |m| x d masked gather, stays within what the chunk budget allows a chunk (hidden
+    activations, and predictions of budget / width elements) plus Z and 16 bytes a row, at
+    d = 10 and d = 100 with the same N, and grows by less than 1 MB (the d x d moments) from
+    one to the other.  The second scan, on a one-vector frame, runs to its last candidate."""
+    n, budget = 50_000, filteredpca._LOOP_CHUNK_ELEMS
+    final = filteredpca._final_search
+    net_peaks = []
+    for d in (10, 100):
+        v = np.zeros(d)
+        v[:2] = (0.6, 0.8)
+        config = small_recovery_config(dim=d, k=2, n_samples=n, n_check=1_000, final_select_samples=64)
+        oracle = _Predrawn(abs_net(v), 0, [n, n, 64, 1_000])
+        gathered, peaks = [0], []
+
+        def moment(x, q, mask, rows):
+            gathered.append(int(np.count_nonzero(mask)))
+            return _masked_moment(x, q, mask, rows)
+
+        monkeypatch.setattr(filteredpca, "_masked_moment", moment)
+        monkeypatch.setattr(filteredpca, "_final_search", lambda *a: peaks.append(tracemalloc.get_traced_memory()[1]) or final(*a))
+        tracemalloc.start()
+        try:
+            result = run(oracle, config)
+        finally:
+            tracemalloc.stop()
+        assert [(t.candidates_scanned, t.accepted_candidate) for t in result.trace] == [(1, 0), (250, 249)]
+        net_peaks.append(peaks[0] - 8 * d * max(gathered))
+        assert net_peaks[-1] <= 8 * budget * (1 + 1 / config.size) + 8 * n * 1 + 16 * n
+    assert net_peaks[1] <= net_peaks[0] + 1_000_000
