@@ -347,11 +347,12 @@ def _quantile(r: np.ndarray, q: float) -> float:
 
 # The loop's chunk budget, in elements of N x (widest hidden layer) per
 # candidate: its (C, N) predictions stay within budget / width elements.  A
-# chunk reads Z (N x ell), not the N x d batch, so its size sets memory only:
-# bench/run.py (2 cores, one BLAS thread, median of 3) peaked at 216 MB on
-# rank2-highdim and 101 MB on rank2-terminal at 1e6, 268 and 134 MB at 8e6;
-# wall 2.6-2.8 s and 0.43-0.47 s at every budget from 1e6 to 8e6.
-_LOOP_CHUNK_ELEMS = 1_000_000
+# chunk reads Z (N x ell), not the N x d batch, so the budget trades memory
+# against recomputing a block's hidden layer in each chunk that holds part of
+# it.  2 cores, one BLAS thread, medians at 1e6, 2e6 and 8e6: rank2-highdim
+# peak RSS 216, 224 and 268 MB (bench/run.py); CPU time of the ten criterion-7
+# run() calls 2.31, 2.06 and 1.90 s.
+_LOOP_CHUNK_ELEMS = 2_000_000
 
 
 def _gated(block: KickerBlock, z: np.ndarray) -> np.ndarray:

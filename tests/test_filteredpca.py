@@ -742,7 +742,7 @@ def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
     assert record.select_err == pytest.approx(np.sqrt(np.mean((select.y - h @ coef) ** 2)), rel=1e-12)
 
 
-@pytest.mark.parametrize("ell, eps, radius", [(1, 0.25, math.sqrt(2.0)), (2, 0.16, 1.0), (2, 0.5, 1.0), (3, 0.3, 1.0)])
+@pytest.mark.parametrize("ell, eps, radius", [(1, 0.25, 2.0**0.5), (2, 0.16, 1.0), (2, 0.5, 1.0), (3, 0.3, 1.0)])
 def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
     """The dictionary keeps exactly the non-zero grid rows that are not a positive multiple of an
     earlier row, checked on the grid's integer vectors by exact 2 x 2 minors, each lifted."""
@@ -1084,8 +1084,12 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
             gathered.append(int(np.count_nonzero(mask)))
             return _masked_moment(x, q, mask, rows)
 
+        def terminal(*args):  # the loop is over: its peak so far
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return final(*args)
+
         monkeypatch.setattr(filteredpca, "_masked_moment", moment)
-        monkeypatch.setattr(filteredpca, "_final_search", lambda *a: peaks.append(tracemalloc.get_traced_memory()[1]) or final(*a))
+        monkeypatch.setattr(filteredpca, "_final_search", terminal)
         tracemalloc.start()
         try:
             result = run(oracle, config)
@@ -1093,5 +1097,6 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
             tracemalloc.stop()
         assert [(t.candidates_scanned, t.accepted_candidate) for t in result.trace] == [(1, 0), (250, 249)]
         net_peaks.append(peaks[0] - 8 * d * max(gathered))
-        assert net_peaks[-1] <= 8 * budget * (1 + 1 / config.size) + 8 * n * 1 + 16 * n
+        z_bytes = 8 * n * (config.k - 1)  # the last scan's frame holds k - 1 vectors
+        assert net_peaks[-1] <= 8 * budget * (1 + 1 / config.size) + z_bytes + 16 * n
     assert net_peaks[1] <= net_peaks[0] + 1_000_000
