@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, NamedTuple
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from .errors import BudgetError
 from .lattice import SelectorKicker, all_order_types
 from .network import ReluNetwork
-from .subspace import Frame, epsilon_net_ball, epsilon_net_bound, epsilon_net_matrix_blocks
+from .subspace import Frame, _grid_geometry, epsilon_net_ball, epsilon_net_bound, epsilon_net_matrix_blocks
 from .subspace import epsilon_net_matrices  # noqa: F401  (bench/tracing.py wraps it; unused here)
 
 __all__ = [
@@ -21,63 +21,49 @@ __all__ = [
     "architectures",
     "enumerate_kickers",
     "enumerate_networks",
+    "first_of_each_ray",
 ]
 
 
 class KickerBlock(NamedTuple):
-    """The selector candidates on one leaf tuple, one per row of a one-hot pick matrix.
+    """The selector candidates on one leaf tuple in frame coordinates, one per row of a one-hot pick matrix.
 
-    selector holds the m leaves in frame coordinates (checked once, by its constructor) and
-    the identity frame of R^ell, with an empty table.  Row r of picks, (R, m * T) over the T
-    order types of all_order_types(m), has a 1 at t * m + j when candidate r's table sends
-    type t to leaf j, so it picks that leaf's value from an input's gated leaf features.
+    selector holds the m leaves with the identity frame of R^ell and an empty table.  Row r of picks, (R, m * T)
+    over the T order types of all_order_types(m), has a 1 at t * m + j when candidate r's table sends type t to leaf j.
     """
 
     selector: SelectorKicker
     picks: np.ndarray
 
 
-def _candidate(payload, row: int, frame: Frame | None = None):
-    """Candidate row of a payload as a ReluNetwork or a SelectorKicker, lifted through frame if given."""
+def _candidate(payload, row: int, frame: Frame):
+    """Candidate row of a payload lifted through frame: a ReluNetwork or a SelectorKicker."""
     if isinstance(payload, KickerBlock):
         types = all_order_types(payload.selector.num_leaves)
         picks = payload.picks[row].reshape(len(types), -1).argmax(axis=1)
-        sk = replace(payload.selector, table=dict(zip(types, picks.tolist())))
-        return sk if frame is None else SelectorKicker(sk.leaves @ frame.vectors, sk.table, frame)
-    w0 = payload[0] if frame is None else payload[0] @ frame.vectors
-    return ReluNetwork((w0, *payload[1:-1], payload[-1][row : row + 1]))
+        return SelectorKicker(payload.selector.leaves @ frame.vectors, dict(zip(types, picks.tolist())), frame)
+    return ReluNetwork((payload[0] @ frame.vectors, *payload[1:-1], payload[-1][row : row + 1]))
 
 
 @dataclass(eq=False)
 class CandidateList:
-    """Re-iterable lazy stream of candidates in blocks, with a count bound.
+    """Re-iterable lazy stream of candidates in blocks over a frame F, with a count bound.
 
-    factory() yields the blocks, the payloads the scorer reads; the candidate
-    stream is their rows in order.  A network block is a weight tuple (W_0, ...,
-    W_L, W_out): row r is the network (W_0, ..., W_L, W_out[r:r + 1]), and a
-    one-row block is a plain network (the zero net is one).  A KickerBlock is a
-    leaf tuple with every table.  Blocks are in frame coordinates (a first layer
-    is k_0 x ell, a leaf has ell entries), so they read x only through
-    coordinates(x) = x F^T (x itself when frame is None).  Iterating calls
-    factory() afresh and yields each candidate lifted through the frame, as its
-    own ReluNetwork or SelectorKicker, in identical order every time.
-    count_bound bounds the number of candidates (rows, not blocks) and is the
-    one figure a budget (max_candidates) is checked against.
+    factory() yields the blocks, in frame coordinates, that the scorer reads at Z = X F^T; the candidate stream is
+    their rows in order.  A network block is a weight tuple (W_0, ..., W_L, W_out) with W_0 k_0 x ell: row r is the
+    network (W_0, ..., W_L, W_out[r:r + 1]).  A KickerBlock is a leaf tuple with every table.  Iterating calls
+    factory() afresh and yields each candidate lifted through F (W_0 F, leaves F), in identical order every time.
+    count_bound bounds the number of candidates (rows, not blocks): the one figure max_candidates is checked against.
 
-    Blocks that share a first layer hold the same array object for it, and the
-    blocks of an architecture (or of a kicker list) share one read-only array of
-    output rows, so an evaluator can tell shared work by identity (``is``) and do
-    it once: a promise about speed only.
+    Blocks that share a first layer hold the same array object for it, and the blocks of an architecture (or of a
+    kicker list) share one read-only array of output rows, so an evaluator can tell shared work by identity (``is``)
+    and do it once: a promise about speed only.
     """
 
     factory: Callable[[], Iterator]
     count_bound: int
-    frame: Frame | None = None
+    frame: Frame
     raw_factory: ClassVar[None] = None  # read by bench/tracing.py until the next benchmark change
-
-    def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """The rows of x in the blocks' coordinates: x F^T, or x itself without a frame."""
-        return x if self.frame is None else x @ self.frame.vectors.T
 
     def __iter__(self):
         for payload in self.factory():
@@ -99,10 +85,9 @@ def enumerate_kickers(
 ) -> CandidateList:
     """All selector candidates over the frame at grid granularity eps_prime * lam.
 
-    Leaf tuples are drawn from a grid net of the lam-ball in frame coordinates,
-    and kept there; each tuple is crossed with every total table from order
-    types on num_leaves values to leaf indices: one KickerBlock per tuple,
-    whose row r is the r-th table in itertools.product order.
+    Leaf tuples, in frame coordinates, are drawn from a grid net of the lam-ball; each tuple is crossed with every
+    total table from order types on num_leaves values to leaf indices: one KickerBlock per tuple, whose row r is the
+    r-th table in itertools.product order.
     """
     if len(frame) < 1:
         raise ValueError("need a non-empty frame")
@@ -151,16 +136,13 @@ def enumerate_networks(
 ) -> CandidateList:
     """Candidate network blocks over the frame: every architecture, per-layer matrix grids.
 
-    First-layer matrices are netted, and kept, in frame coordinates (k_0 x ell).
-    Every netted entry is clipped at eps_prime, so emitted entries are zero or
-    exceed eps_prime in magnitude, and per-layer operator norms stay at most
-    b + 2 * eps_prime.  Clipping maps distinct grid points to the same matrix;
-    each layer grid keeps only the first occurrence of each clipped matrix
-    (compared by bytes).  Since
-    the stream is a product of the layer grids, it holds each distinct clipped
-    weight tuple once, at its first position in the unfiltered product, and
-    in the same order.  count_bound counts the unfiltered product, so it
-    bounds the emitted count from above, and max_candidates caps that bound.
+    First-layer matrices are netted in frame coordinates (k_0 x ell).  Every netted entry is clipped at eps_prime,
+    so emitted entries are zero or exceed eps_prime in magnitude, and per-layer operator norms stay at most
+    b + 2 * eps_prime.  Clipping maps distinct grid points to the same matrix; each layer grid keeps only the first
+    occurrence of each clipped matrix (compared by bytes).  Since the stream is a product of the layer grids, it
+    holds each distinct clipped weight tuple once, at its first position in the unfiltered product, and in the same
+    order.  count_bound counts the unfiltered product, so it bounds the emitted count from above, and max_candidates
+    caps that bound.
 
     The factory yields one block (see CandidateList) per hidden prefix
     (W_0, ..., W_L), walking each architecture's hidden-layer grids as an
@@ -216,3 +198,18 @@ def enumerate_networks(
                         yield (w0, *mid, w_out)
 
     return CandidateList(factory=blocks, count_bound=bound, frame=frame)
+
+
+def first_of_each_ray(rows: np.ndarray, eps_prime: float) -> np.ndarray:
+    """Indices, in order, of the first row of each ray among the non-zero rows of a one-unit network grid's W_0s.
+
+    rows (n, ell) come from enumerate_networks(frame, eps_prime, 1, 0, b), so each is the grid's spacing times an
+    integer vector (clipping only zeroes entries), and its ray is that vector over the gcd of its entries: exact.
+    """
+    spacing = _grid_geometry(rows.shape[1], 0.0, eps_prime)[0]
+    ints = np.rint(rows / spacing).astype(np.int64)
+    if not np.array_equal(ints * spacing, rows):
+        raise ValueError("rows are not on the one-unit network grid at eps_prime")
+    gcd = np.gcd.reduce(ints, axis=1)
+    nonzero = np.flatnonzero(gcd)
+    return nonzero[np.sort(np.unique(ints[nonzero] // gcd[nonzero, None], axis=0, return_index=True)[1])]

@@ -9,11 +9,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .enumeration import CandidateList, KickerBlock, enumerate_kickers, enumerate_networks
+from .enumeration import CandidateList, KickerBlock, enumerate_kickers, enumerate_networks, first_of_each_ray
 from .errors import BudgetError
 from .lattice import LatticePolynomial, SelectorKicker, _rank_patterns, all_order_types, lattice_eval, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
-from .subspace import Frame, _grid_geometry, extend_frame, project, seeded_start
+from .subspace import Frame, extend_frame, project, seeded_start
 from .subspace import approx_top_svd  # noqa: F401  (bench/tracing.py wraps it; unused here)
 
 __all__ = [
@@ -345,13 +345,11 @@ def _quantile(r: np.ndarray, q: float) -> float:
     return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
-# The loop's chunk budget, in elements of N x (widest hidden layer) per
-# candidate: its (C, N) predictions stay within budget / width elements.  A
-# chunk reads Z (N x ell), not the N x d batch, so the budget trades memory
-# against recomputing a block's hidden layer in each chunk that holds part of
-# it.  2 cores, one BLAS thread, medians at 1e6, 2e6 and 8e6: rank2-highdim
-# peak RSS 216, 224 and 268 MB (bench/run.py); CPU time of the ten criterion-7
-# run() calls 2.31, 2.06 and 1.90 s.
+# The loop's chunk budget, in elements of N x (widest hidden layer) per candidate: its (C, N) predictions stay
+# within budget / width elements.  A chunk reads Z (N x ell), not the N x d batch, so the budget trades memory
+# against recomputing a block's hidden layer in each chunk that holds part of it.  2 cores, one BLAS thread,
+# medians at 1e6, 2e6 and 8e6: rank2-highdim peak RSS 216, 224 and 268 MB (bench/run.py); CPU time of the ten
+# criterion-7 run() calls 2.31, 2.06 and 1.90 s.
 _LOOP_CHUNK_ELEMS = 2_000_000
 
 
@@ -373,8 +371,7 @@ def _gated(block: KickerBlock, z: np.ndarray) -> np.ndarray:
 def _hidden(pieces: list, z: np.ndarray) -> list:
     """[(payload, lo, W_out[lo:hi], H)] for (block, lo, hi) network pieces: H is the last hidden activation at z.
 
-    The distinct first layers (told apart by identity) go through one GEMM;
-    deeper layers are applied per piece.
+    The distinct first layers (told apart by identity) go through one GEMM; deeper layers are applied per piece.
     """
     firsts: list = []
     cols: list[slice] = []  # each piece's columns of h0
@@ -397,18 +394,14 @@ def _hidden(pieces: list, z: np.ndarray) -> list:
 
 
 def _scored(payloads, z: np.ndarray, elem_budget: int):
-    """Yield chunks [(payload, lo, W, H)] in stream order: the one scorer.
+    """Yield chunks [(payload, lo, W, H)] in stream order: the one scorer, at the frame coordinates z (N x ell).
 
-    z is the batch in the blocks' coordinates (Z = X F^T, N x ell).  A chunk
-    holds pieces of blocks (see CandidateList): W is the piece's output rows
-    from row lo, H the block's last hidden activation at z, (N, k) (a kicker
-    block's gated leaf features, see _gated), and the piece's candidates'
-    predictions are the rows of W @ H.T.  Every network candidate costs
-    N * (widest hidden layer) elements; a chunk of network pieces holds
-    candidates up to elem_budget (at least one) and at most twice as many
-    pieces as the chunk before (the first holds one), so a scan that accepts
-    early pays for little, and a block that does not fit is split across
-    chunks.  A kicker block is a chunk of its own.  Every H is read-only.
+    A chunk holds pieces of blocks (see CandidateList): W is a piece's output rows from row lo and H its block's
+    last hidden activation at z, (N, k), read-only (a kicker block's gated leaf features), so the piece's
+    predictions are the rows of W @ H.T.  A network candidate costs N * (widest hidden layer) elements; a chunk of
+    network pieces holds candidates up to elem_budget (at least one) and at most twice as many pieces as the chunk
+    before (the first holds one), so a scan that accepts early pays for little, and a block that does not fit is
+    split across chunks.  A kicker block is a chunk of its own.
     """
     n = z.shape[0]
     chunk: list = []  # (block, lo, hi)
@@ -436,11 +429,10 @@ def _scored(payloads, z: np.ndarray, elem_budget: int):
 
 
 def _iter_predictions(candidates: CandidateList, z: np.ndarray):
-    """Yield each candidate's prediction row at z (the inputs in the blocks' coordinates), in stream order.
+    """Yield each candidate's prediction row at the frame coordinates z, in stream order.
 
-    Each row is a writable view of its chunk's own (C, N) buffer, so the scan
-    may overwrite it.  A chunk's predictions are formed before its rows are
-    yielded, so the chunk's hidden activations are freed first.
+    Each row is a writable view of its chunk's own (C, N) buffer, so the scan may overwrite it; the chunk's hidden
+    activations are freed before its rows are yielded.
     """
     for chunk in _scored(candidates.factory(), z, _LOOP_CHUNK_ELEMS):
         preds = np.empty((sum(len(w) for _, _, w, _ in chunk), z.shape[0]))
@@ -500,11 +492,10 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         tau_used = config.tau
         masks: set[bytes] = set()  # _mask_key of every moment formed
         try:
-            # The blocks are in frame coordinates, so the scan reads the batch
-            # only through Z = X F^T (N x ell), and each row equals its lifted
-            # candidate's up to rounding: (W_0 F) x = W_0 (F x).
+            # The blocks are in frame coordinates: the scan reads the batch only through Z = X F^T (N x ell),
+            # and each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x).
             candidates = _candidates(config, frame, config.eps_prime)
-            z = candidates.coordinates(samples.x)
+            z = samples.x @ candidates.frame.vectors.T
             for idx, row in enumerate(_iter_predictions(candidates, z)):
                 scanned += 1
                 # the residual in the row's own buffer: |row - y| is bitwise |y - row|
@@ -562,17 +553,14 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
 def _final_search(oracle, config: LearnConfig, frame: Frame):
     """Fit the terminal hypothesis's output layer by least squares on the selection batch.
 
-    A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden
-    directions w in its span.  The dictionary is the first-layer rows of the
-    one-unit network grid at final_eps_prime, the final_eps_prime-net of the
-    (b + final_eps_prime)-ball in frame coordinates, the first row of each ray
-    in stream order (relu(c <w, x>) = c relu(<w, x>) for c > 0), lifted.  The
-    output layer is lstsq's minimum-norm fit of y on relu(X W_0^T).  At ell = 1
-    the fit is exact, the only directions being +-1; at ell >= 2, rounding each
-    hidden direction to the net costs at most final_eps_prime times the net's
-    path norm.  An empty frame gives the zero net.  The fitted network is
-    certified by the error check.  Returns (hypothesis, eps_hat, certified,
-    failure, TerminalRecord).
+    A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden directions w in its span.  The
+    dictionary is the first-layer rows of the one-unit network grid at final_eps_prime, the final_eps_prime-net of
+    the (b + final_eps_prime)-ball in frame coordinates, the first row of each ray in stream order
+    (relu(c <w, x>) = c relu(<w, x>) for c > 0), lifted.  The output layer is lstsq's minimum-norm fit of y on
+    relu(X W_0^T).  At ell = 1 the fit is exact, the only directions being +-1; at ell >= 2, rounding each hidden
+    direction to the net costs at most final_eps_prime times the net's path norm.  An empty frame gives the zero
+    net.  The fitted network is certified by the error check.  Returns (hypothesis, eps_hat, certified, failure,
+    TerminalRecord).
     """
     select = oracle.draw(config.final_select_samples)
     target = 3.0 * config.eps
@@ -585,12 +573,7 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
             record = TerminalRecord(0, select.n, None)
             return None, math.inf, False, f"terminal enumeration budget exhausted: {err}", record
         rows = [block[0] for block in grid.factory()]  # (1, ell) first layers in frame coordinates
-        # the first row of each ray: rows are the grid's spacing times integer vectors, so exactly
-        ints = np.rint(np.concatenate(rows) / _grid_geometry(len(frame), 0.0, fep)[0]).astype(np.int64)
-        gcd = np.gcd.reduce(ints, axis=1)
-        nonzero = np.flatnonzero(gcd)
-        first = np.unique(ints[nonzero] // gcd[nonzero, None], axis=0, return_index=True)[1]
-        w0 = [rows[i] @ frame.vectors for i in nonzero[np.sort(first)]]
+        w0 = [rows[i] @ frame.vectors for i in first_of_each_ray(np.concatenate(rows), fep)]
         features = len(w0)
         if features:
             w0 = np.concatenate(w0)

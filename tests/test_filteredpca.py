@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relupca import filteredpca
-from relupca.enumeration import CandidateList, KickerBlock, _candidate, enumerate_kickers, enumerate_networks
+from relupca.enumeration import (
+    CandidateList,
+    KickerBlock,
+    _candidate,
+    enumerate_kickers,
+    enumerate_networks,
+    first_of_each_ray,
+)
 from relupca.filteredpca import (
     GaussianOracle,
     LearnConfig,
@@ -221,9 +228,9 @@ def test_masked_moment_matches_the_complement_reference(ell, rng):
 def _block_preds(cands, x, budget):
     """Every candidate's predictions at x, (candidates, N), from _scored's pieces of a CandidateList.
 
-    x is in ambient coordinates; the blocks are scored on cands.coordinates(x), as run() scores them.
+    x is in ambient coordinates; the blocks are scored on Z = X F^T, as run() scores them.
     """
-    z = cands.coordinates(x)
+    z = x @ cands.frame.vectors.T
     return np.concatenate([w @ h.T for chunk in _scored(cands.factory(), z, budget) for _, _, w, h in chunk])
 
 
@@ -492,6 +499,9 @@ def _abs_block(v, *out):
     return (np.array([v, -v]), np.array(out, dtype=float))
 
 
+_IDENTITY_4 = Frame(np.eye(4))  # blocks in ambient coordinates: lifting through it is exact
+
+
 def _scan_row(block, x):
     """A one-row block's prediction row as the scan forms it: W_out @ relu(x W_0^T)^T."""
     return (block[-1] @ np.maximum(x @ block[0].T, 0.0).T)[0]
@@ -503,7 +513,7 @@ def test_repeat_as_the_last_candidate_keeps_its_first_tau(monkeypatch):
     a, b = _abs_block(v, (1.0, 1.0)), _abs_block(v, (0.5, -0.5))  # |x.v| and x.v / 2
     f_a, f_b = (lambda x: _scan_row(a, x)), (lambda x: _scan_row(b, x))
     stream = [a, b, a]
-    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter(stream), 3))
+    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter(stream), 3, _IDENTITY_4))
     calls = []
     monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
     oracle = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0)
@@ -521,7 +531,7 @@ def test_rows_with_one_mask_form_one_moment(monkeypatch):
     v = np.array([1.0, 0.0, 0.0, 0.0])
     a, b = _abs_block(v, (1.0, 1.0)), _abs_block(v, (1.0 + 1e-9, 1.0 + 1e-9))  # |x.v| and |x.v| (1 + 1e-9)
     f_a, f_b = (lambda x: _scan_row(a, x)), (lambda x: _scan_row(b, x))
-    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter([a, b]), 2))
+    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter([a, b]), 2, _IDENTITY_4))
     calls = []
     monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
     oracle = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0)
@@ -745,7 +755,8 @@ def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
 @pytest.mark.parametrize("ell, eps, radius", [(1, 0.25, 2.0**0.5), (2, 0.16, 1.0), (2, 0.5, 1.0), (3, 0.3, 1.0)])
 def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
     """The dictionary keeps exactly the non-zero grid rows that are not a positive multiple of an
-    earlier row, checked on the grid's integer vectors by exact 2 x 2 minors, each lifted."""
+    earlier row, checked on the grid's integer vectors by exact 2 x 2 minors, each lifted;
+    first_of_each_ray refuses rows off the grid."""
     frame = Frame.from_span(np.random.default_rng(ell).standard_normal((ell, ell + 2)))
     rows = [block[0] for block in enumerate_networks(frame, eps, 1, 0, radius).factory()]
     spacing = 2.0 * eps / math.sqrt(ell)
@@ -758,6 +769,9 @@ def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
 
     keep = [i for i, u in enumerate(ints) if np.any(u) and not any(same_ray(u, ints[j]) for j in range(i))]
     assert keep == _first_per_direction(np.concatenate(rows))
+    assert first_of_each_ray(np.concatenate(rows), eps).tolist() == keep
+    with pytest.raises(ValueError, match="not on the one-unit network grid"):
+        first_of_each_ray(1.5 * np.concatenate(rows), eps)  # rows off the grid are refused, not keyed wrongly
     assert len(keep) < int(np.count_nonzero(np.any(ints, axis=1)))
     target = abs_net(frame.vectors[0])
     config = _terminal_config(frame, b=radius, final_eps_prime=eps)
@@ -829,7 +843,7 @@ def test_underdetermined_terminal_fit_is_named_in_the_reason():
 
 
 def _ambient_kicker(block, frame):
-    """A kicker block lifted out of frame coordinates: it reads an ambient x, as a block of a list without a frame."""
+    """A kicker block lifted out of frame coordinates: it reads an ambient x, as a block over the identity frame."""
     return KickerBlock(SelectorKicker(block.selector.leaves @ frame.vectors, {}, frame), block.picks)
 
 
@@ -905,7 +919,7 @@ def test_pred_chunks_match_reference_evaluation(data):
     np.testing.assert_allclose(preds, want, rtol=0, atol=1e-12)
     scan = []
     with mock.patch.object(filteredpca, "_LOOP_CHUNK_ELEMS", budget):
-        for row in _iter_predictions(CandidateList(lambda: iter(stream), len(flat)), x):
+        for row in _iter_predictions(CandidateList(lambda: iter(stream), len(flat), Frame(np.eye(d))), x):
             assert row.flags.writeable
             scan.append(row.copy())
             row.fill(np.nan)  # as the scan overwrites it: no later row may change
@@ -940,7 +954,7 @@ def test_frame_coordinate_network_rows_equal_the_lifted_networks(ell, size, l, r
     cands = enumerate_networks(frame, 0.9, size, l, 1.0, max_candidates=None)
     x = 3.0 * rng.standard_normal((64, d))
     preds, split = [], 0
-    for chunk in _scored(cands.factory(), cands.coordinates(x), 64 * 4):
+    for chunk in _scored(cands.factory(), x @ cands.frame.vectors.T, 64 * 4):
         for p, lo, w, h in chunk:
             assert p[0].shape[1] == ell and h.shape[0] == len(x)
             split += lo > 0  # a piece that starts inside its block
@@ -1023,7 +1037,7 @@ def test_kicker_block_rows_equal_selector_eval(data):
         want = selector_eval(sk, z)
         np.testing.assert_array_equal(preds[r], want)
         np.testing.assert_array_equal(scan[r], want)
-        built = _candidate(block, r)
+        built = _candidate(block, r, coords)
         assert built.table == sk.table and built.leaves.tobytes() == sk.leaves.tobytes()
         assert lifted.table == sk.table and lifted.frame is frame
         assert lifted.leaves.tobytes() == (leaves @ frame.vectors).tobytes()
@@ -1040,7 +1054,7 @@ def test_scored_hidden_activations_are_read_only(rng):
     ]
     for cands in lists:
         before = _block_preds(cands, x, 8 * 4)
-        for chunk in _scored(cands.factory(), cands.coordinates(x), 8 * 4):
+        for chunk in _scored(cands.factory(), x @ cands.frame.vectors.T, 8 * 4):
             for _, _, w, h in chunk:
                 for arr in (w, h):
                     with pytest.raises(ValueError, match="read-only"):
