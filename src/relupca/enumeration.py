@@ -49,15 +49,14 @@ def _candidate(payload, row: int, frame: Frame):
 class CandidateList:
     """Re-iterable lazy stream of candidates in blocks over a frame F, with a count bound.
 
-    factory() yields the blocks, in frame coordinates, that the scorer reads at Z = X F^T; the candidate stream is
-    their rows in order.  A network block is a weight tuple (W_0, ..., W_L, W_out) with W_0 k_0 x ell: row r is the
-    network (W_0, ..., W_L, W_out[r:r + 1]).  A KickerBlock is a leaf tuple with every table.  Iterating calls
-    factory() afresh and yields each candidate lifted through F (W_0 F, leaves F), in identical order every time.
+    factory() yields the blocks, in frame coordinates, that the scorer reads at Z = X F^T, forming each block's last
+    hidden activation once; the candidate stream is their rows in order.  A network block is a weight tuple
+    (W_0, ..., W_L, W_out) with W_0 k_0 x ell: row r is the network (W_0, ..., W_L, W_out[r:r + 1]).  A KickerBlock
+    is a leaf tuple with every table.  Iterating calls factory() afresh and yields each candidate lifted through F
+    (W_0 F, leaves F), in identical order every time.
     count_bound bounds the number of candidates (rows, not blocks): the one figure max_candidates is checked against.
 
-    Blocks that share a first layer hold the same array object for it, and the blocks of an architecture (or of a
-    kicker list) share one read-only array of output rows, so an evaluator can tell shared work by identity (``is``)
-    and do it once: a promise about speed only.
+    The blocks of an architecture (or of a kicker list) share one read-only array of output rows.
     """
 
     factory: Callable[[], Iterator]
@@ -148,9 +147,9 @@ def enumerate_networks(
     (W_0, ..., W_L), walking each architecture's hidden-layer grids as an
     odometer.  Its W_out stacks the architecture's whole output-layer grid, one
     row per candidate, and is the same read-only array in every block of that
-    architecture.  Each W_0 is one array object, shared by the consecutive
-    blocks that cover all of its tails, so the flattened rows are the
-    per-tuple stream with the output row varying fastest.
+    architecture.  The consecutive blocks of one W_0 cover all of its tails,
+    so the flattened rows are the per-tuple stream with the output row varying
+    fastest.
     """
     if len(frame) < 1:
         raise ValueError("need a non-empty frame")

@@ -345,16 +345,8 @@ def _quantile(r: np.ndarray, q: float) -> float:
     return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
-# The loop's chunk budget, in elements of N x (widest hidden layer) per candidate: its (C, N) predictions stay
-# within budget / width elements.  A chunk reads Z (N x ell), not the N x d batch, so the budget trades memory
-# against recomputing a block's hidden layer in each chunk that holds part of it.  2 cores, one BLAS thread,
-# medians at 1e6, 2e6 and 8e6: rank2-highdim peak RSS 216, 224 and 268 MB (bench/run.py); CPU time of the ten
-# criterion-7 run() calls 2.31, 2.06 and 1.90 s.
-_LOOP_CHUNK_ELEMS = 2_000_000
-
-
 def _gated(block: KickerBlock, z: np.ndarray) -> np.ndarray:
-    """A kicker block's gated leaf features at the frame coordinates z, (N, m * T), read-only.
+    """A kicker block's gated leaf features at the frame coordinates z, (N, m * T).
 
     Row n holds its m leaf values in the slots of its order type (one _rank_patterns call types every row) and zeros.
     """
@@ -363,85 +355,26 @@ def _gated(block: KickerBlock, z: np.ndarray) -> np.ndarray:
     order = all_order_types(vals.shape[1])
     h = np.zeros((len(vals), len(order), vals.shape[1]))
     h[np.arange(len(vals)), np.array([order.index(omega) for omega in types])[group]] = vals
-    h = h.reshape(len(vals), -1)
-    h.flags.writeable = False
-    return h
-
-
-def _hidden(pieces: list, z: np.ndarray) -> list:
-    """[(payload, lo, W_out[lo:hi], H)] for (block, lo, hi) network pieces: H is the last hidden activation at z.
-
-    The distinct first layers (told apart by identity) go through one GEMM; deeper layers are applied per piece.
-    """
-    firsts: list = []
-    cols: list[slice] = []  # each piece's columns of h0
-    width = 0
-    for ws, _, _ in pieces:
-        if not firsts or firsts[-1] is not ws[0]:
-            firsts.append(ws[0])
-            width += ws[0].shape[0]
-        cols.append(slice(width - ws[0].shape[0], width))
-    h0 = z @ np.concatenate(firsts).T  # (N, width)
-    np.maximum(h0, 0.0, out=h0)  # in place: no second (N, width) buffer
-    out = []
-    for (ws, lo, hi), c in zip(pieces, cols):
-        h = h0[:, c]
-        for w in ws[1:-1]:
-            h = np.maximum(h @ w.T, 0.0)
-        h.flags.writeable = False  # pieces share h0
-        out.append((ws, lo, ws[-1][lo:hi], h))
-    return out
-
-
-def _scored(payloads, z: np.ndarray, elem_budget: int):
-    """Yield chunks [(payload, lo, W, H)] in stream order: the one scorer, at the frame coordinates z (N x ell).
-
-    A chunk holds pieces of blocks (see CandidateList): W is a piece's output rows from row lo and H its block's
-    last hidden activation at z, (N, k), read-only (a kicker block's gated leaf features), so the piece's
-    predictions are the rows of W @ H.T.  A network candidate costs N * (widest hidden layer) elements; a chunk of
-    network pieces holds candidates up to elem_budget (at least one) and at most twice as many pieces as the chunk
-    before (the first holds one), so a scan that accepts early pays for little, and a block that does not fit is
-    split across chunks.  A kicker block is a chunk of its own.
-    """
-    n = z.shape[0]
-    chunk: list = []  # (block, lo, hi)
-    used = 0
-    cap = 1
-    for p in payloads:
-        if isinstance(p, KickerBlock):
-            if chunk:
-                yield _hidden(chunk, z)
-                chunk, used, cap = [], 0, 2 * cap
-            yield [(p, 0, p.picks, _gated(p, z))]
-            continue
-        cost = n * max(w.shape[0] for w in p[:-1])
-        lo = 0
-        while lo < len(p[-1]):
-            if chunk and (len(chunk) == cap or used + cost > elem_budget):
-                yield _hidden(chunk, z)
-                chunk, used, cap = [], 0, 2 * cap
-            hi = min(len(p[-1]), lo + max(1, (elem_budget - used) // cost))
-            chunk.append((p, lo, hi))
-            used += (hi - lo) * cost
-            lo = hi
-    if chunk:
-        yield _hidden(chunk, z)
+    return h.reshape(len(vals), -1)
 
 
 def _iter_predictions(candidates: CandidateList, z: np.ndarray):
-    """Yield each candidate's prediction row at the frame coordinates z, in stream order.
+    """Yield each candidate's prediction row at the frame coordinates z (N x ell), in stream order: the one scorer.
 
-    Each row is a writable view of its chunk's own (C, N) buffer, so the scan may overwrite it; the chunk's hidden
-    activations are freed before its rows are yielded.
+    Each block (see CandidateList) forms its last hidden activation H, (N, k), once: a network block's ReLU layers
+    at z, with W its output rows, or a kicker block's gated leaf features, with W its pick matrix.  Row r is then
+    H @ W[r], a fresh writable (N,) array, so the scan may overwrite it.
     """
-    for chunk in _scored(candidates.factory(), z, _LOOP_CHUNK_ELEMS):
-        preds = np.empty((sum(len(w) for _, _, w, _ in chunk), z.shape[0]))
-        a = 0
-        for _, _, w, h in chunk:
-            np.matmul(w, h.T, out=preds[a : a + len(w)])
-            a += len(w)
-        del chunk, h  # the hidden activations are not needed for the scan
-        yield from preds
+    for block in candidates.factory():
+        if isinstance(block, KickerBlock):
+            h, w = _gated(block, z), block.picks
+        else:
+            h, w = z, block[-1]
+            for layer in block[:-1]:
+                h = h @ layer.T
+                np.maximum(h, 0.0, out=h)  # in place: no second (N, width) buffer
+        for row in w:
+            yield h @ row
 
 
 def _mask_key(mask: np.ndarray) -> bytes:
@@ -522,7 +455,7 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
         finally:
             # so the next draw does not hold two batches, nor the terminal fit
-            # a chunk of predictions or the scan's keys
+            # a prediction row or the scan's keys
             distinct = len(masks)
             samples = z = row = resid = mask = masks = None
         if accepted is None:

@@ -82,7 +82,7 @@ def test_candidate_list_is_reiterable():
 
 
 def test_raw_factory_shares_prefix_objects():
-    # the CandidateList contract: each first layer is one run of blocks holding the
+    # enumerate_networks' stream: each first layer is one run of blocks holding the
     # same array object, and an architecture's blocks share one read-only W_out
     frame = Frame.from_span(np.array([[1.0, 0.0]]))
     stream = list(enumerate_networks(frame, eps_prime=0.9, size=3, l=1, b=1.0).factory())

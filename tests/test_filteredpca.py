@@ -24,11 +24,11 @@ from relupca.filteredpca import (
     LearnConfig,
     SampleSet,
     _final_search,
+    _gated,
     _iter_predictions,
     _mask_key,
     _masked_moment,
     _pick_tau,
-    _scored,
     as_function,
     estimate_l2_error,
     filter_matrix,
@@ -225,13 +225,12 @@ def test_masked_moment_matches_the_complement_reference(ell, rng):
         assert np.array_equal(got, got.T)
 
 
-def _block_preds(cands, x, budget):
-    """Every candidate's predictions at x, (candidates, N), from _scored's pieces of a CandidateList.
+def _block_preds(cands, x):
+    """Every candidate's predictions at x, (candidates, N), from _iter_predictions over a CandidateList.
 
     x is in ambient coordinates; the blocks are scored on Z = X F^T, as run() scores them.
     """
-    z = x @ cands.frame.vectors.T
-    return np.concatenate([w @ h.T for chunk in _scored(cands.factory(), z, budget) for _, _, w, h in chunk])
+    return np.array(list(_iter_predictions(cands, x @ cands.frame.vectors.T)))
 
 
 def test_loop_candidates_score_raw_rows_as_projected_rows(rng):
@@ -248,7 +247,7 @@ def test_loop_candidates_score_raw_rows_as_projected_rows(rng):
     ]
     for cands in grids:
         assert cands.frame is frame
-        scored = _block_preds(cands, x, filteredpca._LOOP_CHUNK_ELEMS)
+        scored = _block_preds(cands, x)
         raw = np.array([as_function(c)(x) for c in cands])
         proj = np.array([as_function(c)(x_proj) for c in cands])
         assert scored.shape == raw.shape == proj.shape and raw.shape[0] > 1
@@ -850,17 +849,13 @@ def _ambient_kicker(block, frame):
 @given(st.data())
 def test_pred_chunks_match_reference_evaluation(data):
     """Every network block row's predictions equal evaluate() on its own network, and
-    every kicker block row's equal selector_eval() on its own SelectorKicker; the
-    loop's residuals agree too.
+    every kicker block row's equal selector_eval() on its own SelectorKicker.
 
-    Candidates come back in input order.  A kicker block comes back whole and
-    alone, also where it breaks a run of blocks whose first layer continues after
-    it.  Network chunks hold one piece, then at most twice the previous count, and
-    no more candidates than the budget allows (at least one), so small budgets
-    split blocks: chunk edges fall inside a block.  A payload may come again later
-    in the stream.  _iter_predictions yields the same rows, each writable and its
-    own, as the scan overwrites each row with its residual; a kicker block scored
-    again gives the same bytes.
+    Rows come in stream order, one per candidate.  Kicker blocks break runs of
+    network blocks, some of which share a first layer or their output rows, and a
+    payload may come again later in the stream.  Each row is writable and its own,
+    as the scan overwrites each row with its residual: no later row changes when
+    one is overwritten.  A kicker block scored again gives the same bytes.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     d = data.draw(st.integers(1, 4), label="d")
@@ -888,25 +883,7 @@ def test_pred_chunks_match_reference_evaluation(data):
     for _ in range(data.draw(st.integers(0, 3), label="repeats")):  # the same payload again, later
         src = data.draw(st.integers(0, len(stream) - 1), label="repeat of")
         stream.insert(data.draw(st.integers(src + 1, len(stream)), label="repeat at"), stream[src])
-    budget = len(x) * data.draw(st.integers(1, 8), label="budget widths")
-    candidates, preds = [], []
-    cap = 1
-    for chunk in _scored(iter(stream), x, elem_budget=budget):
-        if not any(isinstance(p, KickerBlock) for p, _, _, _ in chunk):
-            assert len(chunk) <= cap
-            used = sum(len(w) * len(x) * max(m.shape[0] for m in p[:-1]) for p, _, w, _ in chunk)
-            assert sum(len(w) for _, _, w, _ in chunk) == 1 or used <= budget
-        else:
-            [(p, lo, w, _)] = chunk
-            assert lo == 0 and w is p.picks
-        cap *= 2
-        for p, lo, w, h in chunk:
-            assert h.shape == (len(x), w.shape[1]) and not h.flags.writeable
-            candidates.extend((p, lo + r) for r in range(len(w)))
-            preds.extend(w @ h.T)
     flat = [(p, r) for p in stream for r in range(len(p[-1]))]
-    assert len(candidates) == len(flat)
-    assert all(p is q and r == s for (p, r), (q, s) in zip(candidates, flat))
     types = all_order_types(2)
     tables = list(itertools.product(range(2), repeat=len(types)))  # a kicker block's rows, in order
     want = []
@@ -916,13 +893,11 @@ def test_pred_chunks_match_reference_evaluation(data):
             want.append(selector_eval(sk, x))
         else:
             want.append(evaluate(ReluNetwork((*p[:-1], p[-1][r : r + 1])), x))
-    np.testing.assert_allclose(preds, want, rtol=0, atol=1e-12)
     scan = []
-    with mock.patch.object(filteredpca, "_LOOP_CHUNK_ELEMS", budget):
-        for row in _iter_predictions(CandidateList(lambda: iter(stream), len(flat), Frame(np.eye(d))), x):
-            assert row.flags.writeable
-            scan.append(row.copy())
-            row.fill(np.nan)  # as the scan overwrites it: no later row may change
+    for row in _iter_predictions(CandidateList(lambda: iter(stream), len(flat), Frame(np.eye(d))), x):
+        assert row.shape == (len(x),) and row.flags.writeable
+        scan.append(row.copy())
+        row.fill(np.nan)  # as the scan overwrites it: no later row may change
     assert len(scan) == len(flat)
     np.testing.assert_allclose(scan, want, rtol=0, atol=1e-12)
     for i, (p, r) in enumerate(flat):
@@ -938,7 +913,7 @@ def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
     frame = Frame.from_span(rng.standard_normal((2, 4)))
     cands = enumerate_networks(frame, eps_prime, size, l, 1.0, max_candidates=None)
     x = rng.standard_normal((5, 4))
-    preds = _block_preds(cands, x, 5 * 50)
+    preds = _block_preds(cands, x)
     flat = list(cands)
     assert len(preds) == len(flat) > len(list(cands.factory()))
     for net, row in zip(flat, preds):
@@ -948,19 +923,15 @@ def test_pred_chunks_match_reference_on_grid_streams(size, l, eps_prime, rng):
 @pytest.mark.parametrize("ell, size, l", [(1, 2, 0), (2, 2, 0), (2, 3, 1), (3, 2, 1)])
 def test_frame_coordinate_network_rows_equal_the_lifted_networks(ell, size, l, rng):
     """At d = 10, network blocks scored on Z = X F^T give each lifted candidate's evaluate() at x,
-    to 1e-12 relative, with depth-3 blocks (l = 1) and chunk edges inside blocks."""
+    to 1e-12 relative, with depth-3 blocks (l = 1)."""
     d = 10
     frame = Frame.from_span(rng.standard_normal((ell, d)))
     cands = enumerate_networks(frame, 0.9, size, l, 1.0, max_candidates=None)
+    assert all(block[0].shape[1] == ell for block in cands.factory())
     x = 3.0 * rng.standard_normal((64, d))
-    preds, split = [], 0
-    for chunk in _scored(cands.factory(), x @ cands.frame.vectors.T, 64 * 4):
-        for p, lo, w, h in chunk:
-            assert p[0].shape[1] == ell and h.shape[0] == len(x)
-            split += lo > 0  # a piece that starts inside its block
-            preds.extend(w @ h.T)
+    preds = _block_preds(cands, x)
     flat = list(cands)
-    assert split > 0 and len(preds) == len(flat)
+    assert len(preds) == len(flat) > len(list(cands.factory()))
     for net, row in zip(flat, preds):
         want = evaluate(net, x)
         assert net.input_dim == d
@@ -976,7 +947,7 @@ def test_frame_coordinate_kicker_rows_equal_the_lifted_selectors(ell, eps_prime,
     frame = Frame.from_span(rng.standard_normal((ell, d)))
     cands = enumerate_kickers(frame, eps_prime, 2, 1.0)
     x = 3.0 * rng.standard_normal((200, d))
-    preds = _block_preds(cands, x, filteredpca._LOOP_CHUNK_ELEMS)
+    preds = _block_preds(cands, x)
     flat = list(cands)
     assert len(preds) == len(flat) > len(list(cands.factory()))
     checked = 0
@@ -993,8 +964,8 @@ def test_frame_coordinate_kicker_rows_equal_the_lifted_selectors(ell, eps_prime,
 
 @given(st.data())
 def test_kicker_block_rows_equal_selector_eval(data):
-    """Each row of a kicker block's W @ H.T at the frame coordinates z is selector_eval of that row's
-    frame-coordinate SelectorKicker at z, bit for bit, and the list lifts that row through the frame.
+    """Each row that _iter_predictions yields for a kicker block at the frame coordinates z is selector_eval
+    of that row's frame-coordinate SelectorKicker at z, bit for bit, and the list lifts that row through the frame.
 
     Tables are drawn at random over 1 to 3 leaves, two of which may be equal.
     Rows of z are Gaussian at scales 1e-3 to 1e3, rows whose first and last
@@ -1027,24 +998,21 @@ def test_kicker_block_rows_equal_selector_eval(data):
             z[i] += gap / (diff @ diff) * diff
             ranks = order_type(leaves @ z[i]).ranks
             assert ranks[0] == ranks[-1]
-    [[(payload, lo, w, h)]] = list(_scored(iter([block]), z, 1))
-    assert payload is block and lo == 0 and w is block.picks and h.shape == (len(z), m * len(types))
-    preds = w @ h.T
+    assert _gated(block, z).shape == (len(z), m * len(types))
     cands = CandidateList(lambda: iter([block]), len(tables), frame)
-    scan = [row.copy() for row in _iter_predictions(cands, z)]
+    scan = list(_iter_predictions(cands, z))
+    assert len(scan) == len(tables)
     for r, (tab, lifted) in enumerate(zip(tables, cands)):
         sk = SelectorKicker(leaves, dict(zip(types, tab)), coords)
-        want = selector_eval(sk, z)
-        np.testing.assert_array_equal(preds[r], want)
-        np.testing.assert_array_equal(scan[r], want)
+        np.testing.assert_array_equal(scan[r], selector_eval(sk, z))
         built = _candidate(block, r, coords)
         assert built.table == sk.table and built.leaves.tobytes() == sk.leaves.tobytes()
         assert lifted.table == sk.table and lifted.frame is frame
         assert lifted.leaves.tobytes() == (leaves @ frame.vectors).tobytes()
 
 
-def test_scored_hidden_activations_are_read_only(rng):
-    """No consumer can write a yielded H (blocks share h0) or W, and scanning leaves the blocks as they were."""
+def test_scanning_leaves_the_blocks_unchanged(rng):
+    """Scanning, with every yielded row overwritten as the scan does, leaves the blocks and their rows as they were."""
     x = rng.standard_normal((8, 4))
     kickers = list(enumerate_kickers(_GRID_FRAME, 0.9, 2, 1.0).factory())[:20]
     before_blocks = [(b.selector.leaves.copy(), b.picks.copy()) for b in kickers]
@@ -1053,15 +1021,44 @@ def test_scored_hidden_activations_are_read_only(rng):
         CandidateList(lambda: iter(kickers), len(kickers) * len(kickers[0].picks), _GRID_FRAME),
     ]
     for cands in lists:
-        before = _block_preds(cands, x, 8 * 4)
-        for chunk in _scored(cands.factory(), x @ cands.frame.vectors.T, 8 * 4):
-            for _, _, w, h in chunk:
-                for arr in (w, h):
-                    with pytest.raises(ValueError, match="read-only"):
-                        arr[:] = np.nan
-        assert np.array_equal(_block_preds(cands, x, 8 * 4), before)
+        before = _block_preds(cands, x)
+        for row in _iter_predictions(cands, x @ cands.frame.vectors.T):
+            row[:] = np.nan
+        assert np.array_equal(_block_preds(cands, x), before)
     for b, (leaves, picks) in zip(kickers, before_blocks):
         assert np.array_equal(b.selector.leaves, leaves) and np.array_equal(b.picks, picks)
+
+
+class _CountingZ(np.ndarray):
+    """Frame coordinates that count the products taken with them as left operand: one per block's first layer."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[0] is self:
+            _CountingZ.products += 1
+        plain = [a.view(np.ndarray) if isinstance(a, _CountingZ) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_each_block_forms_its_hidden_activation_once(monkeypatch, rng):
+    """A block's H is formed once however many rows it has: one product with Z per block (a network
+    block's first layer, a kicker block's leaves) and one _gated call per kicker block.  The network
+    block's rows x N x width (60 x 20 000 x 2) exceed 2e6 elements, which a scorer that splits
+    blocks into chunks of that budget would score in pieces, forming H again for each."""
+    n = 20_000
+    line = Frame.from_span(rng.standard_normal((1, 3)))
+    net_block = (np.array([[1.0], [-1.0]]), rng.standard_normal((60, 2)))
+    kicker = next(iter(enumerate_kickers(line, 0.9, 2, 1.0).factory()))
+    stream = [net_block, kicker, net_block]
+    gated = []
+    monkeypatch.setattr(filteredpca, "_gated", lambda *args: gated.append(1) or _gated(*args))
+    monkeypatch.setattr(_CountingZ, "products", 0)
+    z = rng.standard_normal((n, 1)).view(_CountingZ)
+    cands = CandidateList(lambda: iter(stream), 2 * 60 + len(kicker.picks), line)
+    rows = sum(1 for _ in _iter_predictions(cands, z))
+    assert rows == 2 * 60 + len(kicker.picks)
+    assert (len(gated), _CountingZ.products) == (1, 3)
 
 
 class _Predrawn:
@@ -1080,11 +1077,12 @@ class _Predrawn:
 
 def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
     """The loop's peak traced allocation, net of the N x d batch (drawn before tracing) and of the
-    largest |m| x d masked gather, stays within what the chunk budget allows a chunk (hidden
-    activations, and predictions of budget / width elements) plus Z and 16 bytes a row, at
-    d = 10 and d = 100 with the same N, and grows by less than 1 MB (the d x d moments) from
-    one to the other.  The second scan, on a one-vector frame, runs to its last candidate."""
-    n, budget = 50_000, filteredpca._LOOP_CHUNK_ELEMS
+    largest |m| x d masked gather, stays within what one-row scoring holds: Z, one block's
+    hidden activation (N x widest hidden layer), two prediction rows (the one scanned and the
+    next) and 16 bytes a row, at d = 10 and d = 100 with the same N, and grows by less than 1 MB
+    (the d x d moments) from one to the other.  The second scan, on a one-vector frame, runs to
+    its last candidate."""
+    n = 50_000
     final = filteredpca._final_search
     net_peaks = []
     for d in (10, 100):
@@ -1112,5 +1110,6 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         assert [(t.candidates_scanned, t.accepted_candidate) for t in result.trace] == [(1, 0), (250, 249)]
         net_peaks.append(peaks[0] - 8 * d * max(gathered))
         z_bytes = 8 * n * (config.k - 1)  # the last scan's frame holds k - 1 vectors
-        assert net_peaks[-1] <= 8 * budget * (1 + 1 / config.size) + z_bytes + 16 * n
+        h_bytes = 8 * n * config.size  # l = 0: the one hidden layer is size wide
+        assert net_peaks[-1] <= z_bytes + h_bytes + 2 * 8 * n + 16 * n
     assert net_peaks[1] <= net_peaks[0] + 1_000_000
