@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -169,9 +170,10 @@ class LearnConfig:
     tau_quantile are fixed constants of the method, not fields.
     max_candidates, an integer of at least 1, caps every scan's candidate count
     bound (None: no cap), the terminal dictionary's grid included.
-    The terminal fit reads final_select_samples (its row count), b and
+    The least-squares fit reads final_select_samples (its row count), b and
     final_eps_prime (its dictionary's grid), and not size or l, which shape
-    only the loop's networks (l also enters the derived final_eps_prime).
+    only the loop's grid networks (l also enters the derived final_eps_prime);
+    it is the terminal hypothesis and the first candidate of every scan at ell >= 1.
     Sizes and sample counts are integers (dim, size and the sample counts at
     least 1, k and l at least 0, k at most dim).  b, lam and the grid
     granularities are finite and positive, as is lambda_acc when given
@@ -394,10 +396,11 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     that moment and eigenvalue, and that candidate was rejected.  It still
     counts as scanned, keeps its index and records its own tau.  The frame
     grows by the accepted moment's top eigenvector; a scan with no acceptance
-    ends the loop.
-    The hypothesis is then a least-squares fit of a depth-2 net over a fine
-    net of directions in the frame (_final_search), certified when its error
-    on a fresh batch is at most 3*eps.
+    ends the loop.  On a non-empty frame the scan's candidate 0 is the
+    least-squares fit of a depth-2 net over a fine net of directions in the
+    frame (_fit_block) on the batch's first rows, and the grid follows it.
+    The hypothesis is then that fit on a fresh batch (_final_search),
+    certified when its error on another is at most 3*eps.
     """
     d = config.dim
     oracle_dim = getattr(oracle, "input_dim", d)
@@ -429,6 +432,9 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
             # and each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x).
             candidates = _candidates(config, frame, config.eps_prime)
             z = samples.x @ candidates.frame.vectors.T
+            if ell:  # the least-squares fit over the frame first, then the grid
+                fit, grid = _fit_block(config, frame, z, samples.y), candidates.factory
+                candidates = CandidateList(lambda: itertools.chain([fit], grid()), candidates.count_bound + 1, frame)
             for idx, row in enumerate(_iter_predictions(candidates, z)):
                 scanned += 1
                 # the residual in the row's own buffer: |row - y| is bitwise |y - row|
@@ -483,36 +489,43 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     )
 
 
-def _final_search(oracle, config: LearnConfig, frame: Frame):
-    """Fit the terminal hypothesis's output layer by least squares on the selection batch.
+def _fit_block(config: LearnConfig, frame: Frame, z: np.ndarray, y: np.ndarray) -> tuple:
+    """The least-squares fit over a non-empty frame as one network block (W_0, W_1) in frame coordinates.
 
-    A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden directions w in its span.  The
-    dictionary is the first-layer rows of the one-unit network grid at final_eps_prime, the final_eps_prime-net of
-    the (b + final_eps_prime)-ball in frame coordinates, the first row of each ray in stream order
-    (relu(c <w, x>) = c relu(<w, x>) for c > 0), lifted.  The output layer is lstsq's minimum-norm fit of y on
-    relu(X W_0^T).  At ell = 1 the fit is exact, the only directions being +-1; at ell >= 2, rounding each hidden
-    direction to the net costs at most final_eps_prime times the net's path norm.  An empty frame gives the zero
-    net.  The fitted network is certified by the error check.  Returns (hypothesis, eps_hat, certified, failure,
-    TerminalRecord).
+    A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden directions w in its span.  W_0, the
+    dictionary, is the first-layer rows of the one-unit network grid at final_eps_prime, the final_eps_prime-net of
+    the (b + final_eps_prime)-ball, the first row of each ray in stream order (relu(c <w, x>) = c relu(<w, x>) for
+    c > 0).  W_1 is lstsq's minimum-norm fit of y on relu(Z W_0^T) over the first final_select_samples rows of the
+    frame coordinates z and of y.  At ell = 1 the fit is exact, the only directions being +-1; at ell >= 2, rounding
+    each hidden direction to the net costs at most final_eps_prime times the net's path norm.
+    """
+    fep = config.default_final_eps_prime()
+    grid = enumerate_networks(frame, fep, 1, 0, config.b, max_candidates=config.max_candidates)
+    rows = np.concatenate([block[0] for block in grid.factory()])
+    w0 = rows[first_of_each_ray(rows, fep)]
+    h = np.maximum(z[: config.final_select_samples] @ w0.T, 0.0)
+    return w0, np.linalg.lstsq(h, y[: config.final_select_samples], rcond=None)[0][None, :]
+
+
+def _final_search(oracle, config: LearnConfig, frame: Frame):
+    """The terminal hypothesis: _fit_block on the selection batch, lifted through the frame (W_0 F, W_1).
+
+    An empty frame, or an empty dictionary, gives the zero net.  The fitted network is certified by the error check.
+    Returns (hypothesis, eps_hat, certified, failure, TerminalRecord).
     """
     select = oracle.draw(config.final_select_samples)
     target = 3.0 * config.eps
-    fep = config.default_final_eps_prime()
     hypothesis, preds, features = zero_network(config.dim), np.zeros(select.n), 0
     if len(frame):
         try:
-            grid = enumerate_networks(frame, fep, 1, 0, config.b, max_candidates=config.max_candidates)
+            w0, w1 = _fit_block(config, frame, select.x @ frame.vectors.T, select.y)
         except BudgetError as err:
             record = TerminalRecord(0, select.n, None)
             return None, math.inf, False, f"terminal enumeration budget exhausted: {err}", record
-        rows = [block[0] for block in grid.factory()]  # (1, ell) first layers in frame coordinates
-        w0 = [rows[i] @ frame.vectors for i in first_of_each_ray(np.concatenate(rows), fep)]
         features = len(w0)
         if features:
-            w0 = np.concatenate(w0)
-            h = np.maximum(select.x @ w0.T, 0.0)
-            coef = np.linalg.lstsq(h, select.y, rcond=None)[0]
-            hypothesis, preds = ReluNetwork((w0, coef[None, :])), h @ coef
+            hypothesis = ReluNetwork((w0 @ frame.vectors, w1))
+            preds = evaluate(hypothesis, select.x)
     record = TerminalRecord(features, select.n, float(np.sqrt(np.mean((select.y - preds) ** 2))))
     eps_hat = estimate_l2_error(hypothesis, oracle, config.n_check)
     if eps_hat <= target:
@@ -521,6 +534,6 @@ def _final_search(oracle, config: LearnConfig, frame: Frame):
     if features >= select.n:
         failure += (
             f"; the fit is underdetermined: {features} dictionary rows for final_select_samples "
-            f"{select.n} at final_eps_prime {fep:.6g}"
+            f"{select.n} at final_eps_prime {config.default_final_eps_prime():.6g}"
         )
     return hypothesis, eps_hat, False, failure, record

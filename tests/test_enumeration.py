@@ -13,7 +13,7 @@ from relupca.enumeration import (
 from relupca.errors import BudgetError
 from relupca.lattice import SelectorKicker, all_order_types
 from relupca.network import ReluNetwork, evaluate
-from relupca.subspace import Frame
+from relupca.subspace import Frame, epsilon_net_matrices
 
 LINE = Frame.from_span(np.array([[1.0, 0.0, 0.0]]))
 
@@ -82,15 +82,20 @@ def test_candidate_list_is_reiterable():
 
 
 def test_raw_factory_shares_prefix_objects():
-    # enumerate_networks' stream: each first layer is one run of blocks holding the
-    # same array object, and an architecture's blocks share one read-only W_out
+    # enumerate_networks' stream: each first layer is one run of consecutive blocks, its W_0 the
+    # grid's next distinct clipped first layer, and an architecture's blocks share one read-only W_out
     frame = Frame.from_span(np.array([[1.0, 0.0]]))
     stream = list(enumerate_networks(frame, eps_prime=0.9, size=3, l=1, b=1.0).factory())
     runs = [stream[0][0]]
     for prev, ws in zip(stream, stream[1:]):
-        if ws[0] is not prev[0]:
+        if not np.array_equal(ws[0], prev[0]):
             runs.append(ws[0])
-    assert len({id(w0) for w0 in runs}) == len(runs)  # the stream keeps every array alive
+    firsts = {}  # the grid's first layers, clipped, each where it first occurs
+    for widths in architectures(3, 1):
+        for w0 in epsilon_net_matrices(widths[0], 1, 1.0 + 0.9, 0.9):
+            w0 = np.where(np.abs(w0) <= 0.9, 0.0, w0)
+            firsts.setdefault((w0.shape, w0.tobytes()), w0)
+    assert len(runs) == len(firsts) and all(np.array_equal(a, b) for a, b in zip(runs, firsts.values()))
     assert len(runs) < len(stream)  # runs do share: the deeper layers vary faster
     for widths in ((1, 2), (2, 1)):
         outs = {id(ws[-1]) for ws in stream if tuple(w.shape[0] for w in ws[:-1]) == widths}

@@ -409,20 +409,37 @@ _DIFF_INSTANCE = {"kind": "mixed", "dim": 6, "k": 2, "units": 2, "b": 1.0}
 
 
 def _diff_config():
-    """A d = 6 mixed run whose second scan accepts candidate 85 of a grid full of repeated rows."""
+    """A d = 6 mixed run whose second scan, past a rejected fit (_reject_the_fit), accepts candidate 86: the grid's
+    candidate 85, in a grid full of repeated rows."""
     return LearnConfig(
         dim=6, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.05, delta=0.05, n_samples=20_000,
         n_check=2_000, tau_mode="quantile", final_eps_prime=0.3, seed=0,
     )
 
 
+def _reject_the_fit(monkeypatch):
+    """Make the loop's least-squares fit on a one-vector frame the grid's first candidate there, a row that the
+    d = 6 mixed and the d = 10 and 100 abs scans reject, so that those scans go on through the grid; the fit's
+    mask is then repeated by the grid's first row.  A fit on any other frame, the terminal's included, is kept."""
+    fit = filteredpca._fit_block
+
+    def first_grid_row(config, frame, z, y):
+        if len(frame) != 1:
+            return fit(config, frame, z, y)
+        block = next(filteredpca._candidates(config, frame, config.eps_prime).factory())
+        return (*block[:-1], block[-1][:1])
+
+    monkeypatch.setattr(filteredpca, "_fit_block", first_grid_row)
+
+
 def _recording_run(monkeypatch, config, fresh_keys=False):
-    """run() on the d = 6 mixed instance, recording every moment formed and every candidate's mask.
+    """run() on the d = 6 mixed instance past a rejected fit, recording every moment formed and every candidate's mask.
 
     With fresh_keys every candidate gets a repeat key of its own, so every
     moment is formed: the brute-force reference.  Returns (result, moments,
     per-scan lists of masks).
     """
+    _reject_the_fit(monkeypatch)
     net, _ = make_instance(_DIFF_INSTANCE, 0)
     moments, scans = [], []
     fresh = itertools.count()
@@ -449,14 +466,15 @@ def test_exact_eigen_step_matches_power_iteration(monkeypatch):
     """Solving every candidate's moment with approx_top_svd and its own seed accepts what run() accepts.
 
     run() forms one moment per distinct mask; each repeat is decided on its
-    first occurrence's moment, so all 87 candidates are checked.  Same
+    first occurrence's moment, so all 88 candidates are checked.  Same
     accepted index in every iteration, the same calibrated threshold and
     lambda to 1e-9 relative, and the same frame vector, sign included, to 1e-6.
     """
     config = _diff_config()
     result, moments, scans = _recording_run(monkeypatch, config)
     lambda_acc = result.constants["lambda_acc_effective"]
-    assert [t.candidates_scanned for t in result.trace] == [len(masks) for masks in scans] == [1, 86]
+    assert [t.candidates_scanned for t in result.trace] == [len(masks) for masks in scans] == [1, 87]
+    assert np.array_equal(scans[1][0], scans[1][1])  # the rejected fit's mask, repeated by the grid's first row
     assert len(moments) == sum(len({m.tobytes() for m in masks}) for masks in scans) == 22
     _, _, first_abs = _power_step(moments[0], config.seed * 1_000_003)
     assert lambda_acc == pytest.approx(config.acc_fraction * first_abs, rel=1e-9)
@@ -483,9 +501,9 @@ def test_repeat_skip_matches_a_brute_force_scan(monkeypatch):
     config = _diff_config()
     result, moments, _ = _recording_run(monkeypatch, config)
     reference, every_moment, _ = _recording_run(monkeypatch, config, fresh_keys=True)
-    assert (len(moments), len(every_moment)) == (22, 87)
+    assert (len(moments), len(every_moment)) == (22, 88)
     assert [t.candidates_distinct for t in result.trace] == [1, 21]
-    assert [t.candidates_distinct for t in reference.trace] == [1, 86]
+    assert [t.candidates_distinct for t in reference.trace] == [1, 87]
     uncounted = [dataclasses.replace(t, candidates_distinct=0) for t in result.trace]
     assert uncounted == [dataclasses.replace(t, candidates_distinct=0) for t in reference.trace]
     assert result.frame.vectors.tobytes() == reference.frame.vectors.tobytes()
@@ -731,19 +749,20 @@ def _first_per_direction(rows):
 
 def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
     """The first layer is the one-unit grid's first-layer rows, the first of each direction in
-    stream order, each lifted through the frame; the network's predictions on the selection rows
-    are the feature matrix times lstsq's coefficients."""
+    stream order, lifted through the frame; the output layer is lstsq's coefficients on the
+    features of the selection rows' frame coordinates, and the network's predictions there are
+    the feature matrix times them."""
     rng = np.random.default_rng(6)
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
     config = _terminal_config(_GRID_FRAME)
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
     rows = [block[0] for block in enumerate_networks(_GRID_FRAME, 0.16, 1, 0, 1.0).factory()]
     keep = _first_per_direction([row[0] for row in rows])
-    w0 = np.concatenate([rows[i] @ _GRID_FRAME.vectors for i in keep])
+    w0 = np.concatenate([rows[i] for i in keep])
     assert sum(bool(np.any(row)) for row in rows) == 108 and len(w0) == 72  # collinear and zero rows dropped
-    np.testing.assert_array_equal(hypothesis.weights[0], w0)
+    np.testing.assert_array_equal(hypothesis.weights[0], w0 @ _GRID_FRAME.vectors)
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
-    h = np.maximum(select.x @ w0.T, 0.0)
+    h = np.maximum(select.x @ _GRID_FRAME.vectors.T @ w0.T, 0.0)
     coef = np.linalg.lstsq(h, select.y, rcond=None)[0]
     np.testing.assert_array_equal(hypothesis.weights[1], coef[None, :])
     np.testing.assert_allclose(evaluate(hypothesis, select.x), h @ coef, rtol=0, atol=1e-12)
@@ -776,7 +795,7 @@ def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
     config = _terminal_config(frame, b=radius, final_eps_prime=eps)
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, frame)
     assert record.features == len(keep)
-    assert hypothesis.weights[0].tobytes() == np.concatenate([rows[i] @ frame.vectors for i in keep]).tobytes()
+    assert hypothesis.weights[0].tobytes() == (np.concatenate([rows[i] for i in keep]) @ frame.vectors).tobytes()
 
 
 def test_dropping_collinear_rows_keeps_the_fitted_function():
@@ -836,6 +855,75 @@ def test_underdetermined_terminal_fit_is_named_in_the_reason():
         "final_select_samples 2 at final_eps_prime 0.16"
     )
     assert result.terminal.features >= 2
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_fit_block_row_equals_the_lifted_fit(ell, rng):
+    """The loop's first candidate on a non-empty frame: the fit block's row, as the scan forms it at Z, equals
+    evaluate of the lifted network at the raw rows to 1e-12 relative; W_1 is lstsq on the batch's first
+    final_select_samples rows; and the terminal's hypothesis is the same helper's block on its selection batch,
+    lifted byte for byte."""
+    frame = Frame.from_span(rng.standard_normal((ell, 4)))
+    target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
+    config = _terminal_config(frame)
+    batch = GaussianOracle(target, 3).draw(2_000)
+    z = batch.x @ frame.vectors.T
+    w0, w1 = filteredpca._fit_block(config, frame, z, batch.y)
+    assert len(w0) == (2 if ell == 1 else 72)
+    [row] = _iter_predictions(CandidateList(lambda: iter([(w0, w1)]), 1, frame), z)
+    want = evaluate(ReluNetwork((w0 @ frame.vectors, w1)), batch.x)
+    assert np.max(np.abs(row - want)) <= 1e-12 * max(1.0, np.max(np.abs(row)))
+    first = slice(config.final_select_samples)
+    h = np.maximum(z[first] @ w0.T, 0.0)
+    assert w1.tobytes() == np.linalg.lstsq(h, batch.y[first], rcond=None)[0][None, :].tobytes()
+    hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, frame)
+    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    w0, w1 = filteredpca._fit_block(config, frame, select.x @ frame.vectors.T, select.y)
+    assert hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
+    assert hypothesis.weights[1].tobytes() == w1.tobytes() and record.features == len(w0)
+
+
+def _accept_the_first_moment(monkeypatch):
+    """Scale the first moment run() forms, the empty frame's, by 1e12, so that it clears any threshold with the
+    same top eigenvector; every later moment is run()'s own.  Returns the list of moments formed."""
+    formed = []
+
+    def moment(*args):
+        formed.append(_masked_moment(*args))
+        return formed[-1] * (1e12 if len(formed) == 1 else 1.0)
+
+    monkeypatch.setattr(filteredpca, "_masked_moment", moment)
+    return formed
+
+
+def test_a_rejected_fit_falls_through_to_the_grid(monkeypatch):
+    """With lambda_acc = 1e9 the scan on a one-vector frame rejects its fit and then every grid candidate: it
+    counts 1 + the grid's candidates and forms one moment per distinct mask among them all.  The fit's mask takes
+    part in the repeat skip like any other: a grid that starts with a copy of the fit forms no moment for it."""
+    net = abs_net([0.6, 0.8, 0.0, 0.0])
+    config = small_recovery_config(k=2, lambda_acc=1e9)
+    formed = _accept_the_first_moment(monkeypatch)
+    result = run(gaussian_oracle(net, 0), config)
+    grid = sum(1 for _ in enumerate_networks(result.frame, config.eps_prime, config.size, config.l, config.b))
+    record = result.trace[1]
+    assert (record.candidates_scanned, record.accepted_candidate) == (1 + grid, None)
+    assert record.candidates_distinct == len(formed) - 1 > 1
+
+    fits, fit, grid_of = [], filteredpca._fit_block, filteredpca._candidates
+
+    def fit_copy_first(config, frame, eps_prime):  # the grid, with a copy of the scan's fit at its head
+        grid = grid_of(config, frame, eps_prime)
+        if not len(frame):
+            return grid
+        return CandidateList(lambda: itertools.chain(fits[-1:], grid.factory()), grid.count_bound + 1, frame)
+
+    monkeypatch.setattr(filteredpca, "_fit_block", lambda *args: fits.append(fit(*args)) or fits[-1])
+    monkeypatch.setattr(filteredpca, "_candidates", fit_copy_first)
+    formed = _accept_the_first_moment(monkeypatch)
+    copied = run(gaussian_oracle(net, 0), config)
+    assert len(fits) == 2  # the loop's fit and the terminal's
+    assert copied.trace[1] == dataclasses.replace(record, candidates_scanned=2 + grid)
+    assert len(formed) - 1 == record.candidates_distinct
 
 
 # ---------------------------------------------------------------- batched evaluation
@@ -1080,9 +1168,10 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
     largest |m| x d masked gather, stays within what one-row scoring holds: Z, one block's
     hidden activation (N x widest hidden layer), two prediction rows (the one scanned and the
     next) and 16 bytes a row, at d = 10 and d = 100 with the same N, and grows by less than 1 MB
-    (the d x d moments) from one to the other.  The second scan, on a one-vector frame, runs to
-    its last candidate."""
+    (the d x d moments) from one to the other.  The second scan, on a one-vector frame, runs past
+    a rejected fit to the grid's last candidate."""
     n = 50_000
+    _reject_the_fit(monkeypatch)
     final = filteredpca._final_search
     net_peaks = []
     for d in (10, 100):
@@ -1107,7 +1196,7 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
             result = run(oracle, config)
         finally:
             tracemalloc.stop()
-        assert [(t.candidates_scanned, t.accepted_candidate) for t in result.trace] == [(1, 0), (250, 249)]
+        assert [(t.candidates_scanned, t.accepted_candidate) for t in result.trace] == [(1, 0), (251, 250)]
         net_peaks.append(peaks[0] - 8 * d * max(gathered))
         z_bytes = 8 * n * (config.k - 1)  # the last scan's frame holds k - 1 vectors
         h_bytes = 8 * n * config.size  # l = 0: the one hidden layer is size wide
