@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import numbers
 from dataclasses import dataclass
 from typing import ClassVar
@@ -44,7 +45,7 @@ class SampleSet:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
-        if x.flags.writeable or x.base is not None:  # a reference elsewhere could write it
+        if x.flags.writeable or type(x.base) not in (type(None), _BatchPages):  # a reference elsewhere could write it
             x = x.copy()
         y = np.array(self.y, dtype=float, copy=True).ravel()
         if x.ndim != 2 or x.shape[0] < 1:
@@ -69,6 +70,11 @@ class SampleSet:
         return self.x.shape[1]
 
 
+class _BatchPages(mmap.mmap):
+    """Anonymous pages that only one oracle batch's x references, returned to the OS when it is freed.  malloc would
+    put a batch the size of an earlier freed one in its heap, which stays resident until 2x that size is free."""
+
+
 class GaussianOracle:
     """Deterministic stream of (x, net(x)) batches with standard Gaussian x."""
 
@@ -85,7 +91,10 @@ class GaussianOracle:
     def draw(self, n: int) -> SampleSet:
         if n < 1:
             raise ValueError("need n >= 1")
-        x = self._rng.standard_normal((n, self.net.input_dim))
+        pages = _BatchPages(-1, 8 * n * self.net.input_dim, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        pages.madvise(mmap.MADV_HUGEPAGE)  # fewer page faults
+        x = np.ndarray((n, self.net.input_dim), buffer=pages)
+        self._rng.standard_normal(out=x)
         y = evaluate(self.net, x)
         x.flags.writeable = False  # nothing else holds x, so SampleSet keeps it without a copy
         out = SampleSet(x, y, seed=self.seed, source=f"gaussian[{self._drawn}:{self._drawn + n}]")
@@ -396,10 +405,9 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     that moment and eigenvalue, and that candidate was rejected.  It still
     counts as scanned, keeps its index and records its own tau.  The frame
     grows by the accepted moment's top eigenvector; a scan with no acceptance
-    ends the loop.  On a non-empty frame the scan's candidate 0 is the
-    least-squares fit of a depth-2 net over a fine net of directions in the
-    frame (_fit_block) on the batch's first rows, and the grid follows it.
-    The hypothesis is then that fit on a fresh batch (_final_search),
+    ends the loop.  On a non-empty frame the scan's candidate 0 is _fit_block,
+    a least-squares fit of a depth-2 net on the batch's first rows, and the
+    grid follows.  The hypothesis is that fit on a fresh batch (_final_search),
     certified when its error on another is at most 3*eps.
     """
     d = config.dim
@@ -493,11 +501,10 @@ def _fit_block(config: LearnConfig, frame: Frame, z: np.ndarray, y: np.ndarray) 
     """The least-squares fit over a non-empty frame as one network block (W_0, W_1) in frame coordinates.
 
     A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden directions w in its span.  W_0, the
-    dictionary, is the first-layer rows of the one-unit network grid at final_eps_prime, the final_eps_prime-net of
-    the (b + final_eps_prime)-ball, the first row of each ray in stream order (relu(c <w, x>) = c relu(<w, x>) for
-    c > 0).  W_1 is lstsq's minimum-norm fit of y on relu(Z W_0^T) over the first final_select_samples rows of the
-    frame coordinates z and of y.  At ell = 1 the fit is exact, the only directions being +-1; at ell >= 2, rounding
-    each hidden direction to the net costs at most final_eps_prime times the net's path norm.
+    dictionary, is the first row of each ray (relu(c <w, x>) = c relu(<w, x>) for c > 0) among the first layers of
+    the one-unit network grid at final_eps_prime, in stream order; W_1 is lstsq's minimum-norm fit of y on
+    relu(Z W_0^T) over the first final_select_samples rows of z and y.  Exact at ell = 1 (the directions are +-1);
+    at ell >= 2 rounding each hidden direction to the grid costs at most final_eps_prime times the path norm.
     """
     fep = config.default_final_eps_prime()
     grid = enumerate_networks(frame, fep, 1, 0, config.b, max_candidates=config.max_candidates)

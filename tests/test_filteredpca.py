@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import mmap
 import time
 import tracemalloc
 import types
@@ -113,6 +114,21 @@ def test_sample_set_keeps_frozen_batch_and_still_checks_it():
     flat.flags.writeable = False
     with pytest.raises(ValueError, match=r"\(N, d\)"):
         SampleSet(flat, np.zeros(3))
+
+
+def test_oracle_batches_keep_their_own_pages():
+    """An oracle batch's x is the generator's standard normals, read-only, in pages that only it references, which
+    SampleSet keeps uncopied; a read-only array over pages that a caller still holds is copied."""
+    batch = gaussian_oracle(abs_net([1.0, 0.0, 0.0]), 3).draw(1_000)
+    assert batch.x.tobytes() == np.random.default_rng(3).standard_normal((1_000, 3)).tobytes()
+    assert type(batch.x.base) is filteredpca._BatchPages and not batch.x.flags.writeable
+    assert SampleSet(batch.x, batch.y).x is batch.x
+    pages = mmap.mmap(-1, 8 * 6)
+    x = np.ndarray((3, 2), buffer=pages)
+    x.flags.writeable = False
+    kept = SampleSet(x, np.zeros(3)).x
+    pages.write(np.ones(6).tobytes())
+    assert not np.shares_memory(kept, x) and not np.any(kept)
 
 
 def test_oracle_is_deterministic_and_sequential():
