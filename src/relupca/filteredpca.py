@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import mmap
@@ -71,8 +72,7 @@ class SampleSet:
 
 
 class _BatchPages(mmap.mmap):
-    """Anonymous pages that only one oracle batch's x references, returned to the OS when it is freed.  malloc would
-    put a batch the size of an earlier freed one in its heap, which stays resident until 2x that size is free."""
+    """Anonymous pages that only one oracle batch's x references: freed, they go back to the OS, not to the heap."""
 
 
 class GaussianOracle:
@@ -92,9 +92,9 @@ class GaussianOracle:
         if n < 1:
             raise ValueError("need n >= 1")
         pages = _BatchPages(-1, 8 * n * self.net.input_dim, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        pages.madvise(mmap.MADV_HUGEPAGE)  # fewer page faults
-        x = np.ndarray((n, self.net.input_dim), buffer=pages)
-        self._rng.standard_normal(out=x)
+        with contextlib.suppress(OSError):  # fewer page faults; advice only, which a kernel without huge pages refuses
+            pages.madvise(mmap.MADV_HUGEPAGE)
+        x = self._rng.standard_normal(out=np.ndarray((n, self.net.input_dim), buffer=pages))
         y = evaluate(self.net, x)
         x.flags.writeable = False  # nothing else holds x, so SampleSet keeps it without a copy
         out = SampleSet(x, y, seed=self.seed, source=f"gaussian[{self._drawn}:{self._drawn + n}]")
