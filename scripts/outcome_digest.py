@@ -33,10 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def _hypothesis_bytes(hypothesis) -> bytes:
     if hypothesis is None:
         return b"none"
-    if hasattr(hypothesis, "weights"):  # ReluNetwork
-        return b"".join(repr(w.shape).encode() + w.tobytes() for w in hypothesis.weights)
-    table = sorted(hypothesis.table.items(), key=repr)  # SelectorKicker
-    return hypothesis.leaves.tobytes() + repr(table).encode()
+    return b"".join(repr(w.shape).encode() + w.tobytes() for w in hypothesis.weights)
 
 
 def digest(result, rows: int) -> list[str]:

@@ -12,6 +12,7 @@ import numpy as np
 from .harness import SUITES, Report, make_instance, run_experiment, run_suite, spec_from_json
 from .lattice import from_network, serialize_lattice
 from .network import (
+    BOOLEAN_MAX_BITS,
     _hypercube_points,
     boolean_compile,
     deserialize,
@@ -119,7 +120,8 @@ def gen_instance(kind, dim, k, units, widths, lam, b, net_seed, out_path):
 @main.command("compile-boolean")
 @click.option("--table", type=str, default=None,
               help="Bit string of length 2^n; index i uses the sign pattern of i's bits.")
-@click.option("--random-bits", type=int, default=None, help="Random table on this many bits.")
+@click.option("--random-bits", type=click.IntRange(1, BOOLEAN_MAX_BITS), default=None,
+              help="Random table on this many bits.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def compile_boolean(table, random_bits, seed, out_path):
@@ -129,8 +131,9 @@ def compile_boolean(table, random_bits, seed, out_path):
     if table is not None:
         size = len(table)
         n = size.bit_length() - 1
-        if size != 2**n or not set(table) <= {"0", "1"}:
-            raise click.UsageError("--table must be a 0/1 string of length 2^n")
+        if size != 2**n or not 1 <= n <= BOOLEAN_MAX_BITS or not set(table) <= {"0", "1"}:
+            raise click.BadParameter(f"must be a 0/1 string of length 2^n with 1 <= n <= {BOOLEAN_MAX_BITS}",
+                                     param_hint="'--table'")
         values = np.array([1.0 if ch == "1" else -1.0 for ch in table])
     else:
         n = random_bits

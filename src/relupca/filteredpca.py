@@ -469,9 +469,9 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
         finally:
             # so the next draw does not hold two batches, nor the terminal fit
-            # a prediction row or the scan's keys
+            # a prediction row, the scan's keys or its last moment
             distinct = len(masks)
-            samples = z = row = resid = mask = masks = None
+            samples = z = row = resid = mask = masks = key = m = vals = candidates = fit = None
         if accepted is None:
             trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, distinct))
             break

@@ -167,6 +167,9 @@ def spike_network(lam: float) -> ReluNetwork:
     return ReluNetwork((w0, w1))
 
 
+BOOLEAN_MAX_BITS = 6  # boolean_compile's cap: its indicator layer has 2^n units
+
+
 def _hypercube_points(n: int) -> np.ndarray:
     """All 2^n sign vectors; row i has coordinate j equal to +1 iff bit j of i is set."""
     idx = np.arange(2**n)
@@ -174,95 +177,31 @@ def _hypercube_points(n: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def boolean_compile(truth_table, max_bits: int = 6) -> ReluNetwork:
-    """Compile a function on the signed hypercube {-1,+1}^n into a ReLU network.
+def boolean_compile(truth_table) -> ReluNetwork:
+    """Compile a function on the signed hypercube {-1,+1}^n into a depth-3 ReLU network.
 
     truth_table lists the 2^n outputs; entry i is the value at the point whose
-    j-th coordinate is +1 iff bit j of i is set.  The network agrees with the
-    table on every hypercube point (exactly, for dyadic-valued tables); values
-    off the hypercube are unconstrained.
+    j-th coordinate is +1 iff bit j of i is set.  The network is exact on every
+    hypercube point for every finite table; values off the hypercube are
+    unconstrained.  n is capped at BOOLEAN_MAX_BITS.
 
-    The construction expands the table over parity characters and builds each
-    product of coordinates one factor at a time with the identity
-    a*b = relu(a+b) + relu(-a-b) - relu(b) - relu(-b), valid for a, b in {-1,+1}.
-    Signed values ride through intermediate layers as relu pairs, and the
-    constant character is realised as relu(x0) + relu(-x0) = |x0| = 1.
+    The first layer is relu(x_j) and relu(-x_j).  The second has one unit per
+    point p, in _hypercube_points order: relu(<p, x> - (n-1)|x_0|), which on the
+    cube is relu(1 - 2 hamming(p, x)), so 1 at p and 0 at every other point.
+    The output row is the table, weighting each point's indicator by its value.
     """
     table = np.asarray(truth_table, dtype=float).ravel()
     size = table.size
     n = int(size).bit_length() - 1
     if size < 2 or size != 2**n:
         raise ValueError("truth table length must be 2^n with n >= 1")
-    if n > max_bits:
-        raise ValueError(f"n={n} exceeds the compilation cap of {max_bits} bits")
-
+    if n > BOOLEAN_MAX_BITS:
+        raise ValueError(f"n={n} exceeds the compilation cap of {BOOLEAN_MAX_BITS} bits")
+    eye = np.eye(n)
     points = _hypercube_points(n)
-    masks = range(2**n)
-    coeffs = {}
-    for mask in masks:
-        sel = [j for j in range(n) if mask >> j & 1]
-        chi = points[:, sel].prod(axis=1) if sel else np.ones(size)
-        c = float(np.dot(table, chi) / size)
-        if c != 0.0:
-            coeffs[mask] = c
-
-    # Every needed product must be reachable by repeatedly dropping its top bit.
-    needed = set()
-    stack = [m for m in coeffs if bin(m).count("1") >= 2]
-    while stack:
-        m = stack.pop()
-        if m in needed or bin(m).count("1") < 2:
-            continue
-        needed.add(m)
-        stack.append(m & ~(1 << (m.bit_length() - 1)))
-    by_size = {}
-    for m in needed:
-        by_size.setdefault(bin(m).count("1"), []).append(m)
-    max_size = max(by_size) if by_size else 1
-
-    # avail maps a bitmask to the row vector expressing its value over the
-    # current layer's outputs; singletons start as input coordinates.
-    avail = {1 << j: np.eye(n)[j] for j in range(n)}
-    layers = []
-    num_hidden = max(1, max_size - 1)
-    for level in range(1, num_hidden + 1):
-        rows = []
-        pair_index = {}
-        for mask in sorted(avail):
-            pair_index[mask] = len(rows)
-            rows.append(avail[mask])
-            rows.append(-avail[mask])
-        new_products = sorted(by_size.get(level + 1, []))
-        for mask in new_products:
-            top = 1 << (mask.bit_length() - 1)
-            arg = avail[top] + avail[mask & ~top]
-            pair_index[mask] = len(rows)
-            rows.append(arg)
-            rows.append(-arg)
-        layers.append(np.array(rows))
-        width = len(rows)
-        next_avail = {}
-        for mask, base in pair_index.items():
-            func = np.zeros(width)
-            if mask in avail:  # carried value: relu(q) - relu(-q)
-                func[base], func[base + 1] = 1.0, -1.0
-            else:  # fresh product: |a+b| - |b| with b the top coordinate
-                top = 1 << (mask.bit_length() - 1)
-                func[base], func[base + 1] = 1.0, 1.0
-                tb = pair_index[top]
-                func[tb] -= 1.0
-                func[tb + 1] -= 1.0
-            next_avail[mask] = func
-        avail = next_avail
-
-    width = layers[-1].shape[0]
-    out = np.zeros(width)
-    one = np.zeros(width)
-    one[0], one[1] = 1.0, 1.0  # relu pair of the first carried coordinate: |x0| = 1
-    for mask, c in coeffs.items():
-        out += c * (one if mask == 0 else avail[mask])
-    layers.append(out[None, :])
-    return ReluNetwork(tuple(layers))
+    second = np.hstack([points, -points])
+    second[:, [0, n]] -= n - 1  # the -(n-1)|x_0| term: |x_0| = relu(x_0) + relu(-x_0)
+    return ReluNetwork((np.vstack([eye, -eye]), second, table[None, :]))
 
 
 def serialize(net: ReluNetwork, meta: dict | None = None) -> bytes:

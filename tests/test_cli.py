@@ -202,6 +202,21 @@ def test_compile_boolean_rejects_bad_table(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--random-bits", "7"], "Invalid value for '--random-bits': 7 is not in the range 1<=x<=6"),
+    (["--random-bits", "0"], "Invalid value for '--random-bits': 0 is not in the range 1<=x<=6"),
+    (["--random-bits", "-1"], "Invalid value for '--random-bits': -1 is not in the range 1<=x<=6"),
+    (["--table", "0"], "Invalid value for '--table': must be a 0/1 string of length 2^n with 1 <= n <= 6"),
+    (["--table", "01" * 64], "Invalid value for '--table': must be a 0/1 string of length 2^n with 1 <= n <= 6"),
+])
+def test_compile_boolean_reports_bad_sizes_as_usage_errors(runner, tmp_path, args, message):
+    out = tmp_path / "bad.json"
+    result = runner.invoke(main, ["compile-boolean", *args, "--out", str(out)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)  # not a traceback's exit 1
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_to_lattice_converts_generated_net(runner, tmp_path):
     net_path = tmp_path / "net.json"
     lat_path = tmp_path / "net.lattice.json"

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import itertools
 import math
 import mmap
 import time
 import tracemalloc
 import types
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -1218,3 +1220,24 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         h_bytes = 8 * n * config.size  # l = 0: the one hidden layer is size wide
         assert net_peaks[-1] <= z_bytes + h_bytes + 2 * 8 * n + 16 * n
     assert net_peaks[1] <= net_peaks[0] + 1_000_000
+
+
+def test_terminal_fit_holds_no_moment_of_the_loop(monkeypatch):
+    """Every moment the loop formed, the last scan's included, is freed before the terminal fit starts."""
+    refs = []
+    final = filteredpca._final_search
+
+    def moment(*args):
+        m = _masked_moment(*args)
+        refs.append(weakref.ref(m))
+        return m
+
+    def terminal(*args):
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        return final(*args)
+
+    monkeypatch.setattr(filteredpca, "_masked_moment", moment)
+    monkeypatch.setattr(filteredpca, "_final_search", terminal)
+    result = run(gaussian_oracle(abs_net(np.array([0.6, 0.8, 0.0, 0.0])), 0), small_recovery_config(k=2))
+    assert len(result.trace) == 2

@@ -181,11 +181,14 @@ def test_hypercube_point_order():
 
 
 def test_boolean_compile_parity_exact():
-    for n in (2, 3):
+    rng = np.random.default_rng(20)
+    for n in range(1, 7):
         pts = _hypercube_points(n)
-        table = np.prod(pts, axis=1)
-        net = boolean_compile(table)
-        assert np.array_equal(evaluate(net, pts), table)
+        # parity, a random +-1 table, and a real-valued table that is not dyadic
+        for table in (np.prod(pts, axis=1), rng.choice([-1.0, 1.0], size=2**n), rng.standard_normal(2**n)):
+            net = boolean_compile(table)
+            assert np.array_equal(evaluate(net, pts), table)
+            assert net.hidden_widths == (2 * n, 2**n)
 
 
 def test_boolean_compile_constant_table():
@@ -195,8 +198,9 @@ def test_boolean_compile_constant_table():
 
 
 def test_boolean_compile_rejects_large_tables():
-    with pytest.raises(ValueError):
-        boolean_compile(np.ones(2**7))
+    for size in (1, 3, 2**7):  # not 2^n with 1 <= n <= 6
+        with pytest.raises(ValueError):
+            boolean_compile(np.ones(size))
 
 
 # ---------------------------------------------------------------- clipping
