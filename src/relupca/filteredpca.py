@@ -72,7 +72,14 @@ class SampleSet:
 
 
 class _BatchPages(mmap.mmap):
-    """Anonymous pages that only one oracle batch's x references: freed, they go back to the OS, not to the heap."""
+    """Anonymous pages that only one oracle batch's x references: freed, they go back to the OS, not to the heap.
+
+    Without them glibc serves a batch the size of an earlier freed one from its heap and keeps it resident.
+    bench/run.py's peak_rss_mb, seed 3, 2 cores, BLAS on one thread, with and without them, after scans were
+    drawn in chunks: rank2-terminal (d = 10, each scan's batch one 16 MB chunk) 101.1 MB against 120.2 MB in
+    3 of 3 runs; rank1-kicker 47.0-48.0 MB either way.  On rank2-highdim (d = 100, 16 MB chunks) they cost 6 MB:
+    116.6 MB against 110.8 MB, both peaks of the benchmark's own holdout check.
+    """
 
 
 class GaussianOracle:
@@ -187,8 +194,10 @@ class LearnConfig:
     least 1, k and l at least 0, k at most dim).  b, lam and the grid
     granularities are finite and positive, as is lambda_acc when given
     (final_eps_prime None: derived from eps; lambda_acc None: calibrated).
-    eps lies in [1e-6, 1).  delta lies in (0, 1) but sets no decision (the
-    eigen-step is exact); it stays a field because the acceptance tests pass it.
+    eps lies in (0, 1); a tiny eps makes the fit's dictionary grid so fine that
+    the loop or the terminal ends in a budget failure, with its reason.  delta
+    lies in (0, 1) but sets no decision (the eigen-step is exact); it stays a
+    field because the acceptance tests pass it.
     """
 
     c: ClassVar[float] = 2.0
@@ -223,8 +232,8 @@ class LearnConfig:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         if self.k > self.dim:
             raise ValueError(f"k must be at most dim = {self.dim}, got {self.k!r}")
-        if not 1e-6 <= self.eps < 1:
-            raise ValueError(f"eps must be in [1e-6, 1), got {self.eps!r}")
+        if not 0 < self.eps < 1:
+            raise ValueError(f"eps must be in (0, 1), got {self.eps!r}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
         for name in ("b", "lam", "eps_prime", "final_eps_prime", "lambda_acc"):
@@ -317,15 +326,22 @@ def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
 _TAU_SAMPLE = 8192
 
 
+def _cut(sample: np.ndarray, p: float) -> float:
+    """The sample's order statistic 5 sd below rank p, a lower bound for the p-quantile of the values it was drawn
+    from but with probability about 3e-7; -inf when the sample is too short to have one."""
+    rank = math.floor(sample.size * p - 5.0 * math.sqrt(sample.size * p * (1.0 - p)))
+    return float(np.partition(sample, rank)[rank]) if rank > 0 else -math.inf
+
+
 def _quantile(r: np.ndarray, q: float) -> float:
     """float(np.quantile(r, q)) to the bit, for 0 < q < 1, without partitioning all of r.
 
     np.quantile's default method interpolates order statistics lo and
     hi = lo + 1 (both n - 1 when (n - 1) q >= n - 1) as its _lerp does.  A
-    long r is first cut at the rank-(~q - 5 sd) order statistic of its strided
-    subsample: if at most lo entries fall below that cut, both order
-    statistics are among the entries kept, and only those are partitioned;
-    otherwise all of r is, as np.quantile does.  NaN sorts last, so the kept
+    long r is first cut at _cut of its strided subsample at rank lo / n: if
+    at most lo entries fall below that cut, both order statistics are among
+    the entries kept, and only those are partitioned; otherwise all of r is,
+    as np.quantile does.  NaN sorts last, so the kept
     entries hold every NaN, and any NaN gives NaN, as in np.quantile.
     """
     n = r.size
@@ -336,16 +352,12 @@ def _quantile(r: np.ndarray, q: float) -> float:
         hi = lo + 1
     part, skip = None, 0  # skip: the entries left out, each below every entry kept
     if n >= 4 * _TAU_SAMPLE:
-        sample = r[:: n // _TAU_SAMPLE]
-        p = lo / n
-        rank = math.floor(sample.size * p - 5.0 * math.sqrt(sample.size * p * (1.0 - p)))
-        if rank > 0:
-            below = r < np.partition(sample, rank)[rank]
-            skip = int(np.count_nonzero(below))
-            if skip <= lo:
-                part = np.compress(np.logical_not(below, out=below), r)
-            else:
-                skip = 0
+        below = r < _cut(r[:: n // _TAU_SAMPLE], lo / n)
+        skip = int(np.count_nonzero(below))
+        if skip <= lo:
+            part = np.compress(np.logical_not(below, out=below), r)
+        else:
+            skip = 0
     if part is None:
         part = r.copy()
     part.partition(sorted({lo - skip, hi - skip, part.size - 1}))
@@ -393,22 +405,94 @@ def _mask_key(mask: np.ndarray) -> bytes:
     return np.packbits(mask).tobytes()
 
 
+# A scan draws its batch in chunks of about this many floats (rows x d), and never of fewer rows than
+# final_select_samples, so that the fit reads the first chunk alone.
+_CHUNK_FLOATS = 2_000_000
+
+
+def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: CandidateList, q: np.ndarray):
+    """Yield (tau, moment) for each candidate of one scan in stream order; the moment is None when the candidate's
+    mask repeats one already formed on the same batch (_mask_key).
+
+    The first candidate is known before its batch is drawn: the stream's first at ell = 0, and at ell >= 1 the fit
+    (_fit_block) on the first chunk's rows, ahead of the grid.  Its n_samples rows are drawn in chunks of
+    _CHUNK_FLOATS // d rows (at least final_select_samples).  Each chunk's Z, y and residuals are formed and every
+    residual is kept, but of x only the rows whose residual exceeds a cut: tau itself in formula mode, in quantile
+    mode _cut of the first chunk's residuals at _quantile's rank.  tau is _pick_tau of all n residuals, and the
+    moment gathers the masked rows from the kept ones in draw order, so tau, mask and moment equal a whole-batch
+    scan's to the bit.  A whole batch is drawn, and the stream scanned on it, only when the first candidate leaves
+    the scan open: rejected with more candidates to come (the grid, from index 1), or its tau below the cut (about
+    a 5 sd event; the whole stream, from index 0).
+    """
+    n = config.n_samples
+    rows = max(_CHUNK_FLOATS // config.dim, config.final_select_samples)
+    keys: set[bytes] = set()
+
+    def moment(tau, resid, x, kept):
+        mask = resid > tau
+        key = _mask_key(mask)
+        if key in keys:
+            return tau, None
+        keys.add(key)
+        return tau, _masked_moment(x, q, mask if kept is None else np.compress(kept, mask), n)
+
+    resid, kept, stream = np.empty(n), [], candidates
+    cut = config.tau if config.tau_mode == "formula" else None
+    for start in range(0, n, rows):
+        batch = oracle.draw(min(rows, n - start))
+        # The blocks are in frame coordinates: the scan reads the batch only through Z = X F^T (N x ell),
+        # and each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x).
+        z = batch.x @ candidates.frame.vectors.T
+        if not start and len(frame):  # the least-squares fit over the frame first, then the grid
+            fit = _fit_block(config, frame, z, batch.y)
+            grid = candidates.factory
+            stream = CandidateList(lambda: itertools.chain([fit], grid()), candidates.count_bound + 1, frame)
+        r = next(_iter_predictions(stream, z))
+        r = np.abs(np.subtract(r, batch.y, out=r), out=r)  # |row - y| is bitwise |y - row|
+        if cut is None:
+            cut = _cut(r[:: max(r.size // _TAU_SAMPLE, 1)], math.floor((n - 1) * config.tau_quantile) / n)
+        resid[start : start + r.size] = r
+        kept.append(np.compress(r > cut, batch.x, axis=0))
+        batch = z = r = None  # so the next draw does not hold two chunks
+    tau, first = _pick_tau(config, resid), 0  # first: the stream index the whole batch starts at
+    if tau >= cut:  # the kept rows hold every masked one
+        x, kept = np.concatenate(kept), None
+        yield moment(tau, resid, x, resid > cut)
+        first = 1
+    if first >= stream.count_bound:
+        return
+    resid = kept = x = None
+    keys.clear()
+    batch = oracle.draw(n)
+    z = batch.x @ candidates.frame.vectors.T
+    rest = itertools.islice(_iter_predictions(stream, z), first, None)
+    if first and len(frame):  # past a rejected fit: the grid alone, without forming the fit's activation
+        rest = _iter_predictions(candidates, z)
+    for row in rest:
+        r = np.abs(np.subtract(row, batch.y, out=row), out=row)
+        yield moment(_pick_tau(config, r), r, batch.x, None)
+
+
 def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> RecoveryResult:
     """Iterative direction recovery followed by a terminal hypothesis fit.
 
-    Per iteration: draw a batch, scan candidates over the current frame, build
-    each candidate's filtered second-moment matrix, and accept the first whose
+    Per iteration: scan candidates over the current frame on fresh rows
+    (_scan_moments), build each candidate's filtered second-moment matrix,
+    and accept the first whose
     eigenvalue of largest magnitude clears the acceptance threshold (calibrated
     from the first scan unless lambda_acc is given).  The moment reads a
     candidate only through its mask (residual above tau), so a candidate
-    whose mask equals one formed before in the same scan is skipped: it has
+    whose mask equals one formed before on the same batch is skipped: it has
     that moment and eigenvalue, and that candidate was rejected.  It still
     counts as scanned, keeps its index and records its own tau.  The frame
     grows by the accepted moment's top eigenvector; a scan with no acceptance
     ends the loop.  On a non-empty frame the scan's candidate 0 is _fit_block,
-    a least-squares fit of a depth-2 net on the batch's first rows, and the
-    grid follows.  The hypothesis is that fit on a fresh batch (_final_search),
-    certified when its error on another is at most 3*eps.
+    a least-squares fit of a depth-2 net on the first final_select_samples rows
+    of the scan's batch, and the grid follows on a batch of its own.  Candidate
+    0 (the zero net at ell = 0) is scored on a batch drawn in chunks, of which
+    the scan keeps only the rows that the filter can select; only the grid and
+    a redraw hold a whole N x d batch.  The hypothesis is that fit on a fresh
+    batch (_final_search), certified when its error on another is at most 3*eps.
     """
     d = config.dim
     oracle_dim = getattr(oracle, "input_dim", d)
@@ -429,31 +513,17 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     planted_proj = planted_frame.projector() if planted_frame is not None else None
 
     for ell in range(config.k):
-        samples = oracle.draw(config.n_samples)
         q = np.eye(d) - frame.projector()
         accepted = None
-        scanned = 0
+        scanned = distinct = 0
         tau_used = config.tau
-        masks: set[bytes] = set()  # _mask_key of every moment formed
         try:
-            # The blocks are in frame coordinates: the scan reads the batch only through Z = X F^T (N x ell),
-            # and each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x).
-            candidates = _candidates(config, frame, config.eps_prime)
-            z = samples.x @ candidates.frame.vectors.T
-            if ell:  # the least-squares fit over the frame first, then the grid
-                fit, grid = _fit_block(config, frame, z, samples.y), candidates.factory
-                candidates = CandidateList(lambda: itertools.chain([fit], grid()), candidates.count_bound + 1, frame)
-            for idx, row in enumerate(_iter_predictions(candidates, z)):
+            scan = _scan_moments(oracle, config, frame, _candidates(config, frame, config.eps_prime), q)
+            for idx, (tau_used, m) in enumerate(scan):
                 scanned += 1
-                # the residual in the row's own buffer: |row - y| is bitwise |y - row|
-                resid = np.abs(np.subtract(row, samples.y, out=row), out=row)
-                tau_used = _pick_tau(config, resid)
-                mask = resid > tau_used
-                key = _mask_key(mask)
-                if key in masks:  # a rejected candidate's mask: same moment and lambda
+                if m is None:  # a rejected candidate's mask: same moment and lambda
                     continue
-                masks.add(key)
-                m = _masked_moment(samples.x, q, mask, samples.n)
+                distinct += 1
                 vals = np.linalg.eigvalsh(m)  # ascending; power iteration converges to the larger |end|
                 lam_val = float(vals[-1] if vals[-1] >= -vals[0] else vals[0])
                 if lambda_acc is None:
@@ -468,10 +538,8 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         except BudgetError as err:
             failure = f"enumeration budget exhausted at iteration {ell}: {err}"
         finally:
-            # so the next draw does not hold two batches, nor the terminal fit
-            # a prediction row, the scan's keys or its last moment
-            distinct = len(masks)
-            samples = z = row = resid = mask = masks = key = m = vals = candidates = fit = None
+            # so the next draw does not hold a batch, nor the terminal fit the scan's keys or its last moment
+            scan = m = vals = None
         if accepted is None:
             trace.append(IterationRecord(ell, tau_used, scanned, None, None, None, distinct))
             break
@@ -503,8 +571,10 @@ def _fit_block(config: LearnConfig, frame: Frame, z: np.ndarray, y: np.ndarray) 
     A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden directions w in its span.  W_0, the
     dictionary, is the first row of each ray (relu(c <w, x>) = c relu(<w, x>) for c > 0) among the first layers of
     the one-unit network grid at final_eps_prime, in stream order; W_1 is lstsq's minimum-norm fit of y on
-    relu(Z W_0^T) over the first final_select_samples rows of z and y.  Exact at ell = 1 (the directions are +-1);
-    at ell >= 2 rounding each hidden direction to the grid costs at most final_eps_prime times the path norm.
+    relu(Z W_0^T) over the first final_select_samples rows of z and y: in the loop, the first rows of the scan's
+    first chunk, which are its batch's first rows; in the terminal, the selection batch.  Exact at ell = 1 (the
+    directions are +-1); at ell >= 2 rounding each hidden direction to the grid costs at most final_eps_prime times
+    the path norm.
     """
     fep = config.default_final_eps_prime()
     grid = enumerate_networks(frame, fep, 1, 0, config.b, max_candidates=config.max_candidates)

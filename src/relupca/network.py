@@ -109,7 +109,8 @@ def evaluate(net: ReluNetwork, x):
     if h.ndim != 2 or h.shape[1] != net.input_dim:
         raise ValueError(f"expected input dimension {net.input_dim}, got shape {x.shape}")
     for w in net.weights[:-1]:
-        h = np.maximum(h @ w.T, 0.0)
+        h = h @ w.T
+        np.maximum(h, 0.0, out=h)  # in place: no second (n, width) buffer
     out = h @ net.weights[-1].T
     return float(out[0, 0]) if single else out[:, 0]
 

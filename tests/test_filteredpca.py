@@ -304,10 +304,11 @@ def test_config_validation():
         ("lam", math.nan), ("dim", 4.5), ("size", 2.5), ("l", 0.5), ("k", True),
         ("lambda_acc", -1.0), ("lambda_acc", math.nan), ("max_candidates", math.nan),
         ("max_candidates", 2.5), ("max_candidates", True), ("max_candidates", math.inf),
-        ("delta", 1.0), ("eps", 1e-7),  # below the resolution of the Gram-form terminal errors
+        ("delta", 1.0), ("eps", 0.0), ("eps", 1.0),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             LearnConfig(**{**base, field: value})
+    assert LearnConfig(**{**base, "eps": 1e-7}).eps == 1e-7  # no floor: see test_a_tiny_eps_fails_with_a_reason
 
 
 # ---------------------------------------------------------------- recovery loop
@@ -329,6 +330,15 @@ def small_recovery_config(**overrides):
     )
     base.update(overrides)
     return LearnConfig(**base)
+
+
+@pytest.mark.parametrize("k, reason", [(1, "terminal enumeration budget exhausted"),
+                                       (2, "enumeration budget exhausted at iteration 1")])
+def test_a_tiny_eps_fails_with_a_reason(k, reason):
+    """eps = 1e-7 makes the fit's dictionary grid exceed the candidate budget: the terminal's at k = 1, the loop's
+    fit at k = 2; the run ends uncertified and says why."""
+    result = run(gaussian_oracle(abs_net([0.6, 0.8, 0.0, 0.0]), 0), small_recovery_config(k=k, eps=1e-7))
+    assert not result.certified and result.failure_reason.startswith(reason)
 
 
 def test_recovery_on_planted_line():
@@ -428,7 +438,7 @@ _DIFF_INSTANCE = {"kind": "mixed", "dim": 6, "k": 2, "units": 2, "b": 1.0}
 
 def _diff_config():
     """A d = 6 mixed run whose second scan, past a rejected fit (_reject_the_fit), accepts candidate 86: the grid's
-    candidate 85, in a grid full of repeated rows."""
+    candidate 85 on the fall-through batch, in a grid full of repeated rows."""
     return LearnConfig(
         dim=6, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.05, delta=0.05, n_samples=20_000,
         n_check=2_000, tau_mode="quantile", final_eps_prime=0.3, seed=0,
@@ -437,8 +447,8 @@ def _diff_config():
 
 def _reject_the_fit(monkeypatch):
     """Make the loop's least-squares fit on a one-vector frame the grid's first candidate there, a row that the
-    d = 6 mixed and the d = 10 and 100 abs scans reject, so that those scans go on through the grid; the fit's
-    mask is then repeated by the grid's first row.  A fit on any other frame, the terminal's included, is kept."""
+    d = 6 mixed and the d = 10, 100 and 400 abs scans reject, so that those scans go on through the grid, on a
+    batch of their own.  A fit on any other frame, the terminal's included, is kept."""
     fit = filteredpca._fit_block
 
     def first_grid_row(config, frame, z, y):
@@ -455,29 +465,28 @@ def _recording_run(monkeypatch, config, fresh_keys=False):
 
     With fresh_keys every candidate gets a repeat key of its own, so every
     moment is formed: the brute-force reference.  Returns (result, moments,
-    per-scan lists of masks).
+    per-scan lists of masks); a scan's candidate 0 is scored on its own
+    batch, the rest on the fall-through batch.
     """
     _reject_the_fit(monkeypatch)
     net, _ = make_instance(_DIFF_INSTANCE, 0)
-    moments, scans = [], []
+    moments, masks = [], []
     fresh = itertools.count()
 
     def recording_moment(*args):
         moments.append(_masked_moment(*args))
         return moments[-1]
 
-    def recording_rows(*args):
-        scans.append([])
-        yield from _iter_predictions(*args)
-
     def recording_key(mask):
-        scans[-1].append(mask.copy())
+        masks.append(mask.copy())
         return next(fresh).to_bytes(8, "little") if fresh_keys else _mask_key(mask)
 
     monkeypatch.setattr(filteredpca, "_masked_moment", recording_moment)
-    monkeypatch.setattr(filteredpca, "_iter_predictions", recording_rows)
     monkeypatch.setattr(filteredpca, "_mask_key", recording_key)
-    return run(gaussian_oracle(net, 0), config), moments, scans
+    result = run(gaussian_oracle(net, 0), config)
+    ends = list(itertools.accumulate(t.candidates_scanned for t in result.trace))
+    assert ends[-1] == len(masks)  # one key per candidate scanned
+    return result, moments, [masks[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def test_exact_eigen_step_matches_power_iteration(monkeypatch):
@@ -491,17 +500,18 @@ def test_exact_eigen_step_matches_power_iteration(monkeypatch):
     config = _diff_config()
     result, moments, scans = _recording_run(monkeypatch, config)
     lambda_acc = result.constants["lambda_acc_effective"]
-    assert [t.candidates_scanned for t in result.trace] == [len(masks) for masks in scans] == [1, 87]
-    assert np.array_equal(scans[1][0], scans[1][1])  # the rejected fit's mask, repeated by the grid's first row
-    assert len(moments) == sum(len({m.tobytes() for m in masks}) for masks in scans) == 22
+    assert [t.candidates_scanned for t in result.trace] == [1, 87]
+    # the rejected fit and the grid's first row are one candidate, scored on two batches
+    assert not np.array_equal(scans[1][0], scans[1][1])
+    assert len(moments) == sum(len({(idx > 0, m.tobytes()) for idx, m in enumerate(masks)}) for masks in scans) == 23
     _, _, first_abs = _power_step(moments[0], config.seed * 1_000_003)
     assert lambda_acc == pytest.approx(config.acc_fraction * first_abs, rel=1e-9)
     formed = iter(moments)
     for ell, (record, masks) in enumerate(zip(result.trace, scans)):
-        scan_moments: dict = {}  # mask bytes -> its first occurrence's moment
+        scan_moments: dict = {}  # (batch, mask bytes) -> its first occurrence's moment
         accepted = None
         for idx, mask in enumerate(masks):
-            key = mask.tobytes()
+            key = (idx > 0, mask.tobytes())  # candidate 0's batch, or the fall-through batch
             if key not in scan_moments:
                 scan_moments[key] = next(formed)
             w, lam, _ = _power_step(scan_moments[key], config.seed * 1_000_003 + 7919 * ell + idx)
@@ -519,8 +529,8 @@ def test_repeat_skip_matches_a_brute_force_scan(monkeypatch):
     config = _diff_config()
     result, moments, _ = _recording_run(monkeypatch, config)
     reference, every_moment, _ = _recording_run(monkeypatch, config, fresh_keys=True)
-    assert (len(moments), len(every_moment)) == (22, 88)
-    assert [t.candidates_distinct for t in result.trace] == [1, 21]
+    assert (len(moments), len(every_moment)) == (23, 88)
+    assert [t.candidates_distinct for t in result.trace] == [1, 22]
     assert [t.candidates_distinct for t in reference.trace] == [1, 87]
     uncounted = [dataclasses.replace(t, candidates_distinct=0) for t in result.trace]
     assert uncounted == [dataclasses.replace(t, candidates_distinct=0) for t in reference.trace]
@@ -542,43 +552,53 @@ def _scan_row(block, x):
     return (block[-1] @ np.maximum(x @ block[0].T, 0.0).T)[0]
 
 
+def _fall_through_batch(net, seed, n):
+    """The rows a scan's candidates past the first read: the oracle's second batch of n."""
+    oracle = gaussian_oracle(net, seed)
+    oracle.draw(n)  # candidate 0's batch, drawn in chunks
+    return oracle.draw(n)
+
+
 def test_repeat_as_the_last_candidate_keeps_its_first_tau(monkeypatch):
-    """A scan with no acceptance that ends on a repeat records the repeated row's tau, not its neighbour's."""
+    """A scan with no acceptance that ends on a repeat records the repeated row's tau, not its neighbour's.
+    Candidate 0 (a copy of a) is scored on its own batch, so it forms a moment and repeats nothing."""
     v = np.array([1.0, 0.0, 0.0, 0.0])
     a, b = _abs_block(v, (1.0, 1.0)), _abs_block(v, (0.5, -0.5))  # |x.v| and x.v / 2
     f_a, f_b = (lambda x: _scan_row(a, x)), (lambda x: _scan_row(b, x))
-    stream = [a, b, a]
-    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter(stream), 3, _IDENTITY_4))
+    stream = [a, a, b, a]
+    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter(stream), 4, _IDENTITY_4))
     calls = []
     monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
     oracle = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0)
     result = run(oracle, small_recovery_config(lambda_acc=1e9))
-    batch = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0).draw(20_000)  # the scan's batch
+    batch = _fall_through_batch(abs_net([0.0, 1.0, 0.0, 0.0]), 0, 20_000)
     record = result.trace[0]
-    assert (record.accepted_candidate, record.candidates_scanned, len(calls)) == (None, 3, 2)
-    assert record.candidates_distinct == 2
+    assert (record.accepted_candidate, record.candidates_scanned, len(calls)) == (None, 4, 3)
+    assert record.candidates_distinct == 3
     assert record.tau == float(np.quantile(np.abs(batch.y - f_a(batch.x)), 0.95))
     assert record.tau != float(np.quantile(np.abs(batch.y - f_b(batch.x)), 0.95))
 
 
 def test_rows_with_one_mask_form_one_moment(monkeypatch):
-    """Rows whose bytes differ but whose masks agree form one moment; the record keeps the later row's tau."""
+    """Rows whose bytes differ but whose masks agree form one moment; the record keeps the later row's tau.
+    Candidate 0 (a copy of a) is scored on its own batch, a and b on the fall-through batch."""
     v = np.array([1.0, 0.0, 0.0, 0.0])
     a, b = _abs_block(v, (1.0, 1.0)), _abs_block(v, (1.0 + 1e-9, 1.0 + 1e-9))  # |x.v| and |x.v| (1 + 1e-9)
     f_a, f_b = (lambda x: _scan_row(a, x)), (lambda x: _scan_row(b, x))
-    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter([a, b]), 2, _IDENTITY_4))
+    stream = [a, a, b]
+    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter(stream), 3, _IDENTITY_4))
     calls = []
     monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
     oracle = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0)
     result = run(oracle, small_recovery_config(lambda_acc=1e9))
-    batch = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0).draw(20_000)  # the scan's batch
+    batch = _fall_through_batch(abs_net([0.0, 1.0, 0.0, 0.0]), 0, 20_000)
     resid = [np.abs(batch.y - f(batch.x)) for f in (f_a, f_b)]
     tau_a, tau_b = (float(np.quantile(r, 0.95)) for r in resid)
     assert f_a(batch.x).tobytes() != f_b(batch.x).tobytes() and tau_a != tau_b
     assert np.array_equal(resid[0] > tau_a, resid[1] > tau_b)
     record = result.trace[0]
-    assert (record.accepted_candidate, record.candidates_scanned, len(calls)) == (None, 2, 1)
-    assert record.candidates_distinct == 1
+    assert (record.accepted_candidate, record.candidates_scanned, len(calls)) == (None, 3, 2)
+    assert record.candidates_distinct == 2
     assert record.tau == tau_b
 
 
@@ -901,6 +921,18 @@ def test_fit_block_row_equals_the_lifted_fit(ell, rng):
     assert hypothesis.weights[1].tobytes() == w1.tobytes() and record.features == len(w0)
 
 
+class _RowCounter:
+    """An oracle that records the size of every batch it draws."""
+
+    def __init__(self, inner):
+        self.inner, self.sizes = inner, []
+        self.input_dim = inner.input_dim
+
+    def draw(self, n):
+        self.sizes.append(n)
+        return self.inner.draw(n)
+
+
 def _accept_the_first_moment(monkeypatch):
     """Scale the first moment run() forms, the empty frame's, by 1e12, so that it clears any threshold with the
     same top eigenvector; every later moment is run()'s own.  Returns the list of moments formed."""
@@ -916,16 +948,21 @@ def _accept_the_first_moment(monkeypatch):
 
 def test_a_rejected_fit_falls_through_to_the_grid(monkeypatch):
     """With lambda_acc = 1e9 the scan on a one-vector frame rejects its fit and then every grid candidate: it
-    counts 1 + the grid's candidates and forms one moment per distinct mask among them all.  The fit's mask takes
-    part in the repeat skip like any other: a grid that starts with a copy of the fit forms no moment for it."""
+    counts 1 + the grid's candidates and forms one moment per distinct mask among them all.  The grid reads a
+    batch of its own, so a copy of the fit at its head forms a moment of its own there.  When the fit's tau falls
+    below the cut, the fit is scanned on the redrawn batch with the grid, and its mask takes part in the repeat
+    skip like any other: a grid that starts with a copy of the fit forms no moment for it."""
     net = abs_net([0.6, 0.8, 0.0, 0.0])
     config = small_recovery_config(k=2, lambda_acc=1e9)
     formed = _accept_the_first_moment(monkeypatch)
-    result = run(gaussian_oracle(net, 0), config)
+    rows = _RowCounter(gaussian_oracle(net, 0))
+    result = run(rows, config)
     grid = sum(1 for _ in enumerate_networks(result.frame, config.eps_prime, config.size, config.l, config.b))
     record = result.trace[1]
     assert (record.candidates_scanned, record.accepted_candidate) == (1 + grid, None)
     assert record.candidates_distinct == len(formed) - 1 > 1
+    n = config.n_samples  # each scan's batch, the fall-through batch, the selection batch and the check
+    assert rows.sizes == [n, n, n, config.final_select_samples, config.n_check]
 
     fits, fit, grid_of = [], filteredpca._fit_block, filteredpca._candidates
 
@@ -940,8 +977,105 @@ def test_a_rejected_fit_falls_through_to_the_grid(monkeypatch):
     formed = _accept_the_first_moment(monkeypatch)
     copied = run(gaussian_oracle(net, 0), config)
     assert len(fits) == 2  # the loop's fit and the terminal's
-    assert copied.trace[1] == dataclasses.replace(record, candidates_scanned=2 + grid)
-    assert len(formed) - 1 == record.candidates_distinct
+    assert copied.trace[1] == dataclasses.replace(
+        record, candidates_scanned=2 + grid, candidates_distinct=record.candidates_distinct + 1)
+    assert len(formed) - 1 == record.candidates_distinct + 1
+
+    monkeypatch.setattr(filteredpca, "_cut", lambda *args: math.inf)  # every scan redraws its batch whole
+    redrawn = []
+    for candidates in (grid_of, fit_copy_first):
+        monkeypatch.setattr(filteredpca, "_candidates", candidates)
+        formed = _accept_the_first_moment(monkeypatch)
+        redrawn.append((run(gaussian_oracle(net, 0), config).trace[1], len(formed) - 1))
+    (plain, plain_formed), (copy, copy_formed) = redrawn
+    assert plain.candidates_scanned == 1 + grid and plain.candidates_distinct == plain_formed > 1
+    assert copy == dataclasses.replace(plain, candidates_scanned=plain.candidates_scanned + 1)
+    assert copy_formed == plain_formed
+
+
+def _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats=160_000):
+    """A d = 10 mixed scan at N = 50 000, over the planted frame's first ell vectors, drawn in chunks of
+    chunk_floats // 10 rows (16 000 by default: three and a remainder of 2 000).  Returns (net, config, frame, q)."""
+    monkeypatch.setattr(filteredpca, "_CHUNK_FLOATS", chunk_floats)
+    net, planted = make_instance({"kind": "mixed", "dim": 10, "k": 2, "units": 2, "b": 1.0}, 0)
+    config = LearnConfig(dim=10, k=2, size=2, l=0, b=1.0, lam=0.1, eps=0.05, delta=0.05, n_samples=50_000,
+                         tau_mode=tau_mode, final_eps_prime=0.3)
+    frame = Frame(planted.vectors[:ell]) if ell else Frame.empty(10)
+    return net, config, frame, np.eye(10) - frame.projector()
+
+
+def _whole_batch_scan(config, frame, q, batch, fit_rows):
+    """Candidate 0 of a scan (the zero net, or the fit on fit_rows' first rows) on a batch drawn whole, as the
+    scan scored it before batches were drawn in chunks: (tau, mask, moment)."""
+    z = batch.x @ frame.vectors.T
+    candidates = filteredpca._candidates(config, frame, config.eps_prime)
+    if len(frame):
+        fit = filteredpca._fit_block(config, frame, fit_rows.x @ frame.vectors.T, fit_rows.y)
+        candidates = CandidateList(lambda: iter([fit]), 1, frame)
+    resid = np.abs(batch.y - next(_iter_predictions(candidates, z)))
+    tau = _pick_tau(config, resid)
+    mask = resid > tau
+    return tau, mask, _masked_moment(batch.x, q, mask, batch.n)
+
+
+def _recording_keys(monkeypatch):
+    """Record every mask the scan keys; returns the list."""
+    keys = []
+    monkeypatch.setattr(filteredpca, "_mask_key", lambda mask: keys.append(mask.copy()) or _mask_key(mask))
+    return keys
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("chunk_floats", [160_000, 2_000_000])  # 4 chunks, N not a multiple of 16 000; 1 chunk
+@pytest.mark.parametrize("tau_mode", ["formula", "quantile"])
+def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, chunk_floats, ell):
+    """Candidate 0 scored on its batch drawn in chunks has the tau (to the bit), the mask and the moment (byte for
+    byte) of a whole-batch scan of the same rows.  Of x the scan keeps only the rows above the cut: the masked
+    rows themselves in formula mode, under a tenth of the batch in quantile mode."""
+    net, config, frame, q = _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats)
+    keys, held = _recording_keys(monkeypatch), []
+    monkeypatch.setattr(filteredpca, "_masked_moment",
+                        lambda x, *args: held.append(x.shape[0]) or _masked_moment(x, *args))
+    oracle = _RowCounter(gaussian_oracle(net, 3))
+    candidates = filteredpca._candidates(config, frame, config.eps_prime)
+    tau, m = next(filteredpca._scan_moments(oracle, config, frame, candidates, q))
+    assert oracle.sizes == _chunks(config) and len(oracle.sizes) == (4 if chunk_floats == 160_000 else 1)
+    batch = gaussian_oracle(net, 3).draw(config.n_samples)
+    want_tau, want_mask, want_m = _whole_batch_scan(config, frame, q, batch, batch)
+    assert 0 < np.count_nonzero(want_mask) < batch.n
+    assert np.float64(tau).tobytes() == np.float64(want_tau).tobytes()
+    assert len(keys) == 1 and np.array_equal(keys[0], want_mask)
+    assert m.tobytes() == want_m.tobytes()
+    if tau_mode == "formula":
+        assert held == [np.count_nonzero(want_mask)]
+    else:
+        assert held[0] < batch.n / 10
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_tau_below_the_cut_redraws_the_batch_whole(monkeypatch, ell):
+    """With the cut above every residual, the scan keeps no row of its chunked batch and finds tau below the cut;
+    it then draws a whole batch and scores candidate 0 (at ell = 1 the fit from the first chunk's rows) on it.  Its
+    tau, mask and moment equal a whole-batch scan of those rows, and run() counts the redrawn rows."""
+    net, config, frame, q = _streaming_setup(monkeypatch, "quantile", ell)
+    monkeypatch.setattr(filteredpca, "_cut", lambda *args: math.inf)  # _quantile stays exact with any cut
+    keys = _recording_keys(monkeypatch)
+    oracle = _RowCounter(gaussian_oracle(net, 3))
+    candidates = filteredpca._candidates(config, frame, config.eps_prime)
+    tau, m = next(filteredpca._scan_moments(oracle, config, frame, candidates, q))
+    n = config.n_samples
+    assert oracle.sizes == [*_chunks(config), n]
+    reference = gaussian_oracle(net, 3)
+    first = reference.draw(n)
+    want_tau, want_mask, want_m = _whole_batch_scan(config, frame, q, reference.draw(n), first)
+    assert np.float64(tau).tobytes() == np.float64(want_tau).tobytes()
+    assert len(keys) == 1 and np.array_equal(keys[0], want_mask)
+    assert m.tobytes() == want_m.tobytes()
+    if not ell:  # run() on the same stream: the redrawn rows count, and the scan records the redrawn tau
+        counted = _RowCounter(gaussian_oracle(net, 3))
+        result = run(counted, dataclasses.replace(config, k=1))
+        assert counted.sizes == [*_chunks(config), n, config.final_select_samples, config.n_check]
+        assert result.trace[0].tau == want_tau and result.trace[0].candidates_scanned == 1
 
 
 # ---------------------------------------------------------------- batched evaluation
@@ -1181,13 +1315,20 @@ class _Predrawn:
         return batch
 
 
+def _chunks(config):
+    """The sizes of the chunks a scan draws its batch in."""
+    n, rows = config.n_samples, max(filteredpca._CHUNK_FLOATS // config.dim, config.final_select_samples)
+    return [min(rows, n - start) for start in range(0, n, rows)]
+
+
 def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
-    """The loop's peak traced allocation, net of the N x d batch (drawn before tracing) and of the
-    largest |m| x d masked gather, stays within what one-row scoring holds: Z, one block's
+    """The loop's peak traced allocation, net of the rows of x that it holds (the batches and chunks,
+    drawn before tracing; twice the rows a streamed scan keeps, while they are concatenated; the
+    largest |m| x d masked gather), stays within what one-row scoring holds: Z, one block's
     hidden activation (N x widest hidden layer), two prediction rows (the one scanned and the
-    next) and 16 bytes a row, at d = 10 and d = 100 with the same N, and grows by less than 1 MB
-    (the d x d moments) from one to the other.  The second scan, on a one-vector frame, runs past
-    a rejected fit to the grid's last candidate."""
+    next) and 16 bytes a row, at d = 10 (one chunk) and d = 100 (three) with the same N, and grows
+    by less than 1 MB (the d x d moments) from one to the other.  The second scan, on a one-vector
+    frame, runs past a rejected fit to the grid's last candidate, on the fall-through batch."""
     n = 50_000
     _reject_the_fit(monkeypatch)
     final = filteredpca._final_search
@@ -1196,11 +1337,15 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         v = np.zeros(d)
         v[:2] = (0.6, 0.8)
         config = small_recovery_config(dim=d, k=2, n_samples=n, n_check=1_000, final_select_samples=64)
-        oracle = _Predrawn(abs_net(v), 0, [n, n, 64, 1_000])
+        chunks = _chunks(config)
+        assert len(chunks) == (1 if d == 10 else 3)
+        oracle = _Predrawn(abs_net(v), 0, [*chunks, *chunks, n, 64, 1_000])
         gathered, peaks = [0], []
 
         def moment(x, q, mask, rows):
             gathered.append(int(np.count_nonzero(mask)))
+            if x.shape[0] < n:  # a streamed scan's kept rows
+                gathered.append(2 * x.shape[0])
             return _masked_moment(x, q, mask, rows)
 
         def terminal(*args):  # the loop is over: its peak so far
@@ -1215,11 +1360,49 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         finally:
             tracemalloc.stop()
         assert [(t.candidates_scanned, t.accepted_candidate) for t in result.trace] == [(1, 0), (251, 250)]
+        assert not oracle.batches
         net_peaks.append(peaks[0] - 8 * d * max(gathered))
         z_bytes = 8 * n * (config.k - 1)  # the last scan's frame holds k - 1 vectors
         h_bytes = 8 * n * config.size  # l = 0: the one hidden layer is size wide
         assert net_peaks[-1] <= z_bytes + h_bytes + 2 * 8 * n + 16 * n
     assert net_peaks[1] <= net_peaks[0] + 1_000_000
+
+
+class _TracedBatches:
+    """An oracle whose batches hold x in numpy's own memory, which tracemalloc sees."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.input_dim = inner.input_dim
+
+    def draw(self, n):
+        batch = self.inner.draw(n)
+        x = batch.x.copy()
+        x.flags.writeable = False
+        return SampleSet(x, batch.y)
+
+
+def test_a_scan_at_d_400_holds_a_fraction_of_its_batch(monkeypatch):
+    """One quantile-tau scan at d = 400 and N = 2e5, whose whole batch would be 640 MB: its peak traced allocation,
+    the chunks it draws included, stays under 128 MB, a fifth of that batch."""
+    d, n = 400, 200_000
+    v = np.zeros(d)
+    v[:2] = (0.6, 0.8)
+    config = small_recovery_config(dim=d, k=1, n_samples=n, n_check=1_000, final_select_samples=64)
+    final, peaks = filteredpca._final_search, []
+
+    def terminal(*args):  # the scan is over: its peak so far
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return final(*args)
+
+    monkeypatch.setattr(filteredpca, "_final_search", terminal)
+    tracemalloc.start()
+    try:
+        result = run(_TracedBatches(gaussian_oracle(abs_net(v), 0)), config)
+    finally:
+        tracemalloc.stop()
+    assert result.trace[0].accepted_candidate == 0 and len(_chunks(config)) == 40
+    assert peaks[0] <= 128 * 2**20
 
 
 def test_terminal_fit_holds_no_moment_of_the_loop(monkeypatch):
