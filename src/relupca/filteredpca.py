@@ -78,7 +78,7 @@ class _BatchPages(mmap.mmap):
     bench/run.py's peak_rss_mb, seed 3, 2 cores, BLAS on one thread, with and without them, after scans were
     drawn in chunks: rank2-terminal (d = 10, each scan's batch one 16 MB chunk) 101.1 MB against 120.2 MB in
     3 of 3 runs; rank1-kicker 47.0-48.0 MB either way.  On rank2-highdim (d = 100, 16 MB chunks) they cost 6 MB:
-    116.6 MB against 110.8 MB, both peaks of the benchmark's own holdout check.
+    116.7 MB (3 of 3 runs) against 110.8 MB (one run), both peaks of the benchmark's own holdout check.
     """
 
 

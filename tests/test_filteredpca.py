@@ -447,7 +447,7 @@ def _diff_config():
 
 def _reject_the_fit(monkeypatch):
     """Make the loop's least-squares fit on a one-vector frame the grid's first candidate there, a row that the
-    d = 6 mixed and the d = 10, 100 and 400 abs scans reject, so that those scans go on through the grid, on a
+    d = 6 mixed and the d = 10 and 100 abs scans reject, so that those scans go on through the grid, on a
     batch of their own.  A fit on any other frame, the terminal's included, is kept."""
     fit = filteredpca._fit_block
 
