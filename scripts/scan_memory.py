@@ -1,6 +1,6 @@
 """Peak memory, wall time and accuracy of one learning run as the ambient dimension d grows.
 
-    python3 scripts/scan_memory.py                     # d = 10, 100, 200, 400
+    python3 scripts/scan_memory.py                     # d = 4, 10, 100, 200, 400
     python3 scripts/scan_memory.py --dims 100 800 --seed 5
 
 Runs relupca.run() on rank2-highdim's planted instance and LearnConfig
@@ -46,7 +46,7 @@ def _one(d: int, seed: int) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--dims", type=int, nargs="+", default=[10, 100, 200, 400])
+    p.add_argument("--dims", type=int, nargs="+", default=[4, 10, 100, 200, 400])
     p.add_argument("--seed", type=int, default=0, help="the planted instance's seed (rank2-highdim runs 0 and 5)")
     p.add_argument("--one", type=int, help=argparse.SUPPRESS)
     args = p.parse_args(argv)

@@ -72,14 +72,22 @@ class SampleSet:
 
 
 class _BatchPages(mmap.mmap):
-    """Anonymous pages that only one oracle batch's x references: freed, they go back to the OS, not to the heap.
+    """Anonymous pages that only one array references (_own_rows): freed, they go back to the OS, not to the heap.
 
     Without them glibc serves a batch the size of an earlier freed one from its heap and keeps it resident.
     bench/run.py's peak_rss_mb, seed 3, 2 cores, BLAS on one thread, with and without them, after scans were
-    drawn in chunks: rank2-terminal (d = 10, each scan's batch one 16 MB chunk) 101.1 MB against 120.2 MB in
-    3 of 3 runs; rank1-kicker 47.0-48.0 MB either way.  On rank2-highdim (d = 100, 16 MB chunks) they cost 6 MB:
-    116.7 MB (3 of 3 runs) against 110.8 MB (one run), both peaks of the benchmark's own holdout check.
+    drawn in chunks of 2e6 floats: rank2-terminal (d = 10, each scan's batch then one 16 MB chunk) 101.1 MB
+    against 120.2 MB in 3 of 3 runs; rank1-kicker 47.0-48.0 MB either way.  A scan's kept rows take pages of their
+    own too, so that a buffer outgrown, or freed with its scan, leaves no heap behind.
     """
+
+
+def _own_rows(n: int, d: int) -> np.ndarray:
+    """A writable (n, d) float array on _BatchPages of its own: an oracle batch's x, or a scan's kept rows."""
+    pages = _BatchPages(-1, 8 * n * d, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    with contextlib.suppress(OSError):  # fewer page faults; advice only, which a kernel without huge pages refuses
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.ndarray((n, d), buffer=pages)
 
 
 class GaussianOracle:
@@ -98,10 +106,7 @@ class GaussianOracle:
     def draw(self, n: int) -> SampleSet:
         if n < 1:
             raise ValueError("need n >= 1")
-        pages = _BatchPages(-1, 8 * n * self.net.input_dim, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        with contextlib.suppress(OSError):  # fewer page faults; advice only, which a kernel without huge pages refuses
-            pages.madvise(mmap.MADV_HUGEPAGE)
-        x = self._rng.standard_normal(out=np.ndarray((n, self.net.input_dim), buffer=pages))
+        x = self._rng.standard_normal(out=_own_rows(n, self.net.input_dim))
         y = evaluate(self.net, x)
         x.flags.writeable = False  # nothing else holds x, so SampleSet keeps it without a copy
         out = SampleSet(x, y, seed=self.seed, source=f"gaussian[{self._drawn}:{self._drawn + n}]")
@@ -126,18 +131,19 @@ def as_function(candidate):
     raise TypeError(f"cannot evaluate candidate of type {type(candidate).__name__}")
 
 
-def _masked_moment(x: np.ndarray, q: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
-    """The filtered second moment: (1/n) * (q X_m^T X_m q - |mask| q), symmetrised.
+def _masked_moment(xm: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """The filtered second moment of n rows: (1/n) * (q X_m^T X_m q - |X_m| q), symmetrised.
 
-    X_m holds the raw rows that pass the filter and q is a symmetric
-    projector, so this is (1/n) * sum over masked rows of (q x)(q x)^T - q
-    without forming q x for every row.  The one filtered-moment primitive:
-    filter_matrix, run() and the concentration check all call it.
+    X_m = xm holds the raw rows that pass the filter, already gathered (the
+    caller's np.compress, or a scan's kept rows compacted in place), and q is
+    a symmetric projector, so this is (1/n) * sum over masked rows of
+    (q x)(q x)^T - q without forming q x for every row.  The one
+    filtered-moment primitive: filter_matrix, run() and the concentration
+    check all call it.
     """
     d = q.shape[0]
-    if not np.any(mask):
+    if not len(xm):
         return np.zeros((d, d))
-    xm = np.compress(mask, x, axis=0)  # x[mask], gathered faster
     m = (q @ (xm.T @ xm) @ q - xm.shape[0] * q) / n
     return (m + m.T) / 2.0
 
@@ -159,7 +165,7 @@ def filter_matrix(samples: SampleSet, frame: Frame, candidate, tau: float) -> np
     preds = np.asarray(f(project(frame, samples.x)), dtype=float).ravel()
     mask = np.abs(samples.y - preds) > tau
     q = np.eye(samples.dim) - frame.projector()
-    return _masked_moment(samples.x, q, mask, samples.n)
+    return _masked_moment(np.compress(mask, samples.x, axis=0), q, samples.n)
 
 
 def idealized_filter_matrix(oracle, true_net: ReluNetwork, frame: Frame, tau: float, n: int) -> np.ndarray:
@@ -405,9 +411,31 @@ def _mask_key(mask: np.ndarray) -> bytes:
     return np.packbits(mask).tobytes()
 
 
+def _compact(x: np.ndarray, keep: np.ndarray) -> int:
+    """Move the rows of x that keep selects to x's front, in order, and return their count.
+
+    Row idx[j] goes to row j <= idx[j] through a bounce buffer of an eighth of a chunk (_CHUNK_FLOATS // 8 floats),
+    a block of rows at a time, each read before its block is written: memory past x's own is that buffer alone.
+    """
+    idx = np.flatnonzero(keep)
+    block = max(_CHUNK_FLOATS // (8 * x.shape[1]), 1)
+    buf = None
+    for start in range(0, idx.size, block):
+        part = idx[start : start + block]
+        if part[-1] == start + part.size - 1:  # the block's rows are in place already
+            continue
+        if buf is None:
+            buf = np.empty((min(block, idx.size), x.shape[1]))
+        np.take(x, part, axis=0, out=buf[: part.size])
+        x[start : start + part.size] = buf[: part.size]
+    return idx.size
+
+
 # A scan draws its batch in chunks of about this many floats (rows x d), and never of fewer rows than
-# final_select_samples, so that the fit reads the first chunk alone.
-_CHUNK_FLOATS = 2_000_000
+# final_select_samples, so that the fit reads the first chunk alone.  2**18 floats are 2 MB, one core's L2 cache on
+# the 2-core machine bench/README.md describes, so every scan streams at every d.  bench/run.py's peak_rss_mb there,
+# 10 alternating pairs against 2e6 floats: see CHANGES.md.
+_CHUNK_FLOATS = 2**18
 
 
 def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: CandidateList, q: np.ndarray):
@@ -418,25 +446,26 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
     (_fit_block) on the first chunk's rows, ahead of the grid.  Its n_samples rows are drawn in chunks of
     _CHUNK_FLOATS // d rows (at least final_select_samples).  Each chunk's Z, y and residuals are formed and every
     residual is kept, but of x only the rows whose residual exceeds a cut: tau itself in formula mode, in quantile
-    mode _cut of the first chunk's residuals at _quantile's rank.  tau is _pick_tau of all n residuals, and the
-    moment gathers the masked rows from the kept ones in draw order, so tau, mask and moment equal a whole-batch
-    scan's to the bit.  A whole batch is drawn, and the stream scanned on it, only when the first candidate leaves
-    the scan open: rejected with more candidates to come (the grid, from index 1), or its tau below the cut (about
-    a 5 sd event; the whole stream, from index 0).
+    mode _cut of the first chunk's residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer
+    on pages of its own (_own_rows), sized at 1.25 times the first chunk's kept fraction of n_samples and doubled
+    when short.  tau is _pick_tau of all n residuals; the masked rows are then compacted in place at the buffer's
+    front and the moment read from them, so tau, mask and moment equal a whole-batch scan's to the bit.  A whole
+    batch is drawn, and the stream scanned on it, only when the first candidate leaves the scan open: rejected with
+    more candidates to come (the grid, from index 1), or its tau below the cut (about a 5 sd event; the whole
+    stream, from index 0).
     """
-    n = config.n_samples
-    rows = max(_CHUNK_FLOATS // config.dim, config.final_select_samples)
+    n, d = config.n_samples, config.dim
+    rows = max(_CHUNK_FLOATS // d, config.final_select_samples)
     keys: set[bytes] = set()
 
-    def moment(tau, resid, x, kept):
-        mask = resid > tau
+    def fresh(mask):
         key = _mask_key(mask)
         if key in keys:
-            return tau, None
+            return False
         keys.add(key)
-        return tau, _masked_moment(x, q, mask if kept is None else np.compress(kept, mask), n)
+        return True
 
-    resid, kept, stream = np.empty(n), [], candidates
+    resid, kept, count, stream = np.empty(n), None, 0, candidates
     cut = config.tau if config.tau_mode == "formula" else None
     for start in range(0, n, rows):
         batch = oracle.draw(min(rows, n - start))
@@ -452,16 +481,27 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
         if cut is None:
             cut = _cut(r[:: max(r.size // _TAU_SAMPLE, 1)], math.floor((n - 1) * config.tau_quantile) / n)
         resid[start : start + r.size] = r
-        kept.append(np.compress(r > cut, batch.x, axis=0))
-        batch = z = r = None  # so the next draw does not hold two chunks
+        above = r > cut
+        k = int(np.count_nonzero(above))
+        if kept is None:
+            kept = _own_rows(min(max(math.ceil(1.25 * n * k / r.size), 1), n), d)
+        elif count + k > len(kept):
+            grown = _own_rows(min(max(2 * len(kept), count + k), n), d)
+            grown[:count] = kept[:count]
+            kept = grown
+        np.compress(above, batch.x, axis=0, out=kept[count : count + k])
+        count += k
+        batch = z = r = above = None  # so the next draw does not hold two chunks
     tau, first = _pick_tau(config, resid), 0  # first: the stream index the whole batch starts at
     if tau >= cut:  # the kept rows hold every masked one
-        x, kept = np.concatenate(kept), None
-        yield moment(tau, resid, x, resid > cut)
+        mask = resid > tau
+        keys.add(_mask_key(mask))
+        m = _compact(kept[:count], np.compress(resid > cut, mask))
+        yield tau, _masked_moment(kept[:m], q, n)
         first = 1
     if first >= stream.count_bound:
         return
-    resid = kept = x = None
+    resid = kept = None
     keys.clear()
     batch = oracle.draw(n)
     z = batch.x @ candidates.frame.vectors.T
@@ -470,7 +510,9 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
         rest = _iter_predictions(candidates, z)
     for row in rest:
         r = np.abs(np.subtract(row, batch.y, out=row), out=row)
-        yield moment(_pick_tau(config, r), r, batch.x, None)
+        tau = _pick_tau(config, r)
+        mask = r > tau
+        yield tau, _masked_moment(np.compress(mask, batch.x, axis=0), q, n) if fresh(mask) else None
 
 
 def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> RecoveryResult:

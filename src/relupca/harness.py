@@ -12,7 +12,6 @@ import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-import scipy
 
 from .errors import BudgetError
 from .filteredpca import LearnConfig, _masked_moment, as_function, gaussian_oracle, run
@@ -130,7 +129,7 @@ def _filtered_moment_stream(filter_fn, d: int, n: int, rng) -> np.ndarray:
         keep = np.asarray(filter_fn(x)).ravel()
         if keep.shape != (take,) or not np.all((keep == 0) | (keep == 1)):
             raise ValueError("filter_fn must return one indicator (bool or 0/1) per row")
-        acc += _masked_moment(x, eye, keep.astype(bool), n)
+        acc += _masked_moment(np.compress(keep.astype(bool), x, axis=0), eye, n)
         left -= take
     return acc
 
@@ -406,7 +405,6 @@ def _fingerprint() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": sys.platform,
     }
 

@@ -238,7 +238,7 @@ def test_masked_moment_matches_the_complement_reference(ell, rng):
     xc = complement_project(frame, x)
     for mask in (np.zeros(n, bool), np.ones(n, bool), rng.uniform(size=n) < 0.3):
         ref = (xc[mask].T @ xc[mask] - int(mask.sum()) * q) / n
-        got = _masked_moment(x, q, mask, n)
+        got = _masked_moment(x[mask], q, n)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(got, got.T)
 
@@ -993,15 +993,17 @@ def test_a_rejected_fit_falls_through_to_the_grid(monkeypatch):
     assert copy_formed == plain_formed
 
 
-def _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats=160_000):
-    """A d = 10 mixed scan at N = 50 000, over the planted frame's first ell vectors, drawn in chunks of
-    chunk_floats // 10 rows (16 000 by default: three and a remainder of 2 000).  Returns (net, config, frame, q)."""
-    monkeypatch.setattr(filteredpca, "_CHUNK_FLOATS", chunk_floats)
-    net, planted = make_instance({"kind": "mixed", "dim": 10, "k": 2, "units": 2, "b": 1.0}, 0)
-    config = LearnConfig(dim=10, k=2, size=2, l=0, b=1.0, lam=0.1, eps=0.05, delta=0.05, n_samples=50_000,
+def _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats=160_000, dim=10, n=50_000):
+    """A mixed scan at dim (10 by default) and N = n (50 000), over the planted frame's first ell vectors, drawn in
+    chunks of chunk_floats // dim rows (16 000 by default: three and a remainder of 2 000; None: the module's own
+    budget).  Returns (net, config, frame, q)."""
+    if chunk_floats is not None:
+        monkeypatch.setattr(filteredpca, "_CHUNK_FLOATS", chunk_floats)
+    net, planted = make_instance({"kind": "mixed", "dim": dim, "k": 2, "units": 2, "b": 1.0}, 0)
+    config = LearnConfig(dim=dim, k=2, size=2, l=0, b=1.0, lam=0.1, eps=0.05, delta=0.05, n_samples=n,
                          tau_mode=tau_mode, final_eps_prime=0.3)
-    frame = Frame(planted.vectors[:ell]) if ell else Frame.empty(10)
-    return net, config, frame, np.eye(10) - frame.projector()
+    frame = Frame(planted.vectors[:ell]) if ell else Frame.empty(dim)
+    return net, config, frame, np.eye(dim) - frame.projector()
 
 
 def _whole_batch_scan(config, frame, q, batch, fit_rows):
@@ -1015,7 +1017,7 @@ def _whole_batch_scan(config, frame, q, batch, fit_rows):
     resid = np.abs(batch.y - next(_iter_predictions(candidates, z)))
     tau = _pick_tau(config, resid)
     mask = resid > tau
-    return tau, mask, _masked_moment(batch.x, q, mask, batch.n)
+    return tau, mask, _masked_moment(batch.x[mask], q, batch.n)
 
 
 def _recording_keys(monkeypatch):
@@ -1025,31 +1027,54 @@ def _recording_keys(monkeypatch):
     return keys
 
 
+def _scaled_past(batch, rows):
+    """The batch with x and y times 4 past its first rows rows, so that more of its residuals clear a cut."""
+    scale = np.where(np.arange(batch.n) < rows, 1.0, 4.0)
+    return SampleSet(batch.x * scale[:, None], batch.y * scale)
+
+
 @pytest.mark.parametrize("ell", [0, 1])
-@pytest.mark.parametrize("chunk_floats", [160_000, 2_000_000])  # 4 chunks, N not a multiple of 16 000; 1 chunk
+@pytest.mark.parametrize("case", [  # (dim, n_samples, _CHUNK_FLOATS or None for the module's, grow)
+    pytest.param((10, 50_000, 160_000, False), id="160000"),  # 4 chunks, N not a multiple of 16 000
+    pytest.param((10, 50_000, 2_000_000, False), id="2000000"),  # 1 chunk
+    pytest.param((10, 50_000, None, False), id="d10"),  # 2 chunks, which were 1 with 2e6 floats
+    pytest.param((4, 150_000, None, False), id="d4"),  # 3 chunks, which were 1 with 2e6 floats
+    pytest.param((10, 50_000, 160_000, True), id="grow"),  # chunks past the first scaled up: the kept rows outgrow
+])
 @pytest.mark.parametrize("tau_mode", ["formula", "quantile"])
-def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, chunk_floats, ell):
+def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, ell):
     """Candidate 0 scored on its batch drawn in chunks has the tau (to the bit), the mask and the moment (byte for
-    byte) of a whole-batch scan of the same rows.  Of x the scan keeps only the rows above the cut: the masked
-    rows themselves in formula mode, under a tenth of the batch in quantile mode."""
-    net, config, frame, q = _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats)
-    keys, held = _recording_keys(monkeypatch), []
-    monkeypatch.setattr(filteredpca, "_masked_moment",
-                        lambda x, *args: held.append(x.shape[0]) or _masked_moment(x, *args))
-    oracle = _RowCounter(gaussian_oracle(net, 3))
+    byte) of a whole-batch scan of the same rows.  Of x the scan keeps only the rows above the cut, in buffers of
+    its own pages (_own_rows): the masked rows themselves in formula mode, a buffer under a tenth of the batch in
+    quantile mode, and the moment reads the masked rows at the front of the last buffer, compacted in place.  In
+    the grow case the first chunk keeps a smaller fraction than the rest, so the buffer sized from it grows."""
+    dim, n, chunk_floats, grow = case
+    net, config, frame, q = _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats, dim, n)
+    chunks = _chunks(config)
+    assert len(chunks) == {160_000: 4, 2_000_000: 1, None: 2 if dim == 10 else 3}[chunk_floats]
+    oracle = _Predrawn(net, 3, chunks)
+    if grow:
+        oracle.batches[1:] = [_scaled_past(batch, 0) for batch in oracle.batches[1:]]
+    keys, held, buffers = _recording_keys(monkeypatch), [], []
+    monkeypatch.setattr(filteredpca, "_masked_moment", lambda x, *args: held.append(x) or _masked_moment(x, *args))
+    monkeypatch.setattr(filteredpca, "_own_rows", lambda *shape: buffers.append(np.empty(shape)) or buffers[-1])
     candidates = filteredpca._candidates(config, frame, config.eps_prime)
     tau, m = next(filteredpca._scan_moments(oracle, config, frame, candidates, q))
-    assert oracle.sizes == _chunks(config) and len(oracle.sizes) == (4 if chunk_floats == 160_000 else 1)
-    batch = gaussian_oracle(net, 3).draw(config.n_samples)
+    assert not oracle.batches
+    monkeypatch.undo()
+    batch = gaussian_oracle(net, 3).draw(n)
+    if grow:
+        batch = _scaled_past(batch, chunks[0])
     want_tau, want_mask, want_m = _whole_batch_scan(config, frame, q, batch, batch)
     assert 0 < np.count_nonzero(want_mask) < batch.n
     assert np.float64(tau).tobytes() == np.float64(want_tau).tobytes()
     assert len(keys) == 1 and np.array_equal(keys[0], want_mask)
     assert m.tobytes() == want_m.tobytes()
-    if tau_mode == "formula":
-        assert held == [np.count_nonzero(want_mask)]
-    else:
-        assert held[0] < batch.n / 10
+    assert len(held) == 1 and held[0].shape[0] == np.count_nonzero(want_mask)
+    assert held[0].base is buffers[-1] and held[0].ctypes.data == buffers[-1].ctypes.data
+    assert (len(buffers) > 1) == grow
+    if tau_mode == "quantile" and not grow:
+        assert len(buffers[0]) < batch.n / 10
 
 
 @pytest.mark.parametrize("ell", [0, 1])
@@ -1321,14 +1346,22 @@ def _chunks(config):
     return [min(rows, n - start) for start in range(0, n, rows)]
 
 
+def _traced_rows(monkeypatch):
+    """Put every array _own_rows makes in numpy's own memory, which tracemalloc sees; returns their row counts."""
+    rows = []
+    monkeypatch.setattr(filteredpca, "_own_rows", lambda n, d: rows.append(n) or np.empty((n, d)))
+    return rows
+
+
 def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
     """The loop's peak traced allocation, net of the rows of x that it holds (the batches and chunks,
-    drawn before tracing; twice the rows a streamed scan keeps, while they are concatenated; the
-    largest |m| x d masked gather), stays within what one-row scoring holds: Z, one block's
-    hidden activation (N x widest hidden layer), two prediction rows (the one scanned and the
-    next) and 16 bytes a row, at d = 10 (one chunk) and d = 100 (three) with the same N, and grows
-    by less than 1 MB (the d x d moments) from one to the other.  The second scan, on a one-vector
-    frame, runs past a rejected fit to the grid's last candidate, on the fall-through batch."""
+    drawn before tracing; the larger of a streamed scan's kept-row buffer, which the moment reads in
+    place, and the largest |m| x d masked gather on the fall-through batch), stays within what
+    one-row scoring holds: Z, one block's hidden activation (N x widest hidden layer), two
+    prediction rows (the one scanned and the next) and 16 bytes a row, at d = 10 (two chunks) and
+    d = 100 (twenty) with the same N, and grows by less than 1 MB (the d x d moments) from one to
+    the other.  The second scan, on a one-vector frame, runs past a rejected fit to the grid's last
+    candidate, on the fall-through batch."""
     n = 50_000
     _reject_the_fit(monkeypatch)
     final = filteredpca._final_search
@@ -1338,15 +1371,14 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         v[:2] = (0.6, 0.8)
         config = small_recovery_config(dim=d, k=2, n_samples=n, n_check=1_000, final_select_samples=64)
         chunks = _chunks(config)
-        assert len(chunks) == (1 if d == 10 else 3)
+        assert len(chunks) == (2 if d == 10 else 20)
         oracle = _Predrawn(abs_net(v), 0, [*chunks, *chunks, n, 64, 1_000])
-        gathered, peaks = [0], []
+        kept, gathered, peaks = _traced_rows(monkeypatch), [0], []
 
-        def moment(x, q, mask, rows):
-            gathered.append(int(np.count_nonzero(mask)))
-            if x.shape[0] < n:  # a streamed scan's kept rows
-                gathered.append(2 * x.shape[0])
-            return _masked_moment(x, q, mask, rows)
+        def moment(x, q, rows):
+            if x.base is None:  # a gather on the fall-through batch, not the kept rows compacted in place
+                gathered.append(x.shape[0])
+            return _masked_moment(x, q, rows)
 
         def terminal(*args):  # the loop is over: its peak so far
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -1360,31 +1392,17 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         finally:
             tracemalloc.stop()
         assert [(t.candidates_scanned, t.accepted_candidate) for t in result.trace] == [(1, 0), (251, 250)]
-        assert not oracle.batches
-        net_peaks.append(peaks[0] - 8 * d * max(gathered))
+        assert not oracle.batches and len(kept) == 2  # one buffer a scan, none outgrown
+        net_peaks.append(peaks[0] - 8 * d * max(*gathered, *kept))
         z_bytes = 8 * n * (config.k - 1)  # the last scan's frame holds k - 1 vectors
         h_bytes = 8 * n * config.size  # l = 0: the one hidden layer is size wide
         assert net_peaks[-1] <= z_bytes + h_bytes + 2 * 8 * n + 16 * n
     assert net_peaks[1] <= net_peaks[0] + 1_000_000
 
 
-class _TracedBatches:
-    """An oracle whose batches hold x in numpy's own memory, which tracemalloc sees."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.input_dim = inner.input_dim
-
-    def draw(self, n):
-        batch = self.inner.draw(n)
-        x = batch.x.copy()
-        x.flags.writeable = False
-        return SampleSet(x, batch.y)
-
-
 def test_a_scan_at_d_400_holds_a_fraction_of_its_batch(monkeypatch):
     """One quantile-tau scan at d = 400 and N = 2e5, whose whole batch would be 640 MB: its peak traced allocation,
-    the chunks it draws included, stays under 128 MB, a fifth of that batch."""
+    the chunks it draws and its kept-row buffer included, stays under 128 MB, a fifth of that batch."""
     d, n = 400, 200_000
     v = np.zeros(d)
     v[:2] = (0.6, 0.8)
@@ -1396,12 +1414,13 @@ def test_a_scan_at_d_400_holds_a_fraction_of_its_batch(monkeypatch):
         return final(*args)
 
     monkeypatch.setattr(filteredpca, "_final_search", terminal)
+    rows = _traced_rows(monkeypatch)
     tracemalloc.start()
     try:
-        result = run(_TracedBatches(gaussian_oracle(abs_net(v), 0)), config)
+        result = run(gaussian_oracle(abs_net(v), 0), config)
     finally:
         tracemalloc.stop()
-    assert result.trace[0].accepted_candidate == 0 and len(_chunks(config)) == 40
+    assert result.trace[0].accepted_candidate == 0 and len(_chunks(config)) == 306
     assert peaks[0] <= 128 * 2**20
 
 
