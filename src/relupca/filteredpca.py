@@ -432,9 +432,11 @@ def _compact(x: np.ndarray, keep: np.ndarray) -> int:
 
 
 # A scan draws its batch in chunks of about this many floats (rows x d), and never of fewer rows than
-# final_select_samples, so that the fit reads the first chunk alone.  2**18 floats are 2 MB, one core's L2 cache on
-# the 2-core machine bench/README.md describes, so every scan streams at every d.  bench/run.py's peak_rss_mb there,
-# 10 alternating pairs against 2e6 floats: see CHANGES.md.
+# final_select_samples, so that the fit reads the first chunk alone.  2**18 floats are 2 MB, the size of one core's
+# L2 cache on the 2-core machine bench/README.md describes, and small enough that every scan streams at every d
+# (with 2e6 floats a batch of N d <= 2e6 was one chunk).  bench/run.py's peak_rss_mb there, medians of 10
+# alternating pairs against 2e6 floats with the kept rows concatenated:
+# rank1-kicker (d = 4) 47.1 -> 44.8 MB, rank2-highdim (d = 100) 116.7 -> 112.1 MB, rank2-terminal 101.2 -> 100.8 MB.
 _CHUNK_FLOATS = 2**18
 
 

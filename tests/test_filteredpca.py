@@ -1421,6 +1421,7 @@ def test_a_scan_at_d_400_holds_a_fraction_of_its_batch(monkeypatch):
     finally:
         tracemalloc.stop()
     assert result.trace[0].accepted_candidate == 0 and len(_chunks(config)) == 306
+    assert len(rows) == 306 + 1 + 2  # the chunks, one kept-row buffer, the selection and check batches
     assert peaks[0] <= 128 * 2**20
 
 
