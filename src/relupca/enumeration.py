@@ -22,6 +22,7 @@ __all__ = [
     "enumerate_kickers",
     "enumerate_networks",
     "first_of_each_ray",
+    "opposite_rays",
 ]
 
 
@@ -199,16 +200,36 @@ def enumerate_networks(
     return CandidateList(factory=blocks, count_bound=bound, frame=frame)
 
 
+def _grid_ints(rows: np.ndarray, eps_prime: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ints, gcd): each row of a one-unit network grid's W_0s as the grid's spacing times an integer vector, and
+    the gcd of that vector's entries (0 for a zero row); rows off the grid raise ValueError."""
+    spacing = _grid_geometry(rows.shape[1], 0.0, eps_prime)[0]
+    ints = np.rint(rows / spacing).astype(np.int64)
+    if not np.array_equal(ints * spacing, rows):
+        raise ValueError("rows are not on the one-unit network grid at eps_prime")
+    return ints, np.gcd.reduce(ints, axis=1)
+
+
 def first_of_each_ray(rows: np.ndarray, eps_prime: float) -> np.ndarray:
     """Indices, in order, of the first row of each ray among the non-zero rows of a one-unit network grid's W_0s.
 
     rows (n, ell) come from enumerate_networks(frame, eps_prime, 1, 0, b), so each is the grid's spacing times an
     integer vector (clipping only zeroes entries), and its ray is that vector over the gcd of its entries: exact.
     """
-    spacing = _grid_geometry(rows.shape[1], 0.0, eps_prime)[0]
-    ints = np.rint(rows / spacing).astype(np.int64)
-    if not np.array_equal(ints * spacing, rows):
-        raise ValueError("rows are not on the one-unit network grid at eps_prime")
-    gcd = np.gcd.reduce(ints, axis=1)
+    ints, gcd = _grid_ints(rows, eps_prime)
     nonzero = np.flatnonzero(gcd)
     return nonzero[np.sort(np.unique(ints[nonzero] // gcd[nonzero, None], axis=0, return_index=True)[1])]
+
+
+def opposite_rays(rows: np.ndarray, eps_prime: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, s): the pairs of rows on opposite rays, row j[p] = -s[p] * row i[p] with i[p] < j[p] and s[p] > 0.
+
+    rows are non-zero one-unit grid rows, one per ray (first_of_each_ray's), so pairs are matched exactly on their
+    rays' integer vectors, with no tolerance, and s is the ratio of the two rows' gcds.
+    """
+    ints, gcd = _grid_ints(rows, eps_prime)
+    rays = ints // gcd[:, None]
+    index = {ray.tobytes(): n for n, ray in enumerate(rays)}
+    opposite = np.array([index.get((-ray).tobytes(), -1) for ray in rays], dtype=np.int64)
+    i = np.flatnonzero(opposite > np.arange(len(rays)))
+    return i, opposite[i], gcd[opposite[i]] / gcd[i]

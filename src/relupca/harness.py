@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import BudgetError
-from .filteredpca import LearnConfig, _masked_moment, as_function, gaussian_oracle, run
+from .filteredpca import _CHUNK_FLOATS, LearnConfig, _masked_moment, as_function, gaussian_oracle, run
 from .lattice import LatticePolynomial, from_network, lattice_eval, perturb_leaves, structural_distance
 from .network import (
     Architecture,
@@ -118,8 +118,8 @@ def verify_stability(g: LatticePolynomial, g_prime: LatticePolynomial, f, tau, t
 
 
 def _filtered_moment_stream(filter_fn, d: int, n: int, rng) -> np.ndarray:
-    """_masked_moment with q = I over n fresh rows, summed chunk by chunk to bound memory."""
-    chunk = max(1, 2_000_000 // d)
+    """_masked_moment with q = I over n fresh rows, summed chunk by chunk (the scan's _CHUNK_FLOATS // d rows)."""
+    chunk = max(1, _CHUNK_FLOATS // d)
     eye = np.eye(d)
     acc = np.zeros((d, d))
     left = n

@@ -21,6 +21,7 @@ from relupca.enumeration import (
     enumerate_kickers,
     enumerate_networks,
     first_of_each_ray,
+    opposite_rays,
 )
 from relupca.filteredpca import (
     GaussianOracle,
@@ -455,7 +456,7 @@ def _reject_the_fit(monkeypatch):
         if len(frame) != 1:
             return fit(config, frame, z, y)
         block = next(filteredpca._candidates(config, frame, config.eps_prime).factory())
-        return (*block[:-1], block[-1][:1])
+        return (*block[:-1], block[-1][:1]), len(block[0])
 
     monkeypatch.setattr(filteredpca, "_fit_block", first_grid_row)
 
@@ -785,34 +786,55 @@ def _first_per_direction(rows):
     return keep
 
 
-def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
-    """The first layer is the one-unit grid's first-layer rows, the first of each direction in
-    stream order, lifted through the frame; the output layer is lstsq's coefficients on the
-    features of the selection rows' frame coordinates, and the network's predictions there are
-    the feature matrix times them."""
+def _recording_fold(monkeypatch):
+    """Record the dictionary and the lstsq coefficients of every _fold call, the fit before the fold; returns the
+    list of (w0, coef)."""
+    calls, fold = [], filteredpca._fold
+    monkeypatch.setattr(filteredpca, "_fold", lambda w0, coef, eps: calls.append((w0, coef)) or fold(w0, coef, eps))
+    return calls
+
+
+def _assert_same_function(got, w0, coef, z):
+    """got, a prediction row at the frame coordinates z, is relu(z W_0^T) coef to 1e-12 * max(1, max |row|)."""
+    want = np.maximum(z @ w0.T, 0.0) @ coef
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients(monkeypatch):
+    """Before the fold, the dictionary is the one-unit grid's first-layer rows, the first of each
+    direction in stream order, and the coefficients are lstsq's on its features at the selection
+    rows' frame coordinates, both byte for byte.  The hypothesis is the folded block lifted through
+    the frame, byte for byte, and its predictions there are the feature matrix times the
+    coefficients.  The record counts the dictionary's rows and the hypothesis's units."""
     rng = np.random.default_rng(6)
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
     config = _terminal_config(_GRID_FRAME)
+    folds = _recording_fold(monkeypatch)
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
     rows = [block[0] for block in enumerate_networks(_GRID_FRAME, 0.16, 1, 0, 1.0).factory()]
     keep = _first_per_direction([row[0] for row in rows])
     w0 = np.concatenate([rows[i] for i in keep])
     assert sum(bool(np.any(row)) for row in rows) == 108 and len(w0) == 72  # collinear and zero rows dropped
-    np.testing.assert_array_equal(hypothesis.weights[0], w0 @ _GRID_FRAME.vectors)
+    [(fitted_w0, fitted_coef)] = folds
+    np.testing.assert_array_equal(fitted_w0, w0)
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
     h = np.maximum(select.x @ _GRID_FRAME.vectors.T @ w0.T, 0.0)
     coef = np.linalg.lstsq(h, select.y, rcond=None)[0]
-    np.testing.assert_array_equal(hypothesis.weights[1], coef[None, :])
+    np.testing.assert_array_equal(fitted_coef, coef)
+    folded_w0, folded_w1 = filteredpca._fold(w0, coef, 0.16)
+    np.testing.assert_array_equal(hypothesis.weights[0], folded_w0 @ _GRID_FRAME.vectors)
+    np.testing.assert_array_equal(hypothesis.weights[1], folded_w1)
     np.testing.assert_allclose(evaluate(hypothesis, select.x), h @ coef, rtol=0, atol=1e-12)
-    assert (record.features, record.rows) == (len(w0), config.final_select_samples)
+    assert (record.features, record.units, record.rows) == (72, 38, config.final_select_samples)
     assert record.select_err == pytest.approx(np.sqrt(np.mean((select.y - h @ coef) ** 2)), rel=1e-12)
 
 
 @pytest.mark.parametrize("ell, eps, radius", [(1, 0.25, 2.0**0.5), (2, 0.16, 1.0), (2, 0.5, 1.0), (3, 0.3, 1.0)])
-def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
+def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius, monkeypatch):
     """The dictionary keeps exactly the non-zero grid rows that are not a positive multiple of an
-    earlier row, checked on the grid's integer vectors by exact 2 x 2 minors, each lifted;
-    first_of_each_ray refuses rows off the grid."""
+    earlier row, checked on the grid's integer vectors by exact 2 x 2 minors, byte for byte before
+    the fold; first_of_each_ray refuses rows off the grid.  The hypothesis computes the dictionary's
+    fit, and at ell = 1, where nothing folds, it is the dictionary lifted, byte for byte."""
     frame = Frame.from_span(np.random.default_rng(ell).standard_normal((ell, ell + 2)))
     rows = [block[0] for block in enumerate_networks(frame, eps, 1, 0, radius).factory()]
     spacing = 2.0 * eps / math.sqrt(ell)
@@ -831,9 +853,15 @@ def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
     assert len(keep) < int(np.count_nonzero(np.any(ints, axis=1)))
     target = abs_net(frame.vectors[0])
     config = _terminal_config(frame, b=radius, final_eps_prime=eps)
+    folds = _recording_fold(monkeypatch)
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, frame)
-    assert record.features == len(keep)
-    assert hypothesis.weights[0].tobytes() == (np.concatenate([rows[i] for i in keep]) @ frame.vectors).tobytes()
+    w0 = np.concatenate([rows[i] for i in keep])
+    [(fitted_w0, coef)] = folds
+    assert record.features == len(keep) and fitted_w0.tobytes() == w0.tobytes()
+    x = GaussianOracle(target, 3).draw(config.final_select_samples).x
+    _assert_same_function(evaluate(hypothesis, x), w0, coef, x @ frame.vectors.T)
+    if ell == 1:
+        assert hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
 
 
 def test_dropping_collinear_rows_keeps_the_fitted_function():
@@ -855,7 +883,7 @@ def test_terminal_fit_on_an_empty_frame_is_the_zero_net():
     hypothesis, eps_hat, certified, _, record = _final_search(GaussianOracle(target, 3), config, Frame.empty(4))
     assert all(not np.any(w) for w in hypothesis.weights)
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
-    assert record == filteredpca.TerminalRecord(0, config.final_select_samples, float(np.sqrt(np.mean(select.y**2))))
+    assert record == filteredpca.TerminalRecord(0, 0, config.final_select_samples, float(np.sqrt(np.mean(select.y**2))))
     assert not certified and eps_hat > 0.5
 
 
@@ -896,29 +924,68 @@ def test_underdetermined_terminal_fit_is_named_in_the_reason():
 
 
 @pytest.mark.parametrize("ell", [1, 2])
-def test_fit_block_row_equals_the_lifted_fit(ell, rng):
+def test_fit_block_row_equals_the_lifted_fit(ell, rng, monkeypatch):
     """The loop's first candidate on a non-empty frame: the fit block's row, as the scan forms it at Z, equals
-    evaluate of the lifted network at the raw rows to 1e-12 relative; W_1 is lstsq on the batch's first
-    final_select_samples rows; and the terminal's hypothesis is the same helper's block on its selection batch,
-    lifted byte for byte."""
+    evaluate of the lifted network at the raw rows to 1e-12 relative; before the fold, the coefficients are lstsq on
+    the batch's first final_select_samples rows, byte for byte, and the row computes their fit; at ell = 1 the block
+    is that fit, byte for byte.  The terminal's hypothesis is the same helper's block on its selection batch, lifted
+    byte for byte."""
     frame = Frame.from_span(rng.standard_normal((ell, 4)))
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
     config = _terminal_config(frame)
     batch = GaussianOracle(target, 3).draw(2_000)
     z = batch.x @ frame.vectors.T
-    w0, w1 = filteredpca._fit_block(config, frame, z, batch.y)
-    assert len(w0) == (2 if ell == 1 else 72)
+    folds = _recording_fold(monkeypatch)
+    (w0, w1), features = filteredpca._fit_block(config, frame, z, batch.y)
+    [(dictionary, coef)] = folds
+    assert (features, len(w0)) == ((2, 2) if ell == 1 else (72, 38)) and features == len(dictionary)
     [row] = _iter_predictions(CandidateList(lambda: iter([(w0, w1)]), 1, frame), z)
     want = evaluate(ReluNetwork((w0 @ frame.vectors, w1)), batch.x)
     assert np.max(np.abs(row - want)) <= 1e-12 * max(1.0, np.max(np.abs(row)))
     first = slice(config.final_select_samples)
-    h = np.maximum(z[first] @ w0.T, 0.0)
-    assert w1.tobytes() == np.linalg.lstsq(h, batch.y[first], rcond=None)[0][None, :].tobytes()
+    h = np.maximum(z[first] @ dictionary.T, 0.0)
+    assert coef.tobytes() == np.linalg.lstsq(h, batch.y[first], rcond=None)[0].tobytes()
+    _assert_same_function(row, dictionary, coef, z)
+    if ell == 1:
+        assert w0.tobytes() == dictionary.tobytes() and w1.tobytes() == coef[None, :].tobytes()
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, frame)
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
-    w0, w1 = filteredpca._fit_block(config, frame, select.x @ frame.vectors.T, select.y)
+    (w0, w1), features = filteredpca._fit_block(config, frame, select.x @ frame.vectors.T, select.y)
     assert hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
-    assert hypothesis.weights[1].tobytes() == w1.tobytes() and record.features == len(w0)
+    assert hypothesis.weights[1].tobytes() == w1.tobytes() and (record.features, record.units) == (features, len(w0))
+
+
+@pytest.mark.parametrize("ell, eps", [(1, 0.25), (2, 0.16), (3, 0.3)])
+def test_folding_opposite_rays_keeps_the_function(ell, eps):
+    """_fold against the unfolded sum relu(Z W_0^T) c over a one-unit grid's dictionary W_0 (radius 1).  The pairs
+    and ratios are those of a brute-force search on the grid's integer vectors: exact 2 x 2 minors and a negative
+    inner product.  At ell = 1 (one pair) the block is (W_0, c) byte for byte; at ell >= 2 it has F - P + 2 units,
+    and its predictions on 10^4 Gaussian rows match the unfolded ones to 1e-12 * max(1, max |row|), for Gaussian
+    coefficients, for the same with about half of them zero, and with every pair's second coefficient zero (no
+    linear part).  At ell >= 2 some pair's rows are not exact negations (s != 1)."""
+    rows = np.concatenate([block[0] for block in enumerate_networks(Frame(np.eye(ell)), eps, 1, 0, 1.0).factory()])
+    w0 = rows[first_of_each_ray(rows, eps)]
+    ints = np.rint(w0 / (2.0 * eps / math.sqrt(ell))).astype(np.int64)
+    pairs = [(a, b) for a in range(len(w0)) for b in range(a + 1, len(w0))
+             if not np.any(np.outer(ints[a], ints[b]) - np.outer(ints[b], ints[a])) and ints[a] @ ints[b] < 0]
+    i, j, s = opposite_rays(w0, eps)
+    assert list(zip(i.tolist(), j.tolist())) == pairs
+    np.testing.assert_array_equal(s, [-(ints[a] @ ints[b]) / (ints[a] @ ints[a]) for a, b in pairs])
+    rng = np.random.default_rng(ell)
+    z = rng.standard_normal((10_000, ell))
+    gauss = rng.standard_normal(len(w0))
+    sparse = np.where(rng.random(len(w0)) < 0.5, 0.0, gauss)
+    linear_free = gauss.copy()
+    linear_free[j] = 0.0
+    for coef in (gauss, sparse, linear_free):
+        folded_w0, folded_w1 = filteredpca._fold(w0, coef, eps)
+        if ell == 1:
+            assert len(pairs) == 1
+            assert folded_w0.tobytes() == w0.tobytes() and folded_w1.tobytes() == coef[None, :].tobytes()
+            continue
+        assert len(folded_w0) == folded_w1.shape[1] == len(w0) - len(pairs) + 2 < len(w0)
+        _assert_same_function(np.maximum(z @ folded_w0.T, 0.0) @ folded_w1[0], w0, coef, z)
+    assert ell == 1 or np.any(s != 1.0)
 
 
 class _RowCounter:
@@ -970,7 +1037,7 @@ def test_a_rejected_fit_falls_through_to_the_grid(monkeypatch):
         grid = grid_of(config, frame, eps_prime)
         if not len(frame):
             return grid
-        return CandidateList(lambda: itertools.chain(fits[-1:], grid.factory()), grid.count_bound + 1, frame)
+        return CandidateList(lambda: itertools.chain([fits[-1][0]], grid.factory()), grid.count_bound + 1, frame)
 
     monkeypatch.setattr(filteredpca, "_fit_block", lambda *args: fits.append(fit(*args)) or fits[-1])
     monkeypatch.setattr(filteredpca, "_candidates", fit_copy_first)
@@ -1012,7 +1079,7 @@ def _whole_batch_scan(config, frame, q, batch, fit_rows):
     z = batch.x @ frame.vectors.T
     candidates = filteredpca._candidates(config, frame, config.eps_prime)
     if len(frame):
-        fit = filteredpca._fit_block(config, frame, fit_rows.x @ frame.vectors.T, fit_rows.y)
+        fit = filteredpca._fit_block(config, frame, fit_rows.x @ frame.vectors.T, fit_rows.y)[0]
         candidates = CandidateList(lambda: iter([fit]), 1, frame)
     resid = np.abs(batch.y - next(_iter_predictions(candidates, z)))
     tau = _pick_tau(config, resid)

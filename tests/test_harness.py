@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from relupca.filteredpca import LearnConfig
+from relupca.filteredpca import _CHUNK_FLOATS, LearnConfig, _masked_moment
 from relupca.harness import (
     ExperimentSpec,
+    _filtered_moment_stream,
     Report,
     make_instance,
     report_equal_modulo_timing,
@@ -118,6 +119,23 @@ def test_moment_error_zero_filter_degenerate_case():
     assert frag["passed"]
     assert frag["slope"] is None
     assert frag["median_errors"] == [0.0, 0.0]
+
+
+def test_filtered_moment_stream_reads_one_stream_in_the_scans_chunks():
+    """The check draws n rows in the scan's chunks (_CHUNK_FLOATS // d rows) and sums their moments: the rows are
+    those of one draw of all n, so the sum equals _masked_moment of that draw to 1e-12 relative."""
+    d, chunk = 6, _CHUNK_FLOATS // 6
+    n, sizes = 3 * chunk + 17, []
+
+    def keep(x):
+        sizes.append(len(x))
+        return np.abs(x[:, 0]) > 1.0
+
+    got = _filtered_moment_stream(keep, d, n, np.random.default_rng(4))
+    assert sizes == [chunk, chunk, chunk, 17]
+    x = np.random.default_rng(4).standard_normal((n, d))
+    want = _masked_moment(x[np.abs(x[:, 0]) > 1.0], np.eye(d), n)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_moment_filter_must_return_an_indicator():
@@ -314,12 +332,14 @@ def test_run_experiment_end_to_end(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "section,key,value"
     assert len(lines) > 10
-    # the terminal fit explains itself: its dictionary rows, the rows it was fitted on, and its error there
+    # the terminal fit explains itself: its dictionary rows, the hypothesis's hidden units, the rows it was fitted
+    # on, and its error there
     terminal = report.recovery["terminal"]
-    assert set(terminal) == {"features", "rows", "select_err"}
+    assert set(terminal) == {"features", "units", "rows", "select_err"}
     assert terminal["features"] > 0 and terminal["rows"] == 256
+    assert terminal["units"] == terminal["features"] == 2  # a one-vector frame: nothing to fold
     assert isinstance(terminal["select_err"], float) and terminal["select_err"] >= 0
-    assert {f"terminal,features,{terminal['features']}", "terminal,rows,256",
+    assert {f"terminal,features,{terminal['features']}", "terminal,units,2", "terminal,rows,256",
             f"terminal,select_err,{terminal['select_err']:.17g}"} <= set(lines)
     # each iteration counts the moments its scan formed, at most one per candidate scanned
     for i, it in enumerate(report.recovery["iterations"]):
