@@ -8,10 +8,10 @@ Runs relupca.run() on rank2-highdim's planted instance and LearnConfig
 scan, whatever d.  Each d runs in a fresh interpreter with BLAS on one
 thread, and prints one line: d, the child's peak RSS in MB (ru_maxrss, the
 interpreter and the instance included), the returned hypothesis's hidden
-units (the width that its error checks' memory scales with), the seconds
-run() took, the rows drawn, and the chordal distance from the learned frame
-to the planted one (inf when their ranks differ).  Standard library and the
-package only.
+units (result.terminal.features, the rays its fit used: the width that its
+error checks' memory scales with), the seconds run() took, the rows drawn,
+and the chordal distance from the learned frame to the planted one (inf when
+their ranks differ).  Standard library and the package only.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _one(d: int, seed: int) -> dict:
     return {
         "d": d,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "units": result.terminal.units,
+        "units": result.terminal.features,
         "run_s": seconds,
         "rows": rows,
         "chordal": checks.chordal(result.frame.vectors, inst.planted),

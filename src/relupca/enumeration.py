@@ -21,8 +21,7 @@ __all__ = [
     "architectures",
     "enumerate_kickers",
     "enumerate_networks",
-    "first_of_each_ray",
-    "opposite_rays",
+    "ray_basis",
 ]
 
 
@@ -210,26 +209,18 @@ def _grid_ints(rows: np.ndarray, eps_prime: float) -> tuple[np.ndarray, np.ndarr
     return ints, np.gcd.reduce(ints, axis=1)
 
 
-def first_of_each_ray(rows: np.ndarray, eps_prime: float) -> np.ndarray:
-    """Indices, in order, of the first row of each ray among the non-zero rows of a one-unit network grid's W_0s.
+def ray_basis(rows: np.ndarray, eps_prime: float) -> np.ndarray:
+    """Indices, in stream order, of a basis of rays among the non-zero rows of a one-unit network grid's W_0s: the
+    first row of each ray whose integer vector's first non-zero entry is positive, and the first row of each -e_j.
 
     rows (n, ell) come from enumerate_networks(frame, eps_prime, 1, 0, b), so each is the grid's spacing times an
     integer vector (clipping only zeroes entries), and its ray is that vector over the gcd of its entries: exact.
+    The grid is symmetric under negation and holds the axis rays +-e_j of every coordinate j that any row uses (that
+    entry alone is on the grid too), so since relu(-t) = relu(t) - t, the features relu(<w, z>) of these P + ell
+    rows, the P positive rays and -e_j, span those of every ray.
     """
     ints, gcd = _grid_ints(rows, eps_prime)
-    nonzero = np.flatnonzero(gcd)
-    return nonzero[np.sort(np.unique(ints[nonzero] // gcd[nonzero, None], axis=0, return_index=True)[1])]
-
-
-def opposite_rays(rows: np.ndarray, eps_prime: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, s): the pairs of rows on opposite rays, row j[p] = -s[p] * row i[p] with i[p] < j[p] and s[p] > 0.
-
-    rows are non-zero one-unit grid rows, one per ray (first_of_each_ray's), so pairs are matched exactly on their
-    rays' integer vectors, with no tolerance, and s is the ratio of the two rows' gcds.
-    """
-    ints, gcd = _grid_ints(rows, eps_prime)
-    rays = ints // gcd[:, None]
-    index = {ray.tobytes(): n for n, ray in enumerate(rays)}
-    opposite = np.array([index.get((-ray).tobytes(), -1) for ray in rays], dtype=np.int64)
-    i = np.flatnonzero(opposite > np.arange(len(rays)))
-    return i, opposite[i], gcd[opposite[i]] / gcd[i]
+    rays = ints // np.maximum(gcd, 1)[:, None]  # a zero row stays zero
+    lead = rays[np.arange(len(rays)), np.argmax(rays != 0, axis=1)]
+    keep = np.flatnonzero((lead > 0) | ((lead < 0) & (np.abs(rays).sum(axis=1) == 1)))  # positive rays and -e_j
+    return keep[np.sort(np.unique(rays[keep], axis=0, return_index=True)[1])]

@@ -12,8 +12,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .enumeration import CandidateList, KickerBlock, enumerate_kickers, enumerate_networks
-from .enumeration import first_of_each_ray, opposite_rays
+from .enumeration import CandidateList, KickerBlock, enumerate_kickers, enumerate_networks, ray_basis
 from .errors import BudgetError
 from .lattice import LatticePolynomial, SelectorKicker, _rank_patterns, all_order_types, lattice_eval, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
@@ -194,9 +193,10 @@ class LearnConfig:
     max_candidates, an integer of at least 1, caps every scan's candidate count
     bound (None: no cap), the terminal dictionary's grid included.
     The least-squares fit reads final_select_samples (its row count), b and
-    final_eps_prime (its dictionary's grid), and not size or l, which shape
-    only the loop's grid networks (l also enters the derived final_eps_prime);
-    it is the terminal hypothesis and the first candidate of every scan at ell >= 1.
+    final_eps_prime (the grid whose P + ell basis rays are its hidden units),
+    and not size or l, which shape only the loop's grid networks (l also
+    enters the derived final_eps_prime); it is the terminal hypothesis and the
+    first candidate of every scan at ell >= 1.
     Sizes and sample counts are integers (dim, size and the sample counts at
     least 1, k and l at least 0, k at most dim).  b, lam and the grid
     granularities are finite and positive, as is lambda_acc when given
@@ -289,11 +289,10 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class TerminalRecord:
-    """The terminal fit: the dictionary rows lstsq fitted over (features), the returned hypothesis's hidden units
-    after the fold (0 for the zero net), rows fitted on, and the RMS error on them."""
+    """The terminal fit: the rays lstsq fitted over (features, P + ell), which are the returned hypothesis's hidden
+    units (0 for the zero net), rows fitted on, and the RMS error on them."""
 
     features: int
-    units: int
     rows: int
     select_err: float | None  # None when the terminal grid exceeded the budget, so nothing was fitted
 
@@ -478,7 +477,7 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
         # and each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x).
         z = batch.x @ candidates.frame.vectors.T
         if not start and len(frame):  # the least-squares fit over the frame first, then the grid
-            fit = _fit_block(config, frame, z, batch.y)[0]
+            fit = _fit_block(config, frame, z, batch.y)
             grid = candidates.factory
             stream = CandidateList(lambda: itertools.chain([fit], grid()), candidates.count_bound + 1, frame)
         r = next(_iter_predictions(stream, z))
@@ -613,65 +612,44 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
 
 
 def _fit_block(config: LearnConfig, frame: Frame, z: np.ndarray, y: np.ndarray) -> tuple:
-    """The least-squares fit over a non-empty frame as one network block (W_0, W_1) in frame coordinates, folded
-    (_fold), and the count of dictionary rows it was fitted over: (block, features).
+    """The least-squares fit over a non-empty frame as one network block (W_0, W_1) in frame coordinates.
 
-    A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden directions w in its span.  The
-    dictionary is the first row of each ray (relu(c <w, x>) = c relu(<w, x>) for c > 0) among the first layers of
-    the one-unit network grid at final_eps_prime, in stream order; its coefficients are lstsq's minimum-norm fit of
-    y on relu(Z W^T) over the first final_select_samples rows of z and y: in the loop, the first rows of the scan's
-    first chunk, which are its batch's first rows; in the terminal, the selection batch.  Exact at ell = 1 (the
-    directions are +-1); at ell >= 2 rounding each hidden direction to the grid costs at most final_eps_prime times
-    the path norm.
+    A bias-free depth-2 net on the frame is a sum of relu(<w, x>) over hidden directions w in its span.  W_0 is
+    ray_basis's rows of the one-unit network grid at final_eps_prime, in stream order: P + ell rays whose features
+    span those of every ray on the grid (relu(c <w, x>) = c relu(<w, x>) for c > 0, relu(-t) = relu(t) - t).  W_1
+    is lstsq's fit of y on relu(Z W_0^T) over the first final_select_samples rows of z and y: in the loop, the first
+    rows of the scan's first chunk, which are its batch's first rows; in the terminal, the selection batch.  Exact
+    at ell = 1 (the directions are +-1); at ell >= 2 rounding each hidden direction to the grid costs at most
+    final_eps_prime times the path norm.
     """
     fep = config.default_final_eps_prime()
     grid = enumerate_networks(frame, fep, 1, 0, config.b, max_candidates=config.max_candidates)
     rows = np.concatenate([block[0] for block in grid.factory()])
-    w0 = rows[first_of_each_ray(rows, fep)]
+    w0 = rows[ray_basis(rows, fep)]
     h = np.maximum(z[: config.final_select_samples] @ w0.T, 0.0)
-    return _fold(w0, np.linalg.lstsq(h, y[: config.final_select_samples], rcond=None)[0], fep), len(w0)
-
-
-def _fold(w0: np.ndarray, coef: np.ndarray, eps_prime: float) -> tuple:
-    """The block (W_0, W_1) of sum_r coef[r] relu(<w0[r], z>), with one unit fewer for each pair of opposite rays.
-
-    The grid is symmetric under negation, so the dictionary's rays come in opposite pairs: row j = -s row i, s > 0
-    (opposite_rays).  Since relu(-t) = relu(t) - t,
-    c_i relu(<w_i, z>) + c_j relu(<w_j, z>) = (c_i + s c_j) relu(<w_i, z>) - s c_j <w_i, z>,
-    and the pairs' linear parts sum to one <L, z> = relu(<L, z>) - relu(<-L, z>).  So P pairs fold into F - P + 2
-    units, the rows other than each pair's j in order, then L and -L, which compute the same function up to
-    rounding, whatever coef is.  With P <= 2 that is no fewer than F, and the block is (w0, coef) as fitted.
-    """
-    i, j, s = opposite_rays(w0, eps_prime)
-    if len(i) <= 2:
-        return w0, coef[None, :]
-    lin = -(s * coef[j]) @ w0[i]
-    c = coef.copy()
-    c[i] += s * coef[j]
-    keep = np.ones(len(w0), dtype=bool)
-    keep[j] = False
-    return np.vstack([w0[keep], lin, -lin]), np.concatenate([c[keep], [1.0, -1.0]])[None, :]
+    return w0, np.linalg.lstsq(h, y[: config.final_select_samples], rcond=None)[0][None, :]
 
 
 def _final_search(oracle, config: LearnConfig, frame: Frame):
-    """The terminal hypothesis: _fit_block's folded block on the selection batch, lifted through the frame (W_0 F, W_1).
+    """The terminal hypothesis: _fit_block's block on the selection batch, lifted through the frame (W_0 F, W_1).
 
     An empty frame, or an empty dictionary, gives the zero net.  The fitted network is certified by the error check.
     Returns (hypothesis, eps_hat, certified, failure, TerminalRecord).
     """
     select = oracle.draw(config.final_select_samples)
     target = 3.0 * config.eps
-    hypothesis, preds, features, units = zero_network(config.dim), np.zeros(select.n), 0, 0
+    hypothesis, preds, features = zero_network(config.dim), np.zeros(select.n), 0
     if len(frame):
         try:
-            (w0, w1), features = _fit_block(config, frame, select.x @ frame.vectors.T, select.y)
+            w0, w1 = _fit_block(config, frame, select.x @ frame.vectors.T, select.y)
         except BudgetError as err:
-            record = TerminalRecord(0, 0, select.n, None)
+            record = TerminalRecord(0, select.n, None)
             return None, math.inf, False, f"terminal enumeration budget exhausted: {err}", record
+        features = len(w0)
         if features:
-            hypothesis, units = ReluNetwork((w0 @ frame.vectors, w1)), len(w0)
+            hypothesis = ReluNetwork((w0 @ frame.vectors, w1))
             preds = evaluate(hypothesis, select.x)
-    record = TerminalRecord(features, units, select.n, float(np.sqrt(np.mean((select.y - preds) ** 2))))
+    record = TerminalRecord(features, select.n, float(np.sqrt(np.mean((select.y - preds) ** 2))))
     eps_hat = estimate_l2_error(hypothesis, oracle, config.n_check)
     if eps_hat <= target:
         return hypothesis, eps_hat, True, None, record

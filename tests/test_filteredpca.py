@@ -20,8 +20,7 @@ from relupca.enumeration import (
     _candidate,
     enumerate_kickers,
     enumerate_networks,
-    first_of_each_ray,
-    opposite_rays,
+    ray_basis,
 )
 from relupca.filteredpca import (
     GaussianOracle,
@@ -456,7 +455,7 @@ def _reject_the_fit(monkeypatch):
         if len(frame) != 1:
             return fit(config, frame, z, y)
         block = next(filteredpca._candidates(config, frame, config.eps_prime).factory())
-        return (*block[:-1], block[-1][:1]), len(block[0])
+        return (*block[:-1], block[-1][:1])
 
     monkeypatch.setattr(filteredpca, "_fit_block", first_grid_row)
 
@@ -786,95 +785,101 @@ def _first_per_direction(rows):
     return keep
 
 
-def _recording_fold(monkeypatch):
-    """Record the dictionary and the lstsq coefficients of every _fold call, the fit before the fold; returns the
-    list of (w0, coef)."""
-    calls, fold = [], filteredpca._fold
-    monkeypatch.setattr(filteredpca, "_fold", lambda w0, coef, eps: calls.append((w0, coef)) or fold(w0, coef, eps))
-    return calls
+def _one_unit_rows(frame, eps, radius=1.0):
+    """The first-layer rows of the one-unit network grid over frame, in stream order, as one (n, ell) array."""
+    return np.concatenate([block[0] for block in enumerate_networks(frame, eps, 1, 0, radius).factory()])
 
 
-def _assert_same_function(got, w0, coef, z):
-    """got, a prediction row at the frame coordinates z, is relu(z W_0^T) coef to 1e-12 * max(1, max |row|)."""
-    want = np.maximum(z @ w0.T, 0.0) @ coef
-    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-
-
-def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients(monkeypatch):
-    """Before the fold, the dictionary is the one-unit grid's first-layer rows, the first of each
-    direction in stream order, and the coefficients are lstsq's on its features at the selection
-    rows' frame coordinates, both byte for byte.  The hypothesis is the folded block lifted through
-    the frame, byte for byte, and its predictions there are the feature matrix times the
-    coefficients.  The record counts the dictionary's rows and the hypothesis's units."""
+def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
+    """The hypothesis is the ray basis of the one-unit grid lifted through the frame, with lstsq's
+    coefficients on its features at the selection rows' frame coordinates, both byte for byte, and its
+    predictions there are the feature matrix times the coefficients.  The record counts the basis's
+    rows, which are the hypothesis's units."""
     rng = np.random.default_rng(6)
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
     config = _terminal_config(_GRID_FRAME)
-    folds = _recording_fold(monkeypatch)
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
-    rows = [block[0] for block in enumerate_networks(_GRID_FRAME, 0.16, 1, 0, 1.0).factory()]
-    keep = _first_per_direction([row[0] for row in rows])
-    w0 = np.concatenate([rows[i] for i in keep])
-    assert sum(bool(np.any(row)) for row in rows) == 108 and len(w0) == 72  # collinear and zero rows dropped
-    [(fitted_w0, fitted_coef)] = folds
-    np.testing.assert_array_equal(fitted_w0, w0)
+    rows = _one_unit_rows(_GRID_FRAME, 0.16)
+    w0 = rows[ray_basis(rows, 0.16)]
+    # collinear and zero rows dropped, then one of each pair of opposite rays but -e_1 and -e_2
+    assert (int(np.count_nonzero(np.any(rows, axis=1))), len(_first_per_direction(rows)), len(w0)) == (108, 72, 38)
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
     h = np.maximum(select.x @ _GRID_FRAME.vectors.T @ w0.T, 0.0)
     coef = np.linalg.lstsq(h, select.y, rcond=None)[0]
-    np.testing.assert_array_equal(fitted_coef, coef)
-    folded_w0, folded_w1 = filteredpca._fold(w0, coef, 0.16)
-    np.testing.assert_array_equal(hypothesis.weights[0], folded_w0 @ _GRID_FRAME.vectors)
-    np.testing.assert_array_equal(hypothesis.weights[1], folded_w1)
+    np.testing.assert_array_equal(hypothesis.weights[0], w0 @ _GRID_FRAME.vectors)
+    np.testing.assert_array_equal(hypothesis.weights[1], coef[None, :])
     np.testing.assert_allclose(evaluate(hypothesis, select.x), h @ coef, rtol=0, atol=1e-12)
-    assert (record.features, record.units, record.rows) == (72, 38, config.final_select_samples)
+    assert (record.features, record.rows) == (38, config.final_select_samples)
     assert record.select_err == pytest.approx(np.sqrt(np.mean((select.y - h @ coef) ** 2)), rel=1e-12)
 
 
-@pytest.mark.parametrize("ell, eps, radius", [(1, 0.25, 2.0**0.5), (2, 0.16, 1.0), (2, 0.5, 1.0), (3, 0.3, 1.0)])
-def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius, monkeypatch):
-    """The dictionary keeps exactly the non-zero grid rows that are not a positive multiple of an
-    earlier row, checked on the grid's integer vectors by exact 2 x 2 minors, byte for byte before
-    the fold; first_of_each_ray refuses rows off the grid.  The hypothesis computes the dictionary's
-    fit, and at ell = 1, where nothing folds, it is the dictionary lifted, byte for byte."""
-    frame = Frame.from_span(np.random.default_rng(ell).standard_normal((ell, ell + 2)))
-    rows = [block[0] for block in enumerate_networks(frame, eps, 1, 0, radius).factory()]
-    spacing = 2.0 * eps / math.sqrt(ell)
-    ints = np.rint(np.concatenate(rows) / spacing)
-    assert np.array_equal(ints * spacing, np.concatenate(rows))  # the rows are the spacing times integer vectors
-    ints = ints.astype(np.int64)
+def _ray_basis_reference(ints):
+    """Brute force on the grid's integer vectors: (rays, basis), the indices of the non-zero rows that no earlier
+    row shares a ray with (every 2 x 2 minor vanishes and the two point the same way), and those of them whose first
+    non-zero entry is positive or which are a negative multiple of an axis vector e_j."""
 
-    def same_ray(u, v):  # exact: every 2 x 2 minor vanishes and the two point the same way
+    def same_ray(u, v):
         return not np.any(np.outer(u, v) - np.outer(v, u)) and u @ v > 0
 
-    keep = [i for i, u in enumerate(ints) if np.any(u) and not any(same_ray(u, ints[j]) for j in range(i))]
-    assert keep == _first_per_direction(np.concatenate(rows))
-    assert first_of_each_ray(np.concatenate(rows), eps).tolist() == keep
+    rays = [i for i, u in enumerate(ints) if np.any(u) and not any(same_ray(u, ints[j]) for j in range(i))]
+    basis = [i for i in rays if ints[i][np.flatnonzero(ints[i])[0]] > 0 or np.count_nonzero(ints[i]) == 1]
+    return rays, basis
+
+
+@pytest.mark.parametrize("ell, eps, radius", [(1, 0.25, 2.0**0.5), (2, 0.16, 1.0), (2, 0.5, 1.0), (3, 0.3, 1.0)])
+def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
+    """ray_basis keeps, in stream order, the first row of each ray with a positive first non-zero entry and of
+    each ray -e_j, as a brute-force search on the grid's integer vectors finds them: P + ell of the 2P rays,
+    and at ell = 1 the first row of each of the two rays, in order.  It refuses rows off the grid.  The
+    hypothesis is those rows lifted, with lstsq's coefficients on their features, byte for byte."""
+    frame = Frame.from_span(np.random.default_rng(ell).standard_normal((ell, ell + 2)))
+    rows = _one_unit_rows(frame, eps, radius)
+    spacing = 2.0 * eps / math.sqrt(ell)
+    ints = np.rint(rows / spacing)
+    assert np.array_equal(ints * spacing, rows)  # the rows are the spacing times integer vectors
+    rays, keep = _ray_basis_reference(ints.astype(np.int64))
+    assert rays == _first_per_direction(rows) and len(rays) % 2 == 0
+    assert ray_basis(rows, eps).tolist() == keep and len(keep) == len(rays) // 2 + ell
+    assert ell > 1 or keep == rays
     with pytest.raises(ValueError, match="not on the one-unit network grid"):
-        first_of_each_ray(1.5 * np.concatenate(rows), eps)  # rows off the grid are refused, not keyed wrongly
-    assert len(keep) < int(np.count_nonzero(np.any(ints, axis=1)))
+        ray_basis(1.5 * rows, eps)  # rows off the grid are refused, not keyed wrongly
     target = abs_net(frame.vectors[0])
     config = _terminal_config(frame, b=radius, final_eps_prime=eps)
-    folds = _recording_fold(monkeypatch)
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, frame)
-    w0 = np.concatenate([rows[i] for i in keep])
-    [(fitted_w0, coef)] = folds
-    assert record.features == len(keep) and fitted_w0.tobytes() == w0.tobytes()
-    x = GaussianOracle(target, 3).draw(config.final_select_samples).x
-    _assert_same_function(evaluate(hypothesis, x), w0, coef, x @ frame.vectors.T)
-    if ell == 1:
-        assert hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
+    w0 = rows[keep]
+    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    coef = np.linalg.lstsq(np.maximum(select.x @ frame.vectors.T @ w0.T, 0.0), select.y, rcond=None)[0]
+    assert record.features == len(keep) and hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
+    assert hypothesis.weights[1].tobytes() == coef[None, :].tobytes()
 
 
-def test_dropping_collinear_rows_keeps_the_fitted_function():
-    """The reduced dictionary spans the same columns, so the least-squares predictions agree to rounding."""
+_FIT_FRAMES = {
+    1: Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0]])),
+    2: _GRID_FRAME,
+    3: Frame.from_span(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0], [1.0, 0.0, 0.0, -1.0]])),
+}
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_dropping_collinear_rows_keeps_the_fitted_function(ell):
+    """The ray basis spans the same columns as every grid row, so the least-squares predictions agree to rounding.
+    Its feature matrix has full column rank; the dictionary of one row per ray has the same rank, which is
+    below its width at ell >= 2."""
+    eps = 0.3 if ell == 3 else 0.16
+    frame = _FIT_FRAMES[ell]
     rng = np.random.default_rng(6)
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
-    config = _terminal_config(_GRID_FRAME)
-    hypothesis, _, _, _, _ = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
+    config = _terminal_config(frame, final_eps_prime=eps)
+    hypothesis, _, _, _, _ = _final_search(GaussianOracle(target, 3), config, frame)
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
-    every = [block[0] @ _GRID_FRAME.vectors for block in enumerate_networks(_GRID_FRAME, 0.16, 1, 0, 1.0).factory()]
-    h = np.maximum(select.x @ np.concatenate(every).T, 0.0)
+    every = _one_unit_rows(frame, eps) @ frame.vectors
+    h = np.maximum(select.x @ every.T, 0.0)
     full = h @ np.linalg.lstsq(h, select.y, rcond=None)[0]
     np.testing.assert_allclose(evaluate(hypothesis, select.x), full, rtol=0, atol=1e-9 * np.max(np.abs(full)))
+    kept = np.maximum(select.x @ hypothesis.weights[0].T, 0.0)
+    rays = h[:, _first_per_direction(every)]
+    assert np.linalg.matrix_rank(kept) == kept.shape[1] == np.linalg.matrix_rank(rays)
+    assert (rays.shape[1] > kept.shape[1]) == (ell >= 2)
 
 
 def test_terminal_fit_on_an_empty_frame_is_the_zero_net():
@@ -883,7 +888,7 @@ def test_terminal_fit_on_an_empty_frame_is_the_zero_net():
     hypothesis, eps_hat, certified, _, record = _final_search(GaussianOracle(target, 3), config, Frame.empty(4))
     assert all(not np.any(w) for w in hypothesis.weights)
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
-    assert record == filteredpca.TerminalRecord(0, 0, config.final_select_samples, float(np.sqrt(np.mean(select.y**2))))
+    assert record == filteredpca.TerminalRecord(0, config.final_select_samples, float(np.sqrt(np.mean(select.y**2))))
     assert not certified and eps_hat > 0.5
 
 
@@ -924,68 +929,52 @@ def test_underdetermined_terminal_fit_is_named_in_the_reason():
 
 
 @pytest.mark.parametrize("ell", [1, 2])
-def test_fit_block_row_equals_the_lifted_fit(ell, rng, monkeypatch):
+def test_fit_block_row_equals_the_lifted_fit(ell, rng):
     """The loop's first candidate on a non-empty frame: the fit block's row, as the scan forms it at Z, equals
-    evaluate of the lifted network at the raw rows to 1e-12 relative; before the fold, the coefficients are lstsq on
-    the batch's first final_select_samples rows, byte for byte, and the row computes their fit; at ell = 1 the block
-    is that fit, byte for byte.  The terminal's hypothesis is the same helper's block on its selection batch, lifted
-    byte for byte."""
+    evaluate of the lifted network at the raw rows to 1e-12 relative; its output row is lstsq on the batch's first
+    final_select_samples rows, byte for byte.  The terminal's hypothesis is the same helper's block on its
+    selection batch, lifted byte for byte, and the record counts its units."""
     frame = Frame.from_span(rng.standard_normal((ell, 4)))
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
     config = _terminal_config(frame)
     batch = GaussianOracle(target, 3).draw(2_000)
     z = batch.x @ frame.vectors.T
-    folds = _recording_fold(monkeypatch)
-    (w0, w1), features = filteredpca._fit_block(config, frame, z, batch.y)
-    [(dictionary, coef)] = folds
-    assert (features, len(w0)) == ((2, 2) if ell == 1 else (72, 38)) and features == len(dictionary)
+    w0, w1 = filteredpca._fit_block(config, frame, z, batch.y)
+    assert len(w0) == (2 if ell == 1 else 38)
     [row] = _iter_predictions(CandidateList(lambda: iter([(w0, w1)]), 1, frame), z)
     want = evaluate(ReluNetwork((w0 @ frame.vectors, w1)), batch.x)
     assert np.max(np.abs(row - want)) <= 1e-12 * max(1.0, np.max(np.abs(row)))
     first = slice(config.final_select_samples)
-    h = np.maximum(z[first] @ dictionary.T, 0.0)
-    assert coef.tobytes() == np.linalg.lstsq(h, batch.y[first], rcond=None)[0].tobytes()
-    _assert_same_function(row, dictionary, coef, z)
-    if ell == 1:
-        assert w0.tobytes() == dictionary.tobytes() and w1.tobytes() == coef[None, :].tobytes()
+    h = np.maximum(z[first] @ w0.T, 0.0)
+    assert w1.tobytes() == np.linalg.lstsq(h, batch.y[first], rcond=None)[0][None, :].tobytes()
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, frame)
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
-    (w0, w1), features = filteredpca._fit_block(config, frame, select.x @ frame.vectors.T, select.y)
+    w0, w1 = filteredpca._fit_block(config, frame, select.x @ frame.vectors.T, select.y)
     assert hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
-    assert hypothesis.weights[1].tobytes() == w1.tobytes() and (record.features, record.units) == (features, len(w0))
+    assert hypothesis.weights[1].tobytes() == w1.tobytes() and record.features == len(w0)
 
 
 @pytest.mark.parametrize("ell, eps", [(1, 0.25), (2, 0.16), (3, 0.3)])
 def test_folding_opposite_rays_keeps_the_function(ell, eps):
-    """_fold against the unfolded sum relu(Z W_0^T) c over a one-unit grid's dictionary W_0 (radius 1).  The pairs
-    and ratios are those of a brute-force search on the grid's integer vectors: exact 2 x 2 minors and a negative
-    inner product.  At ell = 1 (one pair) the block is (W_0, c) byte for byte; at ell >= 2 it has F - P + 2 units,
-    and its predictions on 10^4 Gaussian rows match the unfolded ones to 1e-12 * max(1, max |row|), for Gaussian
-    coefficients, for the same with about half of them zero, and with every pair's second coefficient zero (no
-    linear part).  At ell >= 2 some pair's rows are not exact negations (s != 1)."""
-    rows = np.concatenate([block[0] for block in enumerate_networks(Frame(np.eye(ell)), eps, 1, 0, 1.0).factory()])
-    w0 = rows[first_of_each_ray(rows, eps)]
-    ints = np.rint(w0 / (2.0 * eps / math.sqrt(ell))).astype(np.int64)
-    pairs = [(a, b) for a in range(len(w0)) for b in range(a + 1, len(w0))
-             if not np.any(np.outer(ints[a], ints[b]) - np.outer(ints[b], ints[a])) and ints[a] @ ints[b] < 0]
-    i, j, s = opposite_rays(w0, eps)
-    assert list(zip(i.tolist(), j.tolist())) == pairs
-    np.testing.assert_array_equal(s, [-(ints[a] @ ints[b]) / (ints[a] @ ints[a]) for a, b in pairs])
+    """The ray basis B of a one-unit grid (radius 1) computes every function of its dictionary D of one row per
+    ray, as folding D's opposite rays with relu(-t) = relu(t) - t would: for Gaussian coefficients c, the same
+    with about half of them zero, and c on only the rows outside B, the lstsq fit of relu(Z D^T) c on relu(Z B^T)
+    over 10^4 Gaussian rows matches it to 1e-10 * max(1, max |row|).  At ell = 1 B is D; at ell >= 2 it has
+    P + ell of D's 2P rows, and some row outside B is not the exact negation of a row of D."""
+    rows = _one_unit_rows(Frame(np.eye(ell)), eps)
+    rays, kept = _first_per_direction(rows), ray_basis(rows, eps)
+    dictionary, basis, outside = rows[rays], rows[kept], ~np.isin(rays, kept)
+    assert len(basis) == len(dictionary) // 2 + ell and np.count_nonzero(outside) == len(dictionary) - len(basis)
     rng = np.random.default_rng(ell)
     z = rng.standard_normal((10_000, ell))
-    gauss = rng.standard_normal(len(w0))
-    sparse = np.where(rng.random(len(w0)) < 0.5, 0.0, gauss)
-    linear_free = gauss.copy()
-    linear_free[j] = 0.0
-    for coef in (gauss, sparse, linear_free):
-        folded_w0, folded_w1 = filteredpca._fold(w0, coef, eps)
-        if ell == 1:
-            assert len(pairs) == 1
-            assert folded_w0.tobytes() == w0.tobytes() and folded_w1.tobytes() == coef[None, :].tobytes()
-            continue
-        assert len(folded_w0) == folded_w1.shape[1] == len(w0) - len(pairs) + 2 < len(w0)
-        _assert_same_function(np.maximum(z @ folded_w0.T, 0.0) @ folded_w1[0], w0, coef, z)
-    assert ell == 1 or np.any(s != 1.0)
+    features = np.maximum(z @ basis.T, 0.0)
+    gauss = rng.standard_normal(len(dictionary))
+    for coef in (gauss, np.where(rng.random(len(dictionary)) < 0.5, 0.0, gauss), np.where(outside, gauss, 0.0)):
+        want = np.maximum(z @ dictionary.T, 0.0) @ coef
+        got = features @ np.linalg.lstsq(features, want, rcond=None)[0]
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+    negations = {(-row).tobytes() for row in dictionary}
+    assert ell == 1 or any(row.tobytes() not in negations for row in dictionary[outside])
 
 
 class _RowCounter:
@@ -1037,7 +1026,7 @@ def test_a_rejected_fit_falls_through_to_the_grid(monkeypatch):
         grid = grid_of(config, frame, eps_prime)
         if not len(frame):
             return grid
-        return CandidateList(lambda: itertools.chain([fits[-1][0]], grid.factory()), grid.count_bound + 1, frame)
+        return CandidateList(lambda: itertools.chain([fits[-1]], grid.factory()), grid.count_bound + 1, frame)
 
     monkeypatch.setattr(filteredpca, "_fit_block", lambda *args: fits.append(fit(*args)) or fits[-1])
     monkeypatch.setattr(filteredpca, "_candidates", fit_copy_first)
@@ -1079,7 +1068,7 @@ def _whole_batch_scan(config, frame, q, batch, fit_rows):
     z = batch.x @ frame.vectors.T
     candidates = filteredpca._candidates(config, frame, config.eps_prime)
     if len(frame):
-        fit = filteredpca._fit_block(config, frame, fit_rows.x @ frame.vectors.T, fit_rows.y)[0]
+        fit = filteredpca._fit_block(config, frame, fit_rows.x @ frame.vectors.T, fit_rows.y)
         candidates = CandidateList(lambda: iter([fit]), 1, frame)
     resid = np.abs(batch.y - next(_iter_predictions(candidates, z)))
     tau = _pick_tau(config, resid)

@@ -332,14 +332,13 @@ def test_run_experiment_end_to_end(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "section,key,value"
     assert len(lines) > 10
-    # the terminal fit explains itself: its dictionary rows, the hypothesis's hidden units, the rows it was fitted
+    # the terminal fit explains itself: the rays it fitted (the hypothesis's hidden units), the rows it was fitted
     # on, and its error there
     terminal = report.recovery["terminal"]
-    assert set(terminal) == {"features", "units", "rows", "select_err"}
-    assert terminal["features"] > 0 and terminal["rows"] == 256
-    assert terminal["units"] == terminal["features"] == 2  # a one-vector frame: nothing to fold
+    assert set(terminal) == {"features", "rows", "select_err"}
+    assert terminal["features"] == 2 and terminal["rows"] == 256  # a one-vector frame: the rays +v and -v
     assert isinstance(terminal["select_err"], float) and terminal["select_err"] >= 0
-    assert {f"terminal,features,{terminal['features']}", "terminal,units,2", "terminal,rows,256",
+    assert {"terminal,features,2", "terminal,rows,256",
             f"terminal,select_err,{terminal['select_err']:.17g}"} <= set(lines)
     # each iteration counts the moments its scan formed, at most one per candidate scanned
     for i, it in enumerate(report.recovery["iterations"]):
