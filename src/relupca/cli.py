@@ -162,9 +162,13 @@ def to_lattice(net_path, out_path):
 @main.command("report-summarize")
 @click.argument("report_path", type=click.Path(exists=True))
 def report_summarize(report_path):
-    """Print the pass/fail summary of a report file."""
+    """Print the pass/fail summary of a report file; a malformed report is a usage error."""
     with open(report_path) as fh:
-        report = Report.from_json(fh.read())
+        text = fh.read()
+    try:
+        report = Report.from_json(text)
+    except ValueError as err:
+        raise click.UsageError(str(err))
     rec = report.recovery
     click.echo(f"run: {report.spec.get('name', '?')} (instance {rec.get('instance_kind', '?')})")
     click.echo(f"directions found: {rec.get('k_found')}/{rec.get('k_target')}, "

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import mmap
 import numbers
 from dataclasses import dataclass
 from typing import ClassVar
@@ -37,16 +35,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Labelled input batch (x rows, y values) with seed provenance."""
+    """Labelled input batch (x rows, y values), read-only.
+
+    x is kept uncopied when it is read-only and owns its data (an oracle batch's); any other x, and every y, is
+    copied, so that no reference elsewhere can write the batch.
+    """
 
     x: np.ndarray
     y: np.ndarray
-    seed: object = None
-    source: str = ""
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
-        if x.flags.writeable or type(x.base) not in (type(None), _BatchPages):  # a reference elsewhere could write it
+        if x.flags.writeable or x.base is not None:  # a reference elsewhere could write it
             x = x.copy()
         y = np.array(self.y, dtype=float, copy=True).ravel()
         if x.ndim != 2 or x.shape[0] < 1:
@@ -71,23 +71,9 @@ class SampleSet:
         return self.x.shape[1]
 
 
-class _BatchPages(mmap.mmap):
-    """Anonymous pages that only one array references (_own_rows): freed, they go back to the OS, not to the heap.
-
-    Without them glibc serves a batch the size of an earlier freed one from its heap and keeps it resident.
-    bench/run.py's peak_rss_mb, seed 3, 2 cores, BLAS on one thread, with and without them, after scans were
-    drawn in chunks of 2e6 floats: rank2-terminal (d = 10, each scan's batch then one 16 MB chunk) 101.1 MB
-    against 120.2 MB in 3 of 3 runs; rank1-kicker 47.0-48.0 MB either way.  A scan's kept rows take pages of their
-    own too, so that a buffer outgrown, or freed with its scan, leaves no heap behind.
-    """
-
-
 def _own_rows(n: int, d: int) -> np.ndarray:
-    """A writable (n, d) float array on _BatchPages of its own: an oracle batch's x, or a scan's kept rows."""
-    pages = _BatchPages(-1, 8 * n * d, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    with contextlib.suppress(OSError):  # fewer page faults; advice only, which a kernel without huge pages refuses
-        pages.madvise(mmap.MADV_HUGEPAGE)
-    return np.ndarray((n, d), buffer=pages)
+    """A writable (n, d) float array: an oracle batch's x or a scan's kept rows, the one place both are allocated."""
+    return np.empty((n, d))
 
 
 class GaussianOracle:
@@ -97,7 +83,6 @@ class GaussianOracle:
         self.net = net
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._drawn = 0
 
     @property
     def input_dim(self) -> int:
@@ -109,9 +94,7 @@ class GaussianOracle:
         x = self._rng.standard_normal(out=_own_rows(n, self.net.input_dim))
         y = evaluate(self.net, x)
         x.flags.writeable = False  # nothing else holds x, so SampleSet keeps it without a copy
-        out = SampleSet(x, y, seed=self.seed, source=f"gaussian[{self._drawn}:{self._drawn + n}]")
-        self._drawn += n
-        return out
+        return SampleSet(x, y)
 
 
 def gaussian_oracle(net: ReluNetwork, seed: int) -> GaussianOracle:
@@ -239,10 +222,10 @@ class LearnConfig:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         if self.k > self.dim:
             raise ValueError(f"k must be at most dim = {self.dim}, got {self.k!r}")
-        if not 0 < self.eps < 1:
-            raise ValueError(f"eps must be in (0, 1), got {self.eps!r}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
+        for name in ("eps", "delta"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < 1:
+                raise ValueError(f"{name} must be in (0, 1), got {value!r}")
         for name in ("b", "lam", "eps_prime", "final_eps_prime", "lambda_acc"):
             value = getattr(self, name)
             if value is None and name in ("final_eps_prime", "lambda_acc"):
@@ -451,12 +434,11 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
     _CHUNK_FLOATS // d rows (at least final_select_samples).  Each chunk's Z, y and residuals are formed and every
     residual is kept, but of x only the rows whose residual exceeds a cut: tau itself in formula mode, in quantile
     mode _cut of the first chunk's residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer
-    on pages of its own (_own_rows), sized at 1.25 times the first chunk's kept fraction of n_samples and doubled
-    when short.  tau is _pick_tau of all n residuals; the masked rows are then compacted in place at the buffer's
-    front and the moment read from them, so tau, mask and moment equal a whole-batch scan's to the bit.  A whole
-    batch is drawn, and the stream scanned on it, only when the first candidate leaves the scan open: rejected with
-    more candidates to come (the grid, from index 1), or its tau below the cut (about a 5 sd event; the whole
-    stream, from index 0).
+    (_own_rows), sized at 1.25 times the first chunk's kept fraction of n_samples and doubled when short.  tau is
+    _pick_tau of all n residuals; the masked rows are then compacted in place at the buffer's front and the moment
+    read from them, so tau, mask and moment equal a whole-batch scan's to the bit.  A whole batch is drawn, and the
+    stream scanned on it, only when the first candidate leaves the scan open: rejected with more candidates to come
+    (the grid, from index 1), or its tau below the cut (about a 5 sd event; the whole stream, from index 0).
     """
     n, d = config.n_samples, config.dim
     rows = max(_CHUNK_FLOATS // d, config.final_select_samples)

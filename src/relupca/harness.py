@@ -268,6 +268,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown verification suites: {sorted(unknown)}")
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.trials, numbers.Integral) or isinstance(self.trials, bool) or self.trials < 1:
+            raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
         net, _ = make_instance(self.instance, self.seed)  # a malformed recipe raises here, naming its field
         if net.input_dim != self.learn.dim:
             raise ValueError(f"instance dimension {net.input_dim} does not match learn.dim {self.learn.dim}")
@@ -391,7 +393,12 @@ class Report:
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
-        return cls(**json.loads(text))
+        """Parse a report written by to_json; unknown or missing keys raise ValueError naming them."""
+        d = _known_keys(json.loads(text), cls, "report")
+        missing = sorted({f.name for f in fields(cls)} - set(d))
+        if missing:
+            raise ValueError(f"missing report key(s): {', '.join(missing)}")
+        return cls(**d)
 
 
 def report_equal_modulo_timing(a: str, b: str) -> bool:

@@ -137,6 +137,20 @@ def test_learn_rejects_unknown_spec_key(runner, tmp_path):
     assert "unknown learn key(s): mode" in result.output
 
 
+@pytest.mark.parametrize("trials", [0, -1, 2.5, "5", True])
+def test_learn_reports_bad_trials_as_a_usage_error(runner, tmp_path, trials):
+    """A spec's trials is checked where the spec is read, before anything is learned."""
+    spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
+    write_small_spec(spec_path)
+    doc = json.loads(spec_path.read_text())
+    doc["trials"] = trials
+    spec_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["learn", "--config", str(spec_path), "--report", str(report_path)])
+    assert result.exit_code == 2
+    assert f"trials must be an integer of at least 1, got {trials!r}" in result.output
+    assert "directions found" not in result.output and not report_path.exists()
+
+
 def test_verify_single_suite(runner):
     result = runner.invoke(main, ["verify", "--suite", "anti_concentration", "--trials", "5000"])
     assert result.exit_code == 0, result.output
@@ -254,3 +268,21 @@ def test_report_summarize(runner, tmp_path):
     doc["all_passed"] = False
     report_path.write_text(json.dumps(doc))
     assert runner.invoke(main, ["report-summarize", str(report_path)]).exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"spec": {}}, "missing report key(s): all_passed, fingerprint, fragments, recovery, timings"),
+        ({"spec": {}, "fingerprint": {}, "recovery": {}, "fragments": [], "timings": {}, "all_passed": True,
+          "passed": True}, "unknown report key(s): passed"),
+        ([], "report must be a JSON object"),
+    ],
+)
+def test_report_summarize_reports_a_malformed_report_as_a_usage_error(runner, tmp_path, doc, message):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["report-summarize", str(report_path)])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

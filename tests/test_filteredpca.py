@@ -119,11 +119,11 @@ def test_sample_set_keeps_frozen_batch_and_still_checks_it():
 
 
 def test_oracle_batches_keep_their_own_pages():
-    """An oracle batch's x is the generator's standard normals, read-only, in pages that only it references, which
-    SampleSet keeps uncopied; a read-only array over pages that a caller still holds is copied."""
+    """An oracle batch's x is the generator's standard normals, read-only and owning its data, which SampleSet keeps
+    uncopied; a read-only array over pages that a caller still holds is copied."""
     batch = gaussian_oracle(abs_net([1.0, 0.0, 0.0]), 3).draw(1_000)
     assert batch.x.tobytes() == np.random.default_rng(3).standard_normal((1_000, 3)).tobytes()
-    assert type(batch.x.base) is filteredpca._BatchPages and not batch.x.flags.writeable
+    assert batch.x.base is None and batch.x.flags.owndata and not batch.x.flags.writeable
     assert SampleSet(batch.x, batch.y).x is batch.x
     pages = mmap.mmap(-1, 8 * 6)
     x = np.ndarray((3, 2), buffer=pages)
@@ -134,6 +134,7 @@ def test_oracle_batches_keep_their_own_pages():
 
 
 def test_oracle_is_deterministic_and_sequential():
+    """Two oracles on one seed draw the same batch; two draws of 10 rows are one draw of 20, byte for byte."""
     net = abs_net([1.0, 0.0])
     a1 = gaussian_oracle(net, 3).draw(10)
     a2 = gaussian_oracle(net, 3).draw(10)
@@ -141,8 +142,9 @@ def test_oracle_is_deterministic_and_sequential():
     assert np.array_equal(a1.y, a2.y)
     oracle = gaussian_oracle(net, 3)
     b1, b2 = oracle.draw(10), oracle.draw(10)
-    assert b1.source == "gaussian[0:10]"
-    assert b2.source == "gaussian[10:20]"
+    whole = gaussian_oracle(net, 3).draw(20)
+    assert np.vstack([b1.x, b2.x]).tobytes() == whole.x.tobytes()
+    assert np.concatenate([b1.y, b2.y]).tobytes() == whole.y.tobytes()
     assert not np.array_equal(b1.x, b2.x)
 
 
@@ -304,7 +306,7 @@ def test_config_validation():
         ("lam", math.nan), ("dim", 4.5), ("size", 2.5), ("l", 0.5), ("k", True),
         ("lambda_acc", -1.0), ("lambda_acc", math.nan), ("max_candidates", math.nan),
         ("max_candidates", 2.5), ("max_candidates", True), ("max_candidates", math.inf),
-        ("delta", 1.0), ("eps", 0.0), ("eps", 1.0),
+        ("delta", 1.0), ("eps", 0.0), ("eps", 1.0), ("eps", "0.1"), ("delta", None),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             LearnConfig(**{**base, field: value})
@@ -692,7 +694,7 @@ class ShiftThirdDraw:
         batch = self.inner.draw(n)
         self.draws += 1
         if self.draws == 3:
-            return SampleSet(batch.x, batch.y + 1.0, seed=batch.seed, source=batch.source)
+            return SampleSet(batch.x, batch.y + 1.0)
         return batch
 
 
@@ -1100,8 +1102,8 @@ def _scaled_past(batch, rows):
 @pytest.mark.parametrize("tau_mode", ["formula", "quantile"])
 def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, ell):
     """Candidate 0 scored on its batch drawn in chunks has the tau (to the bit), the mask and the moment (byte for
-    byte) of a whole-batch scan of the same rows.  Of x the scan keeps only the rows above the cut, in buffers of
-    its own pages (_own_rows): the masked rows themselves in formula mode, a buffer under a tenth of the batch in
+    byte) of a whole-batch scan of the same rows.  Of x the scan keeps only the rows above the cut, in buffers that
+    _own_rows makes: the masked rows themselves in formula mode, a buffer under a tenth of the batch in
     quantile mode, and the moment reads the masked rows at the front of the last buffer, compacted in place.  In
     the grow case the first chunk keeps a smaller fraction than the rest, so the buffer sized from it grows."""
     dim, n, chunk_floats, grow = case
@@ -1403,9 +1405,9 @@ def _chunks(config):
 
 
 def _traced_rows(monkeypatch):
-    """Put every array _own_rows makes in numpy's own memory, which tracemalloc sees; returns their row counts."""
-    rows = []
-    monkeypatch.setattr(filteredpca, "_own_rows", lambda n, d: rows.append(n) or np.empty((n, d)))
+    """Count the rows of every array _own_rows makes; returns the list they are appended to."""
+    rows, own = [], filteredpca._own_rows
+    monkeypatch.setattr(filteredpca, "_own_rows", lambda n, d: rows.append(n) or own(n, d))
     return rows
 
 

@@ -21,8 +21,9 @@ from relupca.lattice import (
     serialize_lattice,
     structural_distance,
 )
-from relupca.network import Architecture, ReluNetwork, evaluate, random_network
-from relupca.subspace import Frame
+from relupca.harness import make_instance
+from relupca.network import Architecture, ReluNetwork, evaluate, random_network, restrict
+from relupca.subspace import Frame, chordal_distance
 
 
 def tiny_net(rng, widths=(2,), d=3):
@@ -183,6 +184,19 @@ def test_selector_reproduces_lattice(rng):
     sk = selector_from_lattice(lp, frame, num_witness=50_000, seed=1)
     x = rng.standard_normal((2_000, 3))
     assert np.allclose(selector_eval(sk, x), lattice_eval(lp, x), atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_selector_from_the_lattice_form_on_a_frame_is_the_restricted_net(seed):
+    """The paper's kickers tie to the lattice form: the selector tabulated from the lattice form of a mixed net
+    restricted to a frame that is not its planted span computes that restricted net."""
+    net, planted = make_instance({"kind": "mixed", "dim": 6, "k": 2, "units": 3}, seed)
+    frame = Frame.from_span(np.random.default_rng(100 + seed).standard_normal((2, 6)))
+    assert chordal_distance(frame, planted) > 0.1
+    local = restrict(net, frame)
+    sk = selector_from_lattice(from_network(local), frame, num_witness=50_000, seed=1)
+    x = np.random.default_rng(200 + seed).standard_normal((2_000, 6))
+    assert np.allclose(selector_eval(sk, x), evaluate(local, x), rtol=0.0, atol=1e-9)
 
 
 def test_selector_missing_order_type_raises():
