@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import replace
 
@@ -159,6 +160,24 @@ def to_lattice(net_path, out_path):
     click.echo(f"wrote {out_path}: {lp.num_leaves} leaves, {len(lp.clauses)} clauses")
 
 
+# The keys report-summarize prints: of the report's recovery, and of each of its iterations.
+_SUMMARY_KEYS = ("instance_kind", "k_found", "k_target", "eps_hat", "certified", "iterations")
+_ITERATION_KEYS = ("index", "candidates_scanned", "candidates_distinct", "accepted_candidate", "tau", "lam_value")
+
+
+def _summarized(doc, keys: tuple, where: str) -> dict:
+    """doc, checked to be an object with every key in keys, whose eps_hat and tau (when among them) are numbers."""
+    if not isinstance(doc, dict):
+        raise click.UsageError(f"{where} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise click.UsageError(f"missing {where} key(s): {', '.join(missing)}")
+    for key in {"eps_hat", "tau"} & set(keys):
+        if not isinstance(doc[key], numbers.Real) or isinstance(doc[key], bool):
+            raise click.UsageError(f"{where} key {key} must be a number, got {doc[key]!r}")
+    return doc
+
+
 @main.command("report-summarize")
 @click.argument("report_path", type=click.Path(exists=True))
 def report_summarize(report_path):
@@ -169,15 +188,18 @@ def report_summarize(report_path):
         report = Report.from_json(text)
     except ValueError as err:
         raise click.UsageError(str(err))
-    rec = report.recovery
-    click.echo(f"run: {report.spec.get('name', '?')} (instance {rec.get('instance_kind', '?')})")
-    click.echo(f"directions found: {rec.get('k_found')}/{rec.get('k_target')}, "
-               f"eps_hat={rec.get('eps_hat'):.6g}, certified={rec.get('certified')}")
-    for it in rec.get("iterations", []):
-        lam = it.get("lam_value")
-        click.echo(f"iteration {it.get('index')}: scanned={it.get('candidates_scanned')}, "
-                   f"distinct={it.get('candidates_distinct')}, accepted={it.get('accepted_candidate')}, "
-                   f"tau={it.get('tau'):.6g}, lambda={'-' if lam is None else format(lam, '.6g')}")
+    rec = _summarized(report.recovery, _SUMMARY_KEYS, "recovery")
+    if not isinstance(rec["iterations"], list):
+        raise click.UsageError(f"recovery key iterations must be a list, got {rec['iterations']!r}")
+    iterations = [_summarized(it, _ITERATION_KEYS, f"recovery iteration {i}") for i, it in enumerate(rec["iterations"])]
+    click.echo(f"run: {report.spec.get('name', '?')} (instance {rec['instance_kind']})")
+    click.echo(f"directions found: {rec['k_found']}/{rec['k_target']}, "
+               f"eps_hat={rec['eps_hat']:.6g}, certified={rec['certified']}")
+    for it in iterations:
+        lam = it["lam_value"]
+        click.echo(f"iteration {it['index']}: scanned={it['candidates_scanned']}, "
+                   f"distinct={it['candidates_distinct']}, accepted={it['accepted_candidate']}, "
+                   f"tau={it['tau']:.6g}, lambda={'-' if lam is None else format(lam, '.6g')}")
     for frag in report.fragments:
         _echo_fragment(frag)
     click.echo(f"all assertions passed: {report.all_passed}")

@@ -72,7 +72,9 @@ class SampleSet:
 
 
 def _own_rows(n: int, d: int) -> np.ndarray:
-    """A writable (n, d) float array: an oracle batch's x or a scan's kept rows, the one place both are allocated."""
+    """A writable (n, d) float array: an oracle batch's x or a scan's kept rows, the one place both are allocated.
+
+    The kept rows' residuals, one float a row, go in a plain array beside them (_scan_moments)."""
     return np.empty((n, d))
 
 
@@ -306,10 +308,16 @@ def _candidates(config: LearnConfig, frame: Frame, eps_prime: float) -> Candidat
     return enumerate_networks(frame, eps_prime, config.size, config.l, config.b, max_candidates=config.max_candidates)
 
 
-def _pick_tau(config: LearnConfig, resid: np.ndarray) -> float:
+def _pick_tau(config: LearnConfig, resid: np.ndarray, n: int | None = None) -> float | None:
+    """A candidate's tau: config.tau in formula mode; in quantile mode max(np.quantile(r, tau_quantile), 1e-12), to
+    the bit, of its residuals r.  resid is r itself (n None), or r's n - skip largest values and every NaN, which it
+    partitions in place (_top_quantile); tau is then None when an order statistic it reads is among those skipped."""
     if config.tau_mode == "formula":
         return config.tau
-    return max(_quantile(resid, config.tau_quantile), 1e-12)
+    if n is None:
+        return max(_quantile(resid, config.tau_quantile), 1e-12)
+    t = _top_quantile(resid, n, config.tau_quantile)
+    return None if t is None else max(t, 1e-12)
 
 
 # _quantile bounds its order statistics from below with a strided subsample of
@@ -327,34 +335,40 @@ def _cut(sample: np.ndarray, p: float) -> float:
 def _quantile(r: np.ndarray, q: float) -> float:
     """float(np.quantile(r, q)) to the bit, for 0 < q < 1, without partitioning all of r.
 
-    np.quantile's default method interpolates order statistics lo and
-    hi = lo + 1 (both n - 1 when (n - 1) q >= n - 1) as its _lerp does.  A
-    long r is first cut at _cut of its strided subsample at rank lo / n: if
-    at most lo entries fall below that cut, both order statistics are among
-    the entries kept, and only those are partitioned; otherwise all of r is,
-    as np.quantile does.  NaN sorts last, so the kept
-    entries hold every NaN, and any NaN gives NaN, as in np.quantile.
+    A long r is first cut at _cut of its strided subsample at rank lo / n (lo as in _top_quantile): if at most lo
+    entries fall below that cut, only the entries kept are handed to _top_quantile; otherwise all of r is, as
+    np.quantile partitions it.  NaN compares false, so the kept entries hold every NaN.
     """
     n = r.size
+    lo = math.floor((n - 1) * q)
+    if n >= 4 * _TAU_SAMPLE:
+        below = r < _cut(r[:: n // _TAU_SAMPLE], lo / n)
+        if np.count_nonzero(below) <= lo:
+            return _top_quantile(np.compress(np.logical_not(below, out=below), r), n, q)
+    return _top_quantile(r.copy(), n, q)
+
+
+def _top_quantile(top: np.ndarray, n: int, q: float) -> float | None:
+    """np.quantile's q-quantile (0 < q < 1) of n values r, to the bit, from top: a writable array of r's n - skip
+    largest values and every NaN, which it partitions in place; None when skip > lo, which leaves out an order
+    statistic that the quantile reads.
+
+    np.quantile's default method interpolates order statistics lo = floor((n - 1) q) and hi = lo + 1 (both n - 1
+    when (n - 1) q >= n - 1) as its _lerp does.  The skip values left out are the smallest, so order statistic j
+    of r is top's j - skip.  NaN sorts last, and any NaN gives NaN, as in np.quantile.
+    """
     vi = (n - 1) * q
     lo = hi = n - 1
     if vi < n - 1:
         lo = math.floor(vi)
         hi = lo + 1
-    part, skip = None, 0  # skip: the entries left out, each below every entry kept
-    if n >= 4 * _TAU_SAMPLE:
-        below = r < _cut(r[:: n // _TAU_SAMPLE], lo / n)
-        skip = int(np.count_nonzero(below))
-        if skip <= lo:
-            part = np.compress(np.logical_not(below, out=below), r)
-        else:
-            skip = 0
-    if part is None:
-        part = r.copy()
-    part.partition(sorted({lo - skip, hi - skip, part.size - 1}))
-    if math.isnan(part[-1]):
+    skip = n - top.size
+    if skip > lo:
+        return None
+    top.partition(sorted({lo - skip, hi - skip, top.size - 1}))
+    if math.isnan(top[-1]):
         return math.nan
-    a, b, gamma = float(part[lo - skip]), float(part[hi - skip]), vi - lo
+    a, b, gamma = float(top[lo - skip]), float(top[hi - skip]), vi - lo
     diff = b - a
     return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
@@ -375,20 +389,21 @@ def _gated(block: KickerBlock, z: np.ndarray) -> np.ndarray:
 def _iter_predictions(candidates: CandidateList, z: np.ndarray):
     """Yield each candidate's prediction row at the frame coordinates z (N x ell), in stream order: the one scorer.
 
-    Each block (see CandidateList) forms its last hidden activation H, (N, k), once: a network block's ReLU layers
-    at z, with W its output rows, or a kicker block's gated leaf features, with W its pick matrix.  Row r is then
-    H @ W[r], a fresh writable (N,) array, so the scan may overwrite it.
+    Each block (see CandidateList) forms its last hidden activation H once, feature-major, (k, N), so that BLAS
+    runs along the batch: a network block's ReLU layers at z, each W @ H, with W its output rows, or a kicker
+    block's gated leaf features, with W its pick matrix.  Row r is then W[r] @ H, a fresh writable (N,) array, so
+    the scan may overwrite it.
     """
     for block in candidates.factory():
         if isinstance(block, KickerBlock):
-            h, w = _gated(block, z), block.picks
+            h, w = _gated(block, z).T, block.picks
         else:
-            h, w = z, block[-1]
+            h, w = z.T, block[-1]
             for layer in block[:-1]:
-                h = h @ layer.T
-                np.maximum(h, 0.0, out=h)  # in place: no second (N, width) buffer
+                h = layer @ h
+                np.maximum(h, 0.0, out=h)  # in place: no second (width, N) buffer
         for row in w:
-            yield h @ row
+            yield row @ h
 
 
 def _mask_key(mask: np.ndarray) -> bytes:
@@ -417,10 +432,11 @@ def _compact(x: np.ndarray, keep: np.ndarray) -> int:
 
 
 # A scan draws its batch in chunks of about this many floats (rows x d), and never of fewer rows than
-# final_select_samples, so that the fit reads the first chunk alone.  2**18 floats are 2 MB, the size of one core's
-# L2 cache on the 2-core machine bench/README.md describes, and small enough that every scan streams at every d
-# (with 2e6 floats a batch of N d <= 2e6 was one chunk).  bench/run.py's peak_rss_mb there, medians of 10
-# alternating pairs against 2e6 floats with the kept rows concatenated:
+# final_select_samples, so that the fit reads the first chunk alone.  Each chunk's Z, its feature-major hidden
+# activation and its residuals are formed whole; past them a chunk costs only its kept rows and their residuals.
+# 2**18 floats are 2 MB, the size of one core's L2 cache on the 2-core machine bench/README.md describes, and small
+# enough that every scan streams at every d (with 2e6 floats a batch of N d <= 2e6 was one chunk).  bench/run.py's
+# peak_rss_mb there, medians of 10 alternating pairs against 2e6 floats with the kept rows concatenated:
 # rank1-kicker (d = 4) 47.1 -> 44.8 MB, rank2-highdim (d = 100) 116.7 -> 112.1 MB, rank2-terminal 101.2 -> 100.8 MB.
 _CHUNK_FLOATS = 2**18
 
@@ -431,27 +447,21 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
 
     The first candidate is known before its batch is drawn: the stream's first at ell = 0, and at ell >= 1 the fit
     (_fit_block) on the first chunk's rows, ahead of the grid.  Its n_samples rows are drawn in chunks of
-    _CHUNK_FLOATS // d rows (at least final_select_samples).  Each chunk's Z, y and residuals are formed and every
-    residual is kept, but of x only the rows whose residual exceeds a cut: tau itself in formula mode, in quantile
-    mode _cut of the first chunk's residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer
-    (_own_rows), sized at 1.25 times the first chunk's kept fraction of n_samples and doubled when short.  tau is
-    _pick_tau of all n residuals; the masked rows are then compacted in place at the buffer's front and the moment
-    read from them, so tau, mask and moment equal a whole-batch scan's to the bit.  A whole batch is drawn, and the
-    stream scanned on it, only when the first candidate leaves the scan open: rejected with more candidates to come
-    (the grid, from index 1), or its tau below the cut (about a 5 sd event; the whole stream, from index 0).
+    _CHUNK_FLOATS // d rows (at least final_select_samples).  Of each chunk's residuals only those not at most a
+    cut are kept, with their rows of x: tau itself in formula mode, in quantile mode _cut of the first chunk's
+    residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer (_own_rows) and their
+    residuals into one beside it, both sized at 1.25 times the first chunk's kept fraction of n_samples and doubled
+    when short, so past its residuals a chunk costs in proportion to the rows it keeps.  tau, the mask and the
+    moment are read from the kept residuals alone: every residual left out is at most the cut, so tau is
+    _pick_tau of the kept ones as the n - skip largest of n, the mask is the kept residuals above tau, the masked
+    rows are compacted in place at the buffer's front, and the moment is read from them.  They equal a whole-batch
+    scan's to the bit.  A whole batch is drawn, and the stream scanned on it, only when the first candidate leaves
+    the scan open: rejected with more candidates to come (the grid, from index 1), or its tau's lower order
+    statistic among the residuals left out (about a 5 sd event; the whole stream, from index 0).
     """
     n, d = config.n_samples, config.dim
     rows = max(_CHUNK_FLOATS // d, config.final_select_samples)
-    keys: set[bytes] = set()
-
-    def fresh(mask):
-        key = _mask_key(mask)
-        if key in keys:
-            return False
-        keys.add(key)
-        return True
-
-    resid, kept, count, stream = np.empty(n), None, 0, candidates
+    kept, resid, count, stream = None, None, 0, candidates
     cut = config.tau if config.tau_mode == "formula" else None
     for start in range(0, n, rows):
         batch = oracle.draw(min(rows, n - start))
@@ -466,29 +476,30 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
         r = np.abs(np.subtract(r, batch.y, out=r), out=r)  # |row - y| is bitwise |y - row|
         if cut is None:
             cut = _cut(r[:: max(r.size // _TAU_SAMPLE, 1)], math.floor((n - 1) * config.tau_quantile) / n)
-        resid[start : start + r.size] = r
-        above = r > cut
-        k = int(np.count_nonzero(above))
+        keep = np.logical_not(r <= cut)  # NaN too: it sorts above every value, as in np.quantile
+        k = int(np.count_nonzero(keep))
         if kept is None:
-            kept = _own_rows(min(max(math.ceil(1.25 * n * k / r.size), 1), n), d)
+            size = min(max(math.ceil(1.25 * n * k / r.size), 1), n)
+            kept, resid = _own_rows(size, d), np.empty(size)
         elif count + k > len(kept):
-            grown = _own_rows(min(max(2 * len(kept), count + k), n), d)
-            grown[:count] = kept[:count]
-            kept = grown
-        np.compress(above, batch.x, axis=0, out=kept[count : count + k])
+            size = min(max(2 * len(kept), count + k), n)
+            grown = _own_rows(size, d), np.empty(size)
+            grown[0][:count], grown[1][:count] = kept[:count], resid[:count]
+            kept, resid = grown
+        np.compress(keep, batch.x, axis=0, out=kept[count : count + k])
+        np.compress(keep, r, out=resid[count : count + k])
         count += k
-        batch = z = r = above = None  # so the next draw does not hold two chunks
-    tau, first = _pick_tau(config, resid), 0  # first: the stream index the whole batch starts at
-    if tau >= cut:  # the kept rows hold every masked one
-        mask = resid > tau
-        keys.add(_mask_key(mask))
-        m = _compact(kept[:count], np.compress(resid > cut, mask))
+        batch = z = r = keep = None  # so the next draw does not hold two chunks
+    first = 0  # the stream index the whole batch starts at
+    tau = _pick_tau(config, resid[:count].copy(), n)
+    if tau is not None and tau >= cut:  # the kept rows hold every masked one
+        m = _compact(kept[:count], resid[:count] > tau)
         yield tau, _masked_moment(kept[:m], q, n)
         first = 1
     if first >= stream.count_bound:
         return
-    resid = kept = None
-    keys.clear()
+    kept = resid = None
+    keys: set[bytes] = set()
     batch = oracle.draw(n)
     z = batch.x @ candidates.frame.vectors.T
     rest = itertools.islice(_iter_predictions(stream, z), first, None)
@@ -498,7 +509,9 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
         r = np.abs(np.subtract(row, batch.y, out=row), out=row)
         tau = _pick_tau(config, r)
         mask = r > tau
-        yield tau, _masked_moment(np.compress(mask, batch.x, axis=0), q, n) if fresh(mask) else None
+        key = _mask_key(mask)
+        yield tau, None if key in keys else _masked_moment(np.compress(mask, batch.x, axis=0), q, n)
+        keys.add(key)
 
 
 def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> RecoveryResult:
@@ -506,17 +519,18 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
 
     Per iteration: scan candidates over the current frame on fresh rows
     (_scan_moments), build each candidate's filtered second-moment matrix,
-    and accept the first whose
-    eigenvalue of largest magnitude clears the acceptance threshold (calibrated
-    from the first scan unless lambda_acc is given).  The moment reads a
-    candidate only through its mask (residual above tau), so a candidate
-    whose mask equals one formed before on the same batch is skipped: it has
-    that moment and eigenvalue, and that candidate was rejected.  It still
-    counts as scanned, keeps its index and records its own tau.  The frame
-    grows by the accepted moment's top eigenvector; a scan with no acceptance
-    ends the loop.  On a non-empty frame the scan's candidate 0 is _fit_block,
-    a least-squares fit of a depth-2 net on the first final_select_samples rows
-    of the scan's batch, and the grid follows on a batch of its own.  Candidate
+    and accept the first whose eigenvalue of largest magnitude, lambda, clears
+    the acceptance threshold in magnitude (calibrated from the first scan
+    unless lambda_acc is given), so a direction whose filtered moment is
+    strongly negative is accepted too.  The moment reads a candidate only
+    through its mask (residual above tau), so a candidate whose mask equals
+    one formed before on the same batch is skipped: it has that moment and
+    eigenvalue, and that candidate was rejected.  It still counts as scanned,
+    keeps its index and records its own tau.  The frame grows by the accepted
+    moment's eigenvector at lambda; a scan with no acceptance ends the loop.
+    On a non-empty frame the scan's candidate 0 is _fit_block, a least-squares
+    fit of a depth-2 net on the first final_select_samples rows of the scan's
+    batch, and the grid follows on a batch of its own.  Candidate
     0 (the zero net at ell = 0) is scored on a batch drawn in chunks, of which
     the scan keeps only the rows that the filter can select; only the grid and
     a redraw hold a whole N x d batch.  The hypothesis is that fit on a fresh
@@ -553,13 +567,14 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
                     continue
                 distinct += 1
                 vals = np.linalg.eigvalsh(m)  # ascending; power iteration converges to the larger |end|
-                lam_val = float(vals[-1] if vals[-1] >= -vals[0] else vals[0])
+                end = -1 if vals[-1] >= -vals[0] else 0
+                lam_val = float(vals[end])
                 if lambda_acc is None:
                     lambda_acc = max(config.acc_fraction * abs(lam_val), 1e-9)
                     constants["lambda_acc_calibrated"] = lambda_acc
-                if lam_val >= lambda_acc:
-                    # signed as power iteration from approx_top_svd's seeded start converges to it
-                    w = np.linalg.eigh(m)[1][:, -1]
+                if abs(lam_val) >= lambda_acc:
+                    # signed as power iteration from approx_top_svd's seeded start converges to a positive pair
+                    w = np.linalg.eigh(m)[1][:, end]
                     q0 = seeded_start(d, 1, config.seed * 1_000_003 + 7919 * ell + idx)[:, 0]
                     accepted = (idx, -w if w @ q0 < 0 else w, lam_val)
                     break

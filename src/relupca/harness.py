@@ -336,6 +336,10 @@ def make_instance(recipe: dict, default_seed: int = 0):
         return net, frame
     if kind == "spike":
         net = spike_network(float(_recipe_field(recipe, "lam", 0.0)))
+        d = _recipe_field(recipe, "dim", 2, 2)
+        if d > 2:  # embedded on a random orthonormal pair of R^d
+            basis = Frame.from_span(np.random.default_rng(seed).standard_normal((2, d))).vectors
+            net = ReluNetwork((net.weights[0] @ basis, net.weights[1]))
         return net, Frame.from_span(net.weights[0])
     if kind == "abs":
         d = _recipe_field(recipe, "dim", 1)

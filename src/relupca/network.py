@@ -108,11 +108,12 @@ def evaluate(net: ReluNetwork, x):
     h = x[None, :] if single else x
     if h.ndim != 2 or h.shape[1] != net.input_dim:
         raise ValueError(f"expected input dimension {net.input_dim}, got shape {x.shape}")
+    h = h.T  # feature-major, (width, n): each layer is W @ H, so BLAS runs along the batch
     for w in net.weights[:-1]:
-        h = h @ w.T
-        np.maximum(h, 0.0, out=h)  # in place: no second (n, width) buffer
-    out = h @ net.weights[-1].T
-    return float(out[0, 0]) if single else out[:, 0]
+        h = w @ h
+        np.maximum(h, 0.0, out=h)  # in place: no second (width, n) buffer
+    out = net.weights[-1][0] @ h
+    return float(out[0]) if single else out
 
 
 def lipschitz_upper(net: ReluNetwork) -> float:

@@ -277,6 +277,10 @@ def test_report_summarize(runner, tmp_path):
         ({"spec": {}, "fingerprint": {}, "recovery": {}, "fragments": [], "timings": {}, "all_passed": True,
           "passed": True}, "unknown report key(s): passed"),
         ([], "report must be a JSON object"),
+        ({"spec": {}, "fingerprint": {}, "recovery": [], "fragments": [], "timings": {}, "all_passed": True},
+         "recovery must be a JSON object"),
+        ({"spec": {}, "fingerprint": {}, "recovery": {}, "fragments": [], "timings": {}, "all_passed": True},
+         "missing recovery key(s): instance_kind, k_found, k_target, eps_hat, certified, iterations"),
     ],
 )
 def test_report_summarize_reports_a_malformed_report_as_a_usage_error(runner, tmp_path, doc, message):

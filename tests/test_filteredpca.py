@@ -48,6 +48,7 @@ from relupca.subspace import (
     chordal_distance,
     complement_project,
     project,
+    seeded_start,
 )
 
 
@@ -409,30 +410,58 @@ def _gapped(rng, dim, tops, comp=None):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_eigen_step_orients_like_power_iteration(monkeypatch, seed):
-    """On gapped moments the loop accepts and orients as seeded power iteration would.
+    """On gapped moments the loop accepts on |lambda| and orients as seeded power iteration would.
 
     Iteration 0 calibrates on its one moment and accepts it.  In iteration 1
     the first moment's dominant eigenvalue is negative (-2, with +1 above the
-    threshold as well): power iteration converges to the -2 pair, so it is
-    rejected.  The second is accepted.  Values agree to 1e-9 relative and
-    frame vectors, sign included, to 1e-6.
+    threshold as well): power iteration converges to the -2 pair, and |-2|
+    clears the threshold, so it is accepted with lambda = -2 and the frame
+    grows by that pair's vector; the moment after it is never read.  Values
+    agree to 1e-9 relative and frame vectors to 1e-6: sign included for the
+    positive pair, and for the negative one, whose sign power iteration flips
+    each sweep, oriented towards the seeded start.
     """
     rng = np.random.default_rng(seed)
     m0 = _gapped(rng, 5, [rng.uniform(0.8, 2.0)])
     u0, _, _ = _power_step(m0, seed * 1_000_003)
-    bad = _gapped(rng, 5, [-2.0, 1.0], u0)
-    good = _gapped(rng, 5, [rng.uniform(0.8, 2.0)], u0)
-    moments = iter([m0, bad, good])
+    neg = _gapped(rng, 5, [-2.0, 1.0], u0)
+    unread = _gapped(rng, 5, [rng.uniform(0.8, 2.0)], u0)
+    moments = iter([m0, neg, unread])
     monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: next(moments))
     config = small_recovery_config(dim=5, k=2, final_eps_prime=1.0, seed=seed)
     result = run(gaussian_oracle(abs_net([1.0, 0.0, 0.0, 0.0, 0.0]), seed), config)
-    assert [t.accepted_candidate for t in result.trace] == [0, 1]
-    _, bad_lam, _ = _power_step(bad, seed * 1_000_003 + 7919)
-    assert bad_lam == pytest.approx(-2.0, rel=1e-9)
-    for ell, (m, idx) in enumerate([(m0, 0), (good, 1)]):
-        w, lam, _ = _power_step(m, seed * 1_000_003 + 7919 * ell + idx)
+    assert [t.accepted_candidate for t in result.trace] == [0, 0]
+    assert next(moments) is unread
+    assert result.constants["lambda_acc_effective"] < 2.0
+    for ell, m in enumerate([m0, neg]):
+        w, lam, _ = _power_step(m, seed * 1_000_003 + 7919 * ell)
         assert result.trace[ell].lam_value == pytest.approx(lam, rel=1e-9)
+        if lam < 0:
+            assert lam == pytest.approx(-2.0, rel=1e-9)
+            start = seeded_start(5, 1, seed * 1_000_003 + 7919 * ell)[:, 0]
+            w = w if w @ start >= 0 else -w
         assert np.max(np.abs(result.frame.vectors[ell] - w)) <= 1e-6
+
+
+def _embedded_spike_chordal(seed):
+    """Chordal distance to the plane of spike_network(10) embedded in R^10, of run() with criterion 7's config after
+    a 4 096-row burn-in (as _criterion_7_run); inf when the frame does not reach two vectors."""
+    net, planted = make_instance({"kind": "spike", "lam": 10.0, "dim": 10, "net_seed": seed}, seed)
+    oracle = GaussianOracle(net, 100 + seed)
+    oracle.draw(4096)
+    config = LearnConfig(dim=10, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.02, delta=0.05, n_samples=200_000,
+                         n_check=20_000, seed=200 + seed, tau_mode="quantile", eps_prime=0.5,
+                         final_eps_prime=0.16, final_select_samples=512, max_candidates=20_000_000)
+    result = run(oracle, config)
+    return chordal_distance(result.frame, planted) if len(result.frame) == 2 else math.inf
+
+
+def test_embedded_spike_plane_is_recovered():
+    """spike_network(10) embedded on a random plane of R^10: the loop recovers the plane within chordal 0.1 on at
+    least 4 of seeds 0-4.  Past the first axis the masked rows lie in the spike's wedge, where the other planted
+    coordinate is small, so the moment along it is negative: only acceptance on |lambda| finds it."""
+    chordal = [_embedded_spike_chordal(seed) for seed in range(5)]
+    assert sum(c <= 0.1 for c in chordal) >= 4, chordal
 
 
 _DIFF_INSTANCE = {"kind": "mixed", "dim": 6, "k": 2, "units": 2, "b": 1.0}
@@ -462,20 +491,35 @@ def _reject_the_fit(monkeypatch):
     monkeypatch.setattr(filteredpca, "_fit_block", first_grid_row)
 
 
+def _held_mask(batch, held):
+    """The mask of batch whose rows are held, in draw order, byte for byte (Gaussian rows are distinct)."""
+    at = {row.tobytes(): i for i, row in enumerate(batch.x)}
+    mask = np.zeros(batch.n, dtype=bool)
+    mask[[at[row.tobytes()] for row in held]] = True
+    assert held.tobytes() == batch.x[mask].tobytes()
+    return mask
+
+
 def _recording_run(monkeypatch, config, fresh_keys=False):
     """run() on the d = 6 mixed instance past a rejected fit, recording every moment formed and every candidate's mask.
 
     With fresh_keys every candidate gets a repeat key of its own, so every
     moment is formed: the brute-force reference.  Returns (result, moments,
     per-scan lists of masks); a scan's candidate 0 is scored on its own
-    batch, the rest on the fall-through batch.
+    batch, one chunk here, and keys nothing: its mask is the one whose rows of
+    that chunk its moment reads (_held_mask).  The rest are scored on the
+    fall-through batch, and their masks are the ones they key.
     """
     _reject_the_fit(monkeypatch)
     net, _ = make_instance(_DIFF_INSTANCE, 0)
     moments, masks = [], []
     fresh = itertools.count()
+    oracle = _RowCounter(gaussian_oracle(net, 0))
 
     def recording_moment(*args):
+        if args[0].base is not None:  # candidate 0's kept rows, compacted in place, not a gather
+            assert oracle.sizes[-1] == config.n_samples
+            masks.append(_held_mask(oracle.last, args[0]))
         moments.append(_masked_moment(*args))
         return moments[-1]
 
@@ -485,9 +529,9 @@ def _recording_run(monkeypatch, config, fresh_keys=False):
 
     monkeypatch.setattr(filteredpca, "_masked_moment", recording_moment)
     monkeypatch.setattr(filteredpca, "_mask_key", recording_key)
-    result = run(gaussian_oracle(net, 0), config)
+    result = run(oracle, config)
     ends = list(itertools.accumulate(t.candidates_scanned for t in result.trace))
-    assert ends[-1] == len(masks)  # one key per candidate scanned
+    assert ends[-1] == len(masks)  # one mask per candidate scanned
     return result, moments, [masks[a:b] for a, b in zip([0, *ends], ends)]
 
 
@@ -608,9 +652,14 @@ def _numpy_tau(r, q):
     return max(float(np.quantile(r, q)), 1e-12)
 
 
-def _assert_same_tau(r, q):
-    got, want = _pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=q), r), _numpy_tau(r, q)
-    assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+def _assert_same_tau(r, q, top=None):
+    """_pick_tau of r, or of top (r's n - skip largest values and every NaN), is max(np.quantile(r, q), 1e-12) to the
+    bit; NaN when that is NaN."""
+    config = types.SimpleNamespace(tau_mode="quantile", tau_quantile=q)
+    got = _pick_tau(config, r) if top is None else _pick_tau(config, top, r.size)
+    want = _numpy_tau(r, q)
+    same = np.float64(got).tobytes() == np.float64(want).tobytes() or math.isnan(got) and math.isnan(want)
+    assert type(got) is float and same, (got, want)
 
 
 _TAU_CUTOFF = 4 * filteredpca._TAU_SAMPLE  # rows this long are prefiltered
@@ -619,11 +668,13 @@ _TAU_CUTOFF = 4 * filteredpca._TAU_SAMPLE  # rows this long are prefiltered
 @settings(max_examples=100)
 @given(st.data())
 def test_pick_tau_matches_numpy_quantile(data):
-    """Quantile-mode tau is max(np.quantile(r, q), 1e-12) to the bit, on both sides of the prefilter cutoff."""
+    """Quantile-mode tau is max(np.quantile(r, q), 1e-12) to the bit, on both sides of the prefilter cutoff, and NaN
+    when r holds a NaN.  So it is from r's n - skip largest values and every NaN, shuffled, as a scan keeps them
+    (_top_quantile), unless skip > lo = floor((n - 1) q), which leaves out an order statistic: then it is None."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     n = data.draw(st.one_of(st.integers(1, 50), st.integers(_TAU_CUTOFF - 50, _TAU_CUTOFF + 50),
                             st.integers(_TAU_CUTOFF, 300_000)), label="n")
-    kind = data.draw(st.sampled_from(["gaussian", "ties", "equal", "zeros"]), label="kind")
+    kind = data.draw(st.sampled_from(["gaussian", "ties", "equal", "zeros", "nan"]), label="kind")
     r = np.abs(rng.standard_normal(n)) * rng.uniform(0.1, 10.0)
     if kind == "ties":  # a handful of distinct values, so the cut and tau fall inside runs of equal entries
         r = np.floor(r * data.draw(st.integers(1, 4), label="levels"))
@@ -631,8 +682,17 @@ def test_pick_tau_matches_numpy_quantile(data):
         r = np.full(n, rng.uniform(0.0, 3.0))
     elif kind == "zeros":
         r = np.zeros(n)
+    elif kind == "nan":
+        r[rng.integers(0, n, size=data.draw(st.integers(1, 3), label="nans"))] = np.nan
     q = data.draw(st.sampled_from([0.95, 0.5, 0.05]) | st.floats(0.001, 0.999), label="q")
     _assert_same_tau(r, q)
+    lo = math.floor((n - 1) * q)
+    skip = data.draw(st.sampled_from([0, lo, lo + 1, n]) | st.integers(0, n), label="skip")
+    top = rng.permutation(np.sort(r)[skip:])  # NaN sorts last, so every NaN is among the largest
+    if skip > lo:
+        assert _pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=q), top, n) is None
+    else:
+        _assert_same_tau(r, q, top)
 
 
 @pytest.mark.parametrize("n", [_TAU_CUTOFF - 1, _TAU_CUTOFF, 200_000])
@@ -980,15 +1040,16 @@ def test_folding_opposite_rays_keeps_the_function(ell, eps):
 
 
 class _RowCounter:
-    """An oracle that records the size of every batch it draws."""
+    """An oracle that records the size of every batch it draws, and keeps the last."""
 
     def __init__(self, inner):
-        self.inner, self.sizes = inner, []
+        self.inner, self.sizes, self.last = inner, [], None
         self.input_dim = inner.input_dim
 
     def draw(self, n):
         self.sizes.append(n)
-        return self.inner.draw(n)
+        self.last = self.inner.draw(n)
+        return self.last
 
 
 def _accept_the_first_moment(monkeypatch):
@@ -1104,8 +1165,9 @@ def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, el
     """Candidate 0 scored on its batch drawn in chunks has the tau (to the bit), the mask and the moment (byte for
     byte) of a whole-batch scan of the same rows.  Of x the scan keeps only the rows above the cut, in buffers that
     _own_rows makes: the masked rows themselves in formula mode, a buffer under a tenth of the batch in
-    quantile mode, and the moment reads the masked rows at the front of the last buffer, compacted in place.  In
-    the grow case the first chunk keeps a smaller fraction than the rest, so the buffer sized from it grows."""
+    quantile mode, and the moment reads the masked rows at the front of the last buffer, compacted in place: the
+    whole-batch scan's masked rows, byte for byte.  Candidate 0 keys no mask.  In the grow case the first chunk
+    keeps a smaller fraction than the rest, so the buffer sized from it grows."""
     dim, n, chunk_floats, grow = case
     net, config, frame, q = _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats, dim, n)
     chunks = _chunks(config)
@@ -1126,7 +1188,7 @@ def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, el
     want_tau, want_mask, want_m = _whole_batch_scan(config, frame, q, batch, batch)
     assert 0 < np.count_nonzero(want_mask) < batch.n
     assert np.float64(tau).tobytes() == np.float64(want_tau).tobytes()
-    assert len(keys) == 1 and np.array_equal(keys[0], want_mask)
+    assert not keys and held[0].tobytes() == batch.x[want_mask].tobytes()
     assert m.tobytes() == want_m.tobytes()
     assert len(held) == 1 and held[0].shape[0] == np.count_nonzero(want_mask)
     assert held[0].base is buffers[-1] and held[0].ctypes.data == buffers[-1].ctypes.data
@@ -1353,12 +1415,13 @@ def test_scanning_leaves_the_blocks_unchanged(rng):
 
 
 class _CountingZ(np.ndarray):
-    """Frame coordinates that count the products taken with them as left operand: one per block's first layer."""
+    """Frame coordinates that count the products that read them, as Z or as its transpose: one per block's first
+    layer."""
 
     products = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul and inputs[0] is self:
+        if ufunc is np.matmul and any(isinstance(a, _CountingZ) for a in inputs):
             _CountingZ.products += 1
         plain = [a.view(np.ndarray) if isinstance(a, _CountingZ) else a for a in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)

@@ -22,7 +22,7 @@ from relupca.harness import (
     write_csv,
 )
 from relupca.lattice import from_network, perturb_leaves
-from relupca.network import ReluNetwork, evaluate, operator_norm
+from relupca.network import ReluNetwork, evaluate, operator_norm, spike_network
 from relupca.subspace import Frame, chordal_distance
 
 
@@ -192,6 +192,22 @@ def test_make_instance_mixed_is_well_conditioned():
         assert sv[1] >= 0.4 * sv[0]
 
 
+def test_spike_recipe_embeds_the_fixture_on_a_random_plane():
+    """dim 2, the default, is spike_network itself; at dim 10 the net reads x through an orthonormal pair that spans
+    the planted frame, one pair per net_seed."""
+    plain, frame = make_instance({"kind": "spike", "lam": 10.0}, 0)
+    want = spike_network(10.0)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plain.weights, want.weights)) and len(frame) == 2
+    nets = [make_instance({"kind": "spike", "lam": 10.0, "dim": 10, "net_seed": s}, 0) for s in (0, 1)]
+    for net, planted in nets:
+        pair = np.linalg.lstsq(want.weights[0], net.weights[0], rcond=None)[0]  # W_0 = spike's W_0 @ pair
+        np.testing.assert_allclose(want.weights[0] @ pair, net.weights[0], atol=1e-12)
+        np.testing.assert_allclose(pair @ pair.T, np.eye(2), atol=1e-12)
+        assert net.weights[1].tobytes() == want.weights[1].tobytes()
+        assert chordal_distance(Frame.from_span(pair), planted) < 1e-9
+    assert chordal_distance(nets[0][1], nets[1][1]) > 0.1
+
+
 def test_make_instance_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_instance({"kind": "nope"}, 0)
@@ -211,6 +227,7 @@ def test_make_instance_rejects_unknown_kind():
         ({"kind": "random", "widths": "3,2", "dim": 4}, "'widths'"),
         ({"kind": "spike", "lam": "2"}, "'lam'"),
         ({"dim": 4}, "'kind'"),
+        ({"kind": "spike", "lam": 2.0, "dim": 1}, "'dim'"),
     ],
 )
 def test_make_instance_names_the_bad_recipe_field(recipe, field):
