@@ -447,9 +447,9 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
 
     The first candidate is known before its batch is drawn: the stream's first at ell = 0, and at ell >= 1 the fit
     (_fit_block) on the first chunk's rows, ahead of the grid.  Its n_samples rows are drawn in chunks of
-    _CHUNK_FLOATS // d rows (at least final_select_samples).  Of each chunk's residuals only those not at most a
-    cut are kept, with their rows of x: tau itself in formula mode, in quantile mode _cut of the first chunk's
-    residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer (_own_rows) and their
+    _CHUNK_FLOATS // d rows (at least final_select_samples).  Of each chunk only the rows whose residual is not at
+    most a cut are kept, each with its residual; the cut is tau itself in formula mode, in quantile mode _cut of
+    the first chunk's residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer (_own_rows) and their
     residuals into one beside it, both sized at 1.25 times the first chunk's kept fraction of n_samples and doubled
     when short, so past its residuals a chunk costs in proportion to the rows it keeps.  tau, the mask and the
     moment are read from the kept residuals alone: every residual left out is at most the cut, so tau is

@@ -443,24 +443,16 @@ def test_eigen_step_orients_like_power_iteration(monkeypatch, seed):
         assert np.max(np.abs(result.frame.vectors[ell] - w)) <= 1e-6
 
 
-def _embedded_spike_chordal(seed):
-    """Chordal distance to the plane of spike_network(10) embedded in R^10, of run() with criterion 7's config after
-    a 4 096-row burn-in (as _criterion_7_run); inf when the frame does not reach two vectors."""
-    net, planted = make_instance({"kind": "spike", "lam": 10.0, "dim": 10, "net_seed": seed}, seed)
-    oracle = GaussianOracle(net, 100 + seed)
-    oracle.draw(4096)
-    config = LearnConfig(dim=10, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.02, delta=0.05, n_samples=200_000,
-                         n_check=20_000, seed=200 + seed, tau_mode="quantile", eps_prime=0.5,
-                         final_eps_prime=0.16, final_select_samples=512, max_candidates=20_000_000)
-    result = run(oracle, config)
-    return chordal_distance(result.frame, planted) if len(result.frame) == 2 else math.inf
-
-
 def test_embedded_spike_plane_is_recovered():
-    """spike_network(10) embedded on a random plane of R^10: the loop recovers the plane within chordal 0.1 on at
-    least 4 of seeds 0-4.  Past the first axis the masked rows lie in the spike's wedge, where the other planted
-    coordinate is small, so the moment along it is negative: only acceptance on |lambda| finds it."""
-    chordal = [_embedded_spike_chordal(seed) for seed in range(5)]
+    """spike_network(10) embedded on a random plane of R^10: criterion 7's run recovers the plane within chordal 0.1
+    on at least 4 of seeds 0-4.  Past the first axis the masked rows lie in the spike's wedge, where the other
+    planted coordinate is small, so the moment along it is negative: only acceptance on |lambda| finds it."""
+    chordal = []
+    for seed in range(5):
+        recipe = {"kind": "spike", "lam": 10.0, "dim": 10, "net_seed": seed}
+        result = _criterion_7_run(seed, recipe)
+        planted = make_instance(recipe, seed)[1]
+        chordal.append(chordal_distance(result.frame, planted) if len(result.frame) == 2 else math.inf)
     assert sum(c <= 0.1 for c in chordal) >= 4, chordal
 
 
@@ -954,9 +946,10 @@ def test_terminal_fit_on_an_empty_frame_is_the_zero_net():
     assert not certified and eps_hat > 0.5
 
 
-def _criterion_7_run(seed, **overrides):
-    """run() on criterion 7's recipe (the rank2-terminal benchmark's): mixed, d = 10, after a 4 096-row burn-in."""
-    net, _ = make_instance({"kind": "mixed", "dim": 10, "k": 2, "units": 2, "b": 1.0}, seed)
+def _criterion_7_run(seed, recipe=None, **overrides):
+    """run() with criterion 7's config on its recipe (the rank2-terminal benchmark's: mixed, d = 10), or on recipe
+    when given, after a 4 096-row burn-in."""
+    net, _ = make_instance(recipe or {"kind": "mixed", "dim": 10, "k": 2, "units": 2, "b": 1.0}, seed)
     oracle = GaussianOracle(net, 100 + seed)
     oracle.draw(4096)
     config = dict(
