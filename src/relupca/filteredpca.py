@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .enumeration import CandidateList, KickerBlock, enumerate_kickers, enumerate_networks, ray_basis
-from .errors import BudgetError
+from .errors import BudgetError, checked
 from .lattice import LatticePolynomial, SelectorKicker, _rank_patterns, all_order_types, lattice_eval, selector_eval
 from .network import ReluNetwork, evaluate, restrict, zero_network
 from .subspace import Frame, extend_frame, project, seeded_start
@@ -38,7 +37,9 @@ class SampleSet:
     """Labelled input batch (x rows, y values), read-only.
 
     x is kept uncopied when it is read-only and owns its data (an oracle batch's); any other x, and every y, is
-    copied, so that no reference elsewhere can write the batch.
+    copied, so that no reference elsewhere can write the batch.  y is copied even from the oracle: keeping
+    evaluate's freshly allocated labels instead cost bench/run.py's rank1-kicker about 990 minor page faults and
+    7 % of its wall time per run (2 cores, BLAS on one thread): fresh pages were then faulted in on every draw.
     """
 
     x: np.ndarray
@@ -171,25 +172,19 @@ def estimate_l2_error(candidate, oracle, n_check: int) -> float:
 class LearnConfig:
     """All knobs of the recovery loop.
 
-    The residual threshold tau is always derived as c * sqrt(k) * lam (or, with
-    tau_mode="quantile", from the per-candidate residual distribution) and
-    never stored, so it cannot go stale.  c, acc_fraction, num_leaves and
-    tau_quantile are fixed constants of the method, not fields.
-    max_candidates, an integer of at least 1, caps every scan's candidate count
-    bound (None: no cap), the terminal dictionary's grid included.
-    The least-squares fit reads final_select_samples (its row count), b and
-    final_eps_prime (the grid whose P + ell basis rays are its hidden units),
-    and not size or l, which shape only the loop's grid networks (l also
-    enters the derived final_eps_prime); it is the terminal hypothesis and the
-    first candidate of every scan at ell >= 1.
-    Sizes and sample counts are integers (dim, size and the sample counts at
-    least 1, k and l at least 0, k at most dim).  b, lam and the grid
-    granularities are finite and positive, as is lambda_acc when given
-    (final_eps_prime None: derived from eps; lambda_acc None: calibrated).
-    eps lies in (0, 1); a tiny eps makes the fit's dictionary grid so fine that
-    the loop or the terminal ends in a budget failure, with its reason.  delta
-    lies in (0, 1) but sets no decision (the eigen-step is exact); it stays a
-    field because the acceptance tests pass it.
+    The residual threshold tau is always derived as c * sqrt(k) * lam (or, with tau_mode="quantile", from the
+    per-candidate residual distribution) and never stored, so it cannot go stale.  c, acc_fraction, num_leaves and
+    tau_quantile are fixed constants of the method, not fields.  max_candidates caps the count bound of every
+    candidate list a run builds (None: no cap): the fit's dictionary grid, in the loop and the terminal, and a scan's
+    loop grid, which is built only when the scan reaches it.  The least-squares fit reads final_select_samples (its
+    row count), b and final_eps_prime (the grid whose P + ell basis rays are its hidden units), and not size or l,
+    which shape only the loop's grid networks (l also enters the derived final_eps_prime); it is the terminal
+    hypothesis and the first candidate of every scan at ell >= 1.
+    Each numeric field's rule is one row of __post_init__'s table (errors.checked): an integer of at least its low
+    (None: any integer), or a number strictly between its two bounds.  k is also at most dim, and final_eps_prime
+    (None: derived from eps), lambda_acc (None: calibrated) and max_candidates may be None.  A tiny eps makes the
+    fit's dictionary grid so fine that the loop or the terminal ends in a budget failure, with its reason.  delta sets
+    no decision (the eigen-step is exact); it stays a field because the acceptance tests pass it.
     """
 
     c: ClassVar[float] = 2.0
@@ -217,32 +212,20 @@ class LearnConfig:
     final_select_samples: int = 256
 
     def __post_init__(self):
-        for name, low in (("dim", 1), ("k", 0), ("size", 1), ("l", 0),
-                          ("n_samples", 1), ("n_check", 1), ("final_select_samples", 1)):
+        for name, *bounds in (("dim", 1), ("k", 0), ("size", 1), ("l", 0), ("n_samples", 1), ("n_check", 1),
+                              ("final_select_samples", 1), ("seed", None), ("max_candidates", 1),
+                              ("eps", 0.0, 1.0), ("delta", 0.0, 1.0), ("b", 0.0, math.inf), ("lam", 0.0, math.inf),
+                              ("eps_prime", 0.0, math.inf), ("final_eps_prime", 0.0, math.inf),
+                              ("lambda_acc", 0.0, math.inf)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+            if value is not None or name not in ("max_candidates", "final_eps_prime", "lambda_acc"):
+                checked(name, value, *bounds)
         if self.k > self.dim:
             raise ValueError(f"k must be at most dim = {self.dim}, got {self.k!r}")
-        for name in ("eps", "delta"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < 1:
-                raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-        for name in ("b", "lam", "eps_prime", "final_eps_prime", "lambda_acc"):
-            value = getattr(self, name)
-            if value is None and name in ("final_eps_prime", "lambda_acc"):
-                continue
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.candidate_mode not in ("network", "kicker"):
             raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
         if self.tau_mode not in ("formula", "quantile"):
             raise ValueError(f"unknown tau mode {self.tau_mode!r}")
-        mc = self.max_candidates
-        if mc is not None and (not isinstance(mc, numbers.Integral) or isinstance(mc, bool) or mc < 1):
-            raise ValueError(f"max_candidates must be positive (an integer >= 1) or null, got {mc!r}")
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @property
     def tau(self) -> float:
@@ -264,7 +247,7 @@ class IterationRecord:
     """
 
     index: int
-    tau: float
+    tau: float | None  # the last candidate's own; None when the scan scored none
     candidates_scanned: int
     accepted_candidate: int | None
     lam_value: float | None
@@ -441,12 +424,12 @@ def _compact(x: np.ndarray, keep: np.ndarray) -> int:
 _CHUNK_FLOATS = 2**18
 
 
-def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: CandidateList, q: np.ndarray):
-    """Yield (tau, moment) for each candidate of one scan in stream order; the moment is None when the candidate's
-    mask repeats one already formed on the same batch (_mask_key).
+def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
+    """Yield (tau, moment) for each candidate of one scan over frame in stream order; the moment is None when the
+    candidate's mask repeats one already formed on the same batch (_mask_key).
 
-    The first candidate is known before its batch is drawn: the stream's first at ell = 0, and at ell >= 1 the fit
-    (_fit_block) on the first chunk's rows, ahead of the grid.  Its n_samples rows are drawn in chunks of
+    The first candidate is known before its batch is drawn: at ell = 0 the first of _candidates' stream, and at
+    ell >= 1 the fit (_fit_block) on the first chunk's rows.  Its n_samples rows are drawn in chunks of
     _CHUNK_FLOATS // d rows (at least final_select_samples).  Of each chunk only the rows whose residual is not at
     most a cut are kept, each with its residual; the cut is tau itself in formula mode, in quantile mode _cut of
     the first chunk's residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer (_own_rows) and their
@@ -456,23 +439,26 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
     _pick_tau of the kept ones as the n - skip largest of n, the mask is the kept residuals above tau, the masked
     rows are compacted in place at the buffer's front, and the moment is read from them.  They equal a whole-batch
     scan's to the bit.  A whole batch is drawn, and the stream scanned on it, only when the first candidate leaves
-    the scan open: rejected with more candidates to come (the grid, from index 1), or its tau's lower order
-    statistic among the residuals left out (about a 5 sd event; the whole stream, from index 0).
+    the scan open: rejected with more candidates to come (from index 1; at ell >= 1 the grid alone), or its tau's
+    lower order statistic among the residuals left out (about a 5 sd event; the whole stream, from index 0).  At
+    ell >= 1 the grid is built (_candidates, which may raise BudgetError) only then, so a scan whose fit is
+    accepted never builds it.
     """
     n, d = config.n_samples, config.dim
     rows = max(_CHUNK_FLOATS // d, config.final_select_samples)
-    kept, resid, count, stream = None, None, 0, candidates
+    head = None if len(frame) else _candidates(config, frame, config.eps_prime)  # at ell >= 1 the fit, built below
+    basis = (frame if head is None else head.frame).vectors.T
+    kept, resid, count = None, None, 0
     cut = config.tau if config.tau_mode == "formula" else None
     for start in range(0, n, rows):
         batch = oracle.draw(min(rows, n - start))
         # The blocks are in frame coordinates: the scan reads the batch only through Z = X F^T (N x ell),
         # and each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x).
-        z = batch.x @ candidates.frame.vectors.T
-        if not start and len(frame):  # the least-squares fit over the frame first, then the grid
+        z = batch.x @ basis
+        if head is None:  # the least-squares fit over the frame, on the first chunk's rows
             fit = _fit_block(config, frame, z, batch.y)
-            grid = candidates.factory
-            stream = CandidateList(lambda: itertools.chain([fit], grid()), candidates.count_bound + 1, frame)
-        r = next(_iter_predictions(stream, z))
+            head = CandidateList(lambda: iter([fit]), 1, frame)
+        r = next(_iter_predictions(head, z))
         r = np.abs(np.subtract(r, batch.y, out=r), out=r)  # |row - y| is bitwise |y - row|
         if cut is None:
             cut = _cut(r[:: max(r.size // _TAU_SAMPLE, 1)], math.floor((n - 1) * config.tau_quantile) / n)
@@ -490,21 +476,24 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, candidates: Candida
         np.compress(keep, r, out=resid[count : count + k])
         count += k
         batch = z = r = keep = None  # so the next draw does not hold two chunks
-    first = 0  # the stream index the whole batch starts at
     tau = _pick_tau(config, resid[:count].copy(), n)
-    if tau is not None and tau >= cut:  # the kept rows hold every masked one
+    scored = tau is not None and tau >= cut  # the kept rows hold every masked one
+    if scored:
         m = _compact(kept[:count], resid[:count] > tau)
         yield tau, _masked_moment(kept[:m], q, n)
-        first = 1
-    if first >= stream.count_bound:
-        return
     kept = resid = None
+    stream = head
+    if len(frame):  # past a rejected fit the grid alone, without forming the fit's activation; else the fit first
+        grid = _candidates(config, frame, config.eps_prime)
+        stream = grid if scored else CandidateList(lambda: itertools.chain([fit], grid.factory()),
+                                                  grid.count_bound + 1, frame)
+    if scored >= stream.count_bound:  # nothing left to scan
+        return
     keys: set[bytes] = set()
     batch = oracle.draw(n)
-    z = batch.x @ candidates.frame.vectors.T
-    rest = itertools.islice(_iter_predictions(stream, z), first, None)
-    if first and len(frame):  # past a rejected fit: the grid alone, without forming the fit's activation
-        rest = _iter_predictions(candidates, z)
+    rest = _iter_predictions(stream, batch.x @ stream.frame.vectors.T)
+    if scored and stream is head:  # candidate 0 of a longer stream at ell = 0, scored on the chunks
+        next(rest)
     for row in rest:
         r = np.abs(np.subtract(row, batch.y, out=row), out=row)
         tau = _pick_tau(config, r)
@@ -530,7 +519,9 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     moment's eigenvector at lambda; a scan with no acceptance ends the loop.
     On a non-empty frame the scan's candidate 0 is _fit_block, a least-squares
     fit of a depth-2 net on the first final_select_samples rows of the scan's
-    batch, and the grid follows on a batch of its own.  Candidate
+    batch, and the grid, built only when the fit is rejected, follows on a
+    batch of its own.  A scan whose fit's dictionary exceeds max_candidates
+    scores no candidate, and its iteration records tau None.  Candidate
     0 (the zero net at ell = 0) is scored on a batch drawn in chunks, of which
     the scan keeps only the rows that the filter can select; only the grid and
     a redraw hold a whole N x d batch.  The hypothesis is that fit on a fresh
@@ -558,9 +549,9 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         q = np.eye(d) - frame.projector()
         accepted = None
         scanned = distinct = 0
-        tau_used = config.tau
+        tau_used = None
         try:
-            scan = _scan_moments(oracle, config, frame, _candidates(config, frame, config.eps_prime), q)
+            scan = _scan_moments(oracle, config, frame, q)
             for idx, (tau_used, m) in enumerate(scan):
                 scanned += 1
                 if m is None:  # a rejected candidate's mask: same moment and lambda

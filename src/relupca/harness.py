@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import platform
 import sys
 import time
@@ -13,8 +12,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import BudgetError
-from .filteredpca import _CHUNK_FLOATS, LearnConfig, _masked_moment, as_function, gaussian_oracle, run
+from .errors import BudgetError, checked
+from .filteredpca import _CHUNK_FLOATS, IterationRecord, LearnConfig, _masked_moment, as_function, gaussian_oracle, run
 from .lattice import LatticePolynomial, from_network, lattice_eval, perturb_leaves, structural_distance
 from .network import (
     Architecture,
@@ -145,8 +144,7 @@ def verify_matrix_concentration(filter_fn, d, n_values, trials, seed=0, proxy_fa
     N values the log-log slope of the median error must be -0.5 +/- 0.15; a
     single N just records the error level.
     """
-    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"d must be an integer of at least 1, got {d!r}")
+    checked("d", d, 1)
     n_list = sorted(int(v) for v in np.atleast_1d(n_values))
     if not n_list or n_list[0] < 1 or trials < 1:
         raise ValueError("need positive sample sizes and trials >= 1")
@@ -262,14 +260,17 @@ class ExperimentSpec:
     csv_path: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.verify, (list, tuple)):  # a string would be split into characters
+            raise ValueError(f"verify must be a list of suite names, got {self.verify!r}")
         object.__setattr__(self, "verify", tuple(self.verify))
         unknown = set(self.verify) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown verification suites: {sorted(unknown)}")
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.trials, numbers.Integral) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
+        for name in ("report_path", "csv_path"):  # open() would take an integer for a file descriptor
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+        checked("seed", self.seed)
+        checked("trials", self.trials, 1)
         net, _ = make_instance(self.instance, self.seed)  # a malformed recipe raises here, naming its field
         if net.input_dim != self.learn.dim:
             raise ValueError(f"instance dimension {net.input_dim} does not match learn.dim {self.learn.dim}")
@@ -281,21 +282,25 @@ def spec_to_json(spec: ExperimentSpec) -> str:
     return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
-def _known_keys(doc, cls, where: str) -> dict:
+def _json_object(doc, where: str, known=None, required=()) -> dict:
+    """doc, checked to be a JSON object with no key but known's field names (known a dataclass; None: any key) and
+    every key of required; a ValueError names the keys that are not (the missing ones in required's order)."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    unknown = sorted(set(doc) - {f.name for f in fields(known)}) if known is not None else []
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"missing {where} key(s): {', '.join(missing)}")
     return doc
 
 
 def spec_from_json(text: str) -> ExperimentSpec:
     """Parse a spec written by spec_to_json; unknown keys raise ValueError naming them."""
-    d = _known_keys(json.loads(text), ExperimentSpec, "spec")
+    d = _json_object(json.loads(text), "spec", ExperimentSpec)
     try:
-        learn = LearnConfig(**_known_keys(d.pop("learn", None), LearnConfig, "learn"))
-        d["verify"] = tuple(d.get("verify", ()))
+        learn = LearnConfig(**_json_object(d.pop("learn", None), "learn", LearnConfig))
         return ExperimentSpec(learn=learn, **d)
     except TypeError as err:
         raise ValueError(str(err)) from None
@@ -307,16 +312,8 @@ def _unit(rng, d):
 
 
 def _recipe_field(recipe: dict, name: str, low, default=None):
-    """recipe[name] (or default): an integer >= low if low is an int, else a finite number > low."""
-    value = recipe.get(name, default)
-    if isinstance(low, int):
-        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
-    else:
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and low < value < math.inf
-    if not ok:
-        want = f"an integer of at least {low}" if isinstance(low, int) else f"a finite number above {low}"
-        raise ValueError(f"{recipe['kind']} instance recipe field {name!r} must be {want}, got {value!r}")
-    return value
+    """recipe[name] (or default): an integer of at least low if low is an int, else a finite number above low."""
+    return checked(f"{recipe['kind']} instance recipe field {name!r}", recipe.get(name, default), low, math.inf)
 
 
 def make_instance(recipe: dict, default_seed: int = 0):
@@ -329,7 +326,7 @@ def make_instance(recipe: dict, default_seed: int = 0):
         widths = recipe.get("widths")
         if not isinstance(widths, list) or not widths:
             raise ValueError(f"random instance recipe field 'widths' must be a non-empty list, got {widths!r}")
-        widths = [_recipe_field({"kind": kind, "widths": w}, "widths", 1) for w in widths]
+        widths = [checked("random instance recipe field 'widths'", w, 1) for w in widths]
         arch = Architecture(tuple(widths), _recipe_field(recipe, "dim", 1))
         net = random_network(arch, float(_recipe_field(recipe, "b", 0.0, 1.0)), seed)
         frame = Frame.from_span(net.weights[0])
@@ -397,11 +394,20 @@ class Report:
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
-        """Parse a report written by to_json; unknown or missing keys raise ValueError naming them."""
-        d = _known_keys(json.loads(text), cls, "report")
-        missing = sorted({f.name for f in fields(cls)} - set(d))
-        if missing:
-            raise ValueError(f"missing report key(s): {', '.join(missing)}")
+        """Parse a report written by to_json, checked as far as report-summarize reads it: a ValueError names an
+        unknown or missing key, a recovery or iteration that is not an object, and an eps_hat, tau or lam_value that
+        is not a number (inf included; tau and lam_value may be null)."""
+        d = _json_object(json.loads(text), "report", cls, sorted(f.name for f in fields(cls)))
+        rec = _json_object(d["recovery"], "recovery",
+                           required=("instance_kind", "k_found", "k_target", "eps_hat", "certified", "iterations"))
+        checked("recovery key eps_hat", rec["eps_hat"], -math.inf)
+        if not isinstance(rec["iterations"], list):
+            raise ValueError(f"recovery key iterations must be a list, got {rec['iterations']!r}")
+        for i, it in enumerate(rec["iterations"]):
+            _json_object(it, f"recovery iteration {i}", required=[f.name for f in fields(IterationRecord)])
+            for key in ("tau", "lam_value"):
+                if it[key] is not None:
+                    checked(f"recovery iteration {i} key {key}", it[key], -math.inf)
         return cls(**d)
 
 

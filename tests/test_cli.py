@@ -97,7 +97,7 @@ def test_learn_budget_override_fails_cleanly(runner, tmp_path):
     write_small_spec(spec_path, max_candidates=0)
     result = runner.invoke(main, ["learn", "--config", str(spec_path)])
     assert result.exit_code == 2
-    assert "max_candidates must be positive" in result.output
+    assert "max_candidates must be an integer of at least 1, got 0" in result.output
 
 
 def test_learn_rejects_a_nonpositive_eps_prime(runner, tmp_path):
@@ -105,7 +105,7 @@ def test_learn_rejects_a_nonpositive_eps_prime(runner, tmp_path):
     write_small_spec(spec_path, eps_prime=0)
     result = runner.invoke(main, ["learn", "--config", str(spec_path)])
     assert result.exit_code == 2
-    assert "eps_prime must be a finite positive number" in result.output
+    assert "eps_prime must be a number in (0, inf), got 0" in result.output
 
 
 @pytest.mark.parametrize(
@@ -115,6 +115,10 @@ def test_learn_rejects_a_nonpositive_eps_prime(runner, tmp_path):
         ({"kind": "mixed", "dim": 4, "k": 2, "units": 0},
          "mixed instance recipe field 'units' must be an integer of at least 2, got 0"),
         ({"kind": "abs", "dim": 5}, "instance dimension 5 does not match learn.dim 4"),
+        ({"kind": "random", "widths": [3, True], "dim": 4},
+         "random instance recipe field 'widths' must be an integer of at least 1, got True"),
+        ({"kind": "mixed", "dim": 4, "k": 2, "b": True},
+         "mixed instance recipe field 'b' must be a number in (0, inf), got True"),
     ],
 )
 def test_learn_reports_a_bad_instance_as_a_usage_error(runner, tmp_path, instance, message):
@@ -137,17 +141,25 @@ def test_learn_rejects_unknown_spec_key(runner, tmp_path):
     assert "unknown learn key(s): mode" in result.output
 
 
-@pytest.mark.parametrize("trials", [0, -1, 2.5, "5", True])
-def test_learn_reports_bad_trials_as_a_usage_error(runner, tmp_path, trials):
-    """A spec's trials is checked where the spec is read, before anything is learned."""
+@pytest.mark.parametrize("key, value, message", [
+    *(pytest.param("trials", t, f"trials must be an integer of at least 1, got {t!r}", id=str(t))
+      for t in (0, -1, 2.5, "5", True)),
+    # open() would take an integer for a file descriptor, and tuple() would split a string into characters
+    pytest.param("report_path", 1, "report_path must be a string or null, got 1", id="report_path"),
+    pytest.param("csv_path", 2, "csv_path must be a string or null, got 2", id="csv_path"),
+    pytest.param("verify", "stability", "verify must be a list of suite names, got 'stability'", id="verify"),
+])
+def test_learn_reports_bad_trials_as_a_usage_error(runner, tmp_path, key, value, message):
+    """A spec's trials, report_path, csv_path and verify are checked where the spec is read, before anything is
+    learned."""
     spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
     write_small_spec(spec_path)
     doc = json.loads(spec_path.read_text())
-    doc["trials"] = trials
+    doc[key] = value
     spec_path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["learn", "--config", str(spec_path), "--report", str(report_path)])
     assert result.exit_code == 2
-    assert f"trials must be an integer of at least 1, got {trials!r}" in result.output
+    assert message in result.output
     assert "directions found" not in result.output and not report_path.exists()
 
 
@@ -270,6 +282,19 @@ def test_report_summarize(runner, tmp_path):
     assert runner.invoke(main, ["report-summarize", str(report_path)]).exit_code == 1
 
 
+def test_report_summarize_reads_a_budget_failure(runner, tmp_path):
+    """A budget failure's report has eps_hat Infinity and a null tau where the fit's dictionary exceeded the budget,
+    so that the scan scored nothing: report-summarize prints it with exit 1, as an uncertified run, not 2."""
+    spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
+    write_small_spec(spec_path, k=2, eps=1e-7)
+    assert runner.invoke(main, ["learn", "--config", str(spec_path), "--report", str(report_path)]).exit_code == 1
+    assert '"eps_hat": Infinity' in report_path.read_text()
+    result = runner.invoke(main, ["report-summarize", str(report_path)])
+    assert result.exit_code == 1, result.output
+    assert "iteration 1: scanned=0, distinct=0, accepted=None, tau=-, lambda=-" in result.output.splitlines()
+    assert "directions found: 1/2, eps_hat=inf, certified=False" in result.output.splitlines()
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -281,6 +306,13 @@ def test_report_summarize(runner, tmp_path):
          "recovery must be a JSON object"),
         ({"spec": {}, "fingerprint": {}, "recovery": {}, "fragments": [], "timings": {}, "all_passed": True},
          "missing recovery key(s): instance_kind, k_found, k_target, eps_hat, certified, iterations"),
+        ({"spec": {}, "fingerprint": {}, "recovery": {"instance_kind": "abs", "k_found": 0, "k_target": 1,
+          "eps_hat": True, "certified": False, "iterations": []}, "fragments": [], "timings": {}, "all_passed": True},
+         "recovery key eps_hat must be a number above -inf, got True"),
+        ({"spec": {}, "fingerprint": {}, "recovery": {"instance_kind": "abs", "k_found": 0, "k_target": 1,
+          "eps_hat": 0.5, "certified": False, "iterations": [{"index": 0, "tau": None, "candidates_scanned": 0,
+          "accepted_candidate": None, "lam_value": None, "candidates_distinct": 0}]}, "fragments": [], "timings": {},
+          "all_passed": True}, "missing recovery iteration 0 key(s): nearness"),
     ],
 )
 def test_report_summarize_reports_a_malformed_report_as_a_usage_error(runner, tmp_path, doc, message):

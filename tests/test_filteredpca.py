@@ -97,9 +97,10 @@ def test_sample_set_copies_writable_input():
     x[0, 0] = y[0] = 1.0
     assert s.x[0, 0] == 0.0 and s.y[0] == 0.0
     # a read-only view is no guarantee: the memory it views is still writable
-    view = x[:, :]
-    view.flags.writeable = False
-    assert not np.shares_memory(SampleSet(view, y).x, x)
+    view, y_view = x[:, :], y[:]
+    view.flags.writeable = y_view.flags.writeable = False
+    borrowed = SampleSet(view, y_view)
+    assert not np.shares_memory(borrowed.x, x) and not np.shares_memory(borrowed.y, y)
     assert not np.shares_memory(SampleSet(x.tolist(), y).x, x)
 
 
@@ -308,10 +309,13 @@ def test_config_validation():
         ("lambda_acc", -1.0), ("lambda_acc", math.nan), ("max_candidates", math.nan),
         ("max_candidates", 2.5), ("max_candidates", True), ("max_candidates", math.inf),
         ("delta", 1.0), ("eps", 0.0), ("eps", 1.0), ("eps", "0.1"), ("delta", None),
+        ("eps", True), ("b", True), ("seed", True), ("seed", 1.0),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             LearnConfig(**{**base, field: value})
     assert LearnConfig(**{**base, "eps": 1e-7}).eps == 1e-7  # no floor: see test_a_tiny_eps_fails_with_a_reason
+    numpy_scalars = LearnConfig(**{**base, "dim": np.int64(4), "eps": np.float64(0.1), "max_candidates": np.int32(5)})
+    assert (numpy_scalars.dim, numpy_scalars.eps, numpy_scalars.max_candidates) == (4, 0.1, 5)
 
 
 # ---------------------------------------------------------------- recovery loop
@@ -342,6 +346,8 @@ def test_a_tiny_eps_fails_with_a_reason(k, reason):
     fit at k = 2; the run ends uncertified and says why."""
     result = run(gaussian_oracle(abs_net([0.6, 0.8, 0.0, 0.0]), 0), small_recovery_config(k=k, eps=1e-7))
     assert not result.certified and result.failure_reason.startswith(reason)
+    if k == 2:  # the loop's fit was never scored, so its iteration records no tau
+        assert (result.trace[1].candidates_scanned, result.trace[1].tau) == (0, None)
 
 
 def test_recovery_on_planted_line():
@@ -971,6 +977,15 @@ def test_criterion_7_seed_1_certifies():
     assert seconds < 2.0
 
 
+def test_a_loop_grid_over_budget_is_built_only_when_a_scan_reaches_it():
+    """Criterion 7's seed-1 run at eps_prime 0.3 and a budget of 1 000: the loop grid's count bound, 2 025, exceeds
+    the budget, but each fit's dictionary (at most 981 rays) does not, and the fit is accepted at iteration 1 before
+    the grid would be scanned, so the run certifies."""
+    result = _criterion_7_run(1, eps_prime=0.3, max_candidates=1000)
+    assert result.certified, result.failure_reason
+    assert [(r.candidates_scanned, r.accepted_candidate) for r in result.trace] == [(1, 0), (1, 0)]
+
+
 def test_underdetermined_terminal_fit_is_named_in_the_reason():
     """With no more selection rows than dictionary rows the fit interpolates, and a failed check says so."""
     result = _criterion_7_run(2, final_select_samples=2)
@@ -1171,8 +1186,7 @@ def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, el
     keys, held, buffers = _recording_keys(monkeypatch), [], []
     monkeypatch.setattr(filteredpca, "_masked_moment", lambda x, *args: held.append(x) or _masked_moment(x, *args))
     monkeypatch.setattr(filteredpca, "_own_rows", lambda *shape: buffers.append(np.empty(shape)) or buffers[-1])
-    candidates = filteredpca._candidates(config, frame, config.eps_prime)
-    tau, m = next(filteredpca._scan_moments(oracle, config, frame, candidates, q))
+    tau, m = next(filteredpca._scan_moments(oracle, config, frame, q))
     assert not oracle.batches
     monkeypatch.undo()
     batch = gaussian_oracle(net, 3).draw(n)
@@ -1199,8 +1213,7 @@ def test_tau_below_the_cut_redraws_the_batch_whole(monkeypatch, ell):
     monkeypatch.setattr(filteredpca, "_cut", lambda *args: math.inf)  # _quantile stays exact with any cut
     keys = _recording_keys(monkeypatch)
     oracle = _RowCounter(gaussian_oracle(net, 3))
-    candidates = filteredpca._candidates(config, frame, config.eps_prime)
-    tau, m = next(filteredpca._scan_moments(oracle, config, frame, candidates, q))
+    tau, m = next(filteredpca._scan_moments(oracle, config, frame, q))
     n = config.n_samples
     assert oracle.sizes == [*_chunks(config), n]
     reference = gaussian_oracle(net, 3)

@@ -228,6 +228,10 @@ def test_make_instance_rejects_unknown_kind():
         ({"kind": "spike", "lam": "2"}, "'lam'"),
         ({"dim": 4}, "'kind'"),
         ({"kind": "spike", "lam": 2.0, "dim": 1}, "'dim'"),
+        ({"kind": "random", "widths": [3, 0], "dim": 4}, "'widths'"),
+        ({"kind": "random", "widths": [True], "dim": 4}, "'widths'"),
+        ({"kind": "mixed", "dim": 4, "k": 2, "b": True}, "'b'"),
+        ({"kind": "abs", "dim": np.int64(4), "net_seed": np.float64(1.0)}, "'net_seed'"),
     ],
 )
 def test_make_instance_names_the_bad_recipe_field(recipe, field):
