@@ -72,13 +72,6 @@ class SampleSet:
         return self.x.shape[1]
 
 
-def _own_rows(n: int, d: int) -> np.ndarray:
-    """A writable (n, d) float array: an oracle batch's x or a scan's kept rows, the one place both are allocated.
-
-    The kept rows' residuals, one float a row, go in a plain array beside them (_scan_moments)."""
-    return np.empty((n, d))
-
-
 class GaussianOracle:
     """Deterministic stream of (x, net(x)) batches with standard Gaussian x."""
 
@@ -94,7 +87,7 @@ class GaussianOracle:
     def draw(self, n: int) -> SampleSet:
         if n < 1:
             raise ValueError("need n >= 1")
-        x = self._rng.standard_normal(out=_own_rows(n, self.net.input_dim))
+        x = self._rng.standard_normal(out=np.empty((n, self.net.input_dim)))
         y = evaluate(self.net, x)
         x.flags.writeable = False  # nothing else holds x, so SampleSet keeps it without a copy
         return SampleSet(x, y)
@@ -282,13 +275,11 @@ def _zero_candidates(dim: int) -> CandidateList:
     return CandidateList(factory=lambda: iter([weights]), count_bound=1, frame=Frame.empty(dim))
 
 
-def _candidates(config: LearnConfig, frame: Frame, eps_prime: float) -> CandidateList:
-    """The configured grid over the frame at eps_prime; the zero net on an empty frame."""
-    if len(frame) == 0:
-        return _zero_candidates(config.dim)
+def _candidates(config: LearnConfig, frame: Frame) -> CandidateList:
+    """The loop grid over a non-empty frame at eps_prime: kickers or networks, as configured."""
     if config.candidate_mode == "kicker":
-        return enumerate_kickers(frame, eps_prime, config.num_leaves, config.lam, max_candidates=config.max_candidates)
-    return enumerate_networks(frame, eps_prime, config.size, config.l, config.b, max_candidates=config.max_candidates)
+        return enumerate_kickers(frame, config.eps_prime, config.num_leaves, config.lam, config.max_candidates)
+    return enumerate_networks(frame, config.eps_prime, config.size, config.l, config.b, config.max_candidates)
 
 
 def _pick_tau(config: LearnConfig, resid: np.ndarray, n: int | None = None) -> float | None:
@@ -369,15 +360,15 @@ def _gated(block: KickerBlock, z: np.ndarray) -> np.ndarray:
     return h.reshape(len(vals), -1)
 
 
-def _iter_predictions(candidates: CandidateList, z: np.ndarray):
-    """Yield each candidate's prediction row at the frame coordinates z (N x ell), in stream order: the one scorer.
+def _iter_predictions(blocks, z: np.ndarray):
+    """Yield the prediction row at the frame coordinates z (N x ell) of each candidate of an iterable of blocks (see
+    CandidateList), in order: the one scorer.
 
-    Each block (see CandidateList) forms its last hidden activation H once, feature-major, (k, N), so that BLAS
-    runs along the batch: a network block's ReLU layers at z, each W @ H, with W its output rows, or a kicker
-    block's gated leaf features, with W its pick matrix.  Row r is then W[r] @ H, a fresh writable (N,) array, so
-    the scan may overwrite it.
+    Each block forms its last hidden activation H once, feature-major, (k, N), so that BLAS runs along the batch: a
+    network block's ReLU layers at z, each W @ H, with W its output rows, or a kicker block's gated leaf features,
+    with W its pick matrix.  Row r is then W[r] @ H, a fresh writable (N,) array, so the scan may overwrite it.
     """
-    for block in candidates.factory():
+    for block in blocks:
         if isinstance(block, KickerBlock):
             h, w = _gated(block, z).T, block.picks
         else:
@@ -425,40 +416,36 @@ _CHUNK_FLOATS = 2**18
 
 
 def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
-    """Yield (tau, moment) for each candidate of one scan over frame in stream order; the moment is None when the
+    """Yield (tau, moment) for each candidate of one scan over frame in order; the moment is None when the
     candidate's mask repeats one already formed on the same batch (_mask_key).
 
-    The first candidate is known before its batch is drawn: at ell = 0 the first of _candidates' stream, and at
-    ell >= 1 the fit (_fit_block) on the first chunk's rows.  Its n_samples rows are drawn in chunks of
-    _CHUNK_FLOATS // d rows (at least final_select_samples).  Of each chunk only the rows whose residual is not at
-    most a cut are kept, each with its residual; the cut is tau itself in formula mode, in quantile mode _cut of
-    the first chunk's residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer (_own_rows) and their
+    The frame alone decides candidate 0, known before its batch is drawn: at ell = 0 the zero net of
+    _zero_candidates, at ell >= 1 the fit (_fit_block) on the first chunk's rows.  Its n_samples rows are drawn in
+    chunks of _CHUNK_FLOATS // d rows (at least final_select_samples).  Of each chunk only the rows whose residual is
+    not at most a cut are kept, each with its residual; the cut is tau itself in formula mode, in quantile mode _cut
+    of the first chunk's residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer and their
     residuals into one beside it, both sized at 1.25 times the first chunk's kept fraction of n_samples and doubled
     when short, so past its residuals a chunk costs in proportion to the rows it keeps.  tau, the mask and the
     moment are read from the kept residuals alone: every residual left out is at most the cut, so tau is
     _pick_tau of the kept ones as the n - skip largest of n, the mask is the kept residuals above tau, the masked
     rows are compacted in place at the buffer's front, and the moment is read from them.  They equal a whole-batch
-    scan's to the bit.  A whole batch is drawn, and the stream scanned on it, only when the first candidate leaves
-    the scan open: rejected with more candidates to come (from index 1; at ell >= 1 the grid alone), or its tau's
-    lower order statistic among the residuals left out (about a 5 sd event; the whole stream, from index 0).  At
-    ell >= 1 the grid is built (_candidates, which may raise BudgetError) only then, so a scan whose fit is
-    accepted never builds it.
+    scan's to the bit.  At ell = 0 a scored candidate 0 ends the scan.  Otherwise a whole batch is drawn and
+    blocks are scored on it: the grid of _candidates alone (which may raise BudgetError, and is built only here, so
+    a scan whose fit is accepted never builds it) past a scored fit, and candidate 0 first when its tau's lower
+    order statistic fell among the residuals left out (about a 5 sd event).
     """
     n, d = config.n_samples, config.dim
     rows = max(_CHUNK_FLOATS // d, config.final_select_samples)
-    head = None if len(frame) else _candidates(config, frame, config.eps_prime)  # at ell >= 1 the fit, built below
-    basis = (frame if head is None else head.frame).vectors.T
+    basis = frame.vectors.T  # the blocks are in frame coordinates: the scan reads the batch only through Z = X F^T
+    first = None if len(frame) else next(_zero_candidates(d).factory())  # at ell >= 1 the fit, built below
     kept, resid, count = None, None, 0
     cut = config.tau if config.tau_mode == "formula" else None
     for start in range(0, n, rows):
         batch = oracle.draw(min(rows, n - start))
-        # The blocks are in frame coordinates: the scan reads the batch only through Z = X F^T (N x ell),
-        # and each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x).
-        z = batch.x @ basis
-        if head is None:  # the least-squares fit over the frame, on the first chunk's rows
-            fit = _fit_block(config, frame, z, batch.y)
-            head = CandidateList(lambda: iter([fit]), 1, frame)
-        r = next(_iter_predictions(head, z))
+        z = batch.x @ basis  # each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x)
+        if first is None:  # the least-squares fit over the frame, on the first chunk's rows
+            first = _fit_block(config, frame, z, batch.y)
+        r = next(_iter_predictions([first], z))
         r = np.abs(np.subtract(r, batch.y, out=r), out=r)  # |row - y| is bitwise |y - row|
         if cut is None:
             cut = _cut(r[:: max(r.size // _TAU_SAMPLE, 1)], math.floor((n - 1) * config.tau_quantile) / n)
@@ -466,10 +453,10 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
         k = int(np.count_nonzero(keep))
         if kept is None:
             size = min(max(math.ceil(1.25 * n * k / r.size), 1), n)
-            kept, resid = _own_rows(size, d), np.empty(size)
+            kept, resid = np.empty((size, d)), np.empty(size)
         elif count + k > len(kept):
             size = min(max(2 * len(kept), count + k), n)
-            grown = _own_rows(size, d), np.empty(size)
+            grown = np.empty((size, d)), np.empty(size)
             grown[0][:count], grown[1][:count] = kept[:count], resid[:count]
             kept, resid = grown
         np.compress(keep, batch.x, axis=0, out=kept[count : count + k])
@@ -481,20 +468,15 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
     if scored:
         m = _compact(kept[:count], resid[:count] > tau)
         yield tau, _masked_moment(kept[:m], q, n)
+        if not len(frame):  # at ell = 0 a scored candidate ends the scan
+            return
     kept = resid = None
-    stream = head
-    if len(frame):  # past a rejected fit the grid alone, without forming the fit's activation; else the fit first
-        grid = _candidates(config, frame, config.eps_prime)
-        stream = grid if scored else CandidateList(lambda: itertools.chain([fit], grid.factory()),
-                                                  grid.count_bound + 1, frame)
-    if scored >= stream.count_bound:  # nothing left to scan
-        return
+    blocks = [] if scored else [first]
+    if len(frame):  # past a scored fit the grid alone, without forming the fit's activation
+        blocks = itertools.chain(blocks, _candidates(config, frame).factory())
     keys: set[bytes] = set()
     batch = oracle.draw(n)
-    rest = _iter_predictions(stream, batch.x @ stream.frame.vectors.T)
-    if scored and stream is head:  # candidate 0 of a longer stream at ell = 0, scored on the chunks
-        next(rest)
-    for row in rest:
+    for row in _iter_predictions(blocks, batch.x @ basis):
         r = np.abs(np.subtract(row, batch.y, out=row), out=row)
         tau = _pick_tau(config, r)
         mask = r > tau

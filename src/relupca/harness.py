@@ -260,7 +260,7 @@ class ExperimentSpec:
     csv_path: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.verify, (list, tuple)):  # a string would be split into characters
+        if not isinstance(self.verify, (list, tuple)) or not all(isinstance(s, str) for s in self.verify):
             raise ValueError(f"verify must be a list of suite names, got {self.verify!r}")
         object.__setattr__(self, "verify", tuple(self.verify))
         unknown = set(self.verify) - set(SUITES)
@@ -395,9 +395,15 @@ class Report:
     @classmethod
     def from_json(cls, text: str) -> "Report":
         """Parse a report written by to_json, checked as far as report-summarize reads it: a ValueError names an
-        unknown or missing key, a recovery or iteration that is not an object, and an eps_hat, tau or lam_value that
-        is not a number (inf included; tau and lam_value may be null)."""
+        unknown or missing key, a spec, recovery, iteration or fragment that is not an object, iterations or
+        fragments that are not a list, and an eps_hat, tau or lam_value that is not a number (inf included; tau and
+        lam_value may be null)."""
         d = _json_object(json.loads(text), "report", cls, sorted(f.name for f in fields(cls)))
+        _json_object(d["spec"], "spec")
+        if not isinstance(d["fragments"], list):
+            raise ValueError(f"report key fragments must be a list, got {d['fragments']!r}")
+        for i, frag in enumerate(d["fragments"]):
+            _json_object(frag, f"report fragment {i}")
         rec = _json_object(d["recovery"], "recovery",
                            required=("instance_kind", "k_found", "k_target", "eps_hat", "certified", "iterations"))
         checked("recovery key eps_hat", rec["eps_hat"], -math.inf)

@@ -148,6 +148,9 @@ def test_learn_rejects_unknown_spec_key(runner, tmp_path):
     pytest.param("report_path", 1, "report_path must be a string or null, got 1", id="report_path"),
     pytest.param("csv_path", 2, "csv_path must be a string or null, got 2", id="csv_path"),
     pytest.param("verify", "stability", "verify must be a list of suite names, got 'stability'", id="verify"),
+    pytest.param("verify", [{}], "verify must be a list of suite names, got [{}]", id="verify-object"),
+    pytest.param("verify", [["stability"]], "verify must be a list of suite names, got [['stability']]",
+                 id="verify-list"),
 ])
 def test_learn_reports_bad_trials_as_a_usage_error(runner, tmp_path, key, value, message):
     """A spec's trials, report_path, csv_path and verify are checked where the spec is read, before anything is
@@ -295,6 +298,9 @@ def test_report_summarize_reads_a_budget_failure(runner, tmp_path):
     assert "directions found: 1/2, eps_hat=inf, certified=False" in result.output.splitlines()
 
 
+_RECOVERY = {"instance_kind": "abs", "k_found": 0, "k_target": 1, "eps_hat": 0.5, "certified": False, "iterations": []}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -313,6 +319,12 @@ def test_report_summarize_reads_a_budget_failure(runner, tmp_path):
           "eps_hat": 0.5, "certified": False, "iterations": [{"index": 0, "tau": None, "candidates_scanned": 0,
           "accepted_candidate": None, "lam_value": None, "candidates_distinct": 0}]}, "fragments": [], "timings": {},
           "all_passed": True}, "missing recovery iteration 0 key(s): nearness"),
+        *(({"spec": spec, "fingerprint": {}, "recovery": _RECOVERY, "fragments": fragments, "timings": {},
+            "all_passed": True}, message) for spec, fragments, message in (
+            ([], [], "spec must be a JSON object"),
+            ({}, [1], "report fragment 0 must be a JSON object"),
+            ({}, 5, "report key fragments must be a list, got 5"),
+        )),
     ],
 )
 def test_report_summarize_reports_a_malformed_report_as_a_usage_error(runner, tmp_path, doc, message):

@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import gc
 import itertools
 import math
 import mmap
+import sys
 import time
 import tracemalloc
 import types
@@ -248,11 +250,11 @@ def test_masked_moment_matches_the_complement_reference(ell, rng):
 
 
 def _block_preds(cands, x):
-    """Every candidate's predictions at x, (candidates, N), from _iter_predictions over a CandidateList.
+    """Every candidate's predictions at x, (candidates, N), from _iter_predictions over a CandidateList's blocks.
 
     x is in ambient coordinates; the blocks are scored on Z = X F^T, as run() scores them.
     """
-    return np.array(list(_iter_predictions(cands, x @ cands.frame.vectors.T)))
+    return np.array(list(_iter_predictions(cands.factory(), x @ cands.frame.vectors.T)))
 
 
 def test_loop_candidates_score_raw_rows_as_projected_rows(rng):
@@ -475,15 +477,15 @@ def _diff_config():
 
 
 def _reject_the_fit(monkeypatch):
-    """Make the loop's least-squares fit on a one-vector frame the grid's first candidate there, a row that the
-    d = 6 mixed and the d = 10 and 100 abs scans reject, so that those scans go on through the grid, on a
-    batch of their own.  A fit on any other frame, the terminal's included, is kept."""
+    """Make the least-squares fit on a one-vector frame the grid's first candidate there (_candidates), a row that
+    the d = 6 mixed and the d = 10 and 100 abs scans reject, so that those scans go on through the grid, on a
+    batch of their own.  A fit on any other frame, the terminal's on two vectors included, is kept."""
     fit = filteredpca._fit_block
 
     def first_grid_row(config, frame, z, y):
         if len(frame) != 1:
             return fit(config, frame, z, y)
-        block = next(filteredpca._candidates(config, frame, config.eps_prime).factory())
+        block = next(filteredpca._candidates(config, frame).factory())
         return (*block[:-1], block[-1][:1])
 
     monkeypatch.setattr(filteredpca, "_fit_block", first_grid_row)
@@ -588,62 +590,72 @@ def _abs_block(v, *out):
     return (np.array([v, -v]), np.array(out, dtype=float))
 
 
-_IDENTITY_4 = Frame(np.eye(4))  # blocks in ambient coordinates: lifting through it is exact
+_LINE = np.array([1.0])  # the coordinate of a one-vector frame
 
 
-def _scan_row(block, x):
-    """A one-row block's prediction row as the scan forms it: W_out @ relu(x W_0^T)^T."""
-    return (block[-1] @ np.maximum(x @ block[0].T, 0.0).T)[0]
+def _scan_row(block, z):
+    """A one-row block's prediction row as the scan forms it: W_out @ relu(z W_0^T)^T."""
+    return (block[-1] @ np.maximum(z @ block[0].T, 0.0).T)[0]
 
 
-def _fall_through_batch(net, seed, n):
-    """The rows a scan's candidates past the first read: the oracle's second batch of n."""
-    oracle = gaussian_oracle(net, seed)
-    oracle.draw(n)  # candidate 0's batch, drawn in chunks
-    return oracle.draw(n)
+def _grid_past_a_rejected_fit(monkeypatch, stream):
+    """run() at k = 2 on |x_2| (d = 4), where the ell = 0 scan accepts (_accept_the_first_moment) and the ell = 1 scan
+    rejects its fit, a copy of stream's first block (_reject_the_fit), then every block of stream, the grid, on the
+    fall-through batch.  Returns (the ell = 1 record, the moments that scan formed, its batch's y and frame
+    coordinates)."""
+    net = abs_net([0.0, 1.0, 0.0, 0.0])
+    monkeypatch.setattr(filteredpca, "_candidates", lambda _, frame: CandidateList(lambda: iter(stream), 3, frame))
+    _reject_the_fit(monkeypatch)
+    formed = _accept_the_first_moment(monkeypatch)
+    config = small_recovery_config(k=2, lambda_acc=1e9)
+    result = run(gaussian_oracle(net, 0), config)
+    oracle = gaussian_oracle(net, 0)
+    oracle.draw(2 * config.n_samples)  # the two scans' candidate 0 batches, drawn in chunks
+    batch = oracle.draw(config.n_samples)
+    return result.trace[1], formed[1:], batch.y, batch.x @ result.frame.vectors.T
 
 
 def test_repeat_as_the_last_candidate_keeps_its_first_tau(monkeypatch):
     """A scan with no acceptance that ends on a repeat records the repeated row's tau, not its neighbour's.
-    Candidate 0 (a copy of a) is scored on its own batch, so it forms a moment and repeats nothing."""
-    v = np.array([1.0, 0.0, 0.0, 0.0])
-    a, b = _abs_block(v, (1.0, 1.0)), _abs_block(v, (0.5, -0.5))  # |x.v| and x.v / 2
-    f_a, f_b = (lambda x: _scan_row(a, x)), (lambda x: _scan_row(b, x))
-    stream = [a, a, b, a]
-    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter(stream), 4, _IDENTITY_4))
-    calls = []
-    monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
-    oracle = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0)
-    result = run(oracle, small_recovery_config(lambda_acc=1e9))
-    batch = _fall_through_batch(abs_net([0.0, 1.0, 0.0, 0.0]), 0, 20_000)
-    record = result.trace[0]
-    assert (record.accepted_candidate, record.candidates_scanned, len(calls)) == (None, 4, 3)
+    Candidate 0, the fit (a copy of a), is scored on its own batch, so it forms a moment and repeats nothing."""
+    a, b = _abs_block(_LINE, (1.0, 1.0)), _abs_block(_LINE, (0.5, -0.5))  # |z| and z / 2
+    record, formed, y, z = _grid_past_a_rejected_fit(monkeypatch, [a, b, a])
+    assert (record.accepted_candidate, record.candidates_scanned, len(formed)) == (None, 4, 3)
     assert record.candidates_distinct == 3
-    assert record.tau == float(np.quantile(np.abs(batch.y - f_a(batch.x)), 0.95))
-    assert record.tau != float(np.quantile(np.abs(batch.y - f_b(batch.x)), 0.95))
+    assert record.tau == float(np.quantile(np.abs(y - _scan_row(a, z)), 0.95))
+    assert record.tau != float(np.quantile(np.abs(y - _scan_row(b, z)), 0.95))
 
 
 def test_rows_with_one_mask_form_one_moment(monkeypatch):
     """Rows whose bytes differ but whose masks agree form one moment; the record keeps the later row's tau.
-    Candidate 0 (a copy of a) is scored on its own batch, a and b on the fall-through batch."""
-    v = np.array([1.0, 0.0, 0.0, 0.0])
-    a, b = _abs_block(v, (1.0, 1.0)), _abs_block(v, (1.0 + 1e-9, 1.0 + 1e-9))  # |x.v| and |x.v| (1 + 1e-9)
-    f_a, f_b = (lambda x: _scan_row(a, x)), (lambda x: _scan_row(b, x))
-    stream = [a, a, b]
-    monkeypatch.setattr(filteredpca, "_candidates", lambda *args: CandidateList(lambda: iter(stream), 3, _IDENTITY_4))
-    calls = []
-    monkeypatch.setattr(filteredpca, "_masked_moment", lambda *args: calls.append(1) or _masked_moment(*args))
-    oracle = gaussian_oracle(abs_net([0.0, 1.0, 0.0, 0.0]), 0)
-    result = run(oracle, small_recovery_config(lambda_acc=1e9))
-    batch = _fall_through_batch(abs_net([0.0, 1.0, 0.0, 0.0]), 0, 20_000)
-    resid = [np.abs(batch.y - f(batch.x)) for f in (f_a, f_b)]
+    Candidate 0, the fit (a copy of a), is scored on its own batch, a and b on the fall-through batch."""
+    a, b = _abs_block(_LINE, (1.0, 1.0)), _abs_block(_LINE, (1.0 + 1e-9, 1.0 + 1e-9))  # |z| and |z| (1 + 1e-9)
+    record, formed, y, z = _grid_past_a_rejected_fit(monkeypatch, [a, b])
+    resid = [np.abs(y - _scan_row(block, z)) for block in (a, b)]
     tau_a, tau_b = (float(np.quantile(r, 0.95)) for r in resid)
-    assert f_a(batch.x).tobytes() != f_b(batch.x).tobytes() and tau_a != tau_b
+    assert _scan_row(a, z).tobytes() != _scan_row(b, z).tobytes() and tau_a != tau_b
     assert np.array_equal(resid[0] > tau_a, resid[1] > tau_b)
-    record = result.trace[0]
-    assert (record.accepted_candidate, record.candidates_scanned, len(calls)) == (None, 3, 2)
+    assert (record.accepted_candidate, record.candidates_scanned, len(formed)) == (None, 3, 2)
     assert record.candidates_distinct == 2
     assert record.tau == tau_b
+
+
+@pytest.mark.parametrize("redraw", [False, True])
+def test_the_first_scan_builds_no_grid(monkeypatch, redraw):
+    """The ell = 0 scan scores the zero net alone, scored on its chunks or, with the cut above every residual, on a
+    redrawn batch: with _candidates raising, a k = 1 run completes and certifies, equal to a run without the patch."""
+    net, config = abs_net([0.6, 0.8, 0.0, 0.0]), small_recovery_config()
+    if redraw:
+        monkeypatch.setattr(filteredpca, "_cut", lambda *args: math.inf)
+    want = run(gaussian_oracle(net, 0), config)
+
+    def no_grid(*args):
+        raise AssertionError("the ell = 0 scan built a grid")
+
+    monkeypatch.setattr(filteredpca, "_candidates", no_grid)
+    result = run(gaussian_oracle(net, 0), config)
+    assert result.certified and result.trace == want.trace and result.eps_hat == want.eps_hat
+    assert result.frame.vectors.tobytes() == want.frame.vectors.tobytes()
 
 
 def _numpy_tau(r, q):
@@ -1011,7 +1023,7 @@ def test_fit_block_row_equals_the_lifted_fit(ell, rng):
     z = batch.x @ frame.vectors.T
     w0, w1 = filteredpca._fit_block(config, frame, z, batch.y)
     assert len(w0) == (2 if ell == 1 else 38)
-    [row] = _iter_predictions(CandidateList(lambda: iter([(w0, w1)]), 1, frame), z)
+    [row] = _iter_predictions([(w0, w1)], z)
     want = evaluate(ReluNetwork((w0 @ frame.vectors, w1)), batch.x)
     assert np.max(np.abs(row - want)) <= 1e-12 * max(1.0, np.max(np.abs(row)))
     first = slice(config.final_select_samples)
@@ -1093,10 +1105,8 @@ def test_a_rejected_fit_falls_through_to_the_grid(monkeypatch):
 
     fits, fit, grid_of = [], filteredpca._fit_block, filteredpca._candidates
 
-    def fit_copy_first(config, frame, eps_prime):  # the grid, with a copy of the scan's fit at its head
-        grid = grid_of(config, frame, eps_prime)
-        if not len(frame):
-            return grid
+    def fit_copy_first(config, frame):  # the grid, with a copy of the scan's fit at its head
+        grid = grid_of(config, frame)
         return CandidateList(lambda: itertools.chain([fits[-1]], grid.factory()), grid.count_bound + 1, frame)
 
     monkeypatch.setattr(filteredpca, "_fit_block", lambda *args: fits.append(fit(*args)) or fits[-1])
@@ -1136,12 +1146,11 @@ def _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats=160_000, dim=10, n
 def _whole_batch_scan(config, frame, q, batch, fit_rows):
     """Candidate 0 of a scan (the zero net, or the fit on fit_rows' first rows) on a batch drawn whole, as the
     scan scored it before batches were drawn in chunks: (tau, mask, moment)."""
-    z = batch.x @ frame.vectors.T
-    candidates = filteredpca._candidates(config, frame, config.eps_prime)
     if len(frame):
-        fit = filteredpca._fit_block(config, frame, fit_rows.x @ frame.vectors.T, fit_rows.y)
-        candidates = CandidateList(lambda: iter([fit]), 1, frame)
-    resid = np.abs(batch.y - next(_iter_predictions(candidates, z)))
+        block = filteredpca._fit_block(config, frame, fit_rows.x @ frame.vectors.T, fit_rows.y)
+    else:
+        block = next(filteredpca._zero_candidates(config.dim).factory())
+    resid = np.abs(batch.y - next(_iter_predictions([block], batch.x @ frame.vectors.T)))
     tau = _pick_tau(config, resid)
     mask = resid > tau
     return tau, mask, _masked_moment(batch.x[mask], q, batch.n)
@@ -1171,8 +1180,8 @@ def _scaled_past(batch, rows):
 @pytest.mark.parametrize("tau_mode", ["formula", "quantile"])
 def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, ell):
     """Candidate 0 scored on its batch drawn in chunks has the tau (to the bit), the mask and the moment (byte for
-    byte) of a whole-batch scan of the same rows.  Of x the scan keeps only the rows above the cut, in buffers that
-    _own_rows makes: the masked rows themselves in formula mode, a buffer under a tenth of the batch in
+    byte) of a whole-batch scan of the same rows.  Of x the scan keeps only the rows above the cut, in writable
+    buffers of its own (_rows_made): the masked rows themselves in formula mode, a buffer under a tenth of the batch in
     quantile mode, and the moment reads the masked rows at the front of the last buffer, compacted in place: the
     whole-batch scan's masked rows, byte for byte.  Candidate 0 keys no mask.  In the grow case the first chunk
     keeps a smaller fraction than the rest, so the buffer sized from it grows."""
@@ -1183,9 +1192,8 @@ def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, el
     oracle = _Predrawn(net, 3, chunks)
     if grow:
         oracle.batches[1:] = [_scaled_past(batch, 0) for batch in oracle.batches[1:]]
-    keys, held, buffers = _recording_keys(monkeypatch), [], []
+    keys, held, buffers = _recording_keys(monkeypatch), [], _rows_made(monkeypatch)["_scan_moments"]
     monkeypatch.setattr(filteredpca, "_masked_moment", lambda x, *args: held.append(x) or _masked_moment(x, *args))
-    monkeypatch.setattr(filteredpca, "_own_rows", lambda *shape: buffers.append(np.empty(shape)) or buffers[-1])
     tau, m = next(filteredpca._scan_moments(oracle, config, frame, q))
     assert not oracle.batches
     monkeypatch.undo()
@@ -1198,10 +1206,11 @@ def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, el
     assert not keys and held[0].tobytes() == batch.x[want_mask].tobytes()
     assert m.tobytes() == want_m.tobytes()
     assert len(held) == 1 and held[0].shape[0] == np.count_nonzero(want_mask)
-    assert held[0].base is buffers[-1] and held[0].ctypes.data == buffers[-1].ctypes.data
+    buffer = held[0].base
+    assert buffer.shape == (buffers[-1], dim) and buffer.flags.writeable and held[0].ctypes.data == buffer.ctypes.data
     assert (len(buffers) > 1) == grow
     if tau_mode == "quantile" and not grow:
-        assert len(buffers[0]) < batch.n / 10
+        assert buffers[0] < batch.n / 10
 
 
 @pytest.mark.parametrize("ell", [0, 1])
@@ -1285,7 +1294,7 @@ def test_pred_chunks_match_reference_evaluation(data):
         else:
             want.append(evaluate(ReluNetwork((*p[:-1], p[-1][r : r + 1])), x))
     scan = []
-    for row in _iter_predictions(CandidateList(lambda: iter(stream), len(flat), Frame(np.eye(d))), x):
+    for row in _iter_predictions(stream, x):
         assert row.shape == (len(x),) and row.flags.writeable
         scan.append(row.copy())
         row.fill(np.nan)  # as the scan overwrites it: no later row may change
@@ -1391,7 +1400,7 @@ def test_kicker_block_rows_equal_selector_eval(data):
             assert ranks[0] == ranks[-1]
     assert _gated(block, z).shape == (len(z), m * len(types))
     cands = CandidateList(lambda: iter([block]), len(tables), frame)
-    scan = list(_iter_predictions(cands, z))
+    scan = list(_iter_predictions([block], z))
     assert len(scan) == len(tables)
     for r, (tab, lifted) in enumerate(zip(tables, cands)):
         sk = SelectorKicker(leaves, dict(zip(types, tab)), coords)
@@ -1413,7 +1422,7 @@ def test_scanning_leaves_the_blocks_unchanged(rng):
     ]
     for cands in lists:
         before = _block_preds(cands, x)
-        for row in _iter_predictions(cands, x @ cands.frame.vectors.T):
+        for row in _iter_predictions(cands.factory(), x @ cands.frame.vectors.T):
             row[:] = np.nan
         assert np.array_equal(_block_preds(cands, x), before)
     for b, (leaves, picks) in zip(kickers, before_blocks):
@@ -1447,8 +1456,7 @@ def test_each_block_forms_its_hidden_activation_once(monkeypatch, rng):
     monkeypatch.setattr(filteredpca, "_gated", lambda *args: gated.append(1) or _gated(*args))
     monkeypatch.setattr(_CountingZ, "products", 0)
     z = rng.standard_normal((n, 1)).view(_CountingZ)
-    cands = CandidateList(lambda: iter(stream), 2 * 60 + len(kicker.picks), line)
-    rows = sum(1 for _ in _iter_predictions(cands, z))
+    rows = sum(1 for _ in _iter_predictions(stream, z))
     assert rows == 2 * 60 + len(kicker.picks)
     assert (len(gated), _CountingZ.products) == (1, 3)
 
@@ -1473,11 +1481,23 @@ def _chunks(config):
     return [min(rows, n - start) for start in range(0, n, rows)]
 
 
-def _traced_rows(monkeypatch):
-    """Count the rows of every array _own_rows makes; returns the list they are appended to."""
-    rows, own = [], filteredpca._own_rows
-    monkeypatch.setattr(filteredpca, "_own_rows", lambda n, d: rows.append(n) or own(n, d))
-    return rows
+def _rows_made(monkeypatch):
+    """Record the rows of every 2-D array that np.empty makes in filteredpca, by the function that makes it: draw
+    (an oracle batch's x), _scan_moments (a scan's kept-row buffer) or _compact (its bounce buffer).  Returns the
+    dict of the lists they are appended to."""
+    made = collections.defaultdict(list)
+
+    class Numpy:  # numpy as filteredpca sees it
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 2:
+                made[sys._getframe(1).f_code.co_name].append(shape[0])
+            return np.empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(filteredpca, "np", Numpy())
+    return made
 
 
 def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
@@ -1500,7 +1520,7 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         chunks = _chunks(config)
         assert len(chunks) == (2 if d == 10 else 20)
         oracle = _Predrawn(abs_net(v), 0, [*chunks, *chunks, n, 64, 1_000])
-        kept, gathered, peaks = _traced_rows(monkeypatch), [0], []
+        kept, gathered, peaks = _rows_made(monkeypatch)["_scan_moments"], [0], []
 
         def moment(x, q, rows):
             if x.base is None:  # a gather on the fall-through batch, not the kept rows compacted in place
@@ -1541,14 +1561,15 @@ def test_a_scan_at_d_400_holds_a_fraction_of_its_batch(monkeypatch):
         return final(*args)
 
     monkeypatch.setattr(filteredpca, "_final_search", terminal)
-    rows = _traced_rows(monkeypatch)
+    made = _rows_made(monkeypatch)
     tracemalloc.start()
     try:
         result = run(gaussian_oracle(abs_net(v), 0), config)
     finally:
         tracemalloc.stop()
     assert result.trace[0].accepted_candidate == 0 and len(_chunks(config)) == 306
-    assert len(rows) == 306 + 1 + 2  # the chunks, one kept-row buffer, the selection and check batches
+    assert len(made["draw"]) == 306 + 2  # the chunks, the selection and check batches
+    assert len(made["_scan_moments"]) == 1  # one kept-row buffer
     assert peaks[0] <= 128 * 2**20
 
 
