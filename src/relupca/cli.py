@@ -9,7 +9,8 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from .harness import SUITES, Report, make_instance, run_experiment, run_suite, spec_from_json
+from .errors import BudgetError
+from .harness import INSTANCE_KINDS, SUITES, Report, make_instance, run_experiment, run_suite, spec_from_json
 from .lattice import from_network, serialize_lattice
 from .network import (
     BOOLEAN_MAX_BITS,
@@ -26,6 +27,14 @@ def main():
     """Recover low-dimensional structure of ReLU networks from Gaussian samples."""
 
 
+def _usage_checked(read, *args):
+    """read(*args); a reader's ValueError, or from_network's BudgetError, is a usage error (exit code 2)."""
+    try:
+        return read(*args)
+    except (ValueError, BudgetError) as err:
+        raise click.UsageError(str(err)) from None
+
+
 def _echo_fragment(frag: dict) -> bool:
     name = frag.get("name", "fragment")
     passed = bool(frag.get("passed", False))
@@ -35,20 +44,15 @@ def _echo_fragment(frag: dict) -> bool:
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True),
+@click.option("--config", "config", required=True, type=click.File("rb"),
               help="Experiment spec JSON (see docs/formats.md).")
 @click.option("--report", "report_path", type=click.Path(), default=None, help="Write the report JSON here.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None, help="Write the CSV extract here.")
 @click.option("--emit-samples", "samples_path", type=click.Path(), default=None,
               help="Dump the first training batch as CSV rows: d coordinates, then y.")
-def learn(config_path, report_path, csv_path, samples_path):
+def learn(config, report_path, csv_path, samples_path):
     """Run the full recovery pipeline from an experiment spec; a malformed spec is a usage error."""
-    with open(config_path) as fh:
-        text = fh.read()
-    try:
-        spec = spec_from_json(text)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    spec = _usage_checked(spec_from_json, config.read())
     spec = replace(spec, report_path=report_path or spec.report_path, csv_path=csv_path or spec.csv_path)
     report = run_experiment(spec)
     if samples_path is not None:
@@ -73,8 +77,8 @@ def learn(config_path, report_path, csv_path, samples_path):
 @main.command()
 @click.option("--suite", "suites", multiple=True, type=click.Choice(SUITES),
               help="Suites to run (default: all).")
-@click.option("--dim", default=6, show_default=True)
-@click.option("--trials", default=20000, show_default=True)
+@click.option("--dim", type=click.IntRange(min=1), default=6, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=20000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 def verify(suites, dim, trials, seed):
     """Run the empirical verification suites on canned instances."""
@@ -87,7 +91,7 @@ def verify(suites, dim, trials, seed):
 
 
 @main.command("gen-instance")
-@click.option("--kind", type=click.Choice(["random", "spike", "abs", "abs_pair", "mixed"]), required=True)
+@click.option("--kind", type=click.Choice(INSTANCE_KINDS), required=True)
 @click.option("--dim", type=int, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--units", type=int, default=None)
@@ -106,10 +110,7 @@ def gen_instance(kind, dim, k, units, widths, lam, b, net_seed, out_path):
     recipe = {"kind": kind, "net_seed": net_seed, "b": b}
     given = {"dim": dim, "k": k, "units": units, "widths": widths, "lam": lam}
     recipe.update((key, value) for key, value in given.items() if value is not None)
-    try:
-        net, planted = make_instance(recipe, net_seed)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    net, planted = _usage_checked(make_instance, recipe, net_seed)
     meta = {"recipe": recipe, "planted_frame": planted.vectors.tolist()}
     with open(out_path, "wb") as fh:
         fh.write(serialize(net, meta=meta))
@@ -147,28 +148,22 @@ def compile_boolean(table, random_bits, seed, out_path):
 
 
 @main.command("to-lattice")
-@click.option("--net", "net_path", required=True, type=click.Path(exists=True))
+@click.option("--net", "net_file", required=True, type=click.File("rb"))
 @click.option("--out", "out_path", required=True, type=click.Path())
-def to_lattice(net_path, out_path):
-    """Convert a serialized network into its max-min (lattice) form."""
-    with open(net_path, "rb") as fh:
-        net, _meta = deserialize(fh.read())
-    lp = from_network(net)
+def to_lattice(net_file, out_path):
+    """Convert a serialized network into its max-min (lattice) form; a malformed or too large net is a usage error."""
+    net, _meta = _usage_checked(deserialize, net_file.read())
+    lp = _usage_checked(from_network, net)
     with open(out_path, "wb") as fh:
         fh.write(serialize_lattice(lp))
     click.echo(f"wrote {out_path}: {lp.num_leaves} leaves, {len(lp.clauses)} clauses")
 
 
 @main.command("report-summarize")
-@click.argument("report_path", type=click.Path(exists=True))
+@click.argument("report_path", type=click.File("rb"))
 def report_summarize(report_path):
     """Print the pass/fail summary of a report file; a malformed report (Report.from_json) is a usage error."""
-    with open(report_path) as fh:
-        text = fh.read()
-    try:
-        report = Report.from_json(text)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    report = _usage_checked(Report.from_json, report_path.read())
     rec = report.recovery
     click.echo(f"run: {report.spec.get('name', '?')} (instance {rec['instance_kind']})")
     click.echo(f"directions found: {rec['k_found']}/{rec['k_target']}, "

@@ -1,6 +1,8 @@
-"""Shared exception types, and the one check of a numeric input field."""
+"""Shared exception types, the one check of a numeric input field, and the one reader of a JSON document."""
 
+import json
 import numbers
+from dataclasses import fields
 
 
 class BudgetError(RuntimeError):
@@ -31,3 +33,27 @@ def checked(name: str, value, low: int | float | None = None, high: float | None
     if isinstance(value, bool) or not ok:
         raise ValueError(f"{name} must be {want}, got {value!r}")
     return value
+
+
+def json_object(doc, where: str, known=None, required=()) -> dict:
+    """doc, checked to be a JSON object with no key but known's field names (known a dataclass; None: any key) and
+    every key of required; a ValueError names the keys that are not (the missing ones in required's order)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(known)}) if known is not None else []
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"missing {where} key(s): {', '.join(missing)}")
+    return doc
+
+
+def json_document(data, where: str, known=None, required=()) -> dict:
+    """The JSON object that data (str or UTF-8 bytes) encodes, checked by json_object; text that is not JSON raises
+    a ValueError that names the line and column where parsing stopped."""
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{where} parse error at line {err.lineno} column {err.colno}: {err.msg}") from err
+    return json_object(doc, where, known, required)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import BudgetError, checked
+from .errors import BudgetError, checked, json_document, json_object
 from .filteredpca import _CHUNK_FLOATS, IterationRecord, LearnConfig, _masked_moment, as_function, gaussian_oracle, run
 from .lattice import LatticePolynomial, from_network, lattice_eval, perturb_leaves, structural_distance
 from .network import (
@@ -29,6 +29,7 @@ from .subspace import Frame, chordal_distance, complement_project, project
 __all__ = [
     "C_AC_DEFAULT",
     "ExperimentSpec",
+    "INSTANCE_KINDS",
     "Report",
     "SUITES",
     "make_instance",
@@ -49,6 +50,7 @@ __all__ = [
 C_AC_DEFAULT = 1.0
 
 SUITES = ("anti_concentration", "stability", "matrix_concentration", "lipschitz_key")
+INSTANCE_KINDS = ("random", "spike", "abs", "abs_pair", "mixed")  # the recipes make_instance builds
 
 
 def verify_anti_concentration(g, s, m, lam, sigma2, trials, seed=0, c_ac=C_AC_DEFAULT) -> dict:
@@ -282,25 +284,11 @@ def spec_to_json(spec: ExperimentSpec) -> str:
     return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
-def _json_object(doc, where: str, known=None, required=()) -> dict:
-    """doc, checked to be a JSON object with no key but known's field names (known a dataclass; None: any key) and
-    every key of required; a ValueError names the keys that are not (the missing ones in required's order)."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(known)}) if known is not None else []
-    if unknown:
-        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ValueError(f"missing {where} key(s): {', '.join(missing)}")
-    return doc
-
-
-def spec_from_json(text: str) -> ExperimentSpec:
-    """Parse a spec written by spec_to_json; unknown keys raise ValueError naming them."""
-    d = _json_object(json.loads(text), "spec", ExperimentSpec)
+def spec_from_json(text) -> ExperimentSpec:
+    """Parse a spec written by spec_to_json (str or bytes); unknown keys raise ValueError naming them."""
+    d = json_document(text, "spec", ExperimentSpec)
     try:
-        learn = LearnConfig(**_json_object(d.pop("learn", None), "learn", LearnConfig))
+        learn = LearnConfig(**json_object(d.pop("learn", None), "learn", LearnConfig))
         return ExperimentSpec(learn=learn, **d)
     except TypeError as err:
         raise ValueError(str(err)) from None
@@ -318,9 +306,9 @@ def _recipe_field(recipe: dict, name: str, low, default=None):
 
 def make_instance(recipe: dict, default_seed: int = 0):
     """Build (net, planted_frame) from an instance recipe; a ValueError names a bad or missing field."""
-    if not isinstance(recipe, dict) or "kind" not in recipe:
-        raise ValueError("instance recipe must be a JSON object with a 'kind'")
-    kind = recipe["kind"]
+    kind = recipe.get("kind") if isinstance(recipe, dict) else None
+    if kind not in INSTANCE_KINDS:
+        raise ValueError(f"instance recipe must be a JSON object with a 'kind' in {INSTANCE_KINDS}, got {recipe!r}")
     seed = _recipe_field(recipe, "net_seed", 0) if "net_seed" in recipe else default_seed
     if kind == "random":
         widths = recipe.get("widths")
@@ -375,7 +363,6 @@ def make_instance(recipe: dict, default_seed: int = 0):
         w1 *= b / operator_norm(w1)
         net = ReluNetwork((w0, w1))
         return net, Frame.from_span(basis)
-    raise ValueError(f"unknown instance kind {kind!r}")
 
 
 @dataclass(eq=False)
@@ -393,24 +380,24 @@ class Report:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "Report":
+    def from_json(cls, text) -> "Report":
         """Parse a report written by to_json, checked as far as report-summarize reads it: a ValueError names an
         unknown or missing key, a spec, recovery, iteration or fragment that is not an object, iterations or
         fragments that are not a list, and an eps_hat, tau or lam_value that is not a number (inf included; tau and
         lam_value may be null)."""
-        d = _json_object(json.loads(text), "report", cls, sorted(f.name for f in fields(cls)))
-        _json_object(d["spec"], "spec")
+        d = json_document(text, "report", cls, sorted(f.name for f in fields(cls)))
+        json_object(d["spec"], "spec")
         if not isinstance(d["fragments"], list):
             raise ValueError(f"report key fragments must be a list, got {d['fragments']!r}")
         for i, frag in enumerate(d["fragments"]):
-            _json_object(frag, f"report fragment {i}")
-        rec = _json_object(d["recovery"], "recovery",
-                           required=("instance_kind", "k_found", "k_target", "eps_hat", "certified", "iterations"))
+            json_object(frag, f"report fragment {i}")
+        rec = json_object(d["recovery"], "recovery",
+                          required=("instance_kind", "k_found", "k_target", "eps_hat", "certified", "iterations"))
         checked("recovery key eps_hat", rec["eps_hat"], -math.inf)
         if not isinstance(rec["iterations"], list):
             raise ValueError(f"recovery key iterations must be a list, got {rec['iterations']!r}")
         for i, it in enumerate(rec["iterations"]):
-            _json_object(it, f"recovery iteration {i}", required=[f.name for f in fields(IterationRecord)])
+            json_object(it, f"recovery iteration {i}", required=[f.name for f in fields(IterationRecord)])
             for key in ("tau", "lam_value"):
                 if it[key] is not None:
                     checked(f"recovery iteration {i} key {key}", it[key], -math.inf)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, OrderTypeMissing, StructureMismatch
-from .network import ReluNetwork
+from .errors import BudgetError, OrderTypeMissing, StructureMismatch, checked, json_document
+from .network import ReluNetwork, _rows
 from .subspace import Frame, project
 
 __all__ = [
@@ -92,11 +92,7 @@ class LatticePolynomial:
 
 def lattice_eval(lp: LatticePolynomial, x):
     """max over clauses of min over clause leaves of <leaf, x>; batched like evaluate."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.ndim != 2 or pts.shape[1] != lp.dim:
-        raise ValueError(f"expected input dimension {lp.dim}, got shape {x.shape}")
+    pts, single = _rows(x, lp.dim)
     flat, offsets = lp._clause_index
     out = np.empty(pts.shape[0])
     chunk = max(1, int(2e7) // max(1, flat.size))
@@ -330,11 +326,7 @@ class SelectorKicker:
 
 def selector_eval(sk: SelectorKicker, x):
     """Evaluate the selector; missing order types raise, never default silently."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.ndim != 2 or pts.shape[1] != sk.frame.dim:
-        raise ValueError(f"expected input dimension {sk.frame.dim}, got shape {x.shape}")
+    pts, single = _rows(x, sk.frame.dim)
     vals = pts @ sk.leaves.T
     types, first, group = _rank_patterns(vals)
     picks = np.array([sk.table.get(omega, -1) for omega in types], dtype=np.intp)
@@ -382,18 +374,16 @@ def serialize_lattice(lp: LatticePolynomial) -> bytes:
 
 
 def deserialize_lattice(data) -> LatticePolynomial:
-    """Inverse of serialize_lattice; raises ValueError on malformed input."""
-    text = data.decode() if isinstance(data, (bytes, bytearray)) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"parse error at line {err.lineno} column {err.colno}: {err.msg}") from err
+    """Inverse of serialize_lattice (str or bytes); a ValueError names the line and column of a parse error, or the
+    field: dim is an integer of at least 1 that the leaves' width must match, each clause index one of at least 0."""
+    doc = json_document(data, "lattice document", required=("dim", "leaves", "clauses"))
+    dim = checked("lattice document field dim", doc["dim"], 1)
     try:
         leaves = np.array(doc["leaves"], dtype=float)
-        clauses = tuple(tuple(int(i) for i in c) for c in doc["clauses"])
-    except (KeyError, TypeError, ValueError) as err:
+        clauses = [list(clause) for clause in doc["clauses"]]
+    except (TypeError, ValueError) as err:
         raise ValueError(f"malformed lattice document: {err}") from err
-    lp = LatticePolynomial(leaves, clauses)
-    if lp.dim != int(doc.get("dim", lp.dim)):
-        raise ValueError("dim field does not match leaf width")
+    lp = LatticePolynomial(leaves, [[checked("lattice document clause index", i, 0) for i in c] for c in clauses])
+    if lp.dim != dim:
+        raise ValueError(f"dim field says {dim}, leaves have width {lp.dim}")
     return lp

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import checked, json_document, json_object
 from .subspace import Frame
 
 __all__ = [
@@ -101,13 +102,19 @@ class ReluNetwork:
         return sum(self.hidden_widths)
 
 
+def _rows(x, d: int) -> tuple[np.ndarray, bool]:
+    """(x as an (n, d) float batch, whether x was one length-d vector), the batch rule of every evaluator; any other
+    shape raises a ValueError."""
+    x = np.asarray(x, dtype=float)
+    rows = x[None, :] if x.ndim == 1 else x
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise ValueError(f"expected input dimension {d}, got shape {x.shape}")
+    return rows, x.ndim == 1
+
+
 def evaluate(net: ReluNetwork, x):
     """Apply the network; x may be a length-d vector or an (n, d) batch."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    if h.ndim != 2 or h.shape[1] != net.input_dim:
-        raise ValueError(f"expected input dimension {net.input_dim}, got shape {x.shape}")
+    h, single = _rows(x, net.input_dim)
     h = h.T  # feature-major, (width, n): each layer is W @ H, so BLAS runs along the batch
     for w in net.weights[:-1]:
         h = w @ h
@@ -219,26 +226,18 @@ def serialize(net: ReluNetwork, meta: dict | None = None) -> bytes:
 
 
 def deserialize(data) -> tuple[ReluNetwork, dict]:
-    """Inverse of serialize; raises ValueError with position info on malformed input."""
-    text = data.decode() if isinstance(data, (bytes, bytearray)) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"parse error at line {err.lineno} column {err.colno}: {err.msg}") from err
-    if not isinstance(doc, dict):
-        raise ValueError("network document must be an object")
+    """Inverse of serialize (str or bytes); a ValueError names the line and column of a parse error, or the field:
+    depth and input_dim are integers of at least 2 and 1 that the matrices must match, meta (if given) an object."""
+    doc = json_document(data, "network document", required=("input_dim", "depth", "layers"))
+    depth = checked("network document field depth", doc["depth"], 2)
+    input_dim = checked("network document field input_dim", doc["input_dim"], 1)
     try:
         layers = tuple(np.array(layer, dtype=float) for layer in doc["layers"])
-        depth = int(doc["depth"])
-        input_dim = int(doc["input_dim"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"malformed network document: {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"network document field layers must be a list of matrices: {err}") from err
     if len(layers) != depth:
         raise ValueError(f"depth field says {depth} layers, found {len(layers)}")
     net = ReluNetwork(layers)
     if net.input_dim != input_dim:
         raise ValueError(f"input_dim field says {input_dim}, matrices say {net.input_dim}")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError("meta field must be an object")
-    return net, meta
+    return net, json_object(doc.get("meta", {}), "network document field meta")

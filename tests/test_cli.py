@@ -263,6 +263,37 @@ def test_to_lattice_converts_generated_net(runner, tmp_path):
     assert np.allclose(lattice_eval(lp, x), evaluate(net, x), atol=1e-9)
 
 
+def _net_file(runner, tmp_path, content):
+    """A network file for to-lattice: content written as is, or (a list) gen-instance's arguments."""
+    path = tmp_path / "net.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        assert runner.invoke(main, ["gen-instance", *content, "--out", str(path)]).exit_code == 0
+    return path
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["to-lattice", '{"layers": 5}'], "missing network document key(s): input_dim, depth",
+                 id="to-lattice-missing-keys"),
+    pytest.param(["to-lattice", "not json"], "network document parse error at line 1 column 1: Expecting value",
+                 id="to-lattice-not-json"),
+    pytest.param(["to-lattice", ["--kind", "random", "--dim", "3", "--widths", "8,8"]],
+                 "network size 16 exceeds the cap of 12 hidden units", id="to-lattice-over-the-cap"),
+    pytest.param(["verify", "--dim", "0"], "Invalid value for '--dim': 0 is not in the range x>=1", id="verify-dim"),
+    pytest.param(["verify", "--suite", "stability", "--trials", "0"],
+                 "Invalid value for '--trials': 0 is not in the range x>=1", id="verify-trials"),
+])
+def test_to_lattice_and_verify_report_bad_input_as_a_usage_error(runner, tmp_path, args, message):
+    out = tmp_path / "net.lattice.json"
+    if args[0] == "to-lattice":
+        args = ["to-lattice", "--net", str(_net_file(runner, tmp_path, args[1])), "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)  # not a traceback's exit 1
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_report_summarize(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
     write_small_spec(spec_path)

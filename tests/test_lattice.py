@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,3 +333,10 @@ def test_lattice_serialization_round_trip(rng):
 def test_lattice_deserialize_rejects_garbage():
     with pytest.raises(ValueError):
         deserialize_lattice(b"[1, 2, 3")
+    # dim and clause indices are integers, checked by errors.checked: 0.9 is not leaf 0 and true is not leaf 1
+    good = {"dim": 2, "leaves": [[0.0, 0.0], [1.0, 0.0]], "clauses": [[0], [1]]}
+    for key, value, field in (("dim", None, "field dim"), ("dim", "two", "field dim"),
+                              ("clauses", [[0], [0.9]], "clause index"), ("clauses", [[0], [True]], "clause index")):
+        with pytest.raises(ValueError, match=f"lattice document {field} must be an integer"):
+            deserialize_lattice(json.dumps({**good, key: value}))
+    assert deserialize_lattice(json.dumps(good)).clauses == ((0,), (1,))

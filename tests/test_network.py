@@ -225,3 +225,7 @@ def test_deserialize_rejects_malformed():
     doc["input_dim"] = 7  # contradicts the stored matrices
     with pytest.raises(ValueError):
         deserialize(json.dumps(doc).encode())
+    # depth and input_dim are integers, checked by errors.checked: a float is not truncated and true is not 1
+    for field, value in (("depth", 2.7), ("depth", True), ("input_dim", 3.9), ("input_dim", True)):
+        with pytest.raises(ValueError, match=f"network document field {field} must be an integer"):
+            deserialize(json.dumps({**json.loads(blob), field: value}).encode())
