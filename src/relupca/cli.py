@@ -79,7 +79,7 @@ def learn(config, report_path, csv_path, samples_path):
               help="Suites to run (default: all).")
 @click.option("--dim", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=20000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def verify(suites, dim, trials, seed):
     """Run the empirical verification suites on canned instances."""
     suites = suites or SUITES
@@ -123,7 +123,7 @@ def gen_instance(kind, dim, k, units, widths, lam, b, net_seed, out_path):
               help="Bit string of length 2^n; index i uses the sign pattern of i's bits.")
 @click.option("--random-bits", type=click.IntRange(1, BOOLEAN_MAX_BITS), default=None,
               help="Random table on this many bits.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def compile_boolean(table, random_bits, seed, out_path):
     """Compile a +/-1 truth table into an exact ReLU network."""

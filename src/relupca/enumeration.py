@@ -9,7 +9,7 @@ from typing import Callable, ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, checked
 from .lattice import SelectorKicker, all_order_types
 from .network import ReluNetwork
 from .subspace import Frame, _grid_geometry, epsilon_net_ball, epsilon_net_bound, epsilon_net_matrix_blocks
@@ -90,10 +90,9 @@ def enumerate_kickers(
     """
     if len(frame) < 1:
         raise ValueError("need a non-empty frame")
-    if num_leaves < 1:
-        raise ValueError("need at least one leaf")
-    if eps_prime <= 0 or lam <= 0:
-        raise ValueError("eps_prime and lam must be positive")
+    checked("num_leaves", num_leaves, 1)
+    checked("eps_prime", eps_prime, 0.0, math.inf)
+    checked("lam", lam, 0.0, math.inf)
     ell = len(frame)
     eps = eps_prime * lam
     types = all_order_types(num_leaves)
@@ -119,8 +118,8 @@ def architectures(size: int, l: int) -> list[tuple[int, ...]]:
     Lexicographic order.  Empty when size < l + 1.  Each tuple is cut at l
     distinct points of 1, ..., size - 1, and combinations come in that order.
     """
-    if size < 1 or l < 0:
-        raise ValueError("need size >= 1 and l >= 0")
+    checked("size", size, 1)
+    checked("l", l, 0)
     splits = itertools.combinations(range(1, size), l)
     return [tuple(b - a for a, b in zip((0, *cuts), (*cuts, size))) for cuts in splits]
 
@@ -153,8 +152,8 @@ def enumerate_networks(
     """
     if len(frame) < 1:
         raise ValueError("need a non-empty frame")
-    if eps_prime <= 0 or b <= 0:
-        raise ValueError("eps_prime and b must be positive")
+    checked("eps_prime", eps_prime, 0.0, math.inf)
+    checked("b", b, 0.0, math.inf)
     archs = architectures(size, l)
     if not archs:
         raise ValueError(f"no architectures of size {size} with {l + 1} hidden layers")

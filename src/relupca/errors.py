@@ -2,6 +2,7 @@
 
 import json
 import numbers
+import operator
 from dataclasses import fields
 
 
@@ -20,9 +21,9 @@ class OrderTypeMissing(LookupError):
 def checked(name: str, value, low: int | float | None = None, high: float | None = None):
     """value, when it is what the field name holds; otherwise a ValueError that names the field and the value.
 
-    With low an int, an integer of at least low (None: any integer).  With low a float, a real number strictly
-    between low and high (high None: no upper bound, so that inf passes; math.inf: a finite number).  A bool is
-    neither, and numpy's integer and float scalars are each.
+    With low an int, an integer of at least low (None: any integer), returned as a Python int.  With low a float, a
+    real number strictly between low and high (high None: no upper bound, so that inf passes; math.inf: a finite
+    number), returned as is.  A bool is neither, and numpy's integer and float scalars are each.
     """
     if isinstance(low, float):
         ok = isinstance(value, numbers.Real) and low < value and (high is None or value < high)
@@ -32,7 +33,7 @@ def checked(name: str, value, low: int | float | None = None, high: float | None
         want = "an integer" if low is None else f"an integer of at least {low}"
     if isinstance(value, bool) or not ok:
         raise ValueError(f"{name} must be {want}, got {value!r}")
-    return value
+    return value if isinstance(low, float) else operator.index(value)  # a numpy integer would not serialise to JSON
 
 
 def json_object(doc, where: str, known=None, required=()) -> dict:

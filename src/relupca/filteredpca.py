@@ -77,7 +77,7 @@ class GaussianOracle:
 
     def __init__(self, net: ReluNetwork, seed: int):
         self.net = net
-        self.seed = int(seed)
+        self.seed = checked("seed", seed, 0)
         self._rng = np.random.default_rng(self.seed)
 
     @property
@@ -85,9 +85,7 @@ class GaussianOracle:
         return self.net.input_dim
 
     def draw(self, n: int) -> SampleSet:
-        if n < 1:
-            raise ValueError("need n >= 1")
-        x = self._rng.standard_normal(out=np.empty((n, self.net.input_dim)))
+        x = self._rng.standard_normal(out=np.empty((checked("n", n, 1), self.net.input_dim)))
         y = evaluate(self.net, x)
         x.flags.writeable = False  # nothing else holds x, so SampleSet keeps it without a copy
         return SampleSet(x, y)
@@ -136,8 +134,7 @@ def filter_matrix(samples: SampleSet, frame: Frame, candidate, tau: float) -> np
     is _masked_moment of the raw rows with Q.  Symmetric by construction;
     directions inside the frame are annihilated (up to float rounding).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    checked("tau", tau, 0.0, math.inf)
     if samples.dim != frame.dim:
         raise ValueError("dimension mismatch")
     f = as_function(candidate)
@@ -173,11 +170,12 @@ class LearnConfig:
     row count), b and final_eps_prime (the grid whose P + ell basis rays are its hidden units), and not size or l,
     which shape only the loop's grid networks (l also enters the derived final_eps_prime); it is the terminal
     hypothesis and the first candidate of every scan at ell >= 1.
-    Each numeric field's rule is one row of __post_init__'s table (errors.checked): an integer of at least its low
-    (None: any integer), or a number strictly between its two bounds.  k is also at most dim, and final_eps_prime
-    (None: derived from eps), lambda_acc (None: calibrated) and max_candidates may be None.  A tiny eps makes the
-    fit's dictionary grid so fine that the loop or the terminal ends in a budget failure, with its reason.  delta sets
-    no decision (the eigen-step is exact); it stays a field because the acceptance tests pass it.
+    Each numeric field's rule is one row of __post_init__'s table (errors.checked): an integer of at least its low,
+    or a number strictly between its two bounds.  seed is an integer of at least 0, as numpy's generators take no
+    negative seed, so -1 is refused here rather than at the run's first acceptance.  k is also at most dim, and
+    final_eps_prime (None: derived from eps), lambda_acc (None: calibrated) and max_candidates may be None.  A tiny
+    eps makes the fit's dictionary grid so fine that the loop or the terminal ends in a budget failure, with its
+    reason.  delta sets no decision (the eigen-step is exact); it stays a field because the acceptance tests pass it.
     """
 
     c: ClassVar[float] = 2.0
@@ -206,7 +204,7 @@ class LearnConfig:
 
     def __post_init__(self):
         for name, *bounds in (("dim", 1), ("k", 0), ("size", 1), ("l", 0), ("n_samples", 1), ("n_check", 1),
-                              ("final_select_samples", 1), ("seed", None), ("max_candidates", 1),
+                              ("final_select_samples", 1), ("seed", 0), ("max_candidates", 1),
                               ("eps", 0.0, 1.0), ("delta", 0.0, 1.0), ("b", 0.0, math.inf), ("lam", 0.0, math.inf),
                               ("eps_prime", 0.0, math.inf), ("final_eps_prime", 0.0, math.inf),
                               ("lambda_acc", 0.0, math.inf)):

@@ -59,10 +59,12 @@ def verify_anti_concentration(g, s, m, lam, sigma2, trials, seed=0, c_ac=C_AC_DE
     Monte-Carlo estimate of Pr[|g(x)| > s] with x ~ N(0, sigma2 * I_m) must be
     at least c_ac * exp(-3 m s^2 / sigma2) * s * sigma / (sqrt(m) * lam^2).
     """
-    if m < 1 or trials < 1:
-        raise ValueError("need m >= 1 and trials >= 1")
-    if s < 0 or lam <= 0 or sigma2 <= 0:
-        raise ValueError("need s >= 0, lam > 0, sigma2 > 0")
+    checked("m", m, 1)
+    checked("trials", trials, 1)
+    if checked("s", s, -math.inf, math.inf) < 0:
+        raise ValueError(f"s must be a number of at least 0, got {s!r}")
+    checked("lam", lam, 0.0, math.inf)
+    checked("sigma2", sigma2, 0.0, math.inf)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((trials, m)) * math.sqrt(sigma2)
     vals = np.ravel(as_function(g)(x))
@@ -91,8 +93,8 @@ def verify_stability(g: LatticePolynomial, g_prime: LatticePolynomial, f, tau, t
     Pr[|g - f| > tau and |g' - f| <= tau] must stay below 9 eta m^2 / tau
     plus three Monte-Carlo standard deviations.
     """
-    if tau <= 0 or trials < 1:
-        raise ValueError("need tau > 0 and trials >= 1")
+    checked("tau", tau, 0.0, math.inf)
+    checked("trials", trials, 1)
     eta = structural_distance(g, g_prime)
     m = g.num_leaves
     rng = np.random.default_rng(seed)
@@ -147,9 +149,10 @@ def verify_matrix_concentration(filter_fn, d, n_values, trials, seed=0, proxy_fa
     single N just records the error level.
     """
     checked("d", d, 1)
-    n_list = sorted(int(v) for v in np.atleast_1d(n_values))
-    if not n_list or n_list[0] < 1 or trials < 1:
-        raise ValueError("need positive sample sizes and trials >= 1")
+    n_list = sorted(checked("n_values entry", v, 1) for v in (n_values if np.ndim(n_values) else [n_values]))
+    if not n_list:
+        raise ValueError("n_values must be non-empty")
+    checked("trials", trials, 1)
     rng = np.random.default_rng(seed)
     medians = []
     for n in n_list:
@@ -187,8 +190,7 @@ def verify_lipschitz_key(net: ReluNetwork, w_frame: Frame, trials, seed=0) -> di
     captured by the frame to norm at most 1; every sampled point must satisfy
     the bound.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    checked("trials", trials, 1)
     if w_frame.dim != net.input_dim:
         raise ValueError("frame dimension must match the network input")
     d = net.input_dim
@@ -271,7 +273,7 @@ class ExperimentSpec:
         for name in ("report_path", "csv_path"):  # open() would take an integer for a file descriptor
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
-        checked("seed", self.seed)
+        checked("seed", self.seed, 0)
         checked("trials", self.trials, 1)
         net, _ = make_instance(self.instance, self.seed)  # a malformed recipe raises here, naming its field
         if net.input_dim != self.learn.dim:
@@ -309,7 +311,7 @@ def make_instance(recipe: dict, default_seed: int = 0):
     kind = recipe.get("kind") if isinstance(recipe, dict) else None
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"instance recipe must be a JSON object with a 'kind' in {INSTANCE_KINDS}, got {recipe!r}")
-    seed = _recipe_field(recipe, "net_seed", 0) if "net_seed" in recipe else default_seed
+    seed = _recipe_field(recipe, "net_seed", 0) if "net_seed" in recipe else checked("default_seed", default_seed, 0)
     if kind == "random":
         widths = recipe.get("widths")
         if not isinstance(widths, list) or not widths:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ MAX_CLAUSES = 10**6
 
 @dataclass(frozen=True, eq=False)
 class LatticePolynomial:
-    """Leaf vectors (M, n) plus a list of clauses (non-empty index tuples)."""
+    """Leaf vectors (M, n) plus a list of clauses (non-empty tuples of leaf indices, integers in [0, M))."""
 
     leaves: np.ndarray
     clauses: tuple[tuple[int, ...], ...]
@@ -58,14 +59,14 @@ class LatticePolynomial:
         if not np.all(np.isfinite(leaves)):
             raise ValueError("leaves must be finite")
         m = leaves.shape[0]
-        clauses = tuple(tuple(sorted(set(int(i) for i in clause))) for clause in self.clauses)
+        clauses = tuple(tuple(sorted({checked("clause index", i, 0) for i in clause})) for clause in self.clauses)
         if not clauses:
             raise ValueError("need at least one clause")
         for clause in clauses:
             if not clause:
                 raise ValueError("clauses must be non-empty")
-            if clause[0] < 0 or clause[-1] >= m:
-                raise ValueError("clause index out of range")
+            if clause[-1] >= m:
+                raise ValueError(f"clause index must be below the leaf count {m}, got {clause[-1]!r}")
         if m > MAX_LEAVES:
             raise BudgetError(f"{m} leaves exceeds the budget of {MAX_LEAVES}")
         if len(clauses) > MAX_CLAUSES:
@@ -220,8 +221,8 @@ def perturb_leaves(lp: LatticePolynomial, eta: float, seed: int = 0) -> LatticeP
     The raw shift depends only on the seed, so the same seed at 2*eta gives
     exactly doubled deviations (handy for scaling checks).
     """
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    if checked("eta", eta, -math.inf, math.inf) < 0:
+        raise ValueError(f"eta must be a number of at least 0, got {eta!r}")
     if eta == 0:
         return LatticePolynomial(lp.leaves, lp.clauses)
     rng = np.random.default_rng(seed)
@@ -237,7 +238,7 @@ class OrderType:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(checked("ranks entry", r, 1) for r in self.ranks)
         if not ranks:
             raise ValueError("order type needs at least one element")
         if set(ranks) != set(range(1, max(ranks) + 1)):
@@ -276,11 +277,10 @@ def order_type(values) -> OrderType:
     return _rank_patterns(vals[None, :])[0][0]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not find the entries of 1 and 2
 def all_order_types(n: int) -> tuple[OrderType, ...]:
     """Every order type on n elements, in lexicographic rank order."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    checked("n", n, 1)
     out = []
     for ranks in itertools.product(range(1, n + 1), repeat=n):
         if set(ranks) == set(range(1, max(ranks) + 1)):
@@ -312,10 +312,10 @@ class SelectorKicker:
             raise ValueError("leaves must lie in the span of the frame")
         m = leaves.shape[0]
         for omega, pick in self.table.items():
-            if len(omega) != m:
-                raise ValueError("table keys must be order types on the leaf count")
-            if not 0 <= int(pick) < m:
-                raise ValueError("table values must index a leaf")
+            if not isinstance(omega, OrderType) or len(omega) != m:
+                raise ValueError(f"table key must be an order type on {m} leaves, got {omega!r}")
+            if checked("table value", pick, 0) >= m:
+                raise ValueError(f"table value must index one of the {m} leaves, got {pick!r}")
         leaves.flags.writeable = False
         object.__setattr__(self, "leaves", leaves)
 
@@ -349,7 +349,7 @@ def selector_from_lattice(
     evaluation time.
     """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((num_witness, lp.dim))
+    x = rng.standard_normal((checked("num_witness", num_witness, 1), lp.dim))
     vals = x @ lp.leaves.T
     evals = lattice_eval(lp, x)
     types, first, _ = _rank_patterns(vals)
@@ -378,12 +378,10 @@ def deserialize_lattice(data) -> LatticePolynomial:
     field: dim is an integer of at least 1 that the leaves' width must match, each clause index one of at least 0."""
     doc = json_document(data, "lattice document", required=("dim", "leaves", "clauses"))
     dim = checked("lattice document field dim", doc["dim"], 1)
-    try:
-        leaves = np.array(doc["leaves"], dtype=float)
-        clauses = [list(clause) for clause in doc["clauses"]]
+    try:  # the polynomial's own rules, clause indices through errors.checked included, said of the document
+        lp = LatticePolynomial(np.array(doc["leaves"], dtype=float), [list(clause) for clause in doc["clauses"]])
     except (TypeError, ValueError) as err:
-        raise ValueError(f"malformed lattice document: {err}") from err
-    lp = LatticePolynomial(leaves, [[checked("lattice document clause index", i, 0) for i in c] for c in clauses])
+        raise ValueError(f"lattice document {err}") from err
     if lp.dim != dim:
         raise ValueError(f"dim field says {dim}, leaves have width {lp.dim}")
     return lp

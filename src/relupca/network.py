@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,10 @@ class Architecture:
     input_dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if not self.widths or any(w < 1 for w in self.widths):
-            raise ValueError("widths must be positive")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+        object.__setattr__(self, "widths", tuple(checked("widths entry", w, 1) for w in self.widths))
+        if not self.widths:
+            raise ValueError("widths must be non-empty")
+        checked("input_dim", self.input_dim, 1)
 
     @property
     def size(self) -> int:
@@ -149,8 +149,7 @@ def zero_network(input_dim: int) -> ReluNetwork:
 
 def random_network(arch: Architecture, b: float, seed) -> ReluNetwork:
     """Gaussian-weight network with every layer rescaled to operator norm exactly b."""
-    if b <= 0:
-        raise ValueError("b must be positive")
+    checked("b", b, 0.0, math.inf)
     rng = np.random.default_rng(seed)
     dims = (arch.input_dim, *arch.widths, 1)
     weights = []
@@ -169,8 +168,7 @@ def spike_network(lam: float) -> ReluNetwork:
     -x1 and 3*x1 (and its mirror for x1 < 0), so Pr[F(x) != 0] under a standard
     Gaussian is (arctan(3/lam) + arctan(1/lam)) / pi, which scales like 1/lam.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    checked("lam", lam, 0.0, math.inf)
     w0 = np.array([[1.0, lam], [-3.0, lam], [-1.0, lam]])
     w1 = np.array([[1.0, 1.0, -2.0]])
     return ReluNetwork((w0, w1))

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import checked
+
 __all__ = [
     "Frame",
     "TopSVDResult",
@@ -152,10 +154,10 @@ def approx_top_svd(matvec, dim: int, k: int, eta: float, delta: float, seed) -> 
     quotient moves by at most 1e-12 (relative) between sweeps.  The returned
     frame is orthonormal regardless of convergence.
     """
-    if not 1 <= k <= dim:
-        raise ValueError("need 1 <= k <= dim")
-    if eta <= 0 or delta <= 0:
-        raise ValueError("eta and delta must be positive")
+    if checked("k", k, 1) > checked("dim", dim, 1):
+        raise ValueError(f"k must be at most dim = {dim}, got {k!r}")
+    checked("eta", eta, 0.0, math.inf)
+    checked("delta", delta, 0.0, math.inf)
     q = seeded_start(dim, k, seed)
     cap = max(1, math.ceil(10.0 * math.log(dim / (eta * delta))))
     rayleigh = np.full(k, np.inf)
@@ -179,7 +181,12 @@ def approx_top_svd(matvec, dim: int, k: int, eta: float, delta: float, seed) -> 
 
 
 def _grid_geometry(dim: int, radius: float, eps: float):
-    """Spacing and the integer squared-norm cutoff of the (radius+eps)-ball grid."""
+    """Spacing and the integer squared-norm cutoff of the (radius+eps)-ball grid; the one rule of the grid arguments:
+    dim an integer of at least 1, eps a finite number above 0 and radius a finite number of at least 0."""
+    checked("dim", dim, 1)
+    checked("eps", eps, 0.0, math.inf)
+    if checked("radius", radius, -math.inf, math.inf) < 0:
+        raise ValueError(f"radius must be a number of at least 0, got {radius!r}")
     spacing = 2.0 * eps / math.sqrt(dim)
     t = int(math.floor(((radius + eps) / spacing) ** 2 + 1e-9))
     return spacing, t
@@ -192,10 +199,6 @@ def epsilon_net_bound(dim: int, radius: float, eps: float) -> int:
     the number of points epsilon_net_ball yields.  Falls back to the bounding
     box count when the cutoff is too large to tabulate.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if radius < 0 or eps <= 0:
-        raise ValueError("need radius >= 0 and eps > 0")
     _, t = _grid_geometry(dim, radius, eps)
     maxj = math.isqrt(t)
     if (t + 1) * dim * max(maxj, 1) > 200_000_000:
@@ -243,10 +246,6 @@ def epsilon_net_ball(dim: int, radius: float, eps: float):
     within radius+eps and is therefore in the net.  Membership is decided in
     integer arithmetic, so the count matches epsilon_net_bound exactly.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if radius < 0 or eps <= 0:
-        raise ValueError("need radius >= 0 and eps > 0")
     for block in _ball_grid_chunks(dim, radius, eps):
         for point in block:
             yield point.copy()

@@ -147,6 +147,8 @@ def test_learn_rejects_unknown_spec_key(runner, tmp_path):
     # open() would take an integer for a file descriptor, and tuple() would split a string into characters
     pytest.param("report_path", 1, "report_path must be a string or null, got 1", id="report_path"),
     pytest.param("csv_path", 2, "csv_path must be a string or null, got 2", id="csv_path"),
+    # numpy's "expected non-negative integer", after a whole scan, once reported it
+    pytest.param("seed", -1, "seed must be an integer of at least 0, got -1", id="seed"),
     pytest.param("verify", "stability", "verify must be a list of suite names, got 'stability'", id="verify"),
     pytest.param("verify", [{}], "verify must be a list of suite names, got [{}]", id="verify-object"),
     pytest.param("verify", [["stability"]], "verify must be a list of suite names, got [['stability']]",
@@ -237,6 +239,7 @@ def test_compile_boolean_rejects_bad_table(runner, tmp_path):
     (["--random-bits", "-1"], "Invalid value for '--random-bits': -1 is not in the range 1<=x<=6"),
     (["--table", "0"], "Invalid value for '--table': must be a 0/1 string of length 2^n with 1 <= n <= 6"),
     (["--table", "01" * 64], "Invalid value for '--table': must be a 0/1 string of length 2^n with 1 <= n <= 6"),
+    (["--random-bits", "2", "--seed", "-1"], "Invalid value for '--seed': -1 is not in the range x>=0"),
 ])
 def test_compile_boolean_reports_bad_sizes_as_usage_errors(runner, tmp_path, args, message):
     out = tmp_path / "bad.json"
@@ -283,6 +286,8 @@ def _net_file(runner, tmp_path, content):
     pytest.param(["verify", "--dim", "0"], "Invalid value for '--dim': 0 is not in the range x>=1", id="verify-dim"),
     pytest.param(["verify", "--suite", "stability", "--trials", "0"],
                  "Invalid value for '--trials': 0 is not in the range x>=1", id="verify-trials"),
+    pytest.param(["verify", "--seed", "-1"], "Invalid value for '--seed': -1 is not in the range x>=0",
+                 id="verify-seed"),
 ])
 def test_to_lattice_and_verify_report_bad_input_as_a_usage_error(runner, tmp_path, args, message):
     out = tmp_path / "net.lattice.json"

@@ -39,6 +39,8 @@ def test_architectures_validates_input():
         architectures(0, 0)
     with pytest.raises(ValueError):
         architectures(3, -1)
+    with pytest.raises(ValueError, match="^l must be"):  # True was once read as 1
+        architectures(3, True)
 
 
 # ---------------------------------------------------------------- network candidates

@@ -216,6 +216,8 @@ def test_filter_matrix_rejects_bad_tau():
     samples = gaussian_oracle(net, 1).draw(100)
     with pytest.raises(ValueError):
         filter_matrix(samples, Frame.empty(2), zero_network(2), tau=0.0)
+    with pytest.raises(ValueError, match="^tau must be"):  # NaN once returned a zero moment
+        filter_matrix(samples, Frame.empty(2), zero_network(2), tau=math.nan)
 
 
 def test_idealized_filter_uses_true_restriction():
@@ -311,7 +313,7 @@ def test_config_validation():
         ("lambda_acc", -1.0), ("lambda_acc", math.nan), ("max_candidates", math.nan),
         ("max_candidates", 2.5), ("max_candidates", True), ("max_candidates", math.inf),
         ("delta", 1.0), ("eps", 0.0), ("eps", 1.0), ("eps", "0.1"), ("delta", None),
-        ("eps", True), ("b", True), ("seed", True), ("seed", 1.0),
+        ("eps", True), ("b", True), ("seed", True), ("seed", 1.0), ("seed", -1),
     ]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             LearnConfig(**{**base, field: value})

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from relupca.filteredpca import _CHUNK_FLOATS, LearnConfig, _masked_moment
+from relupca.enumeration import enumerate_kickers, enumerate_networks
+from relupca.filteredpca import _CHUNK_FLOATS, GaussianOracle, LearnConfig, _masked_moment
 from relupca.harness import (
     ExperimentSpec,
     _filtered_moment_stream,
@@ -21,9 +22,9 @@ from relupca.harness import (
     verify_stability,
     write_csv,
 )
-from relupca.lattice import from_network, perturb_leaves
-from relupca.network import ReluNetwork, evaluate, operator_norm, spike_network
-from relupca.subspace import Frame, chordal_distance
+from relupca.lattice import LatticePolynomial, OrderType, SelectorKicker, from_network, perturb_leaves
+from relupca.network import Architecture, ReluNetwork, evaluate, operator_norm, random_network, spike_network
+from relupca.subspace import Frame, approx_top_svd, chordal_distance, epsilon_net_bound
 
 
 def abs_net(v):
@@ -56,6 +57,9 @@ def test_tail_mass_validates_arguments():
         verify_anti_concentration(lambda x: x[:, 0], s=1.0, m=0, lam=1.0, sigma2=1.0, trials=10)
     with pytest.raises(ValueError):
         verify_anti_concentration(lambda x: x[:, 0], s=1.0, m=1, lam=0.0, sigma2=1.0, trials=10)
+    for s in (math.nan, -0.5):  # NaN once ran and reported passed: False
+        with pytest.raises(ValueError, match="^s must be"):
+            verify_anti_concentration(lambda x: x[:, 0], s=s, m=1, lam=1.0, sigma2=1.0, trials=10)
 
 
 # ---------------------------------------------------------------- stability
@@ -168,6 +172,42 @@ def test_lipschitz_bound_on_empty_frame():
     assert frag["passed"]
     assert frag["slab_dim"] == 1
     assert frag["max_gap"] <= frag["lipschitz_upper"] + 1e-9
+
+
+# ---------------------------------------------------------------- argument checks
+
+ABS = abs_net([1.0, 0.0])
+LINE = Frame.from_span(np.eye(2)[:1])
+LP = from_network(ABS)
+
+
+@pytest.mark.parametrize("field, call", [
+    pytest.param("seed", lambda: GaussianOracle(ABS, 2.7), id="oracle-seed-2.7"),
+    pytest.param("seed", lambda: GaussianOracle(ABS, True), id="oracle-seed-true"),
+    pytest.param("n", lambda: GaussianOracle(ABS, 0).draw(True), id="draw-n-true"),
+    pytest.param("clause index", lambda: LatticePolynomial(np.eye(2), ((0.9,), (1,))), id="lattice-clause-0.9"),
+    pytest.param("clause index", lambda: LatticePolynomial(np.eye(2), ((0,), (True,))), id="lattice-clause-true"),
+    pytest.param("table value", lambda: SelectorKicker(np.eye(2)[:1], {OrderType((1,)): 0.9}, LINE),
+                 id="selector-pick-0.9"),
+    pytest.param("n_values entry", lambda: verify_matrix_concentration(lambda x: np.ones(len(x)), 2, [1000.7], 1),
+                 id="concentration-n-1000.7"),
+    pytest.param("tau", lambda: verify_stability(LP, LP, ABS, math.nan, 10), id="stability-tau-nan"),
+    pytest.param("eps_prime", lambda: enumerate_networks(LINE, math.nan, 1, 0, 1.0), id="networks-eps-prime-nan"),
+    pytest.param("lam", lambda: enumerate_kickers(LINE, 0.5, 2, math.nan), id="kickers-lam-nan"),
+    pytest.param("num_leaves", lambda: enumerate_kickers(LINE, 0.5, True, 1.0), id="kickers-leaves-true"),
+    pytest.param("eps", lambda: epsilon_net_bound(2, 1.0, math.nan), id="net-bound-eps-nan"),
+    pytest.param("eta", lambda: approx_top_svd(lambda v: v, 2, 1, math.nan, 0.1, 0), id="top-svd-eta-nan"),
+    pytest.param("k", lambda: approx_top_svd(lambda v: v, 2, True, 0.1, 0.1, 0), id="top-svd-k-true"),
+    pytest.param("trials", lambda: verify_lipschitz_key(ABS, LINE, True), id="lipschitz-trials-true"),
+    pytest.param("b", lambda: random_network(Architecture((2,), 2), math.nan, 0), id="random-b-nan"),
+    pytest.param("lam", lambda: spike_network(math.nan), id="spike-lam-nan"),
+    pytest.param("eta", lambda: perturb_leaves(LP, math.nan), id="perturb-eta-nan"),
+])
+def test_library_entry_points_name_a_bad_number(field, call):
+    """Each of these was accepted (2.7 read as 2, True as 1) or refused without naming the field; every library
+    constructor and entry point now checks its integers and numbers through errors.checked."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        call()
 
 
 # ---------------------------------------------------------------- instances

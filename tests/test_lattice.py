@@ -169,6 +169,9 @@ def test_order_type_ranks():
 def test_order_type_canonical_validation():
     with pytest.raises(ValueError):
         OrderType((1, 3))  # rank 2 is skipped
+    for ranks in ((1.5, 1), (True,)):  # once read as (1, 1) and (1,)
+        with pytest.raises(ValueError, match="^ranks entry must be"):
+            OrderType(ranks)
 
 
 def test_all_order_types_counts():
@@ -319,6 +322,13 @@ def test_selector_leaves_must_lie_in_frame():
         SelectorKicker(np.array([[0.0, 1.0, 0.0]]), {}, frame)
 
 
+def test_selector_table_keys_must_be_order_types():
+    """A tuple key of the right length was once accepted, and selector_eval then found no entry for its order type."""
+    frame = Frame.from_span(np.eye(2))
+    with pytest.raises(ValueError, match=r"^table key must be an order type on 2 leaves, got \(1, 2\)"):
+        SelectorKicker(np.eye(2), {(1, 2): 1, (2, 1): 0, (1, 1): 0}, frame)
+
+
 # ---------------------------------------------------------------- cleanup + io
 
 def test_lattice_serialization_round_trip(rng):
@@ -328,6 +338,8 @@ def test_lattice_serialization_round_trip(rng):
     assert back.clauses == lp.clauses
     assert np.array_equal(back.leaves, lp.leaves)
     assert serialize_lattice(back) == blob
+    numpy_indices = LatticePolynomial(np.eye(2), np.array([[0], [1]]))  # held as Python ints, so JSON can write them
+    assert deserialize_lattice(serialize_lattice(numpy_indices)).clauses == ((0,), (1,))
 
 
 def test_lattice_deserialize_rejects_garbage():

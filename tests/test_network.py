@@ -56,6 +56,11 @@ def test_network_shape_validation():
         ReluNetwork((np.zeros((2, 3)), np.zeros((1, 3))))  # chain mismatch
     with pytest.raises(ValueError):
         ReluNetwork((np.zeros((2, 3)), np.zeros((2, 2))))  # output width != 1
+    # each was once accepted: widths truncated by int() and input_dim never checked
+    for widths, input_dim, field in (((2.7,), 3, "widths entry"), ((True,), 3, "widths entry"),
+                                     ((2,), 2.5, "input_dim")):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Architecture(widths, input_dim)
 
 
 def test_network_arrays_frozen(rng):
