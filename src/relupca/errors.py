@@ -25,6 +25,8 @@ def checked(name: str, value, low: int | float | None = None, high: float | None
     real number strictly between low and high (high None: no upper bound, so that inf passes; math.inf: a finite
     number), returned as is.  A bool is neither, and numpy's integer and float scalars are each.
     """
+    if type(value) is int and type(low) is int and value >= low:  # the common case, ahead of the numbers ABC checks
+        return value
     if isinstance(low, float):
         ok = isinstance(value, numbers.Real) and low < value and (high is None or value < high)
         want = f"a number above {low:g}" if high is None else f"a number in ({low:g}, {high:g})"

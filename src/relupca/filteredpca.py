@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -280,20 +279,18 @@ def _candidates(config: LearnConfig, frame: Frame) -> CandidateList:
     return enumerate_networks(frame, config.eps_prime, config.size, config.l, config.b, config.max_candidates)
 
 
-def _pick_tau(config: LearnConfig, resid: np.ndarray, n: int | None = None) -> float | None:
-    """A candidate's tau: config.tau in formula mode; in quantile mode max(np.quantile(r, tau_quantile), 1e-12), to
-    the bit, of its residuals r.  resid is r itself (n None), or r's n - skip largest values and every NaN, which it
-    partitions in place (_top_quantile); tau is then None when an order statistic it reads is among those skipped."""
+def _pick_tau(config: LearnConfig, resid: np.ndarray, n: int | None = None, cut: float = -math.inf) -> float:
+    """A candidate's tau: config.tau in formula mode; in quantile mode max(t, 1e-12) with t the q-quantile of its
+    residuals r (q = tau_quantile) as _top_quantile reads it, never below the cut.  resid is r itself (n None:
+    _quantile), or r's n - skip values that are not at most cut, which it partitions in place (_top_quantile)."""
     if config.tau_mode == "formula":
         return config.tau
     if n is None:
         return max(_quantile(resid, config.tau_quantile), 1e-12)
-    t = _top_quantile(resid, n, config.tau_quantile)
-    return None if t is None else max(t, 1e-12)
+    return max(_top_quantile(resid, n, config.tau_quantile, cut), 1e-12)
 
 
-# _quantile bounds its order statistics from below with a strided subsample of
-# about this many entries, on residual rows of at least 4 times as many.
+# A quantile-mode tau cuts its residuals at _cut of a strided sample of about this many of them.
 _TAU_SAMPLE = 8192
 
 
@@ -304,30 +301,28 @@ def _cut(sample: np.ndarray, p: float) -> float:
     return float(np.partition(sample, rank)[rank]) if rank > 0 else -math.inf
 
 
+def _tau_cut(r: np.ndarray, n: int, q: float) -> float:
+    """_cut of a strided sample of the residuals r, the first of n, at rank lo / n (lo as in _top_quantile)."""
+    return _cut(r[:: max(r.size // _TAU_SAMPLE, 1)], math.floor((n - 1) * q) / n)
+
+
 def _quantile(r: np.ndarray, q: float) -> float:
-    """float(np.quantile(r, q)) to the bit, for 0 < q < 1, without partitioning all of r.
-
-    A long r is first cut at _cut of its strided subsample at rank lo / n (lo as in _top_quantile): if at most lo
-    entries fall below that cut, only the entries kept are handed to _top_quantile; otherwise all of r is, as
-    np.quantile partitions it.  NaN compares false, so the kept entries hold every NaN.
-    """
-    n = r.size
-    lo = math.floor((n - 1) * q)
-    if n >= 4 * _TAU_SAMPLE:
-        below = r < _cut(r[:: n // _TAU_SAMPLE], lo / n)
-        if np.count_nonzero(below) <= lo:
-            return _top_quantile(np.compress(np.logical_not(below, out=below), r), n, q)
-    return _top_quantile(r.copy(), n, q)
+    """_top_quantile of r (0 < q < 1) at _tau_cut of r itself: the one-row form of a scan's tau, which reads only the
+    entries of r that are not at most the cut (every NaN among them)."""
+    cut = _tau_cut(r, r.size, q)
+    return _top_quantile(np.compress(np.logical_not(r <= cut), r), r.size, q, cut)
 
 
-def _top_quantile(top: np.ndarray, n: int, q: float) -> float | None:
-    """np.quantile's q-quantile (0 < q < 1) of n values r, to the bit, from top: a writable array of r's n - skip
-    largest values and every NaN, which it partitions in place; None when skip > lo, which leaves out an order
-    statistic that the quantile reads.
+def _top_quantile(top: np.ndarray, n: int, q: float, cut: float) -> float:
+    """np.quantile's q-quantile (0 < q < 1) of n values r, from top: a writable array of the n - skip values of r
+    that are not at most cut (every NaN among them), which it partitions in place.
 
     np.quantile's default method interpolates order statistics lo = floor((n - 1) q) and hi = lo + 1 (both n - 1
     when (n - 1) q >= n - 1) as its _lerp does.  The skip values left out are the smallest, so order statistic j
-    of r is top's j - skip.  NaN sorts last, and any NaN gives NaN, as in np.quantile.
+    of r is top's j - skip when j >= skip, and is read as cut itself when j < skip.  The result is np.quantile's to
+    the bit when skip <= lo, or when the left-out order statistics it reads equal cut (ties at the cut); otherwise
+    (the cut above r's lo-th value: for _tau_cut, a 5 sd miss, about 3e-7 per candidate) it is an upper bound on it.
+    It is never below cut, so every r above it is in top.  NaN sorts last, and any NaN gives NaN, as in np.quantile.
     """
     vi = (n - 1) * q
     lo = hi = n - 1
@@ -335,13 +330,12 @@ def _top_quantile(top: np.ndarray, n: int, q: float) -> float | None:
         lo = math.floor(vi)
         hi = lo + 1
     skip = n - top.size
-    if skip > lo:
-        return None
-    top.partition(sorted({lo - skip, hi - skip, top.size - 1}))
-    if math.isnan(top[-1]):
-        return math.nan
-    a, b, gamma = float(top[lo - skip]), float(top[hi - skip]), vi - lo
-    diff = b - a
+    if top.size:
+        top.partition(sorted({j - skip for j in (lo, hi, n - 1) if j >= skip}))
+        if math.isnan(top[-1]):
+            return math.nan
+    a, b = (float(top[j - skip]) if j >= skip else cut for j in (lo, hi))
+    diff, gamma = b - a, vi - lo
     return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
@@ -420,17 +414,16 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
     The frame alone decides candidate 0, known before its batch is drawn: at ell = 0 the zero net of
     _zero_candidates, at ell >= 1 the fit (_fit_block) on the first chunk's rows.  Its n_samples rows are drawn in
     chunks of _CHUNK_FLOATS // d rows (at least final_select_samples).  Of each chunk only the rows whose residual is
-    not at most a cut are kept, each with its residual; the cut is tau itself in formula mode, in quantile mode _cut
-    of the first chunk's residuals at _quantile's rank.  The kept rows go, in draw order, into one buffer and their
-    residuals into one beside it, both sized at 1.25 times the first chunk's kept fraction of n_samples and doubled
-    when short, so past its residuals a chunk costs in proportion to the rows it keeps.  tau, the mask and the
-    moment are read from the kept residuals alone: every residual left out is at most the cut, so tau is
-    _pick_tau of the kept ones as the n - skip largest of n, the mask is the kept residuals above tau, the masked
-    rows are compacted in place at the buffer's front, and the moment is read from them.  They equal a whole-batch
-    scan's to the bit.  At ell = 0 a scored candidate 0 ends the scan.  Otherwise a whole batch is drawn and
-    blocks are scored on it: the grid of _candidates alone (which may raise BudgetError, and is built only here, so
-    a scan whose fit is accepted never builds it) past a scored fit, and candidate 0 first when its tau's lower
-    order statistic fell among the residuals left out (about a 5 sd event).
+    not at most a cut are kept, each with its residual; the cut is tau itself in formula mode, in quantile mode
+    _tau_cut of the first chunk's residuals.  The kept rows go, in draw order, into one buffer and their residuals
+    into one beside it, both sized at 1.25 times the first chunk's kept fraction of n_samples and doubled when
+    short, so past its residuals a chunk costs in proportion to the rows it keeps.  tau, the mask and the moment are
+    read from the kept residuals alone: every residual left out is at most the cut, so tau is _pick_tau of the kept
+    ones as the n - skip largest of n, never below the cut, the mask is the kept residuals above tau, the masked rows
+    are compacted in place at the buffer's front, and the moment is read from them.  They equal a whole-batch
+    scan's to the bit, save after a 5 sd miss of the cut (_top_quantile).  At ell = 0 candidate 0 ends the scan.
+    Otherwise the grid of _candidates (which may raise BudgetError, and is built only here, so a scan whose fit is
+    accepted never builds it) is scored on a whole batch drawn for it.
     """
     n, d = config.n_samples, config.dim
     rows = max(_CHUNK_FLOATS // d, config.final_select_samples)
@@ -446,7 +439,7 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
         r = next(_iter_predictions([first], z))
         r = np.abs(np.subtract(r, batch.y, out=r), out=r)  # |row - y| is bitwise |y - row|
         if cut is None:
-            cut = _cut(r[:: max(r.size // _TAU_SAMPLE, 1)], math.floor((n - 1) * config.tau_quantile) / n)
+            cut = _tau_cut(r, n, config.tau_quantile)
         keep = np.logical_not(r <= cut)  # NaN too: it sorts above every value, as in np.quantile
         k = int(np.count_nonzero(keep))
         if kept is None:
@@ -461,20 +454,15 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
         np.compress(keep, r, out=resid[count : count + k])
         count += k
         batch = z = r = keep = None  # so the next draw does not hold two chunks
-    tau = _pick_tau(config, resid[:count].copy(), n)
-    scored = tau is not None and tau >= cut  # the kept rows hold every masked one
-    if scored:
-        m = _compact(kept[:count], resid[:count] > tau)
-        yield tau, _masked_moment(kept[:m], q, n)
-        if not len(frame):  # at ell = 0 a scored candidate ends the scan
-            return
+    tau = _pick_tau(config, resid[:count].copy(), n, cut)  # never below the cut: the kept rows hold every masked one
+    m = _compact(kept[:count], resid[:count] > tau)
+    yield tau, _masked_moment(kept[:m], q, n)
+    if not len(frame):  # at ell = 0 candidate 0 ends the scan
+        return
     kept = resid = None
-    blocks = [] if scored else [first]
-    if len(frame):  # past a scored fit the grid alone, without forming the fit's activation
-        blocks = itertools.chain(blocks, _candidates(config, frame).factory())
     keys: set[bytes] = set()
     batch = oracle.draw(n)
-    for row in _iter_predictions(blocks, batch.x @ basis):
+    for row in _iter_predictions(_candidates(config, frame).factory(), batch.x @ basis):
         r = np.abs(np.subtract(row, batch.y, out=row), out=row)
         tau = _pick_tau(config, r)
         mask = r > tau
@@ -502,9 +490,9 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     batch, and the grid, built only when the fit is rejected, follows on a
     batch of its own.  A scan whose fit's dictionary exceeds max_candidates
     scores no candidate, and its iteration records tau None.  Candidate
-    0 (the zero net at ell = 0) is scored on a batch drawn in chunks, of which
-    the scan keeps only the rows that the filter can select; only the grid and
-    a redraw hold a whole N x d batch.  The hypothesis is that fit on a fresh
+    0 (the zero net at ell = 0) is scored once, on a batch drawn in chunks, of
+    which the scan keeps only the rows that the filter can select; only the
+    grid holds a whole N x d batch.  The hypothesis is that fit on a fresh
     batch (_final_search), certified when its error on another is at most 3*eps.
     """
     d = config.dim

@@ -252,8 +252,11 @@ def epsilon_net_ball(dim: int, radius: float, eps: float):
 
 
 def epsilon_net_matrix_blocks(rows: int, cols: int, b: float, eps: float):
-    """epsilon_net_matrices as a stream of (B, rows, cols) arrays, in the same order."""
-    radius = b * math.sqrt(min(rows, cols))
+    """epsilon_net_matrices as a stream of (B, rows, cols) arrays, in the same order; rows and cols are integers of
+    at least 1, and b is a finite number of at least 0."""
+    if checked("b", b, -math.inf, math.inf) < 0:
+        raise ValueError(f"b must be a number of at least 0, got {b!r}")
+    radius = b * math.sqrt(min(checked("rows", rows, 1), checked("cols", cols, 1)))
     for block in _ball_grid_chunks(rows * cols, radius, eps):
         mats = block.reshape(-1, rows, cols)
         svals = np.linalg.svd(mats, compute_uv=False)

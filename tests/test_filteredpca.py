@@ -9,7 +9,6 @@ import time
 import tracemalloc
 import types
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -642,13 +641,24 @@ def test_rows_with_one_mask_form_one_moment(monkeypatch):
     assert record.tau == tau_b
 
 
-@pytest.mark.parametrize("redraw", [False, True])
-def test_the_first_scan_builds_no_grid(monkeypatch, redraw):
-    """The ell = 0 scan scores the zero net alone, scored on its chunks or, with the cut above every residual, on a
-    redrawn batch: with _candidates raising, a k = 1 run completes and certifies, equal to a run without the patch."""
+def test_every_grid_tau_is_numpys(monkeypatch):
+    """On the fall-through batch every grid candidate's tau is max(np.quantile(r, 0.95), 1e-12) of its own residuals
+    r, to the bit: among them |x_2| less the fit's |z| (residuals near 0), |x_2| itself (the zero net), and
+    overshoots on either side."""
+    stream = [_abs_block(_LINE, *out) for out in ([(1.0, 1.0), (0.0, 0.0)], [(0.5, -0.5), (1.0, 0.0)], [(2.0, 3.0)])]
+    taus, pick = [], filteredpca._pick_tau
+    monkeypatch.setattr(filteredpca, "_pick_tau", lambda *args: taus.append(pick(*args)) or taus[-1])
+    record, _, y, z = _grid_past_a_rejected_fit(monkeypatch, stream)
+    assert record.candidates_scanned == 1 + 5 and len(taus) == 2 + 5  # two scans' candidate 0, then the grid
+    rows = [_scan_row((block[0], out[None]), z) for block in stream for out in block[-1]]
+    want = [_numpy_tau(np.abs(y - row), 0.95) for row in rows]
+    assert np.array(taus[2:]).tobytes() == np.array(want).tobytes()
+
+
+def test_the_first_scan_builds_no_grid(monkeypatch):
+    """The ell = 0 scan scores the zero net alone, once, on its chunks: with _candidates raising, a k = 1 run
+    completes and certifies, equal to a run without the patch."""
     net, config = abs_net([0.6, 0.8, 0.0, 0.0]), small_recovery_config()
-    if redraw:
-        monkeypatch.setattr(filteredpca, "_cut", lambda *args: math.inf)
     want = run(gaussian_oracle(net, 0), config)
 
     def no_grid(*args):
@@ -664,32 +674,35 @@ def _numpy_tau(r, q):
     return max(float(np.quantile(r, q)), 1e-12)
 
 
-def _assert_same_tau(r, q, top=None):
-    """_pick_tau of r, or of top (r's n - skip largest values and every NaN), is max(np.quantile(r, q), 1e-12) to the
+def _assert_same_tau(r, q, top=None, cut=-math.inf):
+    """_pick_tau of r, or of top (the values of r that are not at most cut), is max(np.quantile(r, q), 1e-12) to the
     bit; NaN when that is NaN."""
     config = types.SimpleNamespace(tau_mode="quantile", tau_quantile=q)
-    got = _pick_tau(config, r) if top is None else _pick_tau(config, top, r.size)
+    got = _pick_tau(config, r) if top is None else _pick_tau(config, top, r.size, cut)
     want = _numpy_tau(r, q)
     same = np.float64(got).tobytes() == np.float64(want).tobytes() or math.isnan(got) and math.isnan(want)
     assert type(got) is float and same, (got, want)
 
 
-_TAU_CUTOFF = 4 * filteredpca._TAU_SAMPLE  # rows this long are prefiltered
+_TAU_STRIDE_4 = 4 * filteredpca._TAU_SAMPLE  # rows this long are cut on every fourth entry, shorter ones on fewer
 
 
 @settings(max_examples=100)
 @given(st.data())
 def test_pick_tau_matches_numpy_quantile(data):
-    """Quantile-mode tau is max(np.quantile(r, q), 1e-12) to the bit, on both sides of the prefilter cutoff, and NaN
-    when r holds a NaN.  So it is from r's n - skip largest values and every NaN, shuffled, as a scan keeps them
-    (_top_quantile), unless skip > lo = floor((n - 1) q), which leaves out an order statistic: then it is None."""
+    """Quantile-mode tau is max(np.quantile(r, q), 1e-12) to the bit, from rows of 1 entry to 300 000, and NaN when r
+    holds a NaN.  From top, the values of r that are not at most a cut, shuffled, as a scan keeps them
+    (_top_quantile), it is so too when skip = n - |top| <= lo = floor((n - 1) q), or when the order statistics it
+    reads among the skip values left out equal the cut; otherwise it is never below the cut."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
-    n = data.draw(st.one_of(st.integers(1, 50), st.integers(_TAU_CUTOFF - 50, _TAU_CUTOFF + 50),
-                            st.integers(_TAU_CUTOFF, 300_000)), label="n")
-    kind = data.draw(st.sampled_from(["gaussian", "ties", "equal", "zeros", "nan"]), label="kind")
+    n = data.draw(st.one_of(st.integers(1, 50), st.integers(_TAU_STRIDE_4 - 50, _TAU_STRIDE_4 + 50),
+                            st.integers(_TAU_STRIDE_4, 300_000)), label="n")
+    kind = data.draw(st.sampled_from(["gaussian", "ties", "equal", "zeros", "nan", "spike"]), label="kind")
     r = np.abs(rng.standard_normal(n)) * rng.uniform(0.1, 10.0)
     if kind == "ties":  # a handful of distinct values, so the cut and tau fall inside runs of equal entries
         r = np.floor(r * data.draw(st.integers(1, 4), label="levels"))
+    elif kind == "spike":  # a spike net's |y|: mostly rounding-level ties, a few percent large
+        r = np.where(rng.uniform(size=n) < 0.02, r, 1e-16 * rng.integers(0, 3, size=n))
     elif kind == "equal":
         r = np.full(n, rng.uniform(0.0, 3.0))
     elif kind == "zeros":
@@ -699,25 +712,27 @@ def test_pick_tau_matches_numpy_quantile(data):
     q = data.draw(st.sampled_from([0.95, 0.5, 0.05]) | st.floats(0.001, 0.999), label="q")
     _assert_same_tau(r, q)
     lo = math.floor((n - 1) * q)
-    skip = data.draw(st.sampled_from([0, lo, lo + 1, n]) | st.integers(0, n), label="skip")
-    top = rng.permutation(np.sort(r)[skip:])  # NaN sorts last, so every NaN is among the largest
-    if skip > lo:
-        assert _pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=q), top, n) is None
-    else:
-        _assert_same_tau(r, q, top)
+    at = data.draw(st.sampled_from([-1, lo - 1, lo, lo + 1, n - 1]) | st.integers(-1, n - 1), label="cut rank")
+    ordered = np.sort(r)  # NaN sorts last
+    cut = -math.inf if at < 0 else float(ordered[min(at, n - 1)])
+    top = rng.permutation(r[np.logical_not(r <= cut)])  # every NaN among them
+    skip = n - top.size
+    read = ordered[[j for j in (lo, min(lo + 1, n - 1)) if j < skip]]
+    if np.all(read == cut) or np.isnan(r).any():
+        _assert_same_tau(r, q, top, cut)
+    else:  # the cut is above the order statistic lo: it stands in for it
+        assert _pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=q), top, n, cut) >= cut
 
 
-@pytest.mark.parametrize("n", [_TAU_CUTOFF - 1, _TAU_CUTOFF, 200_000])
+@pytest.mark.parametrize("n", [_TAU_STRIDE_4 - 1, _TAU_STRIDE_4, 200_000])
 def test_pick_tau_edges(n):
-    """hi = n - 1 and NaN give np.quantile's tau; the prefilter runs on a plain long row."""
+    """hi = n - 1 and NaN give np.quantile's tau, on either side of a step in the cut's stride."""
     rng = np.random.default_rng(n)
     r = np.abs(rng.standard_normal(n))
-    with mock.patch.object(filteredpca.np, "compress", wraps=np.compress) as compress:
-        _assert_same_tau(r, 0.95)
-        assert compress.called == (n >= _TAU_CUTOFF)
-        q = (n - 1.5) / (n - 1)  # (n - 1) q = n - 1.5: lo = n - 2, hi = n - 1
-        assert math.floor((n - 1) * q) == n - 2
-        _assert_same_tau(r, q)
+    _assert_same_tau(r, 0.95)
+    q = (n - 1.5) / (n - 1)  # (n - 1) q = n - 1.5: lo = n - 2, hi = n - 1
+    assert math.floor((n - 1) * q) == n - 2
+    _assert_same_tau(r, q)
     r[n // 3] = np.nan
     assert math.isnan(_pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=0.95), r))
     assert math.isnan(_numpy_tau(r, 0.95))
@@ -734,8 +749,10 @@ def test_pick_tau_interpolates_as_numpy(r, q):
 
 @pytest.mark.parametrize("below", [-1, 0, 1])
 def test_pick_tau_at_the_cut(below):
-    """lo + below entries fall below the subsample's cut: kept up to lo, all of r partitioned past it."""
-    n, q = _TAU_CUTOFF, 0.95
+    """lo + below entries fall below the subsample's cut, and one equals it.  Up to lo, order statistic lo is kept or
+    is the cut itself, so tau is np.quantile's; past it, order statistic lo is below the cut, which stands in for it
+    and for hi (the cut's own entry): tau is the cut, above np.quantile's."""
+    n, q = _TAU_STRIDE_4, 0.95
     lo = math.floor((n - 1) * q)
     stride = n // filteredpca._TAU_SAMPLE
     sample = np.random.default_rng(0).permutation(n // stride).astype(float)  # cut = the rank-th value
@@ -745,10 +762,11 @@ def test_pick_tau_at_the_cut(below):
     r[::stride] = sample
     rest = np.flatnonzero(r == 1e6)
     r[rest[: lo + below - rank]] = rank - 0.5  # with the sample's rank entries, lo + below under the cut
-    assert np.count_nonzero(r < rank) == lo + below
-    with mock.patch.object(filteredpca.np, "compress", wraps=np.compress) as compress:
+    assert np.count_nonzero(r < rank) == lo + below and np.count_nonzero(r == rank) == 1
+    if below <= 0:
         _assert_same_tau(r, q)
-    assert compress.called == (below <= 0)
+    else:
+        assert _pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=q), r) == rank > _numpy_tau(r, q)
 
 
 class ShiftThirdDraw:
@@ -966,18 +984,23 @@ def test_terminal_fit_on_an_empty_frame_is_the_zero_net():
     assert not certified and eps_hat > 0.5
 
 
+def _criterion_7_config(seed, **overrides):
+    """Criterion 7's config for seed, with overrides."""
+    config = dict(
+        dim=10, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.02, delta=0.05, n_samples=200_000, n_check=20_000,
+        seed=200 + seed, tau_mode="quantile", eps_prime=0.5, final_eps_prime=0.16, final_select_samples=512,
+        max_candidates=20_000_000,
+    )
+    return LearnConfig(**{**config, **overrides})
+
+
 def _criterion_7_run(seed, recipe=None, **overrides):
     """run() with criterion 7's config on its recipe (the rank2-terminal benchmark's: mixed, d = 10), or on recipe
     when given, after a 4 096-row burn-in."""
     net, _ = make_instance(recipe or {"kind": "mixed", "dim": 10, "k": 2, "units": 2, "b": 1.0}, seed)
     oracle = GaussianOracle(net, 100 + seed)
     oracle.draw(4096)
-    config = dict(
-        dim=10, k=2, size=2, l=0, b=1.0, lam=1.0, eps=0.02, delta=0.05, n_samples=200_000, n_check=20_000,
-        seed=200 + seed, tau_mode="quantile", eps_prime=0.5, final_eps_prime=0.16, final_select_samples=512,
-        max_candidates=20_000_000,
-    )
-    return run(oracle, LearnConfig(**{**config, **overrides}))
+    return run(oracle, _criterion_7_config(seed, **overrides))
 
 
 def test_criterion_7_seed_1_certifies():
@@ -1090,9 +1113,7 @@ def _accept_the_first_moment(monkeypatch):
 def test_a_rejected_fit_falls_through_to_the_grid(monkeypatch):
     """With lambda_acc = 1e9 the scan on a one-vector frame rejects its fit and then every grid candidate: it
     counts 1 + the grid's candidates and forms one moment per distinct mask among them all.  The grid reads a
-    batch of its own, so a copy of the fit at its head forms a moment of its own there.  When the fit's tau falls
-    below the cut, the fit is scanned on the redrawn batch with the grid, and its mask takes part in the repeat
-    skip like any other: a grid that starts with a copy of the fit forms no moment for it."""
+    batch of its own, so a copy of the fit at its head forms a moment of its own there."""
     net = abs_net([0.6, 0.8, 0.0, 0.0])
     config = small_recovery_config(k=2, lambda_acc=1e9)
     formed = _accept_the_first_moment(monkeypatch)
@@ -1119,17 +1140,6 @@ def test_a_rejected_fit_falls_through_to_the_grid(monkeypatch):
     assert copied.trace[1] == dataclasses.replace(
         record, candidates_scanned=2 + grid, candidates_distinct=record.candidates_distinct + 1)
     assert len(formed) - 1 == record.candidates_distinct + 1
-
-    monkeypatch.setattr(filteredpca, "_cut", lambda *args: math.inf)  # every scan redraws its batch whole
-    redrawn = []
-    for candidates in (grid_of, fit_copy_first):
-        monkeypatch.setattr(filteredpca, "_candidates", candidates)
-        formed = _accept_the_first_moment(monkeypatch)
-        redrawn.append((run(gaussian_oracle(net, 0), config).trace[1], len(formed) - 1))
-    (plain, plain_formed), (copy, copy_formed) = redrawn
-    assert plain.candidates_scanned == 1 + grid and plain.candidates_distinct == plain_formed > 1
-    assert copy == dataclasses.replace(plain, candidates_scanned=plain.candidates_scanned + 1)
-    assert copy_formed == plain_formed
 
 
 def _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats=160_000, dim=10, n=50_000):
@@ -1215,29 +1225,21 @@ def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, el
         assert buffers[0] < batch.n / 10
 
 
-@pytest.mark.parametrize("ell", [0, 1])
-def test_tau_below_the_cut_redraws_the_batch_whole(monkeypatch, ell):
-    """With the cut above every residual, the scan keeps no row of its chunked batch and finds tau below the cut;
-    it then draws a whole batch and scores candidate 0 (at ell = 1 the fit from the first chunk's rows) on it.  Its
-    tau, mask and moment equal a whole-batch scan of those rows, and run() counts the redrawn rows."""
-    net, config, frame, q = _streaming_setup(monkeypatch, "quantile", ell)
-    monkeypatch.setattr(filteredpca, "_cut", lambda *args: math.inf)  # _quantile stays exact with any cut
-    keys = _recording_keys(monkeypatch)
-    oracle = _RowCounter(gaussian_oracle(net, 3))
-    tau, m = next(filteredpca._scan_moments(oracle, config, frame, q))
-    n = config.n_samples
-    assert oracle.sizes == [*_chunks(config), n]
-    reference = gaussian_oracle(net, 3)
-    first = reference.draw(n)
-    want_tau, want_mask, want_m = _whole_batch_scan(config, frame, q, reference.draw(n), first)
-    assert np.float64(tau).tobytes() == np.float64(want_tau).tobytes()
-    assert len(keys) == 1 and np.array_equal(keys[0], want_mask)
-    assert m.tobytes() == want_m.tobytes()
-    if not ell:  # run() on the same stream: the redrawn rows count, and the scan records the redrawn tau
-        counted = _RowCounter(gaussian_oracle(net, 3))
-        result = run(counted, dataclasses.replace(config, k=1))
-        assert counted.sizes == [*_chunks(config), n, config.final_select_samples, config.n_check]
-        assert result.trace[0].tau == want_tau and result.trace[0].candidates_scanned == 1
+def test_spike_ties_at_the_cut_score_candidate_0_once():
+    """spike_network(50) embedded at d = 10 (criterion 7's config, seed 0): almost every |y| of the ell = 0 scan is a
+    rounding-level tie, and order statistic lo falls among the ties at or below the cut.  The scan reads it as the
+    cut, which those ties equal, so it draws only its n_samples rows, its tau is np.quantile's to the bit (here the
+    1e-12 floor), and its moment is a whole-batch scan's, byte for byte."""
+    net, config = make_instance({"kind": "spike", "lam": 50.0, "dim": 10, "net_seed": 0}, 0)[0], _criterion_7_config(0)
+    frame, q = Frame.empty(10), np.eye(10)
+    oracle = _RowCounter(gaussian_oracle(net, 100))
+    scan = filteredpca._scan_moments(oracle, config, frame, q)
+    tau, m = next(scan)
+    assert next(scan, None) is None and sum(oracle.sizes) == config.n_samples
+    batch = gaussian_oracle(net, 100).draw(config.n_samples)
+    assert np.float64(tau).tobytes() == np.float64(_numpy_tau(np.abs(batch.y), 0.95)).tobytes()
+    want_tau, _, want_m = _whole_batch_scan(config, frame, q, batch, batch)
+    assert tau == want_tau and m.tobytes() == want_m.tobytes()
 
 
 # ---------------------------------------------------------------- batched evaluation

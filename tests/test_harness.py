@@ -24,7 +24,7 @@ from relupca.harness import (
 )
 from relupca.lattice import LatticePolynomial, OrderType, SelectorKicker, from_network, perturb_leaves
 from relupca.network import Architecture, ReluNetwork, evaluate, operator_norm, random_network, spike_network
-from relupca.subspace import Frame, approx_top_svd, chordal_distance, epsilon_net_bound
+from relupca.subspace import Frame, approx_top_svd, chordal_distance, epsilon_net_bound, epsilon_net_matrix_blocks
 
 
 def abs_net(v):
@@ -196,6 +196,9 @@ LP = from_network(ABS)
     pytest.param("lam", lambda: enumerate_kickers(LINE, 0.5, 2, math.nan), id="kickers-lam-nan"),
     pytest.param("num_leaves", lambda: enumerate_kickers(LINE, 0.5, True, 1.0), id="kickers-leaves-true"),
     pytest.param("eps", lambda: epsilon_net_bound(2, 1.0, math.nan), id="net-bound-eps-nan"),
+    pytest.param("b", lambda: next(epsilon_net_matrix_blocks(1, 2, math.nan, 0.5)), id="matrix-blocks-b-nan"),
+    pytest.param("b", lambda: next(epsilon_net_matrix_blocks(1, 2, -1.0, 0.5)), id="matrix-blocks-b--1"),
+    pytest.param("rows", lambda: next(epsilon_net_matrix_blocks(0, 2, 1.0, 0.5)), id="matrix-blocks-rows-0"),
     pytest.param("eta", lambda: approx_top_svd(lambda v: v, 2, 1, math.nan, 0.1, 0), id="top-svd-eta-nan"),
     pytest.param("k", lambda: approx_top_svd(lambda v: v, 2, True, 0.1, 0.1, 0), id="top-svd-k-true"),
     pytest.param("trials", lambda: verify_lipschitz_key(ABS, LINE, True), id="lipschitz-trials-true"),
