@@ -3,7 +3,11 @@
     python3 scripts/outcome_digest.py > digest.txt
 
 Runs relupca.run() on every benchmark instance (bench/workloads.py, imported
-read-only) and on all ten criterion-7 seeds, with BLAS on one thread.  Each
+read-only), on all ten criterion-7 seeds, and on one depth-3 run, with BLAS on
+one thread.  The depth-3 run (a random net of widths (2, 1) at d = 10, net
+seed 1, in criterion 7's config with size 3, l = 1 and a terminal eps' of
+0.3) is the one run here whose second scan rejects its fit and scores the loop
+grid on a batch of its own.  Each
 line is tab-separated: the instance; SHA-256 prefixes of the learned frame,
 of the hypothesis, of (eps_hat, certified, failure_reason, rows drawn) and of
 the trace; certified and eps_hat in plain text; the loop's decisions in plain
@@ -55,13 +59,18 @@ def main() -> int:
         os.environ[var] = "1"  # before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
+    from relupca import LearnConfig, make_instance
 
-    groups = [(name, w) for name, w in workloads.WORKLOADS.items() if name != "rank2-terminal"]
+    groups = [(name, workloads.build(w)) for name, w in workloads.WORKLOADS.items() if name != "rank2-terminal"]
     # rank2-terminal is criterion 7's recipe on seeds 1 and 2; run all ten seeds once
     criterion7 = dataclasses.replace(workloads.WORKLOADS["rank2-terminal"], seeds=tuple(range(10)))
-    groups.append(("criterion-7", criterion7))
-    for name, workload in groups:
-        for inst in workloads.build(workload):
+    groups.append(("criterion-7", workloads.build(criterion7)))
+    # criterion 7's seed-1 conventions (oracle 101 after a 4 096-row burn-in, run seed 201) on a depth-3 net
+    net, planted = make_instance({"kind": "random", "widths": [2, 1], "dim": 10, "b": 1.0, "net_seed": 1})
+    config = LearnConfig(dim=10, k=2, seed=201, **dict(criterion7.learn, size=3, l=1, final_eps_prime=0.3))
+    groups.append(("depth-3", [workloads.Instance("seed 1", net, planted.vectors, 101, 4096, config)]))
+    for name, instances in groups:
+        for inst in instances:
             result, seconds, rows = workloads.learn(inst)
             fields = [f"{name} {inst.label}", *digest(result, rows), str(result.certified),
                       repr(result.eps_hat), decisions(result), f"{seconds:.2f}"]

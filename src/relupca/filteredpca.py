@@ -11,7 +11,7 @@ import numpy as np
 from .enumeration import CandidateList, KickerBlock, enumerate_kickers, enumerate_networks, ray_basis
 from .errors import BudgetError, checked
 from .lattice import LatticePolynomial, SelectorKicker, _rank_patterns, all_order_types, lattice_eval, selector_eval
-from .network import ReluNetwork, evaluate, restrict, zero_network
+from .network import ReluNetwork, _hidden, evaluate, restrict, zero_network
 from .subspace import Frame, extend_frame, project, seeded_start
 from .subspace import approx_top_svd  # noqa: F401  (bench/tracing.py wraps it; unused here)
 
@@ -113,13 +113,10 @@ def _masked_moment(xm: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     X_m = xm holds the raw rows that pass the filter, already gathered (the
     caller's np.compress, or a scan's kept rows compacted in place), and q is
     a symmetric projector, so this is (1/n) * sum over masked rows of
-    (q x)(q x)^T - q without forming q x for every row.  The one
-    filtered-moment primitive: filter_matrix, run() and the concentration
-    check all call it.
+    (q x)(q x)^T - q without forming q x for every row; with no masked rows
+    it is the zero matrix.  The one filtered-moment primitive: filter_matrix,
+    run() and the concentration check all call it.
     """
-    d = q.shape[0]
-    if not len(xm):
-        return np.zeros((d, d))
     m = (q @ (xm.T @ xm) @ q - xm.shape[0] * q) / n
     return (m + m.T) / 2.0
 
@@ -279,50 +276,44 @@ def _candidates(config: LearnConfig, frame: Frame) -> CandidateList:
     return enumerate_networks(frame, config.eps_prime, config.size, config.l, config.b, config.max_candidates)
 
 
-def _pick_tau(config: LearnConfig, resid: np.ndarray, n: int | None = None, cut: float = -math.inf) -> float:
-    """A candidate's tau: config.tau in formula mode; in quantile mode max(t, 1e-12) with t the q-quantile of its
-    residuals r (q = tau_quantile) as _top_quantile reads it, never below the cut.  resid is r itself (n None:
-    _quantile), or r's n - skip values that are not at most cut, which it partitions in place (_top_quantile)."""
-    if config.tau_mode == "formula":
-        return config.tau
-    if n is None:
-        return max(_quantile(resid, config.tau_quantile), 1e-12)
-    return max(_top_quantile(resid, n, config.tau_quantile, cut), 1e-12)
-
-
-# A quantile-mode tau cuts its residuals at _cut of a strided sample of about this many of them.
+# A quantile-mode cut is read from a strided sample of about this many of a candidate's residuals.
 _TAU_SAMPLE = 8192
 
 
-def _cut(sample: np.ndarray, p: float) -> float:
-    """The sample's order statistic 5 sd below rank p, a lower bound for the p-quantile of the values it was drawn
-    from but with probability about 3e-7; -inf when the sample is too short to have one."""
+def _tau_cut(config: LearnConfig, r: np.ndarray, n: int) -> float:
+    """The cut of a candidate's n residuals, read from r, the first of them: the scan keeps only the residuals that
+    are not at most it.  In formula mode it is config.tau itself.  In quantile mode it is the order statistic 5 sd
+    below rank lo / n (lo = floor((n - 1) q), as in _top_quantile) of a strided sample of about _TAU_SAMPLE entries
+    of r: below the q-quantile but with probability about 3e-7, and -inf when the sample is too short to have one."""
+    if config.tau_mode == "formula":
+        return config.tau
+    sample = r[:: max(r.size // _TAU_SAMPLE, 1)]
+    p = math.floor((n - 1) * config.tau_quantile) / n
     rank = math.floor(sample.size * p - 5.0 * math.sqrt(sample.size * p * (1.0 - p)))
     return float(np.partition(sample, rank)[rank]) if rank > 0 else -math.inf
 
 
-def _tau_cut(r: np.ndarray, n: int, q: float) -> float:
-    """_cut of a strided sample of the residuals r, the first of n, at rank lo / n (lo as in _top_quantile)."""
-    return _cut(r[:: max(r.size // _TAU_SAMPLE, 1)], math.floor((n - 1) * q) / n)
-
-
-def _quantile(r: np.ndarray, q: float) -> float:
-    """_top_quantile of r (0 < q < 1) at _tau_cut of r itself: the one-row form of a scan's tau, which reads only the
-    entries of r that are not at most the cut (every NaN among them)."""
-    cut = _tau_cut(r, r.size, q)
-    return _top_quantile(np.compress(np.logical_not(r <= cut), r), r.size, q, cut)
+def _pick_tau(config: LearnConfig, top: np.ndarray, n: int, cut: float) -> float:
+    """A candidate's tau, from top, the values of its n residuals that are not at most _tau_cut's cut: config.tau
+    in formula mode; in quantile mode max(t, 1e-12) with t the q-quantile (q = tau_quantile) as _top_quantile reads
+    it from top, which it partitions in place, never below the cut."""
+    if config.tau_mode == "formula":
+        return config.tau
+    return max(_top_quantile(top, n, config.tau_quantile, cut), 1e-12)
 
 
 def _top_quantile(top: np.ndarray, n: int, q: float, cut: float) -> float:
     """np.quantile's q-quantile (0 < q < 1) of n values r, from top: a writable array of the n - skip values of r
-    that are not at most cut (every NaN among them), which it partitions in place.
+    that are not at most cut (every NaN among them), which it partitions in place.  Quantile-mode _pick_tau reads
+    every scored candidate's tau through it, the scan's candidate 0 and each grid row alike.
 
     np.quantile's default method interpolates order statistics lo = floor((n - 1) q) and hi = lo + 1 (both n - 1
     when (n - 1) q >= n - 1) as its _lerp does.  The skip values left out are the smallest, so order statistic j
     of r is top's j - skip when j >= skip, and is read as cut itself when j < skip.  The result is np.quantile's to
     the bit when skip <= lo, or when the left-out order statistics it reads equal cut (ties at the cut); otherwise
-    (the cut above r's lo-th value: for _tau_cut, a 5 sd miss, about 3e-7 per candidate) it is an upper bound on it.
-    It is never below cut, so every r above it is in top.  NaN sorts last, and any NaN gives NaN, as in np.quantile.
+    (the cut above r's lo-th value: for a quantile-mode _tau_cut, a 5 sd miss, about 3e-7 per candidate) it is an
+    upper bound on it.  It is never below cut, so every r above it is in top.  NaN sorts last, and any NaN gives
+    NaN, as in np.quantile.
     """
     vi = (n - 1) * q
     lo = hi = n - 1
@@ -356,18 +347,15 @@ def _iter_predictions(blocks, z: np.ndarray):
     """Yield the prediction row at the frame coordinates z (N x ell) of each candidate of an iterable of blocks (see
     CandidateList), in order: the one scorer.
 
-    Each block forms its last hidden activation H once, feature-major, (k, N), so that BLAS runs along the batch: a
-    network block's ReLU layers at z, each W @ H, with W its output rows, or a kicker block's gated leaf features,
+    Each block forms its last hidden activation H once, feature-major, (k, N): a network block's ReLU layers at z
+    through evaluate's layer loop (network._hidden), with W its output rows, or a kicker block's gated leaf features,
     with W its pick matrix.  Row r is then W[r] @ H, a fresh writable (N,) array, so the scan may overwrite it.
     """
     for block in blocks:
         if isinstance(block, KickerBlock):
             h, w = _gated(block, z).T, block.picks
         else:
-            h, w = z.T, block[-1]
-            for layer in block[:-1]:
-                h = layer @ h
-                np.maximum(h, 0.0, out=h)  # in place: no second (width, N) buffer
+            h, w = _hidden(block[:-1], z.T), block[-1]
         for row in w:
             yield row @ h
 
@@ -381,17 +369,14 @@ def _compact(x: np.ndarray, keep: np.ndarray) -> int:
     """Move the rows of x that keep selects to x's front, in order, and return their count.
 
     Row idx[j] goes to row j <= idx[j] through a bounce buffer of an eighth of a chunk (_CHUNK_FLOATS // 8 floats),
-    a block of rows at a time, each read before its block is written: memory past x's own is that buffer alone.
+    a block of rows at a time, each read before its block is written (a block already in place is copied onto
+    itself): memory past x's own is that buffer alone.
     """
     idx = np.flatnonzero(keep)
     block = max(_CHUNK_FLOATS // (8 * x.shape[1]), 1)
-    buf = None
+    buf = np.empty((min(block, idx.size), x.shape[1]))
     for start in range(0, idx.size, block):
         part = idx[start : start + block]
-        if part[-1] == start + part.size - 1:  # the block's rows are in place already
-            continue
-        if buf is None:
-            buf = np.empty((min(block, idx.size), x.shape[1]))
         np.take(x, part, axis=0, out=buf[: part.size])
         x[start : start + part.size] = buf[: part.size]
     return idx.size
@@ -411,26 +396,27 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
     """Yield (tau, moment) for each candidate of one scan over frame in order; the moment is None when the
     candidate's mask repeats one already formed on the same batch (_mask_key).
 
+    Each candidate is scored in the same four steps: its residuals r, |y - prediction| (_iter_predictions); the cut
+    of r (_tau_cut); tau, from the residuals that are not at most the cut (_pick_tau); and the moment of the rows
+    whose residual is above tau (_masked_moment).
+
     The frame alone decides candidate 0, known before its batch is drawn: at ell = 0 the zero net of
     _zero_candidates, at ell >= 1 the fit (_fit_block) on the first chunk's rows.  Its n_samples rows are drawn in
-    chunks of _CHUNK_FLOATS // d rows (at least final_select_samples).  Of each chunk only the rows whose residual is
-    not at most a cut are kept, each with its residual; the cut is tau itself in formula mode, in quantile mode
-    _tau_cut of the first chunk's residuals.  The kept rows go, in draw order, into one buffer and their residuals
-    into one beside it, both sized at 1.25 times the first chunk's kept fraction of n_samples and doubled when
-    short, so past its residuals a chunk costs in proportion to the rows it keeps.  tau, the mask and the moment are
-    read from the kept residuals alone: every residual left out is at most the cut, so tau is _pick_tau of the kept
-    ones as the n - skip largest of n, never below the cut, the mask is the kept residuals above tau, the masked rows
-    are compacted in place at the buffer's front, and the moment is read from them.  They equal a whole-batch
-    scan's to the bit, save after a 5 sd miss of the cut (_top_quantile).  At ell = 0 candidate 0 ends the scan.
-    Otherwise the grid of _candidates (which may raise BudgetError, and is built only here, so a scan whose fit is
-    accepted never builds it) is scored on a whole batch drawn for it.
+    chunks of _CHUNK_FLOATS // d rows (at least final_select_samples).  The cut is read from the first chunk's
+    residuals, and of each chunk only the rows whose residual is not at most it are kept, each with its residual, in
+    draw order, in one buffer and one beside it.  Both are sized at 1.25 times the first chunk's kept fraction of
+    n_samples and doubled when short, so past its residuals a chunk costs in proportion to the rows it keeps.  tau
+    is never below the cut, so the kept rows hold every masked one: they are compacted in place at the buffer's
+    front (_compact) and the moment is read from them.  tau, the mask and the moment equal a whole-batch scan's to
+    the bit, save after a 5 sd miss of the cut (_top_quantile).  At ell = 0 candidate 0 ends the scan.  Otherwise
+    the grid of _candidates (which may raise BudgetError, and is built only here, so a scan whose fit is accepted
+    never builds it) is scored on a whole batch drawn for it, each row's tau through the same two calls.
     """
     n, d = config.n_samples, config.dim
     rows = max(_CHUNK_FLOATS // d, config.final_select_samples)
     basis = frame.vectors.T  # the blocks are in frame coordinates: the scan reads the batch only through Z = X F^T
     first = None if len(frame) else next(_zero_candidates(d).factory())  # at ell >= 1 the fit, built below
-    kept, resid, count = None, None, 0
-    cut = config.tau if config.tau_mode == "formula" else None
+    kept, resid, cut, count = None, None, None, 0
     for start in range(0, n, rows):
         batch = oracle.draw(min(rows, n - start))
         z = batch.x @ basis  # each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x)
@@ -439,7 +425,7 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
         r = next(_iter_predictions([first], z))
         r = np.abs(np.subtract(r, batch.y, out=r), out=r)  # |row - y| is bitwise |y - row|
         if cut is None:
-            cut = _tau_cut(r, n, config.tau_quantile)
+            cut = _tau_cut(config, r, n)
         keep = np.logical_not(r <= cut)  # NaN too: it sorts above every value, as in np.quantile
         k = int(np.count_nonzero(keep))
         if kept is None:
@@ -464,7 +450,8 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
     batch = oracle.draw(n)
     for row in _iter_predictions(_candidates(config, frame).factory(), batch.x @ basis):
         r = np.abs(np.subtract(row, batch.y, out=row), out=row)
-        tau = _pick_tau(config, r)
+        cut = _tau_cut(config, r, n)
+        tau = _pick_tau(config, np.compress(np.logical_not(r <= cut), r), n, cut)
         mask = r > tau
         key = _mask_key(mask)
         yield tau, None if key in keys else _masked_moment(np.compress(mask, batch.x, axis=0), q, n)
@@ -486,13 +473,9 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     keeps its index and records its own tau.  The frame grows by the accepted
     moment's eigenvector at lambda; a scan with no acceptance ends the loop.
     On a non-empty frame the scan's candidate 0 is _fit_block, a least-squares
-    fit of a depth-2 net on the first final_select_samples rows of the scan's
-    batch, and the grid, built only when the fit is rejected, follows on a
-    batch of its own.  A scan whose fit's dictionary exceeds max_candidates
-    scores no candidate, and its iteration records tau None.  Candidate
-    0 (the zero net at ell = 0) is scored once, on a batch drawn in chunks, of
-    which the scan keeps only the rows that the filter can select; only the
-    grid holds a whole N x d batch.  The hypothesis is that fit on a fresh
+    fit of a depth-2 net, and the grid follows only when the fit is rejected.
+    A scan whose fit's dictionary exceeds max_candidates scores no candidate,
+    and its iteration records tau None.  The hypothesis is that fit on a fresh
     batch (_final_search), certified when its error on another is at most 3*eps.
     """
     d = config.dim

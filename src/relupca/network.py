@@ -112,14 +112,19 @@ def _rows(x, d: int) -> tuple[np.ndarray, bool]:
     return rows, x.ndim == 1
 
 
-def evaluate(net: ReluNetwork, x):
-    """Apply the network; x may be a length-d vector or an (n, d) batch."""
-    h, single = _rows(x, net.input_dim)
-    h = h.T  # feature-major, (width, n): each layer is W @ H, so BLAS runs along the batch
-    for w in net.weights[:-1]:
+def _hidden(layers, h: np.ndarray) -> np.ndarray:
+    """The last hidden activation of the ReLU layers at the feature-major batch h, (width, n): each layer is W @ H,
+    so BLAS runs along the batch.  The one layer loop of evaluate and of the scan's scorer."""
+    for w in layers:
         h = w @ h
         np.maximum(h, 0.0, out=h)  # in place: no second (width, n) buffer
-    out = net.weights[-1][0] @ h
+    return h
+
+
+def evaluate(net: ReluNetwork, x):
+    """Apply the network; x may be a length-d vector or an (n, d) batch."""
+    rows, single = _rows(x, net.input_dim)
+    out = net.weights[-1][0] @ _hidden(net.weights[:-1], rows.T)
     return float(out[0]) if single else out
 
 

@@ -220,25 +220,30 @@ def epsilon_net_bound(dim: int, radius: float, eps: float) -> int:
     return sum(counts)
 
 
-def _ball_grid_chunks(dim: int, radius: float, eps: float, chunk: int = 8192):
-    """Stream (B, dim) blocks of net points, integer-filtered to the ball.
+def _ball_grid_chunks(dim: int, radius: float, eps: float):
+    """A stream of (B, dim) blocks of net points, integer-filtered to the ball; the arguments are checked at the call.
 
     The bounding box is walked in itertools.product order (last coordinate
-    fastest), chunk box points at a time, by unravelling their flat indices.
+    fastest), 8192 box points at a time, by unravelling their flat indices.
     """
     spacing, t = _grid_geometry(dim, radius, eps)
     maxj = math.isqrt(t)
     shape = (2 * maxj + 1,) * dim
     total = math.prod(shape)
-    for start in range(0, total, chunk):
-        z = np.stack(np.unravel_index(np.arange(start, min(start + chunk, total)), shape), axis=1) - maxj
-        keep = (z * z).sum(axis=1) <= t
-        if np.any(keep):
-            yield spacing * z[keep].astype(float)
+
+    def chunks():
+        for start in range(0, total, 8192):
+            z = np.stack(np.unravel_index(np.arange(start, min(start + 8192, total)), shape), axis=1) - maxj
+            keep = (z * z).sum(axis=1) <= t
+            if np.any(keep):
+                yield spacing * z[keep].astype(float)
+
+    return chunks()
 
 
 def epsilon_net_ball(dim: int, radius: float, eps: float):
-    """Deterministic grid covering the radius-R ball to within eps in L2.
+    """Deterministic grid covering the radius-R ball to within eps in L2, as a stream of points; the arguments are
+    checked at the call (_grid_geometry).
 
     Yields grid points of spacing 2*eps/sqrt(dim) with norm at most radius+eps.
     Rounding any point of the ball to the grid moves each coordinate by at most
@@ -246,31 +251,26 @@ def epsilon_net_ball(dim: int, radius: float, eps: float):
     within radius+eps and is therefore in the net.  Membership is decided in
     integer arithmetic, so the count matches epsilon_net_bound exactly.
     """
-    for block in _ball_grid_chunks(dim, radius, eps):
-        for point in block:
-            yield point.copy()
+    return (point.copy() for block in _ball_grid_chunks(dim, radius, eps) for point in block)
 
 
 def epsilon_net_matrix_blocks(rows: int, cols: int, b: float, eps: float):
     """epsilon_net_matrices as a stream of (B, rows, cols) arrays, in the same order; rows and cols are integers of
-    at least 1, and b is a finite number of at least 0."""
+    at least 1, and b is a finite number of at least 0, checked at the call."""
     if checked("b", b, -math.inf, math.inf) < 0:
         raise ValueError(f"b must be a number of at least 0, got {b!r}")
     radius = b * math.sqrt(min(checked("rows", rows, 1), checked("cols", cols, 1)))
-    for block in _ball_grid_chunks(rows * cols, radius, eps):
-        mats = block.reshape(-1, rows, cols)
-        svals = np.linalg.svd(mats, compute_uv=False)
-        yield mats[svals[:, 0] <= b + eps]
+    mats = (block.reshape(-1, rows, cols) for block in _ball_grid_chunks(rows * cols, radius, eps))
+    return (m[np.linalg.svd(m, compute_uv=False)[:, 0] <= b + eps] for m in mats)
 
 
 def epsilon_net_matrices(rows: int, cols: int, b: float, eps: float):
-    """Deterministic grid covering operator-norm-<= b matrices to within eps (operator norm).
+    """Deterministic grid covering operator-norm-<= b matrices to within eps (operator norm), as a stream of
+    matrices; the arguments are checked at the call, as in epsilon_net_matrix_blocks.
 
     Runs through the Frobenius norm: the operator ball of radius b sits inside
     the Frobenius ball of radius b*sqrt(min(rows, cols)), and operator distance
     is at most Frobenius distance.  Only points with operator norm at most
     b+eps are emitted; the covering point of any matrix in the ball survives.
     """
-    for mats in epsilon_net_matrix_blocks(rows, cols, b, eps):
-        for m in mats:
-            yield m.copy()
+    return (m.copy() for mats in epsilon_net_matrix_blocks(rows, cols, b, eps) for m in mats)

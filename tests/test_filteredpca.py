@@ -599,16 +599,16 @@ def _scan_row(block, z):
     return (block[-1] @ np.maximum(z @ block[0].T, 0.0).T)[0]
 
 
-def _grid_past_a_rejected_fit(monkeypatch, stream):
+def _grid_past_a_rejected_fit(monkeypatch, stream, **overrides):
     """run() at k = 2 on |x_2| (d = 4), where the ell = 0 scan accepts (_accept_the_first_moment) and the ell = 1 scan
     rejects its fit, a copy of stream's first block (_reject_the_fit), then every block of stream, the grid, on the
-    fall-through batch.  Returns (the ell = 1 record, the moments that scan formed, its batch's y and frame
-    coordinates)."""
+    fall-through batch; overrides go to small_recovery_config.  Returns (the ell = 1 record, the moments that scan
+    formed, its batch's y and frame coordinates)."""
     net = abs_net([0.0, 1.0, 0.0, 0.0])
     monkeypatch.setattr(filteredpca, "_candidates", lambda _, frame: CandidateList(lambda: iter(stream), 3, frame))
     _reject_the_fit(monkeypatch)
     formed = _accept_the_first_moment(monkeypatch)
-    config = small_recovery_config(k=2, lambda_acc=1e9)
+    config = small_recovery_config(k=2, lambda_acc=1e9, **overrides)
     result = run(gaussian_oracle(net, 0), config)
     oracle = gaussian_oracle(net, 0)
     oracle.draw(2 * config.n_samples)  # the two scans' candidate 0 batches, drawn in chunks
@@ -641,18 +641,35 @@ def test_rows_with_one_mask_form_one_moment(monkeypatch):
     assert record.tau == tau_b
 
 
+# Grid blocks whose rows are |x_2| less the fit's |z| (residuals near 0), |x_2| itself (the zero net), and overshoots
+# on either side.
+_GRID_ROWS = [_abs_block(_LINE, *out) for out in ([(1.0, 1.0), (0.0, 0.0)], [(0.5, -0.5), (1.0, 0.0)], [(2.0, 3.0)])]
+
+
 def test_every_grid_tau_is_numpys(monkeypatch):
     """On the fall-through batch every grid candidate's tau is max(np.quantile(r, 0.95), 1e-12) of its own residuals
-    r, to the bit: among them |x_2| less the fit's |z| (residuals near 0), |x_2| itself (the zero net), and
-    overshoots on either side."""
-    stream = [_abs_block(_LINE, *out) for out in ([(1.0, 1.0), (0.0, 0.0)], [(0.5, -0.5), (1.0, 0.0)], [(2.0, 3.0)])]
+    r, to the bit (_GRID_ROWS)."""
     taus, pick = [], filteredpca._pick_tau
     monkeypatch.setattr(filteredpca, "_pick_tau", lambda *args: taus.append(pick(*args)) or taus[-1])
-    record, _, y, z = _grid_past_a_rejected_fit(monkeypatch, stream)
+    record, _, y, z = _grid_past_a_rejected_fit(monkeypatch, _GRID_ROWS)
     assert record.candidates_scanned == 1 + 5 and len(taus) == 2 + 5  # two scans' candidate 0, then the grid
-    rows = [_scan_row((block[0], out[None]), z) for block in stream for out in block[-1]]
+    rows = [_scan_row((block[0], out[None]), z) for block in _GRID_ROWS for out in block[-1]]
     want = [_numpy_tau(np.abs(y - row), 0.95) for row in rows]
     assert np.array(taus[2:]).tobytes() == np.array(want).tobytes()
+
+
+def test_the_formula_mode_grid_cuts_at_config_tau(monkeypatch):
+    """In formula mode every candidate's tau is config.tau, on the fall-through batch too (_GRID_ROWS), and each
+    grid row keys the mask r > config.tau of its own residuals r."""
+    taus, pick = [], filteredpca._pick_tau
+    monkeypatch.setattr(filteredpca, "_pick_tau", lambda *args: taus.append(pick(*args)) or taus[-1])
+    keys = _recording_keys(monkeypatch)
+    record, _, y, z = _grid_past_a_rejected_fit(monkeypatch, _GRID_ROWS, tau_mode="formula", lam=0.1)
+    tau = small_recovery_config(k=2, lam=0.1).tau
+    assert record.candidates_scanned == 1 + 5 and taus == [tau] * (2 + 5) and record.tau == tau
+    masks = [np.abs(y - _scan_row((block[0], out[None]), z)) > tau for block in _GRID_ROWS for out in block[-1]]
+    assert len(keys) == 5 and all(np.array_equal(key, mask) for key, mask in zip(keys, masks))
+    assert any(0 < np.count_nonzero(mask) < len(y) for mask in masks)
 
 
 def test_the_first_scan_builds_no_grid(monkeypatch):
@@ -674,11 +691,18 @@ def _numpy_tau(r, q):
     return max(float(np.quantile(r, q)), 1e-12)
 
 
+def _row_tau(config, r):
+    """The tau of a whole row of residuals r, read as the scan reads a grid row's: _tau_cut, then _pick_tau of the
+    values of r that are not at most the cut."""
+    cut = filteredpca._tau_cut(config, r, r.size)
+    return _pick_tau(config, r[np.logical_not(r <= cut)], r.size, cut)
+
+
 def _assert_same_tau(r, q, top=None, cut=-math.inf):
-    """_pick_tau of r, or of top (the values of r that are not at most cut), is max(np.quantile(r, q), 1e-12) to the
-    bit; NaN when that is NaN."""
+    """_row_tau of r, or _pick_tau of top (the values of r that are not at most cut), is max(np.quantile(r, q),
+    1e-12) to the bit; NaN when that is NaN."""
     config = types.SimpleNamespace(tau_mode="quantile", tau_quantile=q)
-    got = _pick_tau(config, r) if top is None else _pick_tau(config, top, r.size, cut)
+    got = _row_tau(config, r) if top is None else _pick_tau(config, top, r.size, cut)
     want = _numpy_tau(r, q)
     same = np.float64(got).tobytes() == np.float64(want).tobytes() or math.isnan(got) and math.isnan(want)
     assert type(got) is float and same, (got, want)
@@ -734,7 +758,7 @@ def test_pick_tau_edges(n):
     assert math.floor((n - 1) * q) == n - 2
     _assert_same_tau(r, q)
     r[n // 3] = np.nan
-    assert math.isnan(_pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=0.95), r))
+    assert math.isnan(_row_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=0.95), r))
     assert math.isnan(_numpy_tau(r, 0.95))
 
 
@@ -766,7 +790,7 @@ def test_pick_tau_at_the_cut(below):
     if below <= 0:
         _assert_same_tau(r, q)
     else:
-        assert _pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=q), r) == rank > _numpy_tau(r, q)
+        assert _row_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=q), r) == rank > _numpy_tau(r, q)
 
 
 class ShiftThirdDraw:
@@ -1156,14 +1180,14 @@ def _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats=160_000, dim=10, n
 
 
 def _whole_batch_scan(config, frame, q, batch, fit_rows):
-    """Candidate 0 of a scan (the zero net, or the fit on fit_rows' first rows) on a batch drawn whole, as the
-    scan scored it before batches were drawn in chunks: (tau, mask, moment)."""
+    """Candidate 0 of a scan (the zero net, or the fit on fit_rows' first rows) on a batch drawn whole, with tau
+    config.tau in formula mode and max(np.quantile(r, q), 1e-12) in quantile mode: (tau, mask, moment)."""
     if len(frame):
         block = filteredpca._fit_block(config, frame, fit_rows.x @ frame.vectors.T, fit_rows.y)
     else:
         block = next(filteredpca._zero_candidates(config.dim).factory())
     resid = np.abs(batch.y - next(_iter_predictions([block], batch.x @ frame.vectors.T)))
-    tau = _pick_tau(config, resid)
+    tau = config.tau if config.tau_mode == "formula" else _numpy_tau(resid, config.tau_quantile)
     mask = resid > tau
     return tau, mask, _masked_moment(batch.x[mask], q, batch.n)
 

@@ -24,7 +24,15 @@ from relupca.harness import (
 )
 from relupca.lattice import LatticePolynomial, OrderType, SelectorKicker, from_network, perturb_leaves
 from relupca.network import Architecture, ReluNetwork, evaluate, operator_norm, random_network, spike_network
-from relupca.subspace import Frame, approx_top_svd, chordal_distance, epsilon_net_bound, epsilon_net_matrix_blocks
+from relupca.subspace import (
+    Frame,
+    approx_top_svd,
+    chordal_distance,
+    epsilon_net_ball,
+    epsilon_net_bound,
+    epsilon_net_matrices,
+    epsilon_net_matrix_blocks,
+)
 
 
 def abs_net(v):
@@ -196,9 +204,13 @@ LP = from_network(ABS)
     pytest.param("lam", lambda: enumerate_kickers(LINE, 0.5, 2, math.nan), id="kickers-lam-nan"),
     pytest.param("num_leaves", lambda: enumerate_kickers(LINE, 0.5, True, 1.0), id="kickers-leaves-true"),
     pytest.param("eps", lambda: epsilon_net_bound(2, 1.0, math.nan), id="net-bound-eps-nan"),
-    pytest.param("b", lambda: next(epsilon_net_matrix_blocks(1, 2, math.nan, 0.5)), id="matrix-blocks-b-nan"),
-    pytest.param("b", lambda: next(epsilon_net_matrix_blocks(1, 2, -1.0, 0.5)), id="matrix-blocks-b--1"),
-    pytest.param("rows", lambda: next(epsilon_net_matrix_blocks(0, 2, 1.0, 0.5)), id="matrix-blocks-rows-0"),
+    pytest.param("b", lambda: epsilon_net_matrix_blocks(1, 2, math.nan, 0.5), id="matrix-blocks-b-nan"),
+    pytest.param("b", lambda: epsilon_net_matrix_blocks(1, 2, -1.0, 0.5), id="matrix-blocks-b--1"),
+    pytest.param("rows", lambda: epsilon_net_matrix_blocks(0, 2, 1.0, 0.5), id="matrix-blocks-rows-0"),
+    pytest.param("dim", lambda: epsilon_net_ball(0, 1.0, 0.5), id="net-ball-dim-0"),
+    pytest.param("radius", lambda: epsilon_net_ball(2, -1.0, 0.5), id="net-ball-radius--1"),
+    pytest.param("rows", lambda: epsilon_net_matrices(0, 2, 1.0, 0.5), id="matrices-rows-0"),
+    pytest.param("b", lambda: epsilon_net_matrices(1, 2, math.nan, 0.5), id="matrices-b-nan"),
     pytest.param("eta", lambda: approx_top_svd(lambda v: v, 2, 1, math.nan, 0.1, 0), id="top-svd-eta-nan"),
     pytest.param("k", lambda: approx_top_svd(lambda v: v, 2, True, 0.1, 0.1, 0), id="top-svd-k-true"),
     pytest.param("trials", lambda: verify_lipschitz_key(ABS, LINE, True), id="lipschitz-trials-true"),
@@ -207,8 +219,9 @@ LP = from_network(ABS)
     pytest.param("eta", lambda: perturb_leaves(LP, math.nan), id="perturb-eta-nan"),
 ])
 def test_library_entry_points_name_a_bad_number(field, call):
-    """Each of these was accepted (2.7 read as 2, True as 1) or refused without naming the field; every library
-    constructor and entry point now checks its integers and numbers through errors.checked."""
+    """Each of these was accepted (2.7 read as 2, True as 1), refused without naming the field, or refused only when
+    its stream was first iterated; every library constructor and entry point now checks its integers and numbers
+    through errors.checked, at the call."""
     with pytest.raises(ValueError, match=f"^{field} must be"):
         call()
 
