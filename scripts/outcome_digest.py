@@ -12,10 +12,14 @@ line is tab-separated: the instance; SHA-256 prefixes of the learned frame,
 of the hypothesis, of (eps_hat, certified, failure_reason, rows drawn) and of
 the trace; certified and eps_hat in plain text; the loop's decisions in plain
 text, "k=<directions found>" then "<scanned>:<accepted index>" per iteration;
-and last the seconds run() took.  Two trees had identical outcomes when the
-lines agree on every field but the last:
+"units=<n>", the returned hypothesis's hidden units (TerminalRecord.units); and
+last the seconds run() took.  Two trees had identical outcomes when the lines
+agree on every field but the last:
 
-    diff <(cut -f1-8 a.txt) <(cut -f1-8 b.txt)
+    diff <(cut -f1-9 a.txt) <(cut -f1-9 b.txt)
+
+A tree whose lines have nine fields predates the units field; compare fields
+1-8 with it.
 
 A change that only moves rounding alters the hashes in their low bits but
 keeps the decisions:
@@ -73,7 +77,7 @@ def main() -> int:
         for inst in instances:
             result, seconds, rows = workloads.learn(inst)
             fields = [f"{name} {inst.label}", *digest(result, rows), str(result.certified),
-                      repr(result.eps_hat), decisions(result), f"{seconds:.2f}"]
+                      repr(result.eps_hat), decisions(result), f"units={result.terminal.units}", f"{seconds:.2f}"]
             print("\t".join(fields), flush=True)
     return 0
 

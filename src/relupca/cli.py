@@ -173,6 +173,11 @@ def report_summarize(report_path):
         click.echo(f"iteration {it['index']}: scanned={it['candidates_scanned']}, "
                    f"distinct={it['candidates_distinct']}, accepted={it['accepted_candidate']}, "
                    f"tau={tau}, lambda={lam}")
+    term = rec["terminal"]
+    select, basis, refined = ("-" if term[k] is None else format(term[k], ".6g")
+                              for k in ("select_err", "basis_heldout_err", "refined_heldout_err"))
+    click.echo(f"terminal: features={term['features']}, units={term['units']}, returned={term['returned']}, "
+               f"select_err={select}, held-out basis={basis}, refined={refined}")
     for frag in report.fragments:
         _echo_fragment(frag)
     click.echo(f"all assertions passed: {report.all_passed}")

@@ -159,13 +159,15 @@ class LearnConfig:
     """All knobs of the recovery loop.
 
     The residual threshold tau is always derived as c * sqrt(k) * lam (or, with tau_mode="quantile", from the
-    per-candidate residual distribution) and never stored, so it cannot go stale.  c, acc_fraction, num_leaves and
-    tau_quantile are fixed constants of the method, not fields.  max_candidates caps the count bound of every
-    candidate list a run builds (None: no cap): the fit's dictionary grid, in the loop and the terminal, and a scan's
-    loop grid, which is built only when the scan reaches it.  The least-squares fit reads final_select_samples (its
-    row count), b and final_eps_prime (the grid whose P + ell basis rays are its hidden units), and not size or l,
-    which shape only the loop's grid networks (l also enters the derived final_eps_prime); it is the terminal
-    hypothesis and the first candidate of every scan at ell >= 1.
+    per-candidate residual distribution) and never stored, so it cannot go stale.  c, acc_fraction, num_leaves,
+    tau_quantile, refine_iterations and refine_margin are fixed constants of the method, not fields.  max_candidates
+    caps the count bound of every candidate list a run builds (None: no cap): the fit's dictionary grid, in the loop
+    and the terminal, and a scan's loop grid, which is built only when the scan reaches it.  The least-squares fit
+    reads final_select_samples (its row count), b and final_eps_prime (the grid whose P + ell basis rays are its
+    features); it is the first candidate of every scan at ell >= 1 and the terminal's reference fit.  size shapes
+    the loop's grid networks and bounds the terminal hypothesis's width: a basis wider than terminal_units(ell) =
+    2 size + ell rays is narrowed to that many refined units (_final_search).  l shapes only the loop's grid
+    networks and enters the derived final_eps_prime.
     Each numeric field's rule is one row of __post_init__'s table (errors.checked): an integer of at least its low,
     or a number strictly between its two bounds.  seed is an integer of at least 0, as numpy's generators take no
     negative seed, so -1 is refused here rather than at the run's first acceptance.  k is also at most dim, and
@@ -178,6 +180,8 @@ class LearnConfig:
     acc_fraction: ClassVar[float] = 0.25
     num_leaves: ClassVar[int] = 2
     tau_quantile: ClassVar[float] = 0.95
+    refine_iterations: ClassVar[int] = 60
+    refine_margin: ClassVar[float] = 0.05
 
     dim: int
     k: int
@@ -218,6 +222,10 @@ class LearnConfig:
     def tau(self) -> float:
         return self.c * math.sqrt(max(self.k, 1)) * self.lam
 
+    def terminal_units(self, ell: int) -> int:
+        """The widest terminal hypothesis on an ell-vector frame, U = 2 size + ell: a wider ray basis is narrowed."""
+        return 2 * self.size + ell
+
     def default_final_eps_prime(self) -> float:
         """Terminal-search granularity eps / (b^(l+1) * 2^l * sqrt(k))."""
         if self.final_eps_prime is not None:
@@ -244,12 +252,17 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class TerminalRecord:
-    """The terminal fit: the rays lstsq fitted over (features, P + ell), which are the returned hypothesis's hidden
-    units (0 for the zero net), rows fitted on, and the RMS error on them."""
+    """The terminal fit: the rays of the basis lstsq fitted over (features, P + ell; 0 for the zero net), the rows
+    fitted on, the returned hypothesis's RMS error on them and its hidden units, and which fit it is.  When the
+    basis is narrowed, both fits' RMS errors on the held-out rows are recorded too."""
 
     features: int
     rows: int
     select_err: float | None  # None when the terminal grid exceeded the budget, so nothing was fitted
+    units: int = 0
+    returned: str = "basis"  # "basis", or "refined" when the narrow fit replaced the basis fit
+    basis_heldout_err: float | None = None  # None when the basis was not narrowed, so no rows were held out
+    refined_heldout_err: float | None = None
 
 
 @dataclass(eq=False)
@@ -476,7 +489,8 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
     fit of a depth-2 net, and the grid follows only when the fit is rejected.
     A scan whose fit's dictionary exceeds max_candidates scores no candidate,
     and its iteration records tau None.  The hypothesis is that fit on a fresh
-    batch (_final_search), certified when its error on another is at most 3*eps.
+    batch, narrowed to at most 2 size + ell refined units when it validates
+    (_final_search), certified when its error on another batch is at most 3*eps.
     """
     d = config.dim
     oracle_dim = getattr(oracle, "input_dim", d)
@@ -536,6 +550,8 @@ def run(oracle, config: LearnConfig, planted_frame: Frame | None = None) -> Reco
         frame = extend_frame(frame, w)
 
     constants["lambda_acc_effective"] = lambda_acc
+    constants.update(terminal_units=config.terminal_units(len(frame)), refine_iterations=config.refine_iterations,
+                     refine_margin=config.refine_margin)
     hypothesis, eps_hat, certified, final_failure, terminal = _final_search(oracle, config, frame)
     failure = failure or final_failure
     return RecoveryResult(
@@ -569,26 +585,103 @@ def _fit_block(config: LearnConfig, frame: Frame, z: np.ndarray, y: np.ndarray) 
     return w0, np.linalg.lstsq(h, y[: config.final_select_samples], rcond=None)[0][None, :]
 
 
-def _final_search(oracle, config: LearnConfig, frame: Frame):
-    """The terminal hypothesis: _fit_block's block on the selection batch, lifted through the frame (W_0 F, W_1).
+def _block_rms(block: tuple, z: np.ndarray, y: np.ndarray) -> float:
+    """A block's RMS error on the rows at frame coordinates z with labels y."""
+    r = next(_iter_predictions([block], z)) - y
+    return float(np.sqrt(np.mean(r * r)))
 
-    An empty frame, or an empty dictionary, gives the zero net.  The fitted network is certified by the error check.
+
+def _narrow(config: LearnConfig, w0: np.ndarray, z: np.ndarray, y: np.ndarray, units: int):
+    """A units-wide block from the wider ray basis W_0 on the rows z, y: greedy selection, then refinement.
+
+    Orthogonal matching pursuit picks units of W_0's rays: each step takes the feature relu(Z w) most correlated with
+    the residual (|<h, r>| / |h|, the first on ties) and refits y on the features taken by lstsq.  Levenberg-Marquardt
+    then refines their directions V and output weights a jointly, on f = relu(Z V^T) a: each iteration solves
+    (J^T J + mu diag(J^T J)) s = J^T r, with J the Jacobian of f at the rows, and takes the step only when it lowers
+    the rows' squared error (then mu / 10), else raises mu tenfold.  It stops after refine_iterations solves, or once
+    mu passes 1e12.  Returns ((V, a[None, :]), history): history holds the rows' RMS error at the start and after
+    each iteration, which never rises.
+    """
+    h = np.maximum(z @ w0.T, 0.0)
+    norms = np.maximum(np.linalg.norm(h, axis=0), np.finfo(float).tiny)
+    picked, r = [], y
+    for _ in range(units):
+        score = np.abs(h.T @ r) / norms
+        score[picked] = -1.0
+        picked.append(int(np.argmax(score)))
+        a = np.linalg.lstsq(h[:, picked], y, rcond=None)[0]
+        r = y - h[:, picked] @ a
+    v, n = w0[picked], len(y)
+    sse, mu, normal, history = float(r @ r), 1e-3, None, [math.sqrt(float(r @ r) / n)]
+    for _ in range(config.refine_iterations):
+        if mu > 1e12:
+            break
+        if normal is None:  # the Jacobian at (V, a): the features, then a_u 1[<z, v_u> > 0] z_j for each j, u
+            pre = z @ v.T
+            slope = (pre > 0.0) * a
+            jac = np.concatenate([np.maximum(pre, 0.0), (slope[:, None, :] * z[:, :, None]).reshape(n, -1)], axis=1)
+            normal, grad = jac.T @ jac, jac.T @ r
+            damping = normal.diagonal().copy()
+            damping = np.maximum(damping, 1e-12 * damping.max()) if damping.max() > 0 else np.ones_like(damping)
+        lhs = normal.copy()
+        lhs.flat[:: len(lhs) + 1] += mu * damping
+        step = np.linalg.solve(lhs, grad)
+        a_new, v_new = a + step[: len(a)], v + step[len(a) :].reshape(v.shape[::-1]).T
+        r_new = y - np.maximum(z @ v_new.T, 0.0) @ a_new
+        sse_new = float(r_new @ r_new)
+        if sse_new < sse:
+            a, v, r, sse, mu, normal = a_new, v_new, r_new, sse_new, mu / 10.0, None
+        else:
+            mu *= 10.0
+        history.append(math.sqrt(sse / n))
+    return (v, a[None, :]), history
+
+
+def _validated_narrow(oracle, config: LearnConfig, frame: Frame, block: tuple, z: np.ndarray, y: np.ndarray):
+    """_narrow's terminal_units(ell)-wide block from the basis fit block on the rows z, y, kept when it validates.
+
+    final_select_samples fresh rows are held out: the refined block is returned when its RMS error there is at most
+    (1 + refine_margin) times the basis fit's, and the basis fit block otherwise.  The held-out rows are freed on
+    return, before the error check draws its batch.  Returns (block, TerminalRecord fields).
+    """
+    refined = _narrow(config, block[0], z, y, config.terminal_units(len(frame)))[0]
+    held = oracle.draw(config.final_select_samples)
+    zh = held.x @ frame.vectors.T
+    basis_err, refined_err = _block_rms(block, zh, held.y), _block_rms(refined, zh, held.y)
+    keep = refined_err <= (1.0 + config.refine_margin) * basis_err
+    errors = {"returned": "refined" if keep else "basis", "basis_heldout_err": basis_err,
+              "refined_heldout_err": refined_err}
+    return (refined if keep else block), errors
+
+
+def _final_search(oracle, config: LearnConfig, frame: Frame):
+    """The terminal hypothesis: a fit block on the selection batch, lifted through the frame (W_0 F, W_1).
+
+    The reference is _fit_block's block, the loop's candidate 0 on this frame.  When its basis is wider than
+    terminal_units(ell) = 2 size + ell rays, _narrow picks and refines that many units on the same rows, and the
+    refined block replaces the basis fit when it validates on held-out rows (_validated_narrow).  An empty frame, or
+    an empty dictionary, gives the zero net.  The returned network is certified by the error check.
     Returns (hypothesis, eps_hat, certified, failure, TerminalRecord).
     """
     select = oracle.draw(config.final_select_samples)
     target = 3.0 * config.eps
-    hypothesis, preds, features = zero_network(config.dim), np.zeros(select.n), 0
+    hypothesis, preds, features, narrowed = zero_network(config.dim), np.zeros(select.n), 0, {}
     if len(frame):
+        z = select.x @ frame.vectors.T
         try:
-            w0, w1 = _fit_block(config, frame, select.x @ frame.vectors.T, select.y)
+            block = _fit_block(config, frame, z, select.y)
         except BudgetError as err:
             record = TerminalRecord(0, select.n, None)
             return None, math.inf, False, f"terminal enumeration budget exhausted: {err}", record
-        features = len(w0)
+        features = len(block[0])
+        if features > config.terminal_units(len(frame)):
+            block, narrowed = _validated_narrow(oracle, config, frame, block, z, select.y)
         if features:
-            hypothesis = ReluNetwork((w0 @ frame.vectors, w1))
+            hypothesis = ReluNetwork((block[0] @ frame.vectors, block[1]))
             preds = evaluate(hypothesis, select.x)
-    record = TerminalRecord(features, select.n, float(np.sqrt(np.mean((select.y - preds) ** 2))))
+    units = len(hypothesis.weights[0]) if features else 0
+    select_err = float(np.sqrt(np.mean((select.y - preds) ** 2)))
+    record = TerminalRecord(features, select.n, select_err, units, **narrowed)
     eps_hat = estimate_l2_error(hypothesis, oracle, config.n_check)
     if eps_hat <= target:
         return hypothesis, eps_hat, True, None, record

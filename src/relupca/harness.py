@@ -13,7 +13,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import BudgetError, checked, json_document, json_object
-from .filteredpca import _CHUNK_FLOATS, IterationRecord, LearnConfig, _masked_moment, as_function, gaussian_oracle, run
+from .filteredpca import (
+    _CHUNK_FLOATS, IterationRecord, LearnConfig, TerminalRecord, _masked_moment, as_function, gaussian_oracle, run,
+)
 from .lattice import LatticePolynomial, from_network, lattice_eval, perturb_leaves, structural_distance
 from .network import (
     Architecture,
@@ -385,8 +387,8 @@ class Report:
     def from_json(cls, text) -> "Report":
         """Parse a report written by to_json, checked as far as report-summarize reads it: a ValueError names an
         unknown or missing key, a spec, recovery, iteration or fragment that is not an object, iterations or
-        fragments that are not a list, and an eps_hat, tau or lam_value that is not a number (inf included; tau and
-        lam_value may be null)."""
+        fragments that are not a list, a terminal record that is not an object or lacks a key, and an eps_hat, tau,
+        lam_value or terminal error that is not a number (inf included; all but eps_hat may be null)."""
         d = json_document(text, "report", cls, sorted(f.name for f in fields(cls)))
         json_object(d["spec"], "spec")
         if not isinstance(d["fragments"], list):
@@ -394,7 +396,8 @@ class Report:
         for i, frag in enumerate(d["fragments"]):
             json_object(frag, f"report fragment {i}")
         rec = json_object(d["recovery"], "recovery",
-                          required=("instance_kind", "k_found", "k_target", "eps_hat", "certified", "iterations"))
+                          required=("instance_kind", "k_found", "k_target", "eps_hat", "certified", "iterations",
+                                    "terminal"))
         checked("recovery key eps_hat", rec["eps_hat"], -math.inf)
         if not isinstance(rec["iterations"], list):
             raise ValueError(f"recovery key iterations must be a list, got {rec['iterations']!r}")
@@ -403,6 +406,10 @@ class Report:
             for key in ("tau", "lam_value"):
                 if it[key] is not None:
                     checked(f"recovery iteration {i} key {key}", it[key], -math.inf)
+        terminal = json_object(rec["terminal"], "recovery terminal", required=[f.name for f in fields(TerminalRecord)])
+        for key in ("select_err", "basis_heldout_err", "refined_heldout_err"):
+            if terminal[key] is not None:
+                checked(f"recovery terminal key {key}", terminal[key], -math.inf)
         return cls(**d)
 
 

@@ -314,6 +314,11 @@ def test_report_summarize(runner, tmp_path):
         f"iteration 0: scanned={it['candidates_scanned']}, distinct={it['candidates_distinct']}, "
         f"accepted={it['accepted_candidate']}, tau={it['tau']:.6g}, lambda={it['lam_value']:.6g}"
     ) in result.output.splitlines()
+    term = json.loads(report_path.read_text())["recovery"]["terminal"]
+    assert (
+        f"terminal: features={term['features']}, units={term['units']}, returned=basis, "
+        f"select_err={term['select_err']:.6g}, held-out basis=-, refined=-"
+    ) in result.output.splitlines()
     # corrupting a fragment flips the exit code
     doc = json.loads(report_path.read_text())
     doc["all_passed"] = False
@@ -334,7 +339,10 @@ def test_report_summarize_reads_a_budget_failure(runner, tmp_path):
     assert "directions found: 1/2, eps_hat=inf, certified=False" in result.output.splitlines()
 
 
-_RECOVERY = {"instance_kind": "abs", "k_found": 0, "k_target": 1, "eps_hat": 0.5, "certified": False, "iterations": []}
+_TERMINAL = {"features": 0, "rows": 256, "select_err": 1.0, "units": 0, "returned": "basis",
+             "basis_heldout_err": None, "refined_heldout_err": None}
+_RECOVERY = {"instance_kind": "abs", "k_found": 0, "k_target": 1, "eps_hat": 0.5, "certified": False, "iterations": [],
+             "terminal": _TERMINAL}
 
 
 @pytest.mark.parametrize(
@@ -349,17 +357,25 @@ _RECOVERY = {"instance_kind": "abs", "k_found": 0, "k_target": 1, "eps_hat": 0.5
         ({"spec": {}, "fingerprint": {}, "recovery": {}, "fragments": [], "timings": {}, "all_passed": True},
          "missing recovery key(s): instance_kind, k_found, k_target, eps_hat, certified, iterations"),
         ({"spec": {}, "fingerprint": {}, "recovery": {"instance_kind": "abs", "k_found": 0, "k_target": 1,
-          "eps_hat": True, "certified": False, "iterations": []}, "fragments": [], "timings": {}, "all_passed": True},
-         "recovery key eps_hat must be a number above -inf, got True"),
+          "eps_hat": True, "certified": False, "iterations": [], "terminal": _TERMINAL}, "fragments": [],
+          "timings": {}, "all_passed": True}, "recovery key eps_hat must be a number above -inf, got True"),
         ({"spec": {}, "fingerprint": {}, "recovery": {"instance_kind": "abs", "k_found": 0, "k_target": 1,
           "eps_hat": 0.5, "certified": False, "iterations": [{"index": 0, "tau": None, "candidates_scanned": 0,
-          "accepted_candidate": None, "lam_value": None, "candidates_distinct": 0}]}, "fragments": [], "timings": {},
-          "all_passed": True}, "missing recovery iteration 0 key(s): nearness"),
+          "accepted_candidate": None, "lam_value": None, "candidates_distinct": 0}], "terminal": _TERMINAL},
+          "fragments": [], "timings": {}, "all_passed": True}, "missing recovery iteration 0 key(s): nearness"),
         *(({"spec": spec, "fingerprint": {}, "recovery": _RECOVERY, "fragments": fragments, "timings": {},
             "all_passed": True}, message) for spec, fragments, message in (
             ([], [], "spec must be a JSON object"),
             ({}, [1], "report fragment 0 must be a JSON object"),
             ({}, 5, "report key fragments must be a list, got 5"),
+        )),
+        *(({"spec": {}, "fingerprint": {}, "recovery": dict(_RECOVERY, terminal=terminal), "fragments": [],
+            "timings": {}, "all_passed": True}, message) for terminal, message in (
+            ([], "recovery terminal must be a JSON object"),
+            ({"features": 0}, "missing recovery terminal key(s): rows, select_err, units, returned, "
+                              "basis_heldout_err, refined_heldout_err"),
+            (dict(_TERMINAL, refined_heldout_err="0.1"),
+             "recovery terminal key refined_heldout_err must be a number above -inf, got '0.1'"),
         )),
     ],
 )

@@ -850,6 +850,7 @@ def test_constants_are_recorded():
         "c": 2.0, "acc_fraction": 0.25, "tau_quantile": 0.95, "tau_formula": config.tau,
         "final_eps_prime": config.default_final_eps_prime(),
         "lambda_acc_calibrated": lam_acc, "lambda_acc_effective": lam_acc,
+        "terminal_units": 2 * config.size + 1, "refine_iterations": 60, "refine_margin": 0.05,
     }
     # a configured threshold is not calibrated, and is the effective one
     config = small_recovery_config(lambda_acc=0.5, final_eps_prime=0.3)
@@ -907,10 +908,10 @@ def _one_unit_rows(frame, eps, radius=1.0):
 
 
 def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
-    """The hypothesis is the ray basis of the one-unit grid lifted through the frame, with lstsq's
-    coefficients on its features at the selection rows' frame coordinates, both byte for byte, and its
-    predictions there are the feature matrix times the coefficients.  The record counts the basis's
-    rows, which are the hypothesis's units."""
+    """The terminal's reference fit, _fit_block's block on the selection rows' frame coordinates, is the ray basis of
+    the one-unit grid with lstsq's coefficients on its features, both byte for byte, and its lifted predictions there
+    are the feature matrix times the coefficients.  The record counts the basis's rows; its 38 rays are more than
+    2 size + ell = 6, so the record's held-out basis error is that block's on the next final_select_samples rows."""
     rng = np.random.default_rng(6)
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
     config = _terminal_config(_GRID_FRAME)
@@ -919,14 +920,20 @@ def test_terminal_fit_is_the_dictionary_times_the_lstsq_coefficients():
     w0 = rows[ray_basis(rows, 0.16)]
     # collinear and zero rows dropped, then one of each pair of opposite rays but -e_1 and -e_2
     assert (int(np.count_nonzero(np.any(rows, axis=1))), len(_first_per_direction(rows)), len(w0)) == (108, 72, 38)
-    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    oracle = GaussianOracle(target, 3)
+    select, held = oracle.draw(config.final_select_samples), oracle.draw(config.final_select_samples)
     h = np.maximum(select.x @ _GRID_FRAME.vectors.T @ w0.T, 0.0)
     coef = np.linalg.lstsq(h, select.y, rcond=None)[0]
-    np.testing.assert_array_equal(hypothesis.weights[0], w0 @ _GRID_FRAME.vectors)
-    np.testing.assert_array_equal(hypothesis.weights[1], coef[None, :])
-    np.testing.assert_allclose(evaluate(hypothesis, select.x), h @ coef, rtol=0, atol=1e-12)
+    block = filteredpca._fit_block(config, _GRID_FRAME, select.x @ _GRID_FRAME.vectors.T, select.y)
+    np.testing.assert_array_equal(block[0], w0)
+    np.testing.assert_array_equal(block[1], coef[None, :])
+    lifted = ReluNetwork((block[0] @ _GRID_FRAME.vectors, block[1]))
+    np.testing.assert_allclose(evaluate(lifted, select.x), h @ coef, rtol=0, atol=1e-12)
     assert (record.features, record.rows) == (38, config.final_select_samples)
-    assert record.select_err == pytest.approx(np.sqrt(np.mean((select.y - h @ coef) ** 2)), rel=1e-12)
+    h_held = np.maximum(held.x @ _GRID_FRAME.vectors.T @ w0.T, 0.0)
+    assert record.basis_heldout_err == pytest.approx(np.sqrt(np.mean((held.y - h_held @ coef) ** 2)), rel=1e-12)
+    assert record.select_err == pytest.approx(np.sqrt(np.mean((select.y - evaluate(hypothesis, select.x)) ** 2)),
+                                              rel=1e-12)
 
 
 def _ray_basis_reference(ints):
@@ -947,7 +954,8 @@ def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
     """ray_basis keeps, in stream order, the first row of each ray with a positive first non-zero entry and of
     each ray -e_j, as a brute-force search on the grid's integer vectors finds them: P + ell of the 2P rays,
     and at ell = 1 the first row of each of the two rays, in order.  It refuses rows off the grid.  The
-    hypothesis is those rows lifted, with lstsq's coefficients on their features, byte for byte."""
+    fit block is those rows, with lstsq's coefficients on their features, byte for byte, and where the basis is at
+    most 2 size + ell rays wide (only at ell = 1 here) the hypothesis is that block lifted, byte for byte."""
     frame = Frame.from_span(np.random.default_rng(ell).standard_normal((ell, ell + 2)))
     rows = _one_unit_rows(frame, eps, radius)
     spacing = 2.0 * eps / math.sqrt(ell)
@@ -965,8 +973,13 @@ def test_terminal_dictionary_keeps_the_first_row_of_each_ray(ell, eps, radius):
     w0 = rows[keep]
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
     coef = np.linalg.lstsq(np.maximum(select.x @ frame.vectors.T @ w0.T, 0.0), select.y, rcond=None)[0]
-    assert record.features == len(keep) and hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
-    assert hypothesis.weights[1].tobytes() == coef[None, :].tobytes()
+    block = filteredpca._fit_block(config, frame, select.x @ frame.vectors.T, select.y)
+    assert record.features == len(keep) and block[0].tobytes() == w0.tobytes()
+    assert block[1].tobytes() == coef[None, :].tobytes()
+    assert (len(keep) <= config.terminal_units(ell)) == (ell == 1)
+    if ell == 1:
+        assert hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
+        assert hypothesis.weights[1].tobytes() == coef[None, :].tobytes() and record.returned == "basis"
 
 
 _FIT_FRAMES = {
@@ -978,16 +991,20 @@ _FIT_FRAMES = {
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_dropping_collinear_rows_keeps_the_fitted_function(ell):
-    """The ray basis spans the same columns as every grid row, so the least-squares predictions agree to rounding.
-    Its feature matrix has full column rank; the dictionary of one row per ray has the same rank, which is
-    below its width at ell >= 2."""
+    """The ray basis spans the same columns as every grid row, so the least-squares predictions of the fit block,
+    lifted, agree to rounding.  Its feature matrix has full column rank; the dictionary of one row per ray has the
+    same rank, which is below its width at ell >= 2.  At ell = 1 the terminal returns that block, lifted."""
     eps = 0.3 if ell == 3 else 0.16
     frame = _FIT_FRAMES[ell]
     rng = np.random.default_rng(6)
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
     config = _terminal_config(frame, final_eps_prime=eps)
-    hypothesis, _, _, _, _ = _final_search(GaussianOracle(target, 3), config, frame)
+    terminal = _final_search(GaussianOracle(target, 3), config, frame)[0]
     select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    w0, w1 = filteredpca._fit_block(config, frame, select.x @ frame.vectors.T, select.y)
+    hypothesis = ReluNetwork((w0 @ frame.vectors, w1))
+    if ell == 1:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(terminal.weights, hypothesis.weights))
     every = _one_unit_rows(frame, eps) @ frame.vectors
     h = np.maximum(select.x @ every.T, 0.0)
     full = h @ np.linalg.lstsq(h, select.y, rcond=None)[0]
@@ -1063,8 +1080,10 @@ def test_underdetermined_terminal_fit_is_named_in_the_reason():
 def test_fit_block_row_equals_the_lifted_fit(ell, rng):
     """The loop's first candidate on a non-empty frame: the fit block's row, as the scan forms it at Z, equals
     evaluate of the lifted network at the raw rows to 1e-12 relative; its output row is lstsq on the batch's first
-    final_select_samples rows, byte for byte.  The terminal's hypothesis is the same helper's block on its
-    selection batch, lifted byte for byte, and the record counts its units."""
+    final_select_samples rows, byte for byte.  The terminal's reference fit is the same helper's block on its
+    selection batch, and the record counts its rays.  At ell = 1 (2 rays, at most 2 size + ell) the hypothesis is
+    that block lifted, byte for byte; at ell = 2 (38 rays) the record's held-out basis error is that block's on the
+    next final_select_samples rows, to the bit."""
     frame = Frame.from_span(rng.standard_normal((ell, 4)))
     target = ReluNetwork((rng.standard_normal((3, 4)), np.array([[1.0, -0.7, 0.4]])))
     config = _terminal_config(frame)
@@ -1079,10 +1098,104 @@ def test_fit_block_row_equals_the_lifted_fit(ell, rng):
     h = np.maximum(z[first] @ w0.T, 0.0)
     assert w1.tobytes() == np.linalg.lstsq(h, batch.y[first], rcond=None)[0][None, :].tobytes()
     hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, frame)
-    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    oracle = GaussianOracle(target, 3)
+    select, held = oracle.draw(config.final_select_samples), oracle.draw(config.final_select_samples)
     w0, w1 = filteredpca._fit_block(config, frame, select.x @ frame.vectors.T, select.y)
-    assert hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
-    assert hypothesis.weights[1].tobytes() == w1.tobytes() and record.features == len(w0)
+    assert record.features == len(w0)
+    if ell == 1:
+        assert hypothesis.weights[0].tobytes() == (w0 @ frame.vectors).tobytes()
+        assert hypothesis.weights[1].tobytes() == w1.tobytes() and record.returned == "basis"
+    else:
+        [row] = _iter_predictions([(w0, w1)], held.x @ frame.vectors.T)
+        assert record.basis_heldout_err == float(np.sqrt(np.mean((row - held.y) ** 2)))
+
+
+def _frame_target(angles, signs):
+    """A depth-2 net on _GRID_FRAME's span: one unit relu(<cos t f_1 + sin t f_2, x>) of each sign per angle t."""
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ _GRID_FRAME.vectors
+    return ReluNetwork((directions, np.asarray(signs, dtype=float)[None, :]))
+
+
+def test_narrow_fit_predictions_equal_the_lifted_network():
+    """On a 38-ray basis (2 size + ell = 6) the terminal returns the refined block of _narrow, lifted through the
+    frame byte for byte, and evaluate of it at the selection rows equals the refinement's own predictions at their
+    frame coordinates to 1e-12 relative.  The record says so, and counts its 6 units and the basis's 38 rays."""
+    target = _frame_target(np.array([0.3, 2.2]), [1.0, -0.8])
+    config = _terminal_config(_GRID_FRAME)
+    hypothesis, _, certified, _, record = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
+    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    z = select.x @ _GRID_FRAME.vectors.T
+    w0 = filteredpca._fit_block(config, _GRID_FRAME, z, select.y)[0]
+    block, history = filteredpca._narrow(config, w0, z, select.y, 6)
+    assert (record.returned, record.units, record.features) == ("refined", 6, 38) and certified
+    assert record.refined_heldout_err <= (1.0 + LearnConfig.refine_margin) * record.basis_heldout_err
+    assert hypothesis.weights[0].tobytes() == (block[0] @ _GRID_FRAME.vectors).tobytes()
+    assert hypothesis.weights[1].tobytes() == block[1].tobytes()
+    own = np.maximum(z @ block[0].T, 0.0) @ block[1][0]  # f = relu(Z V^T) a, as the refinement forms it
+    assert history[-1] == pytest.approx(np.sqrt(np.mean((select.y - own) ** 2)), rel=1e-12)
+    assert np.max(np.abs(evaluate(hypothesis, select.x) - own)) <= 1e-12 * np.max(np.abs(own))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_refinement_never_raises_the_fit_rows_error(seed):
+    """Levenberg-Marquardt takes a step only when it lowers the fit rows' squared error: the RMS error _narrow
+    records at the start and after each of at most refine_iterations iterations never rises."""
+    rng = np.random.default_rng(seed)
+    target = ReluNetwork((rng.standard_normal((3, 4)), rng.standard_normal((1, 3))))
+    config = _terminal_config(_GRID_FRAME)
+    select = GaussianOracle(target, seed).draw(config.final_select_samples)
+    z = select.x @ _GRID_FRAME.vectors.T
+    w0 = filteredpca._fit_block(config, _GRID_FRAME, z, select.y)[0]
+    (v, a), history = filteredpca._narrow(config, w0, z, select.y, config.terminal_units(2))
+    assert v.shape == (6, 2) and a.shape == (1, 6)
+    assert 2 <= len(history) <= LearnConfig.refine_iterations + 1
+    assert np.all(np.diff(history) <= 0.0)
+    assert history[-1] == pytest.approx(filteredpca._block_rms((v, a), z, select.y), rel=1e-12)
+
+
+def test_a_refined_fit_that_validates_worse_returns_the_basis_fit():
+    """A planted net of 12 units of alternating sign on the frame, at size 1: 2 size + ell = 4 refined units cannot
+    follow it, so their held-out error exceeds the basis fit's by more than refine_margin, and the terminal returns
+    the basis fit, lifted byte for byte, and records "basis"."""
+    target = _frame_target(np.arange(12) * np.pi / 6 + 0.1, [(-1.0) ** i for i in range(12)])
+    config = _terminal_config(_GRID_FRAME, size=1)
+    hypothesis, _, _, _, record = _final_search(GaussianOracle(target, 3), config, _GRID_FRAME)
+    select = GaussianOracle(target, 3).draw(config.final_select_samples)
+    w0, w1 = filteredpca._fit_block(config, _GRID_FRAME, select.x @ _GRID_FRAME.vectors.T, select.y)
+    assert (record.returned, record.units, record.features) == ("basis", 38, 38)
+    assert record.refined_heldout_err > (1.0 + LearnConfig.refine_margin) * record.basis_heldout_err
+    assert hypothesis.weights[0].tobytes() == (w0 @ _GRID_FRAME.vectors).tobytes()
+    assert hypothesis.weights[1].tobytes() == w1.tobytes()
+
+
+class _LastBatch:
+    """An oracle that keeps the last batch it drew."""
+
+    def __init__(self, oracle):
+        self.oracle, self.input_dim, self.last = oracle, oracle.input_dim, None
+
+    def draw(self, n):
+        self.last = self.oracle.draw(n)
+        return self.last
+
+
+def test_criterion_7_hypotheses_are_narrow_and_check_within_the_margin(monkeypatch):
+    """On criterion 7's ten seeds the hypothesis has at most 2 size + ell = 6 units, and its check error is at most
+    (1 + refine_margin) times the basis fit's (the terminal's _fit_block block, lifted) on the same check rows."""
+    blocks = []
+    fit_block = filteredpca._fit_block
+    monkeypatch.setattr(filteredpca, "_fit_block", lambda *args: blocks.append(fit_block(*args)) or blocks[-1])
+    for seed in range(10):
+        net, _ = make_instance({"kind": "mixed", "dim": 10, "k": 2, "units": 2, "b": 1.0}, seed)
+        oracle = _LastBatch(GaussianOracle(net, 100 + seed))
+        oracle.draw(4096)
+        result = run(oracle, _criterion_7_config(seed))
+        assert len(result.frame) == 2 and len(result.hypothesis.weights[0]) <= 6
+        w0, w1 = blocks[-1]  # the terminal's reference fit
+        basis = ReluNetwork((w0 @ result.frame.vectors, w1))
+        check = oracle.last
+        basis_err = float(np.sqrt(np.mean((check.y - evaluate(basis, check.x)) ** 2)))
+        assert result.eps_hat <= (1.0 + LearnConfig.refine_margin) * basis_err
 
 
 @pytest.mark.parametrize("ell, eps", [(1, 0.25), (2, 0.16), (3, 0.3)])
@@ -1547,7 +1660,7 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         config = small_recovery_config(dim=d, k=2, n_samples=n, n_check=1_000, final_select_samples=64)
         chunks = _chunks(config)
         assert len(chunks) == (2 if d == 10 else 20)
-        oracle = _Predrawn(abs_net(v), 0, [*chunks, *chunks, n, 64, 1_000])
+        oracle = _Predrawn(abs_net(v), 0, [*chunks, *chunks, n, 64, 64, 1_000])
         kept, gathered, peaks = _rows_made(monkeypatch)["_scan_moments"], [0], []
 
         def moment(x, q, rows):

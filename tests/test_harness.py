@@ -393,7 +393,9 @@ def test_run_experiment_end_to_end(tmp_path):
     # ones under spec.learn, the method's constants and derived values under constants
     constants = report.recovery["constants"]
     assert set(constants) == {"c", "acc_fraction", "tau_quantile", "tau_formula", "final_eps_prime",
-                              "lambda_acc_calibrated", "lambda_acc_effective"}
+                              "lambda_acc_calibrated", "lambda_acc_effective", "terminal_units",
+                              "refine_iterations", "refine_margin"}
+    assert (constants["terminal_units"], constants["refine_iterations"], constants["refine_margin"]) == (5, 60, 0.05)
     learn = report.spec["learn"]  # the keys constants no longer copies (lambda_acc as lambda_acc_configured)
     removed = {"candidate_mode": "network", "tau_mode": "quantile", "lambda_acc": None, "eps": 0.1,
                "delta": 0.05, "eps_prime": 0.5, "n_samples": 20_000, "n_check": 5_000,
@@ -409,14 +411,19 @@ def test_run_experiment_end_to_end(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "section,key,value"
     assert len(lines) > 10
-    # the terminal fit explains itself: the rays it fitted (the hypothesis's hidden units), the rows it was fitted
-    # on, and its error there
+    # the terminal fit explains itself: the rays it fitted, the rows it was fitted on, its error there, the
+    # hypothesis's hidden units and which fit was returned; a basis of 2 rays is at most 2 size + ell = 5 wide, so it
+    # is not narrowed and no rows are held out
     terminal = report.recovery["terminal"]
-    assert set(terminal) == {"features", "rows", "select_err"}
+    assert set(terminal) == {"features", "rows", "select_err", "units", "returned", "basis_heldout_err",
+                             "refined_heldout_err"}
     assert terminal["features"] == 2 and terminal["rows"] == 256  # a one-vector frame: the rays +v and -v
     assert isinstance(terminal["select_err"], float) and terminal["select_err"] >= 0
-    assert {"terminal,features,2", "terminal,rows,256",
-            f"terminal,select_err,{terminal['select_err']:.17g}"} <= set(lines)
+    assert (terminal["units"], terminal["returned"]) == (2, "basis")
+    assert terminal["basis_heldout_err"] is None and terminal["refined_heldout_err"] is None
+    assert {"terminal,features,2", "terminal,rows,256", f"terminal,select_err,{terminal['select_err']:.17g}",
+            "terminal,units,2", "terminal,returned,basis", "terminal,basis_heldout_err,None",
+            "terminal,refined_heldout_err,None"} <= set(lines)
     # each iteration counts the moments its scan formed, at most one per candidate scanned
     for i, it in enumerate(report.recovery["iterations"]):
         assert 1 <= it["candidates_distinct"] <= it["candidates_scanned"]
