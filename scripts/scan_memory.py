@@ -8,10 +8,12 @@ Runs relupca.run() on rank2-highdim's planted instance and LearnConfig
 scan, whatever d.  Each d runs in a fresh interpreter with BLAS on one
 thread, and prints one line: d, the child's peak RSS in MB (ru_maxrss, the
 interpreter and the instance included), the returned hypothesis's hidden
-units (result.terminal.features, the rays its fit used: the width that its
-error checks' memory scales with), the seconds run() took, the rows drawn,
-and the chordal distance from the learned frame to the planted one (inf when
-their ranks differ).  Standard library and the package only.
+units (result.terminal.units: the width that its error checks' memory scales
+with), the rays of the basis the terminal fitted over (result.terminal.features,
+which the hypothesis is narrowed from when wider), the seconds run() took,
+the rows drawn, and the chordal distance from the learned frame to the
+planted one (inf when their ranks differ).  Standard library and the package
+only.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def _one(d: int, seed: int) -> dict:
     return {
         "d": d,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "units": result.terminal.features,
+        "units": result.terminal.units,
+        "features": result.terminal.features,
         "run_s": seconds,
         "rows": rows,
         "chordal": checks.chordal(result.frame.vectors, inst.planted),
@@ -57,12 +60,12 @@ def main(argv=None) -> int:
         print(json.dumps(_one(args.one, args.seed)))
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    print("d\tpeak_rss_mb\tunits\trun_s\trows\tchordal")
+    print("d\tpeak_rss_mb\tunits\tfeatures\trun_s\trows\tchordal")
     for d in args.dims:
         done = subprocess.run([sys.executable, __file__, "--one", str(d), "--seed", str(args.seed)],
                               env=env, capture_output=True, text=True, check=True)
         row = json.loads(done.stdout.splitlines()[-1])
-        print(f"{d}\t{row['peak_rss_mb']:.1f}\t{row['units']}\t{row['run_s']:.2f}\t{row['rows']}\t"
+        print(f"{d}\t{row['peak_rss_mb']:.1f}\t{row['units']}\t{row['features']}\t{row['run_s']:.2f}\t{row['rows']}\t"
               f"{row['chordal']:.3f}", flush=True)
     return 0
 

@@ -107,18 +107,24 @@ def as_function(candidate):
     raise TypeError(f"cannot evaluate candidate of type {type(candidate).__name__}")
 
 
-def _masked_moment(xm: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """The filtered second moment of n rows: (1/n) * (q X_m^T X_m q - |X_m| q), symmetrised.
+def _masked_moment(gram: np.ndarray, count: int, q: np.ndarray, n: int) -> np.ndarray:
+    """The filtered second moment of n rows: (1/n) * (q G q - count q), symmetrised.
 
-    X_m = xm holds the raw rows that pass the filter, already gathered (the
-    caller's np.compress, or a scan's kept rows compacted in place), and q is
-    a symmetric projector, so this is (1/n) * sum over masked rows of
-    (q x)(q x)^T - q without forming q x for every row; with no masked rows
-    it is the zero matrix.  The one filtered-moment primitive: filter_matrix,
-    run() and the concentration check all call it.
+    G is the Gram matrix X_m^T X_m of the count raw rows that pass the filter
+    (_gram's, or a scan's sum of _gram's chunk by chunk), and q is a symmetric
+    projector, so this is (1/n) * sum over masked rows of (q x)(q x)^T - q
+    without forming q x for every row; with no masked rows it is the zero
+    matrix.  The one filtered-moment primitive: filter_matrix, run()'s scan
+    and the concentration check all call it.
     """
-    m = (q @ (xm.T @ xm) @ q - xm.shape[0] * q) / n
+    m = (q @ gram @ q - count * q) / n
     return (m + m.T) / 2.0
+
+
+def _gram(x: np.ndarray, mask: np.ndarray):
+    """The Gram matrix X_m^T X_m of the rows of x that mask selects, and their count."""
+    xm = np.compress(mask, x, axis=0)
+    return xm.T @ xm, len(xm)
 
 
 def filter_matrix(samples: SampleSet, frame: Frame, candidate, tau: float) -> np.ndarray:
@@ -137,7 +143,7 @@ def filter_matrix(samples: SampleSet, frame: Frame, candidate, tau: float) -> np
     preds = np.asarray(f(project(frame, samples.x)), dtype=float).ravel()
     mask = np.abs(samples.y - preds) > tau
     q = np.eye(samples.dim) - frame.projector()
-    return _masked_moment(np.compress(mask, samples.x, axis=0), q, samples.n)
+    return _masked_moment(*_gram(samples.x, mask), q, samples.n)
 
 
 def idealized_filter_matrix(oracle, true_net: ReluNetwork, frame: Frame, tau: float, n: int) -> np.ndarray:
@@ -147,11 +153,20 @@ def idealized_filter_matrix(oracle, true_net: ReluNetwork, frame: Frame, tau: fl
 
 
 def estimate_l2_error(candidate, oracle, n_check: int) -> float:
-    """Empirical L2 distance sqrt(mean (y - candidate(x))^2) on a fresh batch."""
-    samples = oracle.draw(n_check)
+    """Empirical L2 distance sqrt(mean (y - candidate(x))^2) on n_check fresh rows.
+
+    The rows are drawn in chunks of _CHUNK_FLOATS // d rows, and their squared residuals fill one (n_check,) array,
+    so the check holds one chunk and takes one mean over all of them: a whole-batch check's to the bit.
+    """
     f = as_function(candidate)
-    resid = samples.y - np.asarray(f(samples.x), dtype=float).ravel()
-    return float(np.sqrt(np.mean(resid * resid)))
+    rows = max(_CHUNK_FLOATS // oracle.input_dim, 1)
+    sq = np.empty(checked("n_check", n_check, 1))
+    for start in range(0, n_check, rows):
+        batch = oracle.draw(min(rows, n_check - start))
+        resid = batch.y - np.asarray(f(batch.x), dtype=float).ravel()
+        np.multiply(resid, resid, out=sq[start : start + batch.n])
+        batch = resid = None  # so the next draw does not hold two chunks
+    return float(np.sqrt(np.mean(sq)))
 
 
 @dataclass(frozen=True)
@@ -289,58 +304,94 @@ def _candidates(config: LearnConfig, frame: Frame) -> CandidateList:
     return enumerate_networks(frame, config.eps_prime, config.size, config.l, config.b, config.max_candidates)
 
 
-# A quantile-mode cut is read from a strided sample of about this many of a candidate's residuals.
+# A quantile-mode cut is first read from a strided sample of about this many of a candidate's residuals (_sample).
 _TAU_SAMPLE = 8192
+# Each cut's margin, in sd of the count of read rows at or below an order statistic of all n (hypergeometric,
+# sqrt(m p (1 - p) (n - m) / n) for m read rows): a cut misses its side with probability about Phi(-5) = 2.9e-7.
+_TAU_MARGIN = 5.0
+# Quantile-mode tau is never below this, so neither is an upper cut: every row above the cut is above tau.
+_TAU_FLOOR = 1e-12
 
 
-def _tau_cut(config: LearnConfig, r: np.ndarray, n: int) -> float:
-    """The cut of a candidate's n residuals, read from r, the first of them: the scan keeps only the residuals that
-    are not at most it.  In formula mode it is config.tau itself.  In quantile mode it is the order statistic 5 sd
-    below rank lo / n (lo = floor((n - 1) q), as in _top_quantile) of a strided sample of about _TAU_SAMPLE entries
-    of r: below the q-quantile but with probability about 3e-7, and -inf when the sample is too short to have one."""
-    if config.tau_mode == "formula":
-        return config.tau
-    sample = r[:: max(r.size // _TAU_SAMPLE, 1)]
-    p = math.floor((n - 1) * config.tau_quantile) / n
-    rank = math.floor(sample.size * p - 5.0 * math.sqrt(sample.size * p * (1.0 - p)))
-    return float(np.partition(sample, rank)[rank]) if rank > 0 else -math.inf
+def _sample(r: np.ndarray) -> np.ndarray:
+    """A writable strided sample of about _TAU_SAMPLE entries of r, which _tau_cut reads a first cut from."""
+    return r[:: max(r.size // _TAU_SAMPLE, 1)].copy()
 
 
-def _pick_tau(config: LearnConfig, top: np.ndarray, n: int, cut: float) -> float:
-    """A candidate's tau, from top, the values of its n residuals that are not at most _tau_cut's cut: config.tau
-    in formula mode; in quantile mode max(t, 1e-12) with t the q-quantile (q = tau_quantile) as _top_quantile reads
-    it from top, which it partitions in place, never below the cut."""
-    if config.tau_mode == "formula":
-        return config.tau
-    return max(_top_quantile(top, n, config.tau_quantile, cut), 1e-12)
-
-
-def _top_quantile(top: np.ndarray, n: int, q: float, cut: float) -> float:
-    """np.quantile's q-quantile (0 < q < 1) of n values r, from top: a writable array of the n - skip values of r
-    that are not at most cut (every NaN among them), which it partitions in place.  Quantile-mode _pick_tau reads
-    every scored candidate's tau through it, the scan's candidate 0 and each grid row alike.
-
-    np.quantile's default method interpolates order statistics lo = floor((n - 1) q) and hi = lo + 1 (both n - 1
-    when (n - 1) q >= n - 1) as its _lerp does.  The skip values left out are the smallest, so order statistic j
-    of r is top's j - skip when j >= skip, and is read as cut itself when j < skip.  The result is np.quantile's to
-    the bit when skip <= lo, or when the left-out order statistics it reads equal cut (ties at the cut); otherwise
-    (the cut above r's lo-th value: for a quantile-mode _tau_cut, a 5 sd miss, about 3e-7 per candidate) it is an
-    upper bound on it.  It is never below cut, so every r above it is in top.  NaN sorts last, and any NaN gives
-    NaN, as in np.quantile.
-    """
+def _quantile_ranks(n: int, q: float) -> tuple[int, int]:
+    """The order statistics np.quantile's default method interpolates for the q-quantile of n values: lo =
+    floor((n - 1) q) and hi = lo + 1, both n - 1 when (n - 1) q >= n - 1."""
     vi = (n - 1) * q
-    lo = hi = n - 1
-    if vi < n - 1:
-        lo = math.floor(vi)
-        hi = lo + 1
-    skip = n - top.size
-    if top.size:
-        top.partition(sorted({j - skip for j in (lo, hi, n - 1) if j >= skip}))
-        if math.isnan(top[-1]):
-            return math.nan
-    a, b = (float(top[j - skip]) if j >= skip else cut for j in (lo, hi))
-    diff, gamma = b - a, vi - lo
+    return (n - 1, n - 1) if vi >= n - 1 else (math.floor(vi), math.floor(vi) + 1)
+
+
+def _order_stats(band: np.ndarray, skip: int, ranks, cuts: tuple[float, float]) -> list[float]:
+    """Order statistics (by rank) of m values of which skip are at most cuts[0], band holds those in (cuts[0],
+    cuts[1]] (every NaN among them), which it partitions in place, and the rest are above cuts[1]: a rank below
+    band's reads as cuts[0], one above it as cuts[1]."""
+    inside = sorted({j - skip for j in ranks if skip <= j < skip + band.size})
+    if inside:
+        band.partition(inside)
+    return [float(band[j - skip]) if skip <= j < skip + band.size else cuts[j >= skip] for j in ranks]
+
+
+def _tau_cut(config: LearnConfig, band: np.ndarray, n: int, skip: int = 0, above: int = 0,
+             cuts: tuple[float, float] = (-math.inf, math.inf)) -> tuple[float, float]:
+    """A candidate's lower and upper cut for its n residuals: a scan keeps only the residuals between them, and
+    reads every one above the upper cut as masked.  Both are config.tau in formula mode.
+
+    In quantile mode they are read from m = skip + |band| + above of the residuals (_order_stats): band holds those
+    in (cuts[0], cuts[1]], which it partitions in place, skip more are at most cuts[0] and above more are over
+    cuts[1].  A first read takes a strided sample (_sample) with no cuts; a scan narrows its cuts by reading its band.
+    With lo and hi the order statistics tau reads (_quantile_ranks) and a margin of _TAU_MARGIN sd for the n - m
+    rows not read, the cuts are the read rows' order statistics ceil(m lo / n - margin) - 1 and ceil(m hi / n +
+    margin), the upper one at least _TAU_FLOOR: each misses its side with probability about 2.9e-7, and at m = n
+    they are order statistics lo - 1 and hi themselves.
+    """
+    if config.tau_mode == "formula":
+        return config.tau, config.tau
+    lo, hi = _quantile_ranks(n, config.tau_quantile)
+    m = skip + band.size + above
+    margin = _TAU_MARGIN * math.sqrt(m * (lo / n) * (1.0 - lo / n) * (n - m) / n)
+    low, high = _order_stats(band, skip, (math.ceil(m * lo / n - margin) - 1, math.ceil(m * hi / n + margin)), cuts)
+    return low, max(high, _TAU_FLOOR)
+
+
+def _pick_tau(config: LearnConfig, band: np.ndarray, n: int, cuts: tuple[float, float], above: int) -> float:
+    """A candidate's tau from the values of its n residuals between _tau_cut's cuts (band; above more are over the
+    upper cut): config.tau in formula mode; in quantile mode max(t, _TAU_FLOOR) with t the q-quantile (q =
+    tau_quantile) as _top_quantile reads it from band, which it partitions in place, never outside the cuts."""
+    if config.tau_mode == "formula":
+        return config.tau
+    return max(_top_quantile(band, n, config.tau_quantile, cuts, above), _TAU_FLOOR)
+
+
+def _top_quantile(band: np.ndarray, n: int, q: float, cuts: tuple[float, float], above: int) -> float:
+    """np.quantile's q-quantile (0 < q < 1) of n values r, from band: a writable array of the values of r in
+    (cuts[0], cuts[1]] (every NaN among them), which it partitions in place, with above more values over cuts[1]
+    and the skip = n - |band| - above others at most cuts[0].  Quantile-mode _pick_tau reads every scored
+    candidate's tau through it, the scan's candidate 0 and each grid row alike.
+
+    np.quantile's default method interpolates order statistics lo and hi (_quantile_ranks) as its _lerp does.
+    _order_stats reads each from band, or as cuts[0] when it is among the skip values, or as cuts[1] when it is
+    among the above ones.  The result is np.quantile's to the bit when skip <= lo and hi < n - above, or when the
+    order statistics read as a cut equal it (ties at the cut).  Otherwise (a miss of _tau_cut's margin, about
+    2.9e-7 a side and read) it is an upper bound on np.quantile's after a miss below, and a lower one after a miss
+    above.  It is never outside the cuts.  NaN sorts last, and any NaN gives NaN, as in np.quantile.
+    """
+    lo, hi = _quantile_ranks(n, q)
+    skip = n - band.size - above
+    a, b, last = _order_stats(band, skip, (lo, hi, skip + band.size - 1), cuts)
+    if math.isnan(last):
+        return math.nan
+    diff, gamma = b - a, (n - 1) * q - lo
     return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
+def _split(r: np.ndarray, cuts: tuple[float, float]):
+    """The masks of the residuals r in the band (cuts[0], cuts[1]] (NaN too) and of those above it."""
+    over = r > cuts[1]
+    return np.logical_not(r <= cuts[0]) ^ over, over
 
 
 def _gated(block: KickerBlock, z: np.ndarray) -> np.ndarray:
@@ -397,7 +448,7 @@ def _compact(x: np.ndarray, keep: np.ndarray) -> int:
 
 # A scan draws its batch in chunks of about this many floats (rows x d), and never of fewer rows than
 # final_select_samples, so that the fit reads the first chunk alone.  Each chunk's Z, its feature-major hidden
-# activation and its residuals are formed whole; past them a chunk costs only its kept rows and their residuals.
+# activation and its residuals are formed whole; past them a chunk costs only its band rows and the Gram of those above.
 # 2**18 floats are 2 MB, the size of one core's L2 cache on the 2-core machine bench/README.md describes, and small
 # enough that every scan streams at every d (with 2e6 floats a batch of N d <= 2e6 was one chunk).  bench/run.py's
 # peak_rss_mb there, medians of 10 alternating pairs against 2e6 floats with the kept rows concatenated:
@@ -409,27 +460,40 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
     """Yield (tau, moment) for each candidate of one scan over frame in order; the moment is None when the
     candidate's mask repeats one already formed on the same batch (_mask_key).
 
-    Each candidate is scored in the same four steps: its residuals r, |y - prediction| (_iter_predictions); the cut
-    of r (_tau_cut); tau, from the residuals that are not at most the cut (_pick_tau); and the moment of the rows
-    whose residual is above tau (_masked_moment).
+    Each candidate is scored in the same four steps: its residuals r, |y - prediction| (_iter_predictions); the
+    cuts of r (_tau_cut); tau, from the residuals between them (_pick_tau); and the moment of the rows whose
+    residual is above tau, from their Gram matrix (_masked_moment).
 
     The frame alone decides candidate 0, known before its batch is drawn: at ell = 0 the zero net of
     _zero_candidates, at ell >= 1 the fit (_fit_block) on the first chunk's rows.  Its n_samples rows are drawn in
-    chunks of _CHUNK_FLOATS // d rows (at least final_select_samples).  The cut is read from the first chunk's
-    residuals, and of each chunk only the rows whose residual is not at most it are kept, each with its residual, in
-    draw order, in one buffer and one beside it.  Both are sized at 1.25 times the first chunk's kept fraction of
-    n_samples and doubled when short, so past its residuals a chunk costs in proportion to the rows it keeps.  tau
-    is never below the cut, so the kept rows hold every masked one: they are compacted in place at the buffer's
-    front (_compact) and the moment is read from them.  tau, the mask and the moment equal a whole-batch scan's to
-    the bit, save after a 5 sd miss of the cut (_top_quantile).  At ell = 0 candidate 0 ends the scan.  Otherwise
-    the grid of _candidates (which may raise BudgetError, and is built only here, so a scan whose fit is accepted
-    never builds it) is scored on a whole batch drawn for it, each row's tau through the same two calls.
+    chunks of _CHUNK_FLOATS // d rows (at least final_select_samples).  The cuts are read from a sample of the first
+    chunk's residuals, past the fit's own rows at ell >= 1.  Of each chunk, the rows above the upper cut are folded
+    into a running d x d Gram and counted, the rows in the band between the cuts go, each with its residual, into
+    one pair of buffers, and the rows at or below the lower cut are only counted.  Whenever the rows seen have
+    doubled since the cuts were last read, both cuts narrow to order statistics of the band (_tau_cut, with a margin
+    for the rows not yet drawn): its rows above the new upper cut are folded, and the rest are compacted in place
+    (_compact).  So the band holds about 10 sd of rows, which grows like sqrt(n_samples), not n_samples.  The
+    buffers are allocated before the first draw, at three times the band's widest expected span plus the first
+    chunk's, and doubled only when a chunk overflows them (residuals whose distribution shifts between chunks, or
+    ties at a cut).  tau is read from the band (_top_quantile), and the band rows above it are folded too.  tau, the
+    mask and the row count equal a whole-batch scan's, and the moment up to the rounding of the chunked Gram, save
+    after a miss: about 2.9e-7 a side for each of the 1 + floor(log2(n_samples / sample)) reads of the cuts, so at
+    most about 4e-6 per scan on rank2-highdim's (7 reads).  An order statistic missed below reads as the lower cut,
+    so tau is above the q-quantile; one missed above reads as the upper cut, so tau is below it (the upper cut
+    itself, with the mask every row above it, when both are).  At ell = 0 candidate 0 ends the scan.  Otherwise the
+    grid of _candidates (which may raise BudgetError, and is built only here, so a scan whose fit is accepted never
+    builds it) is scored on a whole batch drawn for it, each row's tau through the same two calls.
     """
     n, d = config.n_samples, config.dim
     rows = max(_CHUNK_FLOATS // d, config.final_select_samples)
     basis = frame.vectors.T  # the blocks are in frame coordinates: the scan reads the batch only through Z = X F^T
     first = None if len(frame) else next(_zero_candidates(d).factory())  # at ell >= 1 the fit, built below
-    kept, resid, cut, count = None, None, None, 0
+    # The band's buffers and the Gram, allocated before the first draw so that no freed chunk lies under them: room
+    # for three times the band's widest expected span (margin sd at n / 2 rows read) and for the first chunk's band.
+    spread, first_rows = _TAU_MARGIN * math.sqrt(config.tau_quantile * (1.0 - config.tau_quantile)), min(rows, n)
+    size = min(math.ceil(3 * spread * (math.sqrt(n) + first_rows / math.sqrt(min(first_rows, _TAU_SAMPLE)))), n)
+    band, resid, gram = np.empty((size, d)), np.empty(size), np.zeros((d, d))
+    cuts, count, above, seen, read = None, 0, 0, 0, 0
     for start in range(0, n, rows):
         batch = oracle.draw(min(rows, n - start))
         z = batch.x @ basis  # each row equals its lifted candidate's up to rounding, (W_0 F) x = W_0 (F x)
@@ -437,37 +501,48 @@ def _scan_moments(oracle, config: LearnConfig, frame: Frame, q: np.ndarray):
             first = _fit_block(config, frame, z, batch.y)
         r = next(_iter_predictions([first], z))
         r = np.abs(np.subtract(r, batch.y, out=r), out=r)  # |row - y| is bitwise |y - row|
-        if cut is None:
-            cut = _tau_cut(config, r, n)
-        keep = np.logical_not(r <= cut)  # NaN too: it sorts above every value, as in np.quantile
-        k = int(np.count_nonzero(keep))
-        if kept is None:
-            size = min(max(math.ceil(1.25 * n * k / r.size), 1), n)
-            kept, resid = np.empty((size, d)), np.empty(size)
-        elif count + k > len(kept):
-            size = min(max(2 * len(kept), count + k), n)
+        if cuts is None:  # read past the fit's own rows, whose residuals are in-sample
+            sample = _sample(r[config.final_select_samples if len(frame) else 0 :])
+            cuts, read = _tau_cut(config, sample, n), sample.size
+        inside, over = _split(r, cuts)
+        k = int(np.count_nonzero(inside))
+        if count + k > len(band):  # ties at a cut, or residuals whose distribution shifts between chunks
+            size = max(2 * len(band), count + k)
             grown = np.empty((size, d)), np.empty(size)
-            grown[0][:count], grown[1][:count] = kept[:count], resid[:count]
-            kept, resid = grown
-        np.compress(keep, batch.x, axis=0, out=kept[count : count + k])
-        np.compress(keep, r, out=resid[count : count + k])
-        count += k
-        batch = z = r = keep = None  # so the next draw does not hold two chunks
-    tau = _pick_tau(config, resid[:count].copy(), n, cut)  # never below the cut: the kept rows hold every masked one
-    m = _compact(kept[:count], resid[:count] > tau)
-    yield tau, _masked_moment(kept[:m], q, n)
+            grown[0][:count], grown[1][:count] = band[:count], resid[:count]
+            band, resid = grown
+        np.compress(inside, batch.x, axis=0, out=band[count : count + k])
+        np.compress(inside, r, out=resid[count : count + k])
+        g, folded = _gram(batch.x, over)
+        gram += g
+        count, above, seen = count + k, above + folded, seen + r.size
+        batch = z = r = inside = over = g = None  # so the next draw does not hold two chunks
+        if seen >= 2 * read:  # narrow both cuts to order statistics of the band
+            cuts, read = _tau_cut(config, resid[:count].copy(), n, seen - count - above, above, cuts), seen
+            inside, over = _split(resid[:count], cuts)
+            g, folded = _gram(band[:count], over)
+            gram += g
+            above += folded
+            resid[: np.count_nonzero(inside)] = resid[:count][inside]
+            count = _compact(band[:count], inside)
+    tau = _pick_tau(config, resid[:count].copy(), n, cuts, above)
+    g, folded = _gram(band[:count], resid[:count] > tau)
+    gram += g
+    band = resid = g = None  # so that neither the eigen-step nor the grid's batch holds the band
+    yield tau, _masked_moment(gram, above + folded, q, n)
     if not len(frame):  # at ell = 0 candidate 0 ends the scan
         return
-    kept = resid = None
+    gram = None
     keys: set[bytes] = set()
     batch = oracle.draw(n)
     for row in _iter_predictions(_candidates(config, frame).factory(), batch.x @ basis):
         r = np.abs(np.subtract(row, batch.y, out=row), out=row)
-        cut = _tau_cut(config, r, n)
-        tau = _pick_tau(config, np.compress(np.logical_not(r <= cut), r), n, cut)
+        cuts = _tau_cut(config, _sample(r), n)
+        inside, over = _split(r, cuts)
+        tau = _pick_tau(config, np.compress(inside, r), n, cuts, int(np.count_nonzero(over)))
         mask = r > tau
         key = _mask_key(mask)
-        yield tau, None if key in keys else _masked_moment(np.compress(mask, batch.x, axis=0), q, n)
+        yield tau, None if key in keys else _masked_moment(*_gram(batch.x, mask), q, n)
         keys.add(key)
 
 

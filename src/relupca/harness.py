@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import BudgetError, checked, json_document, json_object
 from .filteredpca import (
-    _CHUNK_FLOATS, IterationRecord, LearnConfig, TerminalRecord, _masked_moment, as_function, gaussian_oracle, run,
+    _CHUNK_FLOATS, IterationRecord, LearnConfig, TerminalRecord, _gram, _masked_moment, as_function, gaussian_oracle,
+    run,
 )
 from .lattice import LatticePolynomial, from_network, lattice_eval, perturb_leaves, structural_distance
 from .network import (
@@ -123,10 +124,10 @@ def verify_stability(g: LatticePolynomial, g_prime: LatticePolynomial, f, tau, t
 
 
 def _filtered_moment_stream(filter_fn, d: int, n: int, rng) -> np.ndarray:
-    """_masked_moment with q = I over n fresh rows, summed chunk by chunk (the scan's _CHUNK_FLOATS // d rows)."""
+    """_masked_moment with q = I over n fresh rows, from their Gram summed chunk by chunk (the scan's _CHUNK_FLOATS // d
+    rows)."""
     chunk = max(1, _CHUNK_FLOATS // d)
-    eye = np.eye(d)
-    acc = np.zeros((d, d))
+    gram, count = np.zeros((d, d)), 0
     left = n
     while left > 0:
         take = min(chunk, left)
@@ -134,9 +135,11 @@ def _filtered_moment_stream(filter_fn, d: int, n: int, rng) -> np.ndarray:
         keep = np.asarray(filter_fn(x)).ravel()
         if keep.shape != (take,) or not np.all((keep == 0) | (keep == 1)):
             raise ValueError("filter_fn must return one indicator (bool or 0/1) per row")
-        acc += _masked_moment(np.compress(keep.astype(bool), x, axis=0), eye, n)
+        g, kept = _gram(x, keep.astype(bool))
+        gram += g
+        count += kept
         left -= take
-    return acc
+    return _masked_moment(gram, count, np.eye(d), n)
 
 
 def verify_matrix_concentration(filter_fn, d, n_values, trials, seed=0, proxy_factor=100) -> dict:

@@ -29,10 +29,12 @@ from relupca.filteredpca import (
     SampleSet,
     _final_search,
     _gated,
+    _gram,
     _iter_predictions,
     _mask_key,
     _masked_moment,
     _pick_tau,
+    _scan_moments,
     as_function,
     estimate_l2_error,
     filter_matrix,
@@ -245,7 +247,7 @@ def test_masked_moment_matches_the_complement_reference(ell, rng):
     xc = complement_project(frame, x)
     for mask in (np.zeros(n, bool), np.ones(n, bool), rng.uniform(size=n) < 0.3):
         ref = (xc[mask].T @ xc[mask] - int(mask.sum()) * q) / n
-        got = _masked_moment(x[mask], q, n)
+        got = _masked_moment(*_gram(x, mask), q, n)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(got, got.T)
 
@@ -492,23 +494,15 @@ def _reject_the_fit(monkeypatch):
     monkeypatch.setattr(filteredpca, "_fit_block", first_grid_row)
 
 
-def _held_mask(batch, held):
-    """The mask of batch whose rows are held, in draw order, byte for byte (Gaussian rows are distinct)."""
-    at = {row.tobytes(): i for i, row in enumerate(batch.x)}
-    mask = np.zeros(batch.n, dtype=bool)
-    mask[[at[row.tobytes()] for row in held]] = True
-    assert held.tobytes() == batch.x[mask].tobytes()
-    return mask
-
-
 def _recording_run(monkeypatch, config, fresh_keys=False):
     """run() on the d = 6 mixed instance past a rejected fit, recording every moment formed and every candidate's mask.
 
     With fresh_keys every candidate gets a repeat key of its own, so every
     moment is formed: the brute-force reference.  Returns (result, moments,
     per-scan lists of masks); a scan's candidate 0 is scored on its own
-    batch, one chunk here, and keys nothing: its mask is the one whose rows of
-    that chunk its moment reads (_held_mask).  The rest are scored on the
+    batch, one chunk here, and keys nothing: its mask is its residuals above
+    its tau on that chunk, and its moment is that mask's whole-batch moment
+    to 1e-12 relative (_whole_batch_scan).  The rest are scored on the
     fall-through batch, and their masks are the ones they key.
     """
     _reject_the_fit(monkeypatch)
@@ -518,11 +512,18 @@ def _recording_run(monkeypatch, config, fresh_keys=False):
     oracle = _RowCounter(gaussian_oracle(net, 0))
 
     def recording_moment(*args):
-        if args[0].base is not None:  # candidate 0's kept rows, compacted in place, not a gather
-            assert oracle.sizes[-1] == config.n_samples
-            masks.append(_held_mask(oracle.last, args[0]))
         moments.append(_masked_moment(*args))
         return moments[-1]
+
+    def recording_scan(oracle_, config_, frame, q):  # candidate 0's mask, read from its one chunk
+        scan = _scan_moments(oracle_, config_, frame, q)
+        tau, m = next(scan)
+        assert oracle.sizes[-1] == config.n_samples
+        _, mask, want = _whole_batch_scan(config, frame, q, oracle.last, oracle.last, tau)
+        _assert_close_moment(m, want)
+        masks.append(mask)
+        yield tau, m
+        yield from scan
 
     def recording_key(mask):
         masks.append(mask.copy())
@@ -530,6 +531,7 @@ def _recording_run(monkeypatch, config, fresh_keys=False):
 
     monkeypatch.setattr(filteredpca, "_masked_moment", recording_moment)
     monkeypatch.setattr(filteredpca, "_mask_key", recording_key)
+    monkeypatch.setattr(filteredpca, "_scan_moments", recording_scan)
     result = run(oracle, config)
     ends = list(itertools.accumulate(t.candidates_scanned for t in result.trace))
     assert ends[-1] == len(masks)  # one mask per candidate scanned
@@ -692,17 +694,18 @@ def _numpy_tau(r, q):
 
 
 def _row_tau(config, r):
-    """The tau of a whole row of residuals r, read as the scan reads a grid row's: _tau_cut, then _pick_tau of the
-    values of r that are not at most the cut."""
-    cut = filteredpca._tau_cut(config, r, r.size)
-    return _pick_tau(config, r[np.logical_not(r <= cut)], r.size, cut)
+    """The tau of a whole row of residuals r, read as the scan reads a grid row's: _tau_cut of a sample, then
+    _pick_tau of the values of r between the cuts."""
+    cuts = filteredpca._tau_cut(config, filteredpca._sample(r), r.size)
+    inside, over = filteredpca._split(r, cuts)
+    return _pick_tau(config, r[inside], r.size, cuts, int(np.count_nonzero(over)))
 
 
-def _assert_same_tau(r, q, top=None, cut=-math.inf):
-    """_row_tau of r, or _pick_tau of top (the values of r that are not at most cut), is max(np.quantile(r, q),
-    1e-12) to the bit; NaN when that is NaN."""
+def _assert_same_tau(r, q, band=None, cut=-math.inf, upper=math.inf, above=0):
+    """_row_tau of r, or _pick_tau of band (the values of r in (cut, upper], with above more over upper), is
+    max(np.quantile(r, q), 1e-12) to the bit; NaN when that is NaN."""
     config = types.SimpleNamespace(tau_mode="quantile", tau_quantile=q)
-    got = _row_tau(config, r) if top is None else _pick_tau(config, top, r.size, cut)
+    got = _row_tau(config, r) if band is None else _pick_tau(config, band, r.size, (cut, upper), above)
     want = _numpy_tau(r, q)
     same = np.float64(got).tobytes() == np.float64(want).tobytes() or math.isnan(got) and math.isnan(want)
     assert type(got) is float and same, (got, want)
@@ -715,9 +718,10 @@ _TAU_STRIDE_4 = 4 * filteredpca._TAU_SAMPLE  # rows this long are cut on every f
 @given(st.data())
 def test_pick_tau_matches_numpy_quantile(data):
     """Quantile-mode tau is max(np.quantile(r, q), 1e-12) to the bit, from rows of 1 entry to 300 000, and NaN when r
-    holds a NaN.  From top, the values of r that are not at most a cut, shuffled, as a scan keeps them
-    (_top_quantile), it is so too when skip = n - |top| <= lo = floor((n - 1) q), or when the order statistics it
-    reads among the skip values left out equal the cut; otherwise it is never below the cut."""
+    holds a NaN.  From band, the values of r between a lower and an upper cut, shuffled, as a scan keeps them, with
+    above more over the upper cut (_top_quantile), it is so too when skip = n - |band| - above <= lo = floor((n -
+    1) q) and hi < n - above, or when the order statistics it reads among the skip values left out equal the lower
+    cut; otherwise it is between the cuts."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     n = data.draw(st.one_of(st.integers(1, 50), st.integers(_TAU_STRIDE_4 - 50, _TAU_STRIDE_4 + 50),
                             st.integers(_TAU_STRIDE_4, 300_000)), label="n")
@@ -737,15 +741,21 @@ def test_pick_tau_matches_numpy_quantile(data):
     _assert_same_tau(r, q)
     lo = math.floor((n - 1) * q)
     at = data.draw(st.sampled_from([-1, lo - 1, lo, lo + 1, n - 1]) | st.integers(-1, n - 1), label="cut rank")
+    up = max(data.draw(st.sampled_from([n, lo, lo + 1, n - 1]) | st.integers(0, n), label="upper cut rank"), at)
     ordered = np.sort(r)  # NaN sorts last
     cut = -math.inf if at < 0 else float(ordered[min(at, n - 1)])
-    top = rng.permutation(r[np.logical_not(r <= cut)])  # every NaN among them
-    skip = n - top.size
-    read = ordered[[j for j in (lo, min(lo + 1, n - 1)) if j < skip]]
-    if np.all(read == cut) or np.isnan(r).any():
-        _assert_same_tau(r, q, top, cut)
-    else:  # the cut is above the order statistic lo: it stands in for it
-        assert _pick_tau(types.SimpleNamespace(tau_mode="quantile", tau_quantile=q), top, n, cut) >= cut
+    upper = math.inf if up >= n else float(ordered[up])
+    over = r > upper
+    band = rng.permutation(r[np.logical_not(r <= cut) ^ over])  # every NaN among them
+    above = int(np.count_nonzero(over))
+    skip = n - band.size - above
+    ranks = (lo, min(lo + 1, n - 1))
+    read = ordered[[j for j in ranks if j < skip]]
+    if np.all(read == cut) and max(ranks) < n - above or np.isnan(r).any():
+        _assert_same_tau(r, q, band, cut, upper, above)
+    else:  # a cut stands in for an order statistic beyond it
+        config = types.SimpleNamespace(tau_mode="quantile", tau_quantile=q)
+        assert cut <= _pick_tau(config, band, n, (cut, upper), above) <= max(upper, 1e-12)
 
 
 @pytest.mark.parametrize("n", [_TAU_STRIDE_4 - 1, _TAU_STRIDE_4, 200_000])
@@ -780,8 +790,8 @@ def test_pick_tau_at_the_cut(below):
     lo = math.floor((n - 1) * q)
     stride = n // filteredpca._TAU_SAMPLE
     sample = np.random.default_rng(0).permutation(n // stride).astype(float)  # cut = the rank-th value
-    p = lo / n
-    rank = math.floor(sample.size * p - 5.0 * math.sqrt(sample.size * p * (1.0 - p)))
+    m, p = sample.size, lo / n  # _tau_cut's lower rank among the m sampled values
+    rank = math.ceil(m * lo / n - filteredpca._TAU_MARGIN * math.sqrt(m * p * (1.0 - p) * (n - m) / n)) - 1
     r = np.full(n, 1e6)
     r[::stride] = sample
     rest = np.flatnonzero(r == 1e6)
@@ -1292,17 +1302,25 @@ def _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats=160_000, dim=10, n
     return net, config, frame, np.eye(dim) - frame.projector()
 
 
-def _whole_batch_scan(config, frame, q, batch, fit_rows):
-    """Candidate 0 of a scan (the zero net, or the fit on fit_rows' first rows) on a batch drawn whole, with tau
-    config.tau in formula mode and max(np.quantile(r, q), 1e-12) in quantile mode: (tau, mask, moment)."""
+def _candidate_0_resid(config, frame, batch, fit_rows):
+    """The residuals of a scan's candidate 0 (the zero net, or the fit on fit_rows' first rows) on a batch drawn
+    whole."""
     if len(frame):
         block = filteredpca._fit_block(config, frame, fit_rows.x @ frame.vectors.T, fit_rows.y)
     else:
         block = next(filteredpca._zero_candidates(config.dim).factory())
-    resid = np.abs(batch.y - next(_iter_predictions([block], batch.x @ frame.vectors.T)))
-    tau = config.tau if config.tau_mode == "formula" else _numpy_tau(resid, config.tau_quantile)
+    return np.abs(batch.y - next(_iter_predictions([block], batch.x @ frame.vectors.T)))
+
+
+def _whole_batch_scan(config, frame, q, batch, fit_rows, tau=None):
+    """Candidate 0 of a scan on a batch drawn whole (_candidate_0_resid), with tau config.tau in formula mode and
+    max(np.quantile(r, q), 1e-12) in quantile mode, unless tau is given: (tau, mask, moment), the moment from the
+    masked rows' Gram in one product."""
+    resid = _candidate_0_resid(config, frame, batch, fit_rows)
+    if tau is None:
+        tau = config.tau if config.tau_mode == "formula" else _numpy_tau(resid, config.tau_quantile)
     mask = resid > tau
-    return tau, mask, _masked_moment(batch.x[mask], q, batch.n)
+    return tau, mask, _masked_moment(*_gram(batch.x, mask), q, batch.n)
 
 
 def _recording_keys(monkeypatch):
@@ -1318,22 +1336,37 @@ def _scaled_past(batch, rows):
     return SampleSet(batch.x * scale[:, None], batch.y * scale)
 
 
+def _recording_counts(monkeypatch):
+    """Record the masked row count of every moment formed; returns the list."""
+    counts = []
+    monkeypatch.setattr(filteredpca, "_masked_moment", lambda gram, count, *args: counts.append(count)
+                        or _masked_moment(gram, count, *args))
+    return counts
+
+
+def _assert_close_moment(m, want):
+    """A moment from a Gram summed chunk by chunk equals the whole-batch one to 1e-12 of its largest entry."""
+    assert np.max(np.abs(m - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("ell", [0, 1])
 @pytest.mark.parametrize("case", [  # (dim, n_samples, _CHUNK_FLOATS or None for the module's, grow)
     pytest.param((10, 50_000, 160_000, False), id="160000"),  # 4 chunks, N not a multiple of 16 000
     pytest.param((10, 50_000, 2_000_000, False), id="2000000"),  # 1 chunk
     pytest.param((10, 50_000, None, False), id="d10"),  # 2 chunks, which were 1 with 2e6 floats
     pytest.param((4, 150_000, None, False), id="d4"),  # 3 chunks, which were 1 with 2e6 floats
-    pytest.param((10, 50_000, 160_000, True), id="grow"),  # chunks past the first scaled up: the kept rows outgrow
+    pytest.param((10, 50_000, 160_000, True), id="grow"),  # chunks past the first scaled up: a miss above the band
 ])
 @pytest.mark.parametrize("tau_mode", ["formula", "quantile"])
 def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, ell):
-    """Candidate 0 scored on its batch drawn in chunks has the tau (to the bit), the mask and the moment (byte for
-    byte) of a whole-batch scan of the same rows.  Of x the scan keeps only the rows above the cut, in writable
-    buffers of its own (_rows_made): the masked rows themselves in formula mode, a buffer under a tenth of the batch in
-    quantile mode, and the moment reads the masked rows at the front of the last buffer, compacted in place: the
-    whole-batch scan's masked rows, byte for byte.  Candidate 0 keys no mask.  In the grow case the first chunk
-    keeps a smaller fraction than the rest, so the buffer sized from it grows."""
+    """Candidate 0 scored on its batch drawn in chunks has the tau (to the bit), the masked row count and, to 1e-12
+    relative, the moment of a whole-batch scan of the same rows.  Of x the scan keeps only the band's rows, in one
+    writable buffer of its own (_rows_made), under a tenth of the batch.  Candidate 0 keys no mask.  The first cuts
+    are read from a strided sample of the first chunk's residuals, past the fit's own rows at ell = 1.
+
+    In the grow case the first chunk's residuals are smaller than the rest, so the rows are not exchangeable: in
+    quantile mode tau's order statistics are above the band, so tau reads as the upper cut, below np.quantile's,
+    and the mask is every row above that cut."""
     dim, n, chunk_floats, grow = case
     net, config, frame, q = _streaming_setup(monkeypatch, tau_mode, ell, chunk_floats, dim, n)
     chunks = _chunks(config)
@@ -1341,42 +1374,73 @@ def test_streamed_scan_equals_a_whole_batch_scan(monkeypatch, tau_mode, case, el
     oracle = _Predrawn(net, 3, chunks)
     if grow:
         oracle.batches[1:] = [_scaled_past(batch, 0) for batch in oracle.batches[1:]]
-    keys, held, buffers = _recording_keys(monkeypatch), [], _rows_made(monkeypatch)["_scan_moments"]
-    monkeypatch.setattr(filteredpca, "_masked_moment", lambda x, *args: held.append(x) or _masked_moment(x, *args))
+    keys, counts = _recording_keys(monkeypatch), _recording_counts(monkeypatch)
+    buffers = _rows_made(monkeypatch)["_scan_moments"]
+    cuts, read, tau_cut = [], [], filteredpca._tau_cut
+
+    def recording_cut(cfg, band, *args):
+        read.append(band.copy())
+        cuts.append(tau_cut(cfg, band, *args))
+        return cuts[-1]
+
+    monkeypatch.setattr(filteredpca, "_tau_cut", recording_cut)
     tau, m = next(filteredpca._scan_moments(oracle, config, frame, q))
     assert not oracle.batches
     monkeypatch.undo()
     batch = gaussian_oracle(net, 3).draw(n)
     if grow:
         batch = _scaled_past(batch, chunks[0])
+    first = _candidate_0_resid(config, frame, batch, batch)[config.final_select_samples if ell else 0 : chunks[0]]
+    assert read[0].tobytes() == filteredpca._sample(first).tobytes()
     want_tau, want_mask, want_m = _whole_batch_scan(config, frame, q, batch, batch)
+    if grow and tau_mode == "quantile":  # a miss above the band
+        assert tau == cuts[-1][1] < want_tau
+        _, want_mask, want_m = _whole_batch_scan(config, frame, q, batch, batch, tau)
+    else:
+        assert np.float64(tau).tobytes() == np.float64(want_tau).tobytes()
     assert 0 < np.count_nonzero(want_mask) < batch.n
-    assert np.float64(tau).tobytes() == np.float64(want_tau).tobytes()
-    assert not keys and held[0].tobytes() == batch.x[want_mask].tobytes()
-    assert m.tobytes() == want_m.tobytes()
-    assert len(held) == 1 and held[0].shape[0] == np.count_nonzero(want_mask)
-    buffer = held[0].base
-    assert buffer.shape == (buffers[-1], dim) and buffer.flags.writeable and held[0].ctypes.data == buffer.ctypes.data
-    assert (len(buffers) > 1) == grow
-    if tau_mode == "quantile" and not grow:
-        assert buffers[0] < batch.n / 10
+    assert not keys and counts == [np.count_nonzero(want_mask)]
+    _assert_close_moment(m, want_m)
+    assert len(buffers) == 1 and buffers[0] < batch.n / 10
 
 
-def test_spike_ties_at_the_cut_score_candidate_0_once():
+def test_ties_at_the_upper_cut_grow_the_band(monkeypatch):
+    """Residuals tied at the upper cut stay in the band however it narrows: here 4.1 % of the rows, which overflow
+    the band's buffer, so it grows, once.  tau (the tie itself) is np.quantile's to the bit, and the masked count
+    and, to 1e-12 relative, the moment are a whole-batch scan's.  The ell = 0 scan's residuals are |y|: y is uniform
+    on [0, 1), save that every y in [0.949, 0.99) is 0.97, so the cuts' margins straddle the start of the tie."""
+    net, config, frame, q = _streaming_setup(monkeypatch, "quantile", 0)
+    oracle = _Predrawn(net, 3, _chunks(config))
+    u = np.random.default_rng(3).uniform(size=config.n_samples)
+    y = np.where((u >= 0.949) & (u < 0.99), 0.97, u)
+    x = np.concatenate([batch.x for batch in oracle.batches])
+    ends = np.cumsum([batch.n for batch in oracle.batches])[:-1]
+    oracle.batches = [SampleSet(batch.x, part) for batch, part in zip(oracle.batches, np.split(y, ends))]
+    counts, buffers = _recording_counts(monkeypatch), _rows_made(monkeypatch)["_scan_moments"]
+    tau, m = next(filteredpca._scan_moments(oracle, config, frame, q))
+    assert tau == 0.97 == _numpy_tau(y, 0.95)
+    mask = y > tau
+    assert counts == [np.count_nonzero(mask)] and len(buffers) == 2 and buffers[0] < 0.041 * y.size < buffers[1]
+    _assert_close_moment(m, _masked_moment(*_gram(x, mask), q, y.size))
+
+
+def test_spike_ties_at_the_cut_score_candidate_0_once(monkeypatch):
     """spike_network(50) embedded at d = 10 (criterion 7's config, seed 0): almost every |y| of the ell = 0 scan is a
     rounding-level tie, and order statistic lo falls among the ties at or below the cut.  The scan reads it as the
     cut, which those ties equal, so it draws only its n_samples rows, its tau is np.quantile's to the bit (here the
-    1e-12 floor), and its moment is a whole-batch scan's, byte for byte."""
+    1e-12 floor), and its masked row count and, to 1e-12 relative, its moment are a whole-batch scan's."""
     net, config = make_instance({"kind": "spike", "lam": 50.0, "dim": 10, "net_seed": 0}, 0)[0], _criterion_7_config(0)
     frame, q = Frame.empty(10), np.eye(10)
     oracle = _RowCounter(gaussian_oracle(net, 100))
+    counts = _recording_counts(monkeypatch)
     scan = filteredpca._scan_moments(oracle, config, frame, q)
     tau, m = next(scan)
     assert next(scan, None) is None and sum(oracle.sizes) == config.n_samples
     batch = gaussian_oracle(net, 100).draw(config.n_samples)
     assert np.float64(tau).tobytes() == np.float64(_numpy_tau(np.abs(batch.y), 0.95)).tobytes()
-    want_tau, _, want_m = _whole_batch_scan(config, frame, q, batch, batch)
-    assert tau == want_tau and m.tobytes() == want_m.tobytes()
+    want_tau, want_mask, want_m = _whole_batch_scan(config, frame, q, batch, batch)
+    assert tau == want_tau and counts == [np.count_nonzero(want_mask)]
+    _assert_close_moment(m, want_m)
 
 
 # ---------------------------------------------------------------- batched evaluation
@@ -1624,7 +1688,7 @@ def _chunks(config):
 
 def _rows_made(monkeypatch):
     """Record the rows of every 2-D array that np.empty makes in filteredpca, by the function that makes it: draw
-    (an oracle batch's x), _scan_moments (a scan's kept-row buffer) or _compact (its bounce buffer).  Returns the
+    (an oracle batch's x), _scan_moments (a scan's band buffer) or _compact (its bounce buffer).  Returns the
     dict of the lists they are appended to."""
     made = collections.defaultdict(list)
 
@@ -1643,8 +1707,8 @@ def _rows_made(monkeypatch):
 
 def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
     """The loop's peak traced allocation, net of the rows of x that it holds (the batches and chunks,
-    drawn before tracing; the larger of a streamed scan's kept-row buffer, which the moment reads in
-    place, and the largest |m| x d masked gather on the fall-through batch), stays within what
+    drawn before tracing; the larger of a streamed scan's band buffer and the largest gather of
+    masked rows, the fall-through batch's |m| x d), stays within what
     one-row scoring holds: Z, one block's hidden activation (N x widest hidden layer), two
     prediction rows (the one scanned and the next) and 16 bytes a row, at d = 10 (two chunks) and
     d = 100 (twenty) with the same N, and grows by less than 1 MB (the d x d moments) from one to
@@ -1663,16 +1727,15 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         oracle = _Predrawn(abs_net(v), 0, [*chunks, *chunks, n, 64, 64, 1_000])
         kept, gathered, peaks = _rows_made(monkeypatch)["_scan_moments"], [0], []
 
-        def moment(x, q, rows):
-            if x.base is None:  # a gather on the fall-through batch, not the kept rows compacted in place
-                gathered.append(x.shape[0])
-            return _masked_moment(x, q, rows)
+        def gram(x, mask):
+            gathered.append(int(np.count_nonzero(mask)))
+            return _gram(x, mask)
 
         def terminal(*args):  # the loop is over: its peak so far
             peaks.append(tracemalloc.get_traced_memory()[1])
             return final(*args)
 
-        monkeypatch.setattr(filteredpca, "_masked_moment", moment)
+        monkeypatch.setattr(filteredpca, "_gram", gram)
         monkeypatch.setattr(filteredpca, "_final_search", terminal)
         tracemalloc.start()
         try:
@@ -1680,7 +1743,7 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
         finally:
             tracemalloc.stop()
         assert [(t.candidates_scanned, t.accepted_candidate) for t in result.trace] == [(1, 0), (251, 250)]
-        assert not oracle.batches and len(kept) == 2  # one buffer a scan, none outgrown
+        assert not oracle.batches and len(kept) == 2  # one band buffer a scan, none outgrown
         net_peaks.append(peaks[0] - 8 * d * max(*gathered, *kept))
         z_bytes = 8 * n * (config.k - 1)  # the last scan's frame holds k - 1 vectors
         h_bytes = 8 * n * config.size  # l = 0: the one hidden layer is size wide
@@ -1688,9 +1751,22 @@ def test_loop_scan_memory_does_not_grow_with_d(monkeypatch):
     assert net_peaks[1] <= net_peaks[0] + 1_000_000
 
 
+def _band_peaks(monkeypatch):
+    """Record the band's row count just before each narrowing (_compact) and when tau is read (_pick_tau): the
+    largest of them is the band's largest row count.  Returns the list."""
+    counts, compact, pick = [], filteredpca._compact, filteredpca._pick_tau
+    monkeypatch.setattr(filteredpca, "_compact", lambda x, keep: counts.append(keep.size) or compact(x, keep))
+    monkeypatch.setattr(filteredpca, "_pick_tau", lambda config, band, *args: counts.append(band.size)
+                        or pick(config, band, *args))
+    return counts
+
+
 def test_a_scan_at_d_400_holds_a_fraction_of_its_batch(monkeypatch):
     """One quantile-tau scan at d = 400 and N = 2e5, whose whole batch would be 640 MB: its peak traced allocation,
-    the chunks it draws and its kept-row buffer included, stays under 128 MB, a fifth of that batch."""
+    the chunks it draws and its band included, stays under what the band needs: one 655-row chunk with its labels,
+    Z and residuals (2.1 MB), a band of at most N / 100 = 2 000 rows with their residuals (6.4 MB), and eight d x d
+    matrices (the Gram, q, the moment's and the eigen-step's temporaries: 10.2 MB), with 1 MB for the rest.  The
+    band's buffer is one, of fewer than 2 000 rows, and the band never outgrows it."""
     d, n = 400, 200_000
     v = np.zeros(d)
     v[:2] = (0.6, 0.8)
@@ -1702,16 +1778,29 @@ def test_a_scan_at_d_400_holds_a_fraction_of_its_batch(monkeypatch):
         return final(*args)
 
     monkeypatch.setattr(filteredpca, "_final_search", terminal)
-    made = _rows_made(monkeypatch)
+    made, band = _rows_made(monkeypatch), _band_peaks(monkeypatch)
     tracemalloc.start()
     try:
         result = run(gaussian_oracle(abs_net(v), 0), config)
     finally:
         tracemalloc.stop()
-    assert result.trace[0].accepted_candidate == 0 and len(_chunks(config)) == 306
-    assert len(made["draw"]) == 306 + 2  # the chunks, the selection and check batches
-    assert len(made["_scan_moments"]) == 1  # one kept-row buffer
-    assert peaks[0] <= 128 * 2**20
+    rows = len(_chunks(config)), _chunks(config)[0]
+    assert result.trace[0].accepted_candidate == 0 and rows == (306, 655)
+    assert len(made["draw"]) == 306 + 3  # the chunks, the selection batch and the check's two chunks
+    assert len(made["_scan_moments"]) == 1 and max(band) <= made["_scan_moments"][0] < n // 100
+    assert peaks[0] <= 8 * (655 * (d + 3) + (n // 100) * (d + 1) + 8 * d * d) + 2**20
+
+
+def test_band_rows_grow_like_the_square_root_of_n(monkeypatch):
+    """The same d = 10 quantile scan at N = 5e4 and at N = 8e5 (16 times the rows): the band's largest row count
+    grows by less than sqrt(16) = 4 times."""
+    largest = []
+    for n in (50_000, 800_000):
+        net, config, frame, q = _streaming_setup(monkeypatch, "quantile", 0, None, 10, n)
+        band = _band_peaks(monkeypatch)
+        next(filteredpca._scan_moments(gaussian_oracle(net, 3), config, frame, q))
+        largest.append(max(band))
+    assert largest[1] < 4 * largest[0], largest
 
 
 def test_terminal_fit_holds_no_moment_of_the_loop(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relupca.enumeration import enumerate_kickers, enumerate_networks
-from relupca.filteredpca import _CHUNK_FLOATS, GaussianOracle, LearnConfig, _masked_moment
+from relupca.filteredpca import _CHUNK_FLOATS, GaussianOracle, LearnConfig, _gram, _masked_moment
 from relupca.harness import (
     ExperimentSpec,
     _filtered_moment_stream,
@@ -134,8 +134,9 @@ def test_moment_error_zero_filter_degenerate_case():
 
 
 def test_filtered_moment_stream_reads_one_stream_in_the_scans_chunks():
-    """The check draws n rows in the scan's chunks (_CHUNK_FLOATS // d rows) and sums their moments: the rows are
-    those of one draw of all n, so the sum equals _masked_moment of that draw to 1e-12 relative."""
+    """The check draws n rows in the scan's chunks (_CHUNK_FLOATS // d rows) and sums their masked rows' Gram
+    matrices: the rows are those of one draw of all n, so its moment equals _masked_moment of that draw to 1e-12
+    relative."""
     d, chunk = 6, _CHUNK_FLOATS // 6
     n, sizes = 3 * chunk + 17, []
 
@@ -146,7 +147,7 @@ def test_filtered_moment_stream_reads_one_stream_in_the_scans_chunks():
     got = _filtered_moment_stream(keep, d, n, np.random.default_rng(4))
     assert sizes == [chunk, chunk, chunk, 17]
     x = np.random.default_rng(4).standard_normal((n, d))
-    want = _masked_moment(x[np.abs(x[:, 0]) > 1.0], np.eye(d), n)
+    want = _masked_moment(*_gram(x, np.abs(x[:, 0]) > 1.0), np.eye(d), n)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
